@@ -47,6 +47,7 @@ __all__ = [
     "picklable",
     "ParallelFallback",
     "ParallelFallbackWarning",
+    "record_fallback",
     "last_fallback",
     "SharedParameterPlane",
     "PlaneHandle",
@@ -246,11 +247,15 @@ class ParallelFallbackWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ParallelFallback:
-    """Record of one ``run_configs`` serial degradation.
+    """Record of one serial degradation of a requested parallel width.
 
+    ``run_configs`` records ``requested_jobs`` worker processes for
+    ``configs`` sweep points (``reason="unpicklable_config"``); a run whose
+    model has no stacked kernels records its ``cohort_size`` as the
+    requested width with ``configs=1`` (``reason="cohort_unsupported"``).
     ``kind`` is the trace-style event name (``parallel.fallback``) so
     telemetry consumers and the TRACE_KINDS catalogue share one
-    vocabulary even though sweeps run outside any single run's trace.
+    vocabulary even though fallbacks happen outside any run's trace.
     """
 
     requested_jobs: int
@@ -263,12 +268,30 @@ _LAST_FALLBACK: ParallelFallback | None = None
 
 
 def last_fallback() -> ParallelFallback | None:
-    """The most recent :func:`run_configs` fallback, or None.
+    """The most recent recorded fallback, or None.
 
     Reset to None at the start of every ``run_configs`` call, so a caller
     checking right after a sweep sees exactly that sweep's outcome.
     """
     return _LAST_FALLBACK
+
+
+def record_fallback(
+    fallback: ParallelFallback,
+    message: str,
+    on_fallback: Callable[[ParallelFallback], None] | None = None,
+) -> None:
+    """Make a serial degradation loud: remember it for :func:`last_fallback`,
+    emit a :class:`ParallelFallbackWarning`, call ``on_fallback``."""
+    global _LAST_FALLBACK
+    _LAST_FALLBACK = fallback
+    warnings.warn(
+        f"{fallback.kind}: {message} (reason={fallback.reason})",
+        ParallelFallbackWarning,
+        stacklevel=3,
+    )
+    if on_fallback is not None:
+        on_fallback(fallback)
 
 
 def _run_one(config: TrainingJobConfig, collect_telemetry: bool):
@@ -313,21 +336,14 @@ def run_configs(
     configs = list(configs)
     effective = min(jobs, len(configs)) if configs else 1
     if jobs > 1 and configs and not picklable(configs):
-        fallback = ParallelFallback(
-            requested_jobs=jobs,
-            configs=len(configs),
-            reason="unpicklable_config",
+        record_fallback(
+            ParallelFallback(
+                requested_jobs=jobs, configs=len(configs), reason="unpicklable_config"
+            ),
+            f"{len(configs)} config(s) cannot be shipped to worker processes; "
+            f"running serially instead of jobs={jobs}",
+            on_fallback,
         )
-        _LAST_FALLBACK = fallback
-        warnings.warn(
-            f"parallel.fallback: {len(configs)} config(s) cannot be shipped "
-            f"to worker processes (reason={fallback.reason}); running "
-            f"serially instead of jobs={jobs}",
-            ParallelFallbackWarning,
-            stacklevel=2,
-        )
-        if on_fallback is not None:
-            on_fallback(fallback)
         effective = 1
     if effective <= 1:
         outcomes = [_run_one(config, collect_telemetry) for config in configs]

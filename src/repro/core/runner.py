@@ -35,19 +35,15 @@ from ..boinc.validator import ParameterValidator
 from ..boinc.work_generator import WorkGenerator
 from ..boinc.workunit import Workunit, WorkunitState
 from ..data.dataset import Dataset
-from ..data.loader import BatchLoader
 from ..data.synthetic import make_classification_splits
 from ..errors import SchedulerError, TrainingError
 from ..kvstore.eventual import EventualStore
 from ..kvstore.strong import StrongStore
 from ..kvstore.latency import mysql_like_latency, redis_like_latency
 from ..nn.layers import Module
-from ..nn.losses import cross_entropy
 from ..nn.metrics import evaluate_classifier
 from ..nn.models import build_model
-from ..nn.optim import SGD, Adam
-from ..nn.serialization import StateLayout, compressed_size_cache_stats
-from ..nn.tensor import Tensor
+from ..nn.serialization import compressed_size_cache_stats
 from ..obs.runtime import ObservabilityConfig, RunObservability
 from ..simulation.adversary import AdversaryFabric
 from ..simulation.chaos import ChaosPlan, PartitionSchedule
@@ -63,7 +59,7 @@ from .job import TrainingJobConfig
 from .param_server import PARAM_KEY, ParameterServerPool
 from .results import EpochRecord, RunResult
 from .rules import ClientUpdate
-from .steps import DeferredUpdate, StepDispatcher, draw_batch_orders, run_local_step
+from .steps import DeferredUpdate, StepDispatcher, _StepContext, draw_batch_orders
 
 __all__ = ["DistributedRunner", "VersionedParams", "run_experiment"]
 
@@ -156,18 +152,28 @@ class DistributedRunner:
         # ---- model template and initial parameters ----------------------
         init_rng = self.rngs.stream("init")
         self._eval_model: Module = build_model(config.model, init_rng)
-        self._template_state = self._eval_model.state_dict()
+        # Zero-copy parameter plane: the eval model lives in one flat arena
+        # in the order of the cached layout that drives every pack/unpack
+        # for this model shape, so evaluating a vector is a single copy.
+        self._eval_arena = self._eval_model.to_arena()
+        self._layout = self._eval_arena.layout
+        # The one place client training runs in this process (DESIGN.md
+        # §8.5): inline subtasks, corrupt/compromised clients, the
+        # dispatcher's in-process chunks and the warm start.  Every step
+        # overwrites the whole state from its base vector, so the
+        # template's own initial weights are immaterial.
+        local = config.local_training
+        self._steps = _StepContext(
+            build_model(config.model, np.random.default_rng(0)),
+            batch_size=local.batch_size,
+            optimizer=local.optimizer,
+            learning_rate=local.learning_rate,
+            collect_gradient=self.rule.uses_gradient,
+        )
         self.warm_start_seconds = 0.0
         if config.warm_start_passes > 0 and resume_from is None:
             self._warm_start()
-            self._template_state = self._eval_model.state_dict()
-        # Zero-copy parameter plane: one cached layout drives every
-        # pack/unpack for this model shape, and the eval model's live
-        # arrays are bound once so evaluating a vector is a single
-        # unpack_into (no per-call state-dict construction or validation).
-        self._layout = StateLayout.for_state(self._template_state)
-        self._eval_arrays = self._eval_model.state_arrays()
-        initial_vec = self._layout.pack(self._eval_arrays)
+        initial_vec = self._layout.pack(self._eval_arena)
         if resume_from is not None:
             # Recover the server parameter copy from the checkpoint (the
             # role the §III-D database plays after a server failure).
@@ -371,8 +377,8 @@ class DistributedRunner:
 
         # ---- multi-core execution plane (DESIGN.md §8.5) ------------------------
         # Built only when cohorts or step fan-out are requested: with the
-        # defaults (1/1) no dispatcher exists and every subtask takes the
-        # fully inline legacy path, byte-for-byte.
+        # defaults (1/1) no dispatcher exists and every subtask computes
+        # at execute time, on the same step context.
         self._dispatcher: StepDispatcher | None = None
         # Steps pre-submitted at compute start, keyed by (wu_id, client):
         # popped when the executor runs at compute end, pruned at epoch
@@ -386,10 +392,9 @@ class DistributedRunner:
                 else wg.shards
             )
             self._dispatcher = StepDispatcher(
+                self._steps,
                 model_spec=config.model,
                 shards=shards,
-                local=config.local_training,
-                collect_gradient=self.rule.uses_gradient,
                 cohort_size=config.cohort_size,
                 jobs=config.step_jobs,
             )
@@ -405,8 +410,6 @@ class DistributedRunner:
             self._adversary = AdversaryFabric(adv_plan, self.rngs, self.trace)
 
         # ---- client fleet ------------------------------------------------------
-        self._client_models: dict[str, Module] = {}
-        self._client_arrays: dict[str, dict[str, np.ndarray]] = {}
         self._client_counter = 0
         self.preemptions = 0
         for i in range(config.num_clients):
@@ -464,20 +467,15 @@ class DistributedRunner:
         advances by the corresponding serial-training time."""
         cfg = self.config
         lt = cfg.local_training
-        if lt.optimizer == "adam":
-            opt = Adam(self._eval_model.parameters(), lr=lt.learning_rate)
-        else:
-            opt = SGD(self._eval_model.parameters(), lr=lt.learning_rate)
-        loader = BatchLoader(
-            self.train_set, lt.batch_size, rng=self.rngs.stream("warmstart")
+        # One local step over the whole training set, one "epoch" per pass:
+        # the optimizer state carries across passes.
+        orders = draw_batch_orders(
+            self.rngs.stream("warmstart"), len(self.train_set), cfg.warm_start_passes
         )
-        self._eval_model.train()
-        for _ in range(cfg.warm_start_passes):
-            for xb, yb in loader:
-                self._eval_model.zero_grad()
-                loss = cross_entropy(self._eval_model(Tensor(xb)), yb)
-                loss.backward()
-                opt.step()
+        warmed, _ = self._steps.run_group(
+            self._layout.pack(self._eval_arena), [self.train_set], [orders]
+        )[0]
+        self._layout.unpack_into(warmed, self._eval_arena)
         # Time model: one pass over the full data costs the same work as
         # one epoch's subtasks spread over the server's cores.
         per_pass = (
@@ -574,20 +572,6 @@ class DistributedRunner:
     # ------------------------------------------------------------------
     # Client-side subtask execution (real training)
     # ------------------------------------------------------------------
-    def _client_model(self, client_id: str) -> Module:
-        model = self._client_models.get(client_id)
-        if model is None:
-            # Architecture comes from the downloaded spec; weights will be
-            # overwritten by the downloaded parameter file, so the init RNG
-            # here only needs to be deterministic, not meaningful.
-            model = build_model(self.config.model, self.rngs.fresh(f"model:{client_id}"))
-            self._client_models[client_id] = model
-            # Bind the model's live storage to the layout once; optimizer
-            # steps mutate these arrays strictly in place, so the binding
-            # stays valid for the client's lifetime.
-            self._client_arrays[client_id] = model.state_arrays()
-        return model
-
     def _deferrable(self, client_id: str) -> bool:
         """Whether this client's step may run after submit time.
 
@@ -658,7 +642,6 @@ class DistributedRunner:
         at compute start; the compute materializes when the upload is
         accepted.
         """
-        cfg = self.config.local_training
         client_id = wu.current_attempt.client_id
         published: VersionedParams = payloads[wu.input_files[1]]  # the parameter file
         param_vec = published.params
@@ -680,19 +663,7 @@ class DistributedRunner:
             )
             return deferred, self._param_wire_bytes
         orders = self._draw_orders(wu, client_id, len(shard))
-        model = self._client_model(client_id)
-        new_vec, gradient = run_local_step(
-            model,
-            self._client_arrays[client_id],
-            self._layout,
-            param_vec,
-            shard,
-            orders,
-            batch_size=cfg.batch_size,
-            optimizer=cfg.optimizer,
-            learning_rate=cfg.learning_rate,
-            collect_gradient=self.rule.uses_gradient,
-        )
+        new_vec, gradient = self._steps.run_group(param_vec, [shard], [orders])[0]
         new_vec = self._maybe_corrupt(client_id, new_vec)
         claimed: float | None = None
         if self._adversary is not None and self._adversary.compromised(client_id):
@@ -749,11 +720,11 @@ class DistributedRunner:
     # ------------------------------------------------------------------
     def _evaluate_vec(self, vec: np.ndarray) -> tuple[float, float]:
         """Validation loss/accuracy of a parameter vector (real eval)."""
-        self._layout.unpack_into(vec, self._eval_arrays)
+        self._layout.unpack_into(vec, self._eval_arena)
         return evaluate_classifier(self._eval_model, self._val_x, self._val_y)
 
     def _test_accuracy(self, vec: np.ndarray) -> float:
-        self._layout.unpack_into(vec, self._eval_arrays)
+        self._layout.unpack_into(vec, self._eval_arena)
         _, acc = evaluate_classifier(self._eval_model, self.test_set.x, self.test_set.y)
         return acc
 

@@ -1,12 +1,14 @@
 """Client local-training steps as schedulable units of compute.
 
-The runner historically trained inline inside the client's executor
-callback: one model, one shard, one optimizer loop per call.  This module
-lifts that loop into free functions and a :class:`StepDispatcher` so the
-same numerics can run three ways — inline (the legacy path), fused across
-a cohort of clients (:mod:`repro.nn.cohort` stacked kernels), or fanned
-out across worker processes reading published parameters from the
-shared-memory plane (:class:`repro.core.parallel.SharedParameterPlane`).
+One function trains a client subtask — :func:`run_local_step`, the
+compiled step program of :mod:`repro.nn.cohort` at cohort size 1 — and one
+:class:`_StepContext` per process owns the programs it runs on.  The same
+numerics can run three ways: inline at compute end, fused across a cohort
+of clients (the same program at G > 1), or fanned out across worker
+processes reading published parameters from the shared-memory plane
+(:class:`repro.core.parallel.SharedParameterPlane`).  Architectures with
+no stacked kernels train on the ``Tensor`` tape instead, one member at a
+time; which path runs is decided by whether the architecture compiles.
 
 Determinism is the load-bearing wall.  Simulated *time* never depends on
 where compute runs (durations come from work units, not wall clock), and
@@ -23,29 +25,35 @@ the *numbers* are kept bit-identical by two rules:
 
 Clients whose upload is perturbed by state that depends on the trained
 result (corrupt-designated clients, adversary-compromised clients) are
-never deferred; the runner keeps them on the inline path.
+never deferred; the runner computes them at execute time through the same
+context.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..data.dataset import Dataset
 from ..errors import ConfigurationError, SimulationError
-from ..nn.cohort import CohortTrainer, CohortUnsupported
+from ..nn.cohort import (
+    CohortTrainer,
+    CohortUnsupported,
+    StepProgram,
+    TapeProgram,
+    train_steps,
+)
 from ..nn.layers import Module
-from ..nn.losses import cross_entropy
 from ..nn.models import build_model
-from ..nn.optim import SGD, Adam
-from ..nn.serialization import GradientAccumulator, StateLayout
-from ..nn.tensor import Tensor
-from .parallel import AttachedPlane, SharedParameterPlane, _pool_context
+from .parallel import (
+    AttachedPlane,
+    ParallelFallback,
+    SharedParameterPlane,
+    _pool_context,
+    record_fallback,
+)
 from .rules import ClientUpdate
-
-if TYPE_CHECKING:
-    from .job import LocalTrainingConfig
 
 __all__ = [
     "draw_batch_orders",
@@ -70,50 +78,31 @@ def draw_batch_orders(
 
 
 def run_local_step(
-    model: Module,
-    state_arrays: dict[str, np.ndarray],
-    layout: StateLayout,
+    trainer: CohortTrainer,
     base_vec: np.ndarray,
     shard: Dataset,
     orders: Sequence[np.ndarray],
     *,
     batch_size: int,
-    optimizer: str,
-    learning_rate: float,
     collect_gradient: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One client's full local-training subtask, RNG-free.
 
-    Loads ``base_vec`` into the model's live arrays, runs
-    ``len(orders)`` epochs of mini-batch training with the pre-drawn
-    batch orders (mirroring ``BatchLoader``'s ``order[start:start+bs]``
-    slicing, including the short final batch), and packs the trained
-    state back into a fresh flat vector.  Returns ``(new_vec, gradient)``
-    where ``gradient`` is the accumulated local gradient when
-    ``collect_gradient`` (rules like Downpour) and None otherwise.
+    Loads ``base_vec`` into the single-member ``trainer``'s arena, runs
+    ``len(orders)`` epochs of mini-batch training with the pre-drawn batch
+    orders, and packs the trained state into a fresh flat vector.  Returns
+    ``(new_vec, gradient)`` where ``gradient`` is the accumulated local
+    gradient when ``collect_gradient`` (rules like Downpour) and None
+    otherwise.
     """
-    layout.unpack_into(base_vec, state_arrays)
-    model.train()
-    if optimizer == "adam":
-        opt = Adam(model.parameters(), lr=learning_rate)
-    else:
-        opt = SGD(model.parameters(), lr=learning_rate)
-    accumulator = GradientAccumulator(state_arrays) if collect_gradient else None
-    n = len(shard)
-    for order in orders:
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            model.zero_grad()
-            loss = cross_entropy(model(Tensor(shard.x[idx])), shard.y[idx])
-            loss.backward()
-            if accumulator is not None:
-                accumulator.add(
-                    {name: p.grad for name, p in model.named_parameters()}
-                )
-            opt.step()
-    new_vec = layout.pack(state_arrays)
-    gradient = None if accumulator is None else accumulator.total
-    return new_vec, gradient
+    program = trainer.program
+    arena = program.arena
+    arena.layout.unpack_into(base_vec, arena)
+    totals = train_steps(
+        program, trainer.optimizer, [shard], [orders], batch_size, collect_gradient
+    )
+    new_vec = arena.layout.pack(arena)
+    return new_vec, None if totals is None else totals[0]
 
 
 class StepTask:
@@ -168,100 +157,79 @@ class DeferredUpdate:
 
 
 class _StepContext:
-    """Everything one process needs to execute grouped local steps.
+    """Everything one process needs to execute local steps.
 
-    Owns a template model (weights are always overwritten from the base
-    vector before use, so its init RNG is immaterial), the flat layout,
-    and a cache of :class:`CohortTrainer` instances keyed by group size.
-    Lives once in the dispatcher for in-process execution and once per
-    pool worker (built by :func:`_pool_init`).
+    Owns a template model (only its architecture matters: every step
+    starts from a downloaded base vector) and the trainers compiled from
+    it — the single-member one every inline, singleton or warm-start step
+    runs on, and the stacked one of the most recent cohort size (cohort
+    arenas grow with G, so only one is kept).  When the architecture has
+    no stacked kernels the single trainer runs on the ``Tensor`` tape and
+    cohorts run one member at a time.  Lives once in the runner for
+    in-process execution and once per pool worker (:func:`_pool_init`).
     """
 
     def __init__(
         self,
         template: Module,
-        shards: Sequence[Dataset],
         batch_size: int,
         optimizer: str,
         learning_rate: float,
         collect_gradient: bool,
     ) -> None:
         self.template = template
-        self.shards = list(shards)
         self.batch_size = batch_size
         self.optimizer = optimizer
         self.learning_rate = learning_rate
         self.collect_gradient = collect_gradient
-        self.layout = StateLayout.for_state(template.state_dict())
-        self.state_arrays = template.state_arrays()
-        self._trainers: dict[int, CohortTrainer] = {}
-        # Architecture is fixed per job: one CohortUnsupported means every
-        # group of every size falls back to the serial member loop.
-        self.cohort_ok = True
-
-    def _trainer(self, group: int) -> CohortTrainer | None:
-        if not self.cohort_ok:
-            return None
-        trainer = self._trainers.get(group)
-        if trainer is None:
-            try:
-                trainer = CohortTrainer(self.template, group)
-            except CohortUnsupported:
-                self.cohort_ok = False
-                return None
-            self._trainers[group] = trainer
-        return trainer
+        self.compiles = True
+        try:
+            program: Module = StepProgram(template)
+        except CohortUnsupported:
+            self.compiles = False
+            program = TapeProgram(template)
+        self.single = CohortTrainer(program, optimizer, learning_rate)
+        self._stacked: CohortTrainer | None = None
 
     def run_group(
         self,
         base_vec: np.ndarray,
-        shard_indexes: Sequence[int],
+        shards: Sequence[Dataset],
         orders_list: Sequence[list[np.ndarray]],
     ) -> list[tuple[np.ndarray, np.ndarray | None]]:
         """Execute a homogeneous group of steps sharing one base vector.
 
-        Groups of size > 1 run through the stacked cohort kernels when
-        the architecture supports them (bit-identical per member);
-        otherwise — and always for singleton groups — through the serial
-        per-member loop.
+        A group of one is :func:`run_local_step`; larger groups run the
+        same program stacked (bit-identical per member) when the
+        architecture compiles, and member by member when it does not.
         """
-        group = len(shard_indexes)
-        shards = [self.shards[i] for i in shard_indexes]
-        local_epochs = len(orders_list[0])
-        if group > 1:
-            trainer = self._trainer(group)
-            if trainer is not None:
-                base_vecs = np.broadcast_to(
-                    base_vec, (group, self.layout.total_size)
+        group = len(shards)
+        if group > 1 and self.compiles:
+            trainer = self._stacked
+            if trainer is None or trainer.program.arena.group != group:
+                trainer = self._stacked = CohortTrainer(
+                    StepProgram(self.template, group),
+                    self.optimizer,
+                    self.learning_rate,
                 )
-                packed, totals = trainer.run(
-                    base_vecs,
-                    shards,
-                    list(orders_list),
-                    batch_size=self.batch_size,
-                    optimizer=self.optimizer,
-                    learning_rate=self.learning_rate,
-                    local_epochs=local_epochs,
-                    collect_gradient=self.collect_gradient,
-                )
-                return [
-                    (
-                        packed[g].copy(),
-                        None if totals is None else totals[g].copy(),
-                    )
-                    for g in range(group)
-                ]
+            packed, totals = trainer.run(
+                base_vec,
+                shards,
+                orders_list,
+                batch_size=self.batch_size,
+                collect_gradient=self.collect_gradient,
+            )
+            return [
+                (packed[g].copy(), None if totals is None else totals[g].copy())
+                for g in range(group)
+            ]
         return [
             run_local_step(
-                self.template,
-                self.state_arrays,
-                self.layout,
+                self.single,
                 base_vec,
                 shard,
                 orders,
                 batch_size=self.batch_size,
-                optimizer=self.optimizer,
-                learning_rate=self.learning_rate,
                 collect_gradient=self.collect_gradient,
             )
             for shard, orders in zip(shards, orders_list)
@@ -273,6 +241,7 @@ class _StepContext:
 # ---------------------------------------------------------------------------
 
 _WORKER_CONTEXT: _StepContext | None = None
+_WORKER_SHARDS: Sequence[Dataset] = ()
 _WORKER_PLANE: AttachedPlane | None = None
 
 
@@ -286,12 +255,12 @@ def _pool_init(
     collect_gradient,
 ) -> None:
     """Worker start-up: attach the parameter plane, build the step context."""
-    global _WORKER_CONTEXT, _WORKER_PLANE
+    global _WORKER_CONTEXT, _WORKER_SHARDS, _WORKER_PLANE
     _WORKER_PLANE = plane_handle.attach()
+    _WORKER_SHARDS = shards
     template = build_model(model_spec, np.random.default_rng(0))
     _WORKER_CONTEXT = _StepContext(
         template,
-        shards,
         batch_size=batch_size,
         optimizer=optimizer,
         learning_rate=learning_rate,
@@ -312,7 +281,9 @@ def _pool_run_group(
     """
     assert _WORKER_CONTEXT is not None and _WORKER_PLANE is not None
     return _WORKER_CONTEXT.run_group(
-        _WORKER_PLANE.view(slot), shard_indexes, orders_list
+        _WORKER_PLANE.view(slot),
+        [_WORKER_SHARDS[i] for i in shard_indexes],
+        orders_list,
     )
 
 
@@ -333,10 +304,9 @@ class StepDispatcher:
 
     def __init__(
         self,
+        context: _StepContext,
         model_spec,
         shards: Sequence[Dataset],
-        local: "LocalTrainingConfig",
-        collect_gradient: bool,
         cohort_size: int = 1,
         jobs: int = 1,
         plane_slots: int = 16,
@@ -345,15 +315,13 @@ class StepDispatcher:
             raise ConfigurationError(f"cohort_size must be >= 1, got {cohort_size}")
         if jobs < 1:
             raise ConfigurationError(f"step_jobs must be >= 1, got {jobs}")
+        self._context = context  # in-process execution; workers build their own
         self.model_spec = model_spec
         self.shards = list(shards)
-        self.local = local
-        self.collect_gradient = collect_gradient
         self.cohort_size = cohort_size
         self.jobs = jobs
         self.plane_slots = plane_slots
         self._pending: list[StepTask] = []
-        self._context: _StepContext | None = None
         self._pool = None
         self._plane: SharedParameterPlane | None = None
         # Wall-clock-side stats, deliberately kept out of RunResult
@@ -365,8 +333,18 @@ class StepDispatcher:
             "cohort_groups": 0,
             "cohort_members": 0,
             "singleton_members": 0,
+            "unsupported_members": 0,
             "pool_groups": 0,
         }
+        if cohort_size > 1 and not context.compiles:
+            record_fallback(
+                ParallelFallback(
+                    requested_jobs=cohort_size, configs=1, reason="cohort_unsupported"
+                ),
+                f"the model has a layer with no stacked kernel; cohorts of up "
+                f"to {cohort_size} steps run one member at a time on the "
+                f"Tensor tape instead of fused",
+            )
 
     # -- submit / resolve ----------------------------------------------
     def submit(
@@ -406,27 +384,15 @@ class StepDispatcher:
         self._pending = [t for t in self._pending if t is not task]
 
     # -- execution ------------------------------------------------------
-    def _ensure_context(self) -> _StepContext:
-        if self._context is None:
-            template = build_model(self.model_spec, np.random.default_rng(0))
-            self._context = _StepContext(
-                template,
-                self.shards,
-                batch_size=self.local.batch_size,
-                optimizer=self.local.optimizer,
-                learning_rate=self.local.learning_rate,
-                collect_gradient=self.collect_gradient,
-            )
-        return self._context
-
     def _ensure_pool(self):
         if self._pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
+            context = self._context
             if self._plane is None:
-                layout = self._ensure_context().layout
                 self._plane = SharedParameterPlane(
-                    slot_size=layout.total_size, slots=self.plane_slots
+                    slot_size=context.single.program.arena.layout.total_size,
+                    slots=self.plane_slots,
                 )
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
@@ -436,10 +402,10 @@ class StepDispatcher:
                     self._plane.handle(),
                     self.model_spec,
                     self.shards,
-                    self.local.batch_size,
-                    self.local.optimizer,
-                    self.local.learning_rate,
-                    self.collect_gradient,
+                    context.batch_size,
+                    context.optimizer,
+                    context.learning_rate,
+                    context.collect_gradient,
                 ),
             )
         return self._pool
@@ -484,19 +450,20 @@ class StepDispatcher:
 
     def _count_chunks(self, chunks: list[list[StepTask]]) -> None:
         for chunk in chunks:
-            if len(chunk) > 1:
+            if len(chunk) == 1:
+                self.stats["singleton_members"] += 1
+            elif self._context.compiles:
                 self.stats["cohort_groups"] += 1
                 self.stats["cohort_members"] += len(chunk)
             else:
-                self.stats["singleton_members"] += 1
+                self.stats["unsupported_members"] += len(chunk)
 
     def _run_chunks_inprocess(self, chunks: list[list[StepTask]]) -> None:
         self._count_chunks(chunks)
-        context = self._ensure_context()
         for chunk in chunks:
-            results = context.run_group(
+            results = self._context.run_group(
                 chunk[0].base_vec,
-                [t.shard_index for t in chunk],
+                [self.shards[t.shard_index] for t in chunk],
                 [t.orders for t in chunk],
             )
             for task, result in zip(chunk, results):

@@ -1,34 +1,47 @@
-"""Vectorized client cohorts: N clients' training steps in one stacked call.
+"""Tape-free step programs: G clients' training steps as stacked kernels.
 
-A *cohort* is a group of homogeneous client subtasks — same architecture,
-same base parameter version, same shard length — whose local training
-passes are fused into batched NumPy kernels with a leading ``cohort``
-axis G.  Every parameter (and batch-norm buffer) carries its own member
-slice, because members diverge from the shared base after their first
-optimizer step; only the *operations* are shared.
+A client subtask is a fixed chain of layers trained with softmax
+cross-entropy, so the autograd tape rebuilds the same graph at every
+step.  A :class:`StepProgram` compiles that chain once, from a serial
+module tree, into ndarray ``forward``/``backward`` kernel pairs with a
+leading *cohort* axis G over one :class:`ParameterArena`: every member's
+parameters, buffers and gradients are views into its arena row, because
+members diverge from the shared base after their first optimizer step —
+only the *operations* are shared.  G = 1 is the serial client; a cohort
+of homogeneous subtasks (same architecture, same shard length) is the
+same program at G > 1.
 
-Bit-identity contract: for every supported layer the stacked kernel
-performs, per member, exactly the operations the serial layer performs —
-``np.matmul`` on (G, n, d) @ (G, d, k) issues the same per-slice GEMM as
-the serial 2-D product, elementwise ops are shape-blind, and axis
-reductions over the member's own block accumulate in the same order.
-``tests/nn/test_cohort_equivalence.py`` holds this contract under
-Hypothesis across dtypes, cohort sizes and update rules; the runner-level
-digest test holds it end to end.
+Bit-identity contract: per member, every kernel performs exactly the
+operations, in exactly the order, that the ``Tensor`` tape performs for
+the serial layer — ``np.matmul`` on (G, n, d) @ (G, d, k) issues the same
+per-slice GEMM as the 2-D product, elementwise ops are shape-blind, and
+axis reductions over the member's own block accumulate in the same order.
+``tests/nn/test_cohort_equivalence.py`` holds the program to the tape
+loop (:class:`TapeProgram`) under Hypothesis across dtypes, cohort sizes
+and optimizers; the runner-level golden digests hold it end to end.
 
-Unsupported layer kinds (Residual, LayerNorm, Dropout, recurrent cells)
-raise :class:`CohortUnsupported` at compile time — callers fall back to
-the serial per-client path, never to silently different numerics.
+One kernel pair per layer kind.  Anything else (Residual, LayerNorm,
+Dropout, recurrent cells, user subclasses) raises
+:class:`CohortUnsupported` at compile time and trains on the tape through
+:class:`TapeProgram` — never on silently different numerics.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
-from ..errors import TrainingError
-from .conv import avg_pool2d, col2im, global_avg_pool2d, im2col, max_pool2d
+from ..errors import ShapeError, TrainingError
+from .conv import (
+    avg_pool2d_kernel,
+    col2im,
+    global_avg_pool2d_kernel,
+    im2col,
+    max_pool2d_kernel,
+)
+from .functional import leaky_relu_kernel, relu_kernel, sigmoid_kernel, tanh_kernel
 from .layers import (
     AvgPool2D,
     BatchNorm,
@@ -44,15 +57,16 @@ from .layers import (
     Sigmoid,
     Tanh,
 )
-from .optim import SGD, Adam
-from .serialization import StateLayout
+from .losses import cross_entropy
+from .optim import SGD, Adam, Optimizer
+from .serialization import BUFFER_PREFIX, ParameterArena, StateLayout
 from .tensor import Tensor
 
 __all__ = [
     "CohortUnsupported",
-    "cohort_conv2d",
-    "cohort_cross_entropy",
-    "CohortModel",
+    "StepProgram",
+    "TapeProgram",
+    "train_steps",
     "CohortTrainer",
 ]
 
@@ -62,370 +76,373 @@ class CohortUnsupported(TrainingError):
 
 
 # ---------------------------------------------------------------------------
-# Stacked kernels
+# Kernels.  ``forward`` keeps what ``backward`` needs; ``backward`` writes
+# the layer's parameter gradients into their arena views and returns the
+# input gradient.  The first parametric kernel of a program has
+# ``input_grad`` False and returns None instead: nothing upstream has
+# parameters (the tape records nothing there either).
 # ---------------------------------------------------------------------------
 
-def cohort_conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None,
-    stride: int = 1,
-    pad: int = 0,
-) -> Tensor:
-    """Batched 2-D convolution: (G, N, C, H, W) with per-member OIHW weights.
+class _Dense:
+    input_grad = True
+
+    def __init__(self, layer: Dense, prefix: str, data: dict, grad: dict) -> None:
+        self.w, self.gw = data[f"{prefix}weight"], grad[f"{prefix}weight"]
+        self.b = self.gb = None
+        if layer.bias is not None:
+            self.b = data[f"{prefix}bias"][:, None, :]
+            self.gb = grad[f"{prefix}bias"]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self.x = x
+        out = np.matmul(x, self.w)
+        if self.b is not None:
+            out += self.b
+        return out
+
+    def backward(self, g: np.ndarray) -> np.ndarray | None:
+        if self.b is not None:
+            np.add.reduce(g, axis=1, out=self.gb)
+        np.matmul(self.x.swapaxes(-1, -2), g, out=self.gw)
+        if self.input_grad:
+            return np.matmul(g, self.w.swapaxes(-1, -2))
+        return None
+
+
+class _Conv2D:
+    """(G, N, C, H, W) input, per-member OIHW weights.
 
     The im2col transform is per-sample, so the cohort axis folds into the
     batch axis for the unfold/scatter; the GEMM stays per-member (weights
     differ) as one batched ``np.matmul`` — the same per-slice dgemm the
-    serial kernel issues, hence bit-identical outputs and gradients.
+    serial kernel issues.
     """
-    g_, n, c, h, w = x.shape
-    _, co, ci, kh, kw = weight.shape
-    if ci != c:
-        raise TrainingError(f"cohort conv input has {c} channels, weight expects {ci}")
-    cols, oh, ow = im2col(x.data.reshape(g_ * n, c, h, w), kh, kw, stride, pad)
-    cols3 = cols.reshape(g_, n * oh * ow, ci * kh * kw)
-    w2d = weight.data.reshape(g_, co, ci * kh * kw)
-    out = np.matmul(cols3, w2d.transpose(0, 2, 1))  # (G, N*OH*OW, CO)
-    if bias is not None:
-        out += bias.data.reshape(g_, 1, co)
-    out5 = np.ascontiguousarray(
-        out.reshape(g_, n, oh, ow, co).transpose(0, 1, 4, 2, 3)
-    )
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    input_grad = True
 
-    def backward(g: np.ndarray) -> None:
-        g2d = g.transpose(0, 1, 3, 4, 2).reshape(g_, n * oh * ow, co)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g2d.sum(axis=1))
-        if weight.requires_grad:
-            gw = np.matmul(g2d.transpose(0, 2, 1), cols3)
-            weight._accumulate(gw.reshape(weight.shape))
-        if x.requires_grad:
-            gcols = np.matmul(g2d, w2d)  # (G, N*OH*OW, CI*KH*KW)
-            gx = col2im(
-                gcols.reshape(g_ * n * oh * ow, ci * kh * kw),
-                (g_ * n, c, h, w),
-                kh,
-                kw,
-                stride,
-                pad,
-            )
-            x._accumulate(gx.reshape(x.shape))
+    def __init__(self, layer: Conv2D, prefix: str, data: dict, grad: dict) -> None:
+        w = data[f"{prefix}weight"]
+        self.kshape = w.shape[1:]
+        self.w2d = w.reshape(w.shape[0], w.shape[1], -1)
+        self.gw2d = grad[f"{prefix}weight"].reshape(self.w2d.shape)
+        self.b = self.gb = None
+        if layer.bias is not None:
+            self.b = data[f"{prefix}bias"][:, None, :]
+            self.gb = grad[f"{prefix}bias"]
+        self.stride, self.pad = layer.stride, layer.padding
 
-    return Tensor._make(out5, parents, backward)
-
-
-def cohort_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Stacked softmax cross-entropy: (G, N, C) logits, (G, N) int labels.
-
-    Per member this is exactly :func:`repro.nn.losses.cross_entropy` — the
-    same shifted-logit logsumexp, the same gather, the same ``1/N``-scaled
-    closed-form gradient.  The scalar value is the *sum* of per-member
-    mean losses (each member's gradient seed is still 1, matching one
-    serial ``backward()`` per member).
-    """
-    g_, n, c = logits.shape
-    labels = np.asarray(labels)
-    if labels.shape != (g_, n):
-        raise TrainingError(
-            f"cohort labels shape {labels.shape} incompatible with logits "
-            f"{logits.shape}"
-        )
-    shifted = logits.data - logits.data.max(axis=2, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=2, keepdims=True))
-    log_probs = shifted - logsumexp
-    gi = np.arange(g_)[:, None]
-    ni = np.arange(n)[None, :]
-    per_member = -log_probs[gi, ni, labels].mean(axis=1)  # (G,)
-
-    def backward(g: np.ndarray) -> None:
-        if logits.requires_grad:
-            grad = np.exp(log_probs)
-            grad[gi, ni, labels] -= 1.0
-            logits._accumulate(grad * (float(g) / n))
-
-    return Tensor._make(np.asarray(per_member.sum()), (logits,), backward)
-
-
-# ---------------------------------------------------------------------------
-# Stacked model: compiled from a serial Module tree
-# ---------------------------------------------------------------------------
-
-class _CohortDense:
-    def __init__(self, model: "CohortModel", prefix: str, layer: Dense) -> None:
-        self.weight = model.param(f"{prefix}weight")
-        self.bias = model.param(f"{prefix}bias") if layer.bias is not None else None
-
-    def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            g_, k = self.bias.shape
-            out = out + self.bias.reshape(g_, 1, k)
-        return out
-
-
-class _CohortConv2D:
-    def __init__(self, model: "CohortModel", prefix: str, layer: Conv2D) -> None:
-        self.weight = model.param(f"{prefix}weight")
-        self.bias = model.param(f"{prefix}bias") if layer.bias is not None else None
-        self.stride = layer.stride
-        self.padding = layer.padding
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return cohort_conv2d(
-            x, self.weight, self.bias, stride=self.stride, pad=self.padding
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        g_, n, c, h, w = x.shape
+        co, ci, kh, kw = self.kshape
+        if ci != c:
+            raise ShapeError(f"conv input has {c} channels, weight expects {ci}")
+        cols, oh, ow = im2col(x.reshape(g_ * n, c, h, w), kh, kw, self.stride, self.pad)
+        self.x_shape = x.shape
+        self.cols3 = cols.reshape(g_, n * oh * ow, ci * kh * kw)
+        out = np.matmul(self.cols3, self.w2d.transpose(0, 2, 1))  # (G, N*OH*OW, CO)
+        if self.b is not None:
+            out += self.b
+        return np.ascontiguousarray(
+            out.reshape(g_, n, oh, ow, co).transpose(0, 1, 4, 2, 3)
         )
 
+    def backward(self, g: np.ndarray) -> np.ndarray | None:
+        g_, n, c, h, w = self.x_shape
+        co, ci, kh, kw = self.kshape
+        # Materialized like the serial layer's workspace copy: for a batch
+        # of one sample a bare reshape is a transposed *view*, and the GEMMs
+        # below would run with the other operand order.
+        g2d = np.ascontiguousarray(g.transpose(0, 1, 3, 4, 2)).reshape(g_, -1, co)
+        if self.b is not None:
+            np.add.reduce(g2d, axis=1, out=self.gb)
+        np.matmul(g2d.transpose(0, 2, 1), self.cols3, out=self.gw2d)
+        if not self.input_grad:
+            return None
+        gcols = np.matmul(g2d, self.w2d)  # (G, N*OH*OW, CI*KH*KW)
+        gx = col2im(
+            gcols.reshape(-1, ci * kh * kw),
+            (g_ * n, c, h, w),
+            kh,
+            kw,
+            self.stride,
+            self.pad,
+        )
+        return gx.reshape(self.x_shape)
 
-class _CohortBatchNorm:
-    """Stacked batch norm: per-member batch statistics and running buffers.
 
-    Mirrors :class:`repro.nn.layers.BatchNorm` in training mode op for op,
-    with the reduction axes shifted by the cohort axis — per-member
-    mean/var over the member's own batch block, verified bit-identical.
-    """
+class _BatchNorm:
+    """Training-mode batch norm: per-member batch statistics and running
+    buffers (client subtasks always train).  Like the serial layer, the
+    backward pass treats the batch statistics as constants."""
 
-    def __init__(self, model: "CohortModel", prefix: str, layer: BatchNorm) -> None:
-        self.gamma = model.param(f"{prefix}gamma")
-        self.beta = model.param(f"{prefix}beta")
-        self.running_mean = model.buffer(f"buffer:{prefix}running_mean")
-        self.running_var = model.buffer(f"buffer:{prefix}running_var")
-        self.momentum = layer.momentum
-        self.eps = layer.eps
-        self.num_features = layer.num_features
+    input_grad = True
 
-    def __call__(self, x: Tensor) -> Tensor:
-        g_ = x.shape[0]
+    def __init__(self, layer: BatchNorm, prefix: str, data: dict, grad: dict) -> None:
+        self.gamma, self.ggamma = data[f"{prefix}gamma"], grad[f"{prefix}gamma"]
+        self.beta, self.gbeta = data[f"{prefix}beta"], grad[f"{prefix}beta"]
+        self.running_mean = data[f"{BUFFER_PREFIX}{prefix}running_mean"]
+        self.running_var = data[f"{BUFFER_PREFIX}{prefix}running_var"]
+        self.momentum, self.eps = layer.momentum, layer.eps
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        g_, f = self.gamma.shape
         if x.ndim == 3:
-            axes: tuple[int, ...] = (1,)
-            bshape = (g_, 1, self.num_features)
+            self.axes, bshape = (1,), (g_, 1, f)
         elif x.ndim == 5:
-            axes = (1, 3, 4)
-            bshape = (g_, 1, self.num_features, 1, 1)
+            self.axes, bshape = (1, 3, 4), (g_, 1, f, 1, 1)
         else:
-            raise CohortUnsupported(
-                f"cohort BatchNorm expects 3-D or 5-D stacked input, got "
-                f"ndim={x.ndim}"
+            raise ShapeError(
+                f"stacked BatchNorm expects 3-D or 5-D input, got ndim={x.ndim}"
             )
-        # Training-mode statistics (client subtasks always train).
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean = x.mean(axis=self.axes)
+        var = x.var(axis=self.axes)
         self.running_mean *= self.momentum
         self.running_mean += (1.0 - self.momentum) * mean
         self.running_var *= self.momentum
         self.running_var += (1.0 - self.momentum) * var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean.reshape(bshape)) * inv_std.reshape(bshape)
-        return x_hat * self.gamma.reshape(bshape) + self.beta.reshape(bshape)
+        self.inv_std = (1.0 / np.sqrt(var + self.eps)).reshape(bshape)
+        self.gamma_b = self.gamma.reshape(bshape)
+        self.x_hat = (x + -mean.reshape(bshape)) * self.inv_std
+        return self.x_hat * self.gamma_b + self.beta.reshape(bshape)
+
+    def backward(self, g: np.ndarray) -> np.ndarray | None:
+        np.add.reduce(g, axis=self.axes, out=self.gbeta)
+        np.add.reduce(g * self.x_hat, axis=self.axes, out=self.ggamma)
+        if self.input_grad:
+            return g * self.gamma_b * self.inv_std
+        return None
 
 
-class _CohortFold:
-    """Per-sample layer applied by folding the cohort into the batch axis."""
-
-    def __init__(self, fn: Callable[[Tensor], Tensor]) -> None:
-        self.fn = fn
-
-    def __call__(self, x: Tensor) -> Tensor:
-        g_, n = x.shape[0], x.shape[1]
-        folded = self.fn(x.reshape((g_ * n,) + x.shape[2:]))
-        return folded.reshape((g_, n) + folded.shape[1:])
-
-
-class _CohortFlatten:
-    def __call__(self, x: Tensor) -> Tensor:
+class _Flatten:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self.shape = x.shape
         return x.reshape(x.shape[0], x.shape[1], -1)
 
+    def backward(self, g: np.ndarray) -> np.ndarray:
+        return g.reshape(self.shape)
 
-class CohortModel:
-    """A serial module tree compiled into stacked-parameter form.
 
-    Parameters and buffers are held as (G, \\*shape) arrays keyed by the
-    serial model's :class:`StateLayout` keys; :meth:`load` scatters G flat
-    base vectors into them and :meth:`pack` gathers G flat result vectors
-    back.  The same instance is reused across steps — every step fully
-    overwrites the state, exactly as the serial per-client models are
-    overwritten from the downloaded parameter file.
+class _PerSample:
+    """A parameter-free per-sample ``(out, pull)`` kernel (activation,
+    pool), applied with the cohort axis folded into the batch axis."""
+
+    def __init__(self, kernel) -> None:
+        self.kernel = kernel
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self.shape = x.shape
+        out, self.pull = self.kernel(x.reshape((-1,) + x.shape[2:]))
+        return out.reshape(x.shape[:2] + out.shape[1:])
+
+    def backward(self, g: np.ndarray) -> np.ndarray:
+        return self.pull(g.reshape((-1,) + g.shape[2:])).reshape(self.shape)
+
+
+_PARAMETRIC = {Dense: _Dense, Conv2D: _Conv2D, BatchNorm: _BatchNorm}
+_PER_SAMPLE = {
+    ReLU: lambda m: relu_kernel,
+    LeakyReLU: lambda m: partial(leaky_relu_kernel, negative_slope=m.negative_slope),
+    Tanh: lambda m: tanh_kernel,
+    Sigmoid: lambda m: sigmoid_kernel,
+    MaxPool2D: lambda m: partial(max_pool2d_kernel, kernel=m.kernel, stride=m.stride),
+    AvgPool2D: lambda m: partial(avg_pool2d_kernel, kernel=m.kernel, stride=m.stride),
+    GlobalAvgPool2D: lambda m: global_avg_pool2d_kernel,
+}
+
+
+def _compile(module: Module, prefix: str, data: dict, grad: dict) -> list:
+    """Kernels for ``module``'s subtree.  Matches exact layer types: a
+    subclass may override ``forward``, which no kernel would know about."""
+    kind = type(module)
+    if kind is Sequential:
+        return [
+            kernel
+            for name, child in module._modules.items()
+            for kernel in _compile(child, f"{prefix}{name}.", data, grad)
+        ]
+    if kind in _PARAMETRIC:
+        return [_PARAMETRIC[kind](module, prefix, data, grad)]
+    if kind is Flatten:
+        return [_Flatten()]
+    if kind in _PER_SAMPLE:
+        return [_PerSample(_PER_SAMPLE[kind](module))]
+    raise CohortUnsupported(
+        f"no stacked kernel for layer {kind.__name__}; this architecture "
+        "trains on the Tensor tape"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Programs
+# ---------------------------------------------------------------------------
+
+class StepProgram(Module):
+    """A serial module tree compiled to stacked kernels over one arena.
+
+    Calling the program on a stacked mini-batch ``(G, n, ...)`` with
+    ``(G, n)`` integer labels runs the forward kernels fused with softmax
+    cross-entropy and returns the loss as a single autograd node: its
+    ``backward()`` runs the backward kernels, which overwrite every
+    gradient in ``arena.grad`` (no zeroing between steps).  The value is
+    the *sum* of per-member mean losses — each member's gradient seed is
+    1, matching one serial ``backward()`` per member.  The program is a
+    :class:`Module` so that a step still enters through ``Module.__call__``,
+    ``Tensor.backward`` and ``Optimizer.step``, the seams wall-clock
+    tracing hooks; it has no parameters of its own and never touches the
+    template's — every step starts from vectors loaded into the arena.
     """
 
-    def __init__(self, module: Module, group: int) -> None:
-        if group < 1:
-            raise TrainingError(f"cohort group must be >= 1, got {group}")
-        self.group = group
-        self.layout = StateLayout.for_state(module.state_dict())
-        self.params: dict[str, Tensor] = {}
-        self.buffers: dict[str, np.ndarray] = {}
-        for key, shape in zip(self.layout.keys, self.layout.shapes):
-            stacked = np.zeros((group,) + shape)
-            if key.startswith("buffer:"):
-                self.buffers[key] = stacked
-            else:
-                self.params[key] = Tensor(stacked, requires_grad=True, name=key)
-        self.forwards = self._compile(module, "")
-
-    # -- compile --------------------------------------------------------
-    def param(self, key: str) -> Tensor:
-        return self.params[key]
-
-    def buffer(self, key: str) -> np.ndarray:
-        return self.buffers[key]
-
-    def _compile(self, module: Module, prefix: str) -> list[Callable[[Tensor], Tensor]]:
-        if isinstance(module, Sequential):
-            chain: list[Callable[[Tensor], Tensor]] = []
-            for name, child in module._modules.items():
-                chain.extend(self._compile(child, f"{prefix}{name}."))
-            return chain
-        if isinstance(module, Dense):
-            return [_CohortDense(self, prefix, module)]
-        if isinstance(module, Conv2D):
-            return [_CohortConv2D(self, prefix, module)]
-        if isinstance(module, BatchNorm):
-            return [_CohortBatchNorm(self, prefix, module)]
-        if isinstance(module, Flatten):
-            return [_CohortFlatten()]
-        if isinstance(module, ReLU):
-            from . import functional as F
-
-            return [_CohortFold(F.relu)]
-        if isinstance(module, LeakyReLU):
-            from . import functional as F
-
-            slope = module.negative_slope
-            return [_CohortFold(lambda x: F.leaky_relu(x, slope))]
-        if isinstance(module, Tanh):
-            from . import functional as F
-
-            return [_CohortFold(F.tanh)]
-        if isinstance(module, Sigmoid):
-            from . import functional as F
-
-            return [_CohortFold(F.sigmoid)]
-        if isinstance(module, MaxPool2D):
-            kernel, stride = module.kernel, module.stride
-            return [_CohortFold(lambda x: max_pool2d(x, kernel, stride))]
-        if isinstance(module, AvgPool2D):
-            kernel, stride = module.kernel, module.stride
-            return [_CohortFold(lambda x: avg_pool2d(x, kernel, stride))]
-        if isinstance(module, GlobalAvgPool2D):
-            return [_CohortFold(global_avg_pool2d)]
-        raise CohortUnsupported(
-            f"no stacked kernel for layer {type(module).__name__}; "
-            "this cohort must run on the serial path"
+    def __init__(self, template: Module, group: int = 1) -> None:
+        super().__init__()
+        layout = StateLayout.for_state(template.state_arrays())
+        self.arena = ParameterArena(layout, group)
+        self.kernels = _compile(
+            template, "", self.arena.views(self.arena.data), self.arena.views(self.arena.grad)
         )
+        for kernel in self.kernels:
+            if type(kernel) in _PARAMETRIC.values():
+                kernel.input_grad = False
+                break
+        self._pick: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    # -- state ----------------------------------------------------------
-    def load(self, base_vecs: np.ndarray) -> None:
-        """Scatter (G, total_size) flat vectors into the stacked state."""
-        if base_vecs.shape != (self.group, self.layout.total_size):
-            raise TrainingError(
-                f"cohort base vectors have shape {base_vecs.shape}, expected "
-                f"({self.group}, {self.layout.total_size})"
+    def forward(self, x: np.ndarray, labels: np.ndarray) -> Tensor:
+        for kernel in self.kernels:
+            x = kernel.forward(x)
+        if x.ndim != 3 or labels.shape != x.shape[:2]:
+            raise ShapeError(
+                f"labels shape {labels.shape} incompatible with stacked "
+                f"logits {x.shape}"
             )
-        for key, offset, size, shape in zip(
-            self.layout.keys, self.layout.offsets, self.layout.sizes, self.layout.shapes
-        ):
-            dst = (
-                self.buffers[key]
-                if key.startswith("buffer:")
-                else self.params[key].data
-            )
-            np.copyto(dst, base_vecs[:, offset : offset + size].reshape((self.group,) + shape))
+        g_, n, _ = x.shape
+        pick = self._pick.get(n)
+        if pick is None:
+            pick = self._pick[n] = (np.arange(g_)[:, None], np.arange(n)[None, :])
+        picked = (*pick, labels)
+        shifted = x - np.maximum.reduce(x, axis=2, keepdims=True)
+        logsumexp = np.log(np.add.reduce(np.exp(shifted), axis=2, keepdims=True))
+        log_probs = shifted - logsumexp
+        # Per-member mean negative log-likelihood, summed over members.
+        loss = np.add.reduce(np.add.reduce(log_probs[picked], axis=1) / -n)
 
-    def pack(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Gather the stacked state back into (G, total_size) flat vectors."""
-        if out is None:
-            out = np.empty((self.group, self.layout.total_size))
-        for key, offset, size in zip(
-            self.layout.keys, self.layout.offsets, self.layout.sizes
-        ):
-            src = (
-                self.buffers[key]
-                if key.startswith("buffer:")
-                else self.params[key].data
-            )
-            out[:, offset : offset + size] = src.reshape(self.group, size)
-        return out
+        def backward(seed: np.ndarray) -> None:
+            g = np.exp(log_probs)
+            g[picked] -= 1.0
+            g *= float(seed) / n
+            for kernel in reversed(self.kernels):
+                g = kernel.backward(g)
+                if g is None:
+                    break
+                # The tape hands every adjoint a gradient accumulated into
+                # a fresh contiguous buffer; a strided one (a pool's
+                # broadcast view) would steer the next GEMM off its BLAS path.
+                if not g.flags.c_contiguous:
+                    g = np.ascontiguousarray(g)
+            # The tape accumulates every gradient into a zeroed buffer,
+            # which turns a -0.0 into +0.0; adding zero reproduces that.
+            np.add(self.arena.grad, 0.0, out=self.arena.grad)
 
-    def accumulate_grads(self, total: np.ndarray) -> None:
-        """Add each parameter's current gradient into (G, total_size) slots."""
-        for key, offset, size in zip(
-            self.layout.keys, self.layout.offsets, self.layout.sizes
-        ):
-            if key.startswith("buffer:"):
-                continue
-            grad = self.params[key].grad
-            if grad is None:
-                continue
-            view = total[:, offset : offset + size]
-            np.add(view, grad.reshape(self.group, size), out=view)
+        # The whole chain is this one node: no parents for backward() to walk.
+        node = Tensor(loss, requires_grad=True)
+        node._backward = backward
+        return node
 
-    # -- forward --------------------------------------------------------
-    def forward(self, x: Tensor) -> Tensor:
-        for fn in self.forwards:
-            x = fn(x)
-        return x
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+class TapeProgram(Module):
+    """One member trained on the ``Tensor`` tape, behind the program
+    interface: the implementation for architectures that do not compile,
+    and the oracle the equivalence suite holds :class:`StepProgram` to.
+    Trains ``model`` in place, re-homed in its own arena."""
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
+    def __init__(self, model: Module) -> None:
+        super().__init__()
+        self.model = model.train()
+        self.arena = model.to_arena()
+
+    def forward(self, x: np.ndarray, labels: np.ndarray) -> Tensor:
+        self.arena.grad.fill(0.0)
+        return cross_entropy(self.model(Tensor(x[0])), labels[0])
+
+
+def train_steps(
+    program: Module,
+    optimizer: Optimizer,
+    shards: Sequence,
+    orders: Sequence[Sequence[np.ndarray]],
+    batch_size: int,
+    collect_gradient: bool = False,
+) -> np.ndarray | None:
+    """The mini-batch loop of a client subtask, on an already loaded program.
+
+    ``shards[g]`` and ``orders[g]`` are member g's data and pre-drawn
+    per-epoch batch permutations (RNG draws happen at the caller's site, so
+    the draw *order* never depends on where or when the compute runs);
+    batches are ``order[start : start + batch_size]`` slices, short final
+    batch included.  ``optimizer`` must be over ``program.arena.trainable``
+    and is reset first.  Returns the ``(G, total_size)`` sum of every
+    step's gradients when ``collect_gradient`` (rules like Downpour), else
+    None; the trained state is left in the arena.
+    """
+    arena: ParameterArena = program.arena
+    if not (len(shards) == len(orders) == arena.group):
+        raise TrainingError(
+            f"program of {arena.group} member(s) got {len(shards)} shards / "
+            f"{len(orders)} batch orders"
+        )
+    n = len(shards[0])
+    if any(len(shard) != n for shard in shards):
+        raise TrainingError("cohort members must have equal shard lengths")
+    epochs = len(orders[0])
+    if any(len(member) != epochs for member in orders):
+        raise TrainingError("cohort members must train the same number of epochs")
+    xs, ys = [shard.x for shard in shards], [shard.y for shard in shards]
+    if min(int(y.min()) for y in ys) < 0:
+        raise ShapeError("negative class label")
+    optimizer.reset()
+    totals = np.zeros_like(arena.grad) if collect_gradient else None
+    for epoch in range(epochs):
+        for start in range(0, n, batch_size):
+            idxs = [member[epoch][start : start + batch_size] for member in orders]
+            if len(idxs) == 1:
+                x, y = xs[0][idxs[0]][None], ys[0][idxs[0]][None]
+            else:
+                x = np.stack([a[i] for a, i in zip(xs, idxs)])
+                y = np.stack([a[i] for a, i in zip(ys, idxs)])
+            program(x, y).backward()
+            if totals is not None:
+                arena.layout.accumulate(arena, totals)
+            optimizer.step()
+    return totals
 
 
 class CohortTrainer:
-    """Run G members' full local-training subtasks as one stacked pass.
+    """A program plus its optimizer: runs whole local-training subtasks.
 
-    The caller supplies, per member, the flat base parameter vector, the
-    shard and the pre-drawn per-epoch batch orders (RNG draws happen at
-    the caller's site so the draw *order* matches the serial schedule).
-    Returns stacked new parameter vectors and, when the update rule
-    consumes gradients, the stacked accumulated local gradients.
+    Reused across subtasks — every run overwrites the whole arena from the
+    base vectors and resets the optimizer, exactly as a client overwrites
+    its model from the downloaded parameter file and starts a fresh Adam.
     """
 
-    def __init__(self, template: Module, group: int) -> None:
-        self.model = CohortModel(template, group)
-        self.group = group
+    def __init__(
+        self, program: Module, optimizer: str = "adam", learning_rate: float = 0.001
+    ) -> None:
+        self.program = program
+        make = Adam if optimizer == "adam" else SGD
+        self.optimizer = make(program.arena.trainable, lr=learning_rate)
 
     def run(
         self,
         base_vecs: np.ndarray,
-        shards: list,
-        orders: list[list[np.ndarray]],
+        shards: Sequence,
+        orders: Sequence[Sequence[np.ndarray]],
         batch_size: int,
-        optimizer: str,
-        learning_rate: float,
-        local_epochs: int,
         collect_gradient: bool = False,
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        g_ = self.group
-        if not (len(shards) == len(orders) == g_):
-            raise TrainingError(
-                f"cohort of {g_} got {len(shards)} shards / {len(orders)} orders"
-            )
-        n = len(shards[0])
-        if any(len(shard) != n for shard in shards):
-            raise TrainingError("cohort members must have equal shard lengths")
-        model = self.model
-        model.load(base_vecs)
-        if optimizer == "adam":
-            opt = Adam(model.parameters(), lr=learning_rate)
-        else:
-            opt = SGD(model.parameters(), lr=learning_rate)
-        total = (
-            np.zeros((g_, model.layout.total_size)) if collect_gradient else None
+        """Train every member from ``base_vecs`` — one shared ``(total_size,)``
+        vector or one row per member — and return the stacked new parameter
+        vectors and, when collected, the stacked accumulated gradients."""
+        arena = self.program.arena
+        np.copyto(arena.data, base_vecs)
+        totals = train_steps(
+            self.program, self.optimizer, shards, orders, batch_size, collect_gradient
         )
-        for epoch in range(local_epochs):
-            for start in range(0, n, batch_size):
-                idxs = [orders[g][epoch][start : start + batch_size] for g in range(g_)]
-                xb = np.stack([shards[g].x[idxs[g]] for g in range(g_)])
-                yb = np.stack([shards[g].y[idxs[g]] for g in range(g_)])
-                model.zero_grad()
-                loss = cohort_cross_entropy(model.forward(Tensor(xb)), yb)
-                loss.backward()
-                if total is not None:
-                    model.accumulate_grads(total)
-                opt.step()
-        return model.pack(), total
+        return arena.data.copy(), totals

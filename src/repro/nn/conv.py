@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
+from .functional import apply_kernel
 from .tensor import Tensor
 from .workspace import Workspace
 
@@ -33,6 +34,9 @@ __all__ = [
     "max_pool2d",
     "avg_pool2d",
     "global_avg_pool2d",
+    "max_pool2d_kernel",
+    "avg_pool2d_kernel",
+    "global_avg_pool2d_kernel",
 ]
 
 
@@ -171,7 +175,10 @@ def conv2d(
 
     def backward(g: np.ndarray) -> None:
         if workspace is None:
-            g2d = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, co)
+            # Materialized, like the workspace copy below: for a batch of
+            # one sample a bare reshape is a transposed view and the GEMMs
+            # would run with the other operand order (different rounding).
+            g2d = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, co)
         else:
             g2d = workspace.buffer("bwd:g2d", (n * oh * ow, co))
             np.copyto(g2d.reshape(n, oh, ow, co), g.transpose(0, 2, 3, 1))
@@ -199,18 +206,18 @@ def conv2d(
     return Tensor._make(np.ascontiguousarray(out), parents, backward)
 
 
-def max_pool2d(
-    x: Tensor,
+def max_pool2d_kernel(
+    x: np.ndarray,
     kernel: int,
     stride: int | None = None,
     workspace: Workspace | None = None,
-) -> Tensor:
-    """Max pooling over non-overlapping (or strided) windows."""
+):
+    """Max pooling as an ``(out, pull)`` kernel (see :mod:`.functional`)."""
     if stride is None:
         stride = kernel
     n, c, h, w = x.shape
     cols, oh, ow = im2col(
-        x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0, workspace, tag="fwd"
+        x.reshape(n * c, 1, h, w), kernel, kernel, stride, 0, workspace, tag="fwd"
     )
     # cols: (N*C*OH*OW, kernel*kernel)
     rows = cols.shape[0]
@@ -221,11 +228,8 @@ def max_pool2d(
         argmax = cols.argmax(axis=1, out=workspace.buffer("fwd:argmax", (rows,), np.intp))
         row_idx = workspace.arange_rows(rows)
     out = cols[row_idx, argmax]
-    out4 = out.reshape(n, c, oh, ow)
 
-    def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
+    def pull(g: np.ndarray) -> np.ndarray:
         if workspace is None:
             gcols = np.zeros_like(cols)
         else:
@@ -234,30 +238,27 @@ def max_pool2d(
         gx = col2im(
             gcols, (n * c, 1, h, w), kernel, kernel, stride, 0, workspace, tag="bwd"
         )
-        x._accumulate(gx.reshape(n, c, h, w))
+        return gx.reshape(n, c, h, w)
 
-    return Tensor._make(out4, (x,), backward)
+    return out.reshape(n, c, oh, ow), pull
 
 
-def avg_pool2d(
-    x: Tensor,
+def avg_pool2d_kernel(
+    x: np.ndarray,
     kernel: int,
     stride: int | None = None,
     workspace: Workspace | None = None,
-) -> Tensor:
-    """Average pooling over windows."""
+):
+    """Average pooling as an ``(out, pull)`` kernel."""
     if stride is None:
         stride = kernel
     n, c, h, w = x.shape
     cols, oh, ow = im2col(
-        x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0, workspace, tag="fwd"
+        x.reshape(n * c, 1, h, w), kernel, kernel, stride, 0, workspace, tag="fwd"
     )
-    out = cols.mean(axis=1).reshape(n, c, oh, ow)
     inv = 1.0 / (kernel * kernel)
 
-    def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
+    def pull(g: np.ndarray) -> np.ndarray:
         if workspace is None:
             gcols = np.repeat(g.reshape(-1, 1), kernel * kernel, axis=1) * inv
         else:
@@ -267,21 +268,43 @@ def avg_pool2d(
         gx = col2im(
             gcols, (n * c, 1, h, w), kernel, kernel, stride, 0, workspace, tag="bwd"
         )
-        x._accumulate(gx.reshape(n, c, h, w))
+        return gx.reshape(n, c, h, w)
 
-    return Tensor._make(out, (x,), backward)
+    return cols.mean(axis=1).reshape(n, c, oh, ow), pull
+
+
+def global_avg_pool2d_kernel(x: np.ndarray):
+    """Global average pooling as an ``(out, pull)`` kernel."""
+    inv = 1.0 / (x.shape[2] * x.shape[3])
+
+    def pull(g: np.ndarray) -> np.ndarray:
+        # The consumer adds this into its own buffer, so the stride-0
+        # broadcast view needs no materializing copy.
+        return np.broadcast_to(g[:, :, None, None] * inv, x.shape)
+
+    return x.mean(axis=(2, 3)), pull
+
+
+def max_pool2d(
+    x: Tensor,
+    kernel: int,
+    stride: int | None = None,
+    workspace: Workspace | None = None,
+) -> Tensor:
+    """Max pooling over non-overlapping (or strided) windows."""
+    return apply_kernel(x, lambda data: max_pool2d_kernel(data, kernel, stride, workspace))
+
+
+def avg_pool2d(
+    x: Tensor,
+    kernel: int,
+    stride: int | None = None,
+    workspace: Workspace | None = None,
+) -> Tensor:
+    """Average pooling over windows."""
+    return apply_kernel(x, lambda data: avg_pool2d_kernel(data, kernel, stride, workspace))
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Average over all spatial positions: (N, C, H, W) -> (N, C)."""
-    n, c, h, w = x.shape
-    out = x.data.mean(axis=(2, 3))
-    inv = 1.0 / (h * w)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            # _accumulate adds into its own buffer, so the stride-0
-            # broadcast view needs no materializing copy.
-            x._accumulate(np.broadcast_to(g[:, :, None, None] * inv, x.shape))
-
-    return Tensor._make(out, (x,), backward)
+    return apply_kernel(x, global_avg_pool2d_kernel)

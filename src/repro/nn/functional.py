@@ -7,6 +7,8 @@ inputs, and register an adjoint via ``Tensor._make``.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..errors import ShapeError
@@ -33,53 +35,68 @@ __all__ = [
 ]
 
 
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit, ``max(x, 0)``."""
-    mask = x.data > 0
+# A *kernel* is the tape-free form of a unary op: ``kernel(x)`` maps an
+# ndarray to ``(out, pull)`` where ``pull(g)`` is the input gradient for an
+# output gradient ``g``.  The Tensor functions below record exactly that
+# pair on the tape; the compiled step programs of :mod:`repro.nn.cohort`
+# call the same kernels directly, so each op's arithmetic exists once.
+Pull = Callable[[np.ndarray], np.ndarray]
+Kernel = Callable[[np.ndarray], "tuple[np.ndarray, Pull]"]
+
+
+def apply_kernel(x: Tensor, kernel: Kernel) -> Tensor:
+    """Run ``kernel`` on ``x`` and record its pull as the tape adjoint."""
+    out, pull = kernel(x.data)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * mask)
+            x._accumulate(pull(g))
 
-    return Tensor._make(np.where(mask, x.data, 0.0), (x,), backward)
+    return Tensor._make(out, (x,), backward)
+
+
+def relu_kernel(x: np.ndarray):
+    mask = x > 0
+    return np.where(mask, x, 0.0), lambda g: g * mask
+
+
+def leaky_relu_kernel(x: np.ndarray, negative_slope: float = 0.01):
+    scale = np.where(x > 0, 1.0, negative_slope)
+    return x * scale, lambda g: g * scale
+
+
+def sigmoid_kernel(x: np.ndarray):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out, lambda g: g * out * (1.0 - out)
+
+
+def tanh_kernel(x: np.ndarray):
+    out = np.tanh(x)
+    return out, lambda g: g * (1.0 - out * out)
+
+
+def relu(x: Tensor) -> Tensor:
+    """Rectified linear unit, ``max(x, 0)``."""
+    return apply_kernel(x, relu_kernel)
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     """Leaky ReLU: identity for positive inputs, scaled for negative."""
-    mask = x.data > 0
-    scale = np.where(mask, 1.0, negative_slope)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * scale)
-
-    return Tensor._make(x.data * scale, (x,), backward)
+    return apply_kernel(x, lambda data: leaky_relu_kernel(data, negative_slope))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic sigmoid."""
-    out = np.empty_like(x.data)
-    pos = x.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * out * (1.0 - out))
-
-    return Tensor._make(out, (x,), backward)
+    return apply_kernel(x, sigmoid_kernel)
 
 
 def tanh(x: Tensor) -> Tensor:
     """Hyperbolic tangent."""
-    out = np.tanh(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * (1.0 - out * out))
-
-    return Tensor._make(out, (x,), backward)
+    return apply_kernel(x, tanh_kernel)
 
 
 def exp(x: Tensor) -> Tensor:

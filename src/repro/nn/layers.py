@@ -17,6 +17,7 @@ from ..errors import ConfigurationError, ShapeError
 from . import functional as F
 from .conv import avg_pool2d, conv2d, global_avg_pool2d, max_pool2d
 from .initializers import Initializer, get_initializer, he_normal
+from .serialization import BUFFER_PREFIX, ParameterArena, StateLayout
 from .tensor import Tensor
 from .workspace import Workspace, workspaces_enabled
 
@@ -120,7 +121,7 @@ class Module:
         """Copy of all parameters and buffers, keyed by dotted path."""
         state = {name: p.data.copy() for name, p in self.named_parameters()}
         state.update(
-            {f"buffer:{name}": b.copy() for name, b in self.named_buffers()}
+            {f"{BUFFER_PREFIX}{name}": b.copy() for name, b in self.named_buffers()}
         )
         return state
 
@@ -132,11 +133,46 @@ class Module:
         :meth:`state_dict` for use with
         :class:`~repro.nn.serialization.StateLayout`: the optimizers and
         batch-norm update these arrays strictly in place, so the mapping
-        stays valid for the module's whole lifetime.
+        stays valid for the module's whole lifetime.  :meth:`to_arena`
+        re-homes the arrays once; ``load_state_dict`` and checkpoint
+        resume copy *into* them, so the binding survives both.
         """
         arrays = {name: p.data for name, p in self.named_parameters()}
-        arrays.update({f"buffer:{name}": b for name, b in self.named_buffers()})
+        arrays.update(
+            {f"{BUFFER_PREFIX}{name}": b for name, b in self.named_buffers()}
+        )
         return arrays
+
+    def to_arena(self) -> ParameterArena:
+        """Re-home the subtree's state in one flat arena and return it.
+
+        Every ``Parameter.data``/``.grad`` and every buffer becomes a view
+        into one vector in :class:`StateLayout` order (current values are
+        kept), so a whole-state load or pack is one copy, the gradients of
+        a step are one contiguous vector, and an optimizer over
+        ``arena.trainable`` updates the model in one fused pass.
+        Idempotent; a module whose arrays were since re-homed by an
+        enclosing module's arena (or a deep copy) is bound afresh.
+        """
+        arena = self.__dict__.get("_arena")
+        arrays = self.state_arrays()
+        if arena is not None and all(a.base is arena.data for a in arrays.values()):
+            return arena
+        layout = StateLayout.for_state(arrays)
+        arena = ParameterArena(layout)
+        layout.pack(arrays, out=arena.data[0])
+        data, grad = layout.views(arena.data[0]), layout.views(arena.grad[0])
+        self._rebind(data, grad, "")
+        object.__setattr__(self, "_arena", arena)
+        return arena
+
+    def _rebind(self, data: dict, grad: dict, prefix: str) -> None:
+        for name, p in self._parameters.items():
+            p.data, p.grad = data[f"{prefix}{name}"], grad[f"{prefix}{name}"]
+        for name in self._buffers:
+            self.register_buffer(name, data[f"{BUFFER_PREFIX}{prefix}{name}"])
+        for child_name, child in self._modules.items():
+            child._rebind(data, grad, f"{prefix}{child_name}.")
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Load a state dict produced by :meth:`state_dict` (strict)."""

@@ -120,7 +120,15 @@ class WarmupLR(LRSchedule):
 
 
 class Optimizer:
-    """Base optimizer over an explicit parameter list."""
+    """Base optimizer over an explicit parameter list.
+
+    A "parameter" is any tensor with ``data`` and ``grad`` arrays — a
+    layer's :class:`~repro.nn.layers.Parameter`, or a whole run of a
+    :class:`~repro.nn.serialization.ParameterArena` (``arena.trainable``),
+    in which case one :meth:`_update` call covers every parameter in the
+    run and the moments and scratch are contiguous vectors.  The update
+    arithmetic is elementwise, so both give bit-identical parameters.
+    """
 
     def __init__(self, parameters: Iterable[Tensor], schedule: LRSchedule) -> None:
         self.parameters: Sequence[Tensor] = list(parameters)
@@ -128,6 +136,11 @@ class Optimizer:
             raise ConfigurationError("optimizer got an empty parameter list")
         self.schedule = schedule
         self.step_count = 0
+        # Per-parameter state arrays (moments, scratch), allocated at the
+        # parameter's first update and reused for the optimizer's lifetime.
+        self._state: list[tuple[np.ndarray, ...] | None] = [None] * len(
+            self.parameters
+        )
 
     @property
     def lr(self) -> float:
@@ -138,6 +151,14 @@ class Optimizer:
         for p in self.parameters:
             p.zero_grad()
 
+    def reset(self) -> None:
+        """Return to step 0 with zeroed moments, keeping the allocations —
+        indistinguishable from a freshly constructed optimizer."""
+        self.step_count = 0
+        for state in self._state:
+            for array in state or ():
+                array.fill(0.0)
+
     def step(self) -> None:
         """Apply one update using the gradients currently stored on params."""
         lr = self.lr
@@ -145,9 +166,17 @@ class Optimizer:
         for i, p in enumerate(self.parameters):
             if p.grad is None:
                 continue
-            self._update(i, p, lr)
+            state = self._state[i]
+            if state is None:
+                state = self._state[i] = self._new_state(p.data)
+            self._update(p.data, p.grad, state, lr)
 
-    def _update(self, index: int, p: Tensor, lr: float) -> None:  # pragma: no cover
+    def _new_state(self, data: np.ndarray) -> tuple[np.ndarray, ...]:  # pragma: no cover
+        raise NotImplementedError
+
+    def _update(
+        self, data: np.ndarray, grad: np.ndarray, state: tuple[np.ndarray, ...], lr: float
+    ) -> None:  # pragma: no cover
         raise NotImplementedError
 
 
@@ -167,30 +196,27 @@ class SGD(Optimizer):
             raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity: dict[int, np.ndarray] = {}
-        self._scratch: dict[int, np.ndarray] = {}
 
-    def _update(self, index: int, p: Tensor, lr: float) -> None:
-        grad = p.grad
+    def _new_state(self, data: np.ndarray) -> tuple[np.ndarray, ...]:
+        scratch = np.empty_like(data)
+        return (scratch, np.zeros_like(data)) if self.momentum else (scratch,)
+
+    def _update(
+        self, data: np.ndarray, grad: np.ndarray, state: tuple[np.ndarray, ...], lr: float
+    ) -> None:
         if self.weight_decay:
-            grad = grad + self.weight_decay * p.data
-        scratch = self._scratch.get(index)
-        if scratch is None:
-            scratch = np.empty_like(p.data)
-            self._scratch[index] = scratch
+            grad = grad + self.weight_decay * data
+        scratch = state[0]
         # lr*grad lands in scratch instead of a fresh temporary; same
         # multiply, same subtract, bit-identical result.
         np.multiply(grad, lr, out=scratch)
         if self.momentum:
-            v = self._velocity.get(index)
-            if v is None:
-                v = np.zeros_like(p.data)
-                self._velocity[index] = v
+            v = state[1]
             v *= self.momentum
             v -= scratch
-            p.data += v
+            data += v
         else:
-            p.data -= scratch
+            data -= scratch
 
 
 class Adam(Optimizer):
@@ -216,31 +242,29 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
-        self._scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _update(self, index: int, p: Tensor, lr: float) -> None:
+    def _new_state(self, data: np.ndarray) -> tuple[np.ndarray, ...]:
+        # First and second moment, then two scratch buffers.
+        return (
+            np.zeros_like(data),
+            np.zeros_like(data),
+            np.empty_like(data),
+            np.empty_like(data),
+        )
+
+    def _update(
+        self, data: np.ndarray, grad: np.ndarray, state: tuple[np.ndarray, ...], lr: float
+    ) -> None:
         """One Adam step, fully in place.
 
-        Every intermediate lands in one of two per-parameter scratch
-        buffers instead of a fresh temporary (the historical expression
-        allocated eight).  The operations and their order are unchanged,
-        so the updates are bit-identical to the allocating form.
+        Every intermediate lands in one of the two scratch buffers instead
+        of a fresh temporary (the historical expression allocated eight).
+        The operations and their order are unchanged, so the updates are
+        bit-identical to the allocating form.
         """
-        grad = p.grad
         if self.weight_decay:
-            grad = grad + self.weight_decay * p.data
-        m = self._m.get(index)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-            self._m[index] = m
-            self._v[index] = v
-            self._scratch[index] = (np.empty_like(p.data), np.empty_like(p.data))
-        else:
-            v = self._v[index]
-        s1, s2 = self._scratch[index]
+            grad = grad + self.weight_decay * data
+        m, v, s1, s2 = state
         t = self.step_count  # step() already incremented: t >= 1
         m *= self.beta1
         np.multiply(grad, 1 - self.beta1, out=s1)  # (1-beta1)*grad
@@ -255,4 +279,4 @@ class Adam(Optimizer):
         s2 += self.eps
         s1 *= lr  # (lr*m_hat) / (sqrt(v_hat)+eps)
         s1 /= s2
-        p.data -= s1
+        data -= s1

@@ -16,6 +16,10 @@ hot path (one pack + one unpack per client result) never re-sorts keys,
 never re-derives shapes, and allocates nothing beyond what the caller
 asks for.  The legacy helpers (:func:`state_to_vector` and friends)
 delegate to the cached layout and keep their exact historical semantics.
+
+A :class:`ParameterArena` is the storage counterpart of a layout: the
+whole state already *lives* in layout order, so packing and unpacking are
+one ``copyto`` and a step's gradients are one contiguous vector.
 """
 
 from __future__ import annotations
@@ -24,13 +28,17 @@ import hashlib
 import io
 import zlib
 from collections import OrderedDict
+from itertools import groupby
 
 import numpy as np
 
 from ..errors import SerializationError
+from .tensor import Tensor
 
 __all__ = [
+    "BUFFER_PREFIX",
     "StateLayout",
+    "ParameterArena",
     "state_to_bytes",
     "state_from_bytes",
     "state_to_vector",
@@ -54,6 +62,11 @@ __all__ = [
     "DeltaCodec",
     "make_codec",
 ]
+
+
+# State-dict keys of non-trainable buffers (batch-norm running statistics)
+# carry this prefix; they occupy layout slots but never receive gradients.
+BUFFER_PREFIX = "buffer:"
 
 
 def _as_f64_contiguous(value: np.ndarray) -> np.ndarray:
@@ -138,13 +151,18 @@ class StateLayout:
         """A zero flat vector of the right size."""
         return np.zeros(self.total_size)
 
-    def pack(self, state: dict[str, np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    def pack(
+        self,
+        state: "dict[str, np.ndarray] | ParameterArena",
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Pack ``state`` into a flat float64 vector.
 
         With ``out`` given, writes into it (no allocation) and returns it;
         otherwise allocates a fresh vector.  Only per-key *sizes* must
         match the layout — exactly the historical ``state_to_vector``
-        contract, which ravels each entry.
+        contract, which ravels each entry.  A single-member
+        :class:`ParameterArena` is already in layout order: one copy.
         """
         if out is None:
             out = np.empty(self.total_size)
@@ -153,6 +171,14 @@ class StateLayout:
                 f"pack out buffer has shape {out.shape}, "
                 f"expected ({self.total_size},)"
             )
+        if isinstance(state, ParameterArena):
+            self._check_arena(state)
+            if state.group != 1:
+                raise SerializationError(
+                    f"cannot pack a {state.group}-member arena into one vector"
+                )
+            np.copyto(out, state.data[0])
+            return out
         for key, offset, size in zip(self.keys, self.offsets, self.sizes):
             try:
                 value = state[key]
@@ -167,6 +193,10 @@ class StateLayout:
                 )
             np.copyto(out[offset : offset + size], flat)
         return out
+
+    def _check_arena(self, arena: "ParameterArena") -> None:
+        if arena.layout is not self and arena.layout.signature != self.signature:
+            raise SerializationError("arena was built for a different state layout")
 
     def _check_vector(self, vector: np.ndarray) -> np.ndarray:
         vector = np.asarray(vector, dtype=np.float64)
@@ -204,10 +234,18 @@ class StateLayout:
         }
 
     def unpack_into(
-        self, vector: np.ndarray, dest: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        """Copy ``vector`` into preallocated arrays in ``dest`` (by key)."""
+        self, vector: np.ndarray, dest: "dict[str, np.ndarray] | ParameterArena"
+    ) -> "dict[str, np.ndarray] | ParameterArena":
+        """Copy ``vector`` into preallocated arrays in ``dest`` (by key).
+
+        A :class:`ParameterArena` destination takes the vector in one copy,
+        broadcast to every member.
+        """
         vector = self._check_vector(vector)
+        if isinstance(dest, ParameterArena):
+            self._check_arena(dest)
+            np.copyto(dest.data, vector)
+            return dest
         for key, offset, size, shape in zip(
             self.keys, self.offsets, self.sizes, self.shapes
         ):
@@ -224,7 +262,7 @@ class StateLayout:
 
     def accumulate(
         self,
-        named_grads: dict[str, np.ndarray | None],
+        named_grads: "dict[str, np.ndarray | None] | ParameterArena",
         out: np.ndarray,
     ) -> np.ndarray:
         """Add one step's gradients into ``out`` in place, per-key.
@@ -232,8 +270,13 @@ class StateLayout:
         Keys missing from ``named_grads`` (or mapped to None) contribute
         nothing — the flat codec covers non-trainable buffer slots too.
         Bit-identical to ``out += gradients_to_vector(...)`` without
-        materialising the intermediate full-size vector.
+        materialising the intermediate full-size vector.  An arena's
+        gradients are already flat (``out`` is then shaped like
+        ``arena.grad`` or, for one member, like its row): one add.
         """
+        if isinstance(named_grads, ParameterArena):
+            self._check_arena(named_grads)
+            return np.add(out, named_grads.grad.reshape(out.shape), out=out)
         for key, offset, size in zip(self.keys, self.offsets, self.sizes):
             grad = named_grads.get(key)
             if grad is None:
@@ -247,6 +290,55 @@ class StateLayout:
             view = out[offset : offset + size]
             np.add(view, grad.ravel(), out=view)
         return out
+
+
+class ParameterArena:
+    """``group`` copies of one model state, each flat in layout order.
+
+    ``data`` and ``grad`` are ``(group, total_size)`` arrays; every
+    parameter, buffer and gradient of a member is a view into its row, so
+    loading a parameter file, packing the trained state and summing a
+    step's gradients are single whole-arena operations.  ``trainable``
+    exposes the parameter slots to an optimizer as one tensor per
+    contiguous run of non-buffer keys (a single tensor unless buffers sit
+    between parameters): the optimizer's moments and scratch are then
+    contiguous vectors too, and one update call covers the whole model.
+    Buffer slots of ``grad`` are never written and stay zero.
+    """
+
+    __slots__ = ("layout", "group", "data", "grad", "trainable")
+
+    def __init__(self, layout: StateLayout, group: int = 1) -> None:
+        if group < 1:
+            raise SerializationError(f"arena group must be >= 1, got {group}")
+        self.layout = layout
+        self.group = group
+        self.data = np.zeros((group, layout.total_size))
+        self.grad = np.zeros((group, layout.total_size))
+        self.trainable: list[Tensor] = []
+        slots = zip(layout.keys, layout.offsets, layout.sizes)
+        for is_buffer, run in groupby(
+            slots, key=lambda slot: slot[0].startswith(BUFFER_PREFIX)
+        ):
+            if is_buffer:
+                continue
+            run = list(run)
+            start, stop = run[0][1], run[-1][1] + run[-1][2]
+            tensor = Tensor(self.data[:, start:stop])
+            tensor.requires_grad = True  # even when built under no_grad
+            tensor.grad = self.grad[:, start:stop]
+            self.trainable.append(tensor)
+
+    def views(self, stacked: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-key ``(group, *shape)`` views of ``data``, ``grad`` or any
+        array shaped like them."""
+        layout = self.layout
+        return {
+            key: stacked[:, offset : offset + size].reshape((self.group,) + shape)
+            for key, offset, size, shape in zip(
+                layout.keys, layout.offsets, layout.sizes, layout.shapes
+            )
+        }
 
 
 def state_to_bytes(state: dict[str, np.ndarray], compress: bool = True) -> bytes:
@@ -319,7 +411,8 @@ class GradientAccumulator:
     ``named_parameters`` gradients; ``total`` is the upload payload.
 
     Accumulation is in place into per-key slices of one preallocated
-    total — no full-size temporary per step.
+    total — no full-size temporary per step — or, for the gradients of a
+    one-member :class:`ParameterArena`, a single whole-vector add.
     """
 
     def __init__(self, template: dict[str, np.ndarray]) -> None:
@@ -327,7 +420,7 @@ class GradientAccumulator:
         self._layout = StateLayout.for_state(template)
         self._total = self._layout.zeros()
 
-    def add(self, named_grads: dict[str, np.ndarray | None]) -> None:
+    def add(self, named_grads: "dict[str, np.ndarray | None] | ParameterArena") -> None:
         """Accumulate one step's gradients."""
         self._layout.accumulate(named_grads, self._total)
 

@@ -92,7 +92,7 @@ class Tensor:
         if isinstance(data, Tensor):  # pragma: no cover - defensive
             data = data.data
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":  # anything but a real floating dtype
             arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
         self.requires_grad: bool = bool(requires_grad) and is_grad_enabled()

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.nn.layers import Dense, Parameter
+from repro.nn.layers import BatchNorm, Dense, Module, Parameter
 from repro.nn.losses import cross_entropy
+from repro.nn.models import make_mlp
 from repro.nn.optim import SGD, Adam, ConstantLR, CosineLR, StepDecayLR
 from repro.nn.tensor import Tensor
 
@@ -99,7 +102,7 @@ class TestAdam:
         opt = Adam([a, b], lr=0.1)
         quadratic_step(a)
         opt.step()
-        assert 0 in opt._m and 1 not in opt._m
+        assert opt._state[0] is not None and opt._state[1] is None
 
     def test_invalid_betas(self):
         with pytest.raises(ConfigurationError):
@@ -157,3 +160,81 @@ class TestSchedules:
         quadratic_step(p)
         opt.step()
         assert opt.lr == 0.5
+
+
+class _Interleaved(Module):
+    """Keys sort as ``bn.*`` < ``buffer:bn.*`` < ``head.*``: the buffers sit
+    *between* parameters, so the arena exposes two trainable runs."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.head = Dense(4, 3, rng)
+        self.bn = BatchNorm(4)
+
+    def forward(self, x):
+        return self.head(self.bn(x))
+
+
+OPTIMIZERS = {
+    "adam": lambda params: Adam(params, lr=0.01),
+    "adam+decay": lambda params: Adam(params, lr=0.01, weight_decay=0.1),
+    "sgd": lambda params: SGD(params, lr=0.05),
+    "sgd+momentum+decay": lambda params: SGD(
+        params, lr=0.05, momentum=0.9, weight_decay=0.1
+    ),
+}
+
+
+class TestArenaOptimizers:
+    """One fused update over ``arena.trainable`` == one update per Parameter."""
+
+    @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+    @pytest.mark.parametrize("build", [
+        lambda rng: make_mlp(rng, in_features=5, hidden=(4,), num_classes=3,
+                             batch_norm=True),
+        _Interleaved,
+    ])
+    def test_bytewise_equal_and_buffers_untouched(self, name, build, rng):
+        per_param = build(rng)
+        fused = copy.deepcopy(per_param)
+        arena = fused.to_arena()
+        assert len(arena.trainable) == (2 if build is _Interleaved else 1)
+        buffers = {n: b.copy() for n, b in fused.named_buffers()}
+        opt_a = OPTIMIZERS[name](per_param.parameters())
+        opt_b = OPTIMIZERS[name](arena.trainable)
+        for _ in range(4):
+            for (_, pa), (_, pb) in zip(
+                per_param.named_parameters(), fused.named_parameters()
+            ):
+                grad = rng.normal(size=pa.data.shape)
+                pa.grad = grad.copy()
+                pb.grad[...] = grad  # a view into arena.grad: write through
+            opt_a.step()
+            opt_b.step()
+        for (key, pa), (_, pb) in zip(
+            per_param.named_parameters(), fused.named_parameters()
+        ):
+            assert pa.data.tobytes() == pb.data.tobytes(), key
+        for key, before in buffers.items():
+            assert dict(fused.named_buffers())[key].tobytes() == before.tobytes(), key
+        # ... and the fused moments are contiguous vectors over each run.
+        for run, state in zip(arena.trainable, opt_b._state):
+            assert all(s.shape == run.data.shape for s in state)
+
+    @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+    def test_reset_equals_a_fresh_optimizer(self, name, rng):
+        def train(opt, p, grads):
+            for g in grads:
+                p.grad = g.copy()
+                opt.step()
+            return p.data.tobytes()
+
+        grads = [rng.normal(size=6) for _ in range(5)]
+        start = rng.normal(size=6)
+        reused = Parameter(start.copy())
+        opt = OPTIMIZERS[name]([reused])
+        train(opt, reused, grads[::-1])  # dirty the moments and step count
+        reused.data[...] = start
+        opt.reset()
+        fresh = Parameter(start.copy())
+        assert train(opt, reused, grads) == train(OPTIMIZERS[name]([fresh]), fresh, grads)

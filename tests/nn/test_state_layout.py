@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import DistributedRunner, TrainingJobConfig
 from repro.errors import SerializationError
+from repro.nn.losses import cross_entropy
+from repro.nn.models import make_mlp
 from repro.nn.serialization import (
     GradientAccumulator,
+    ParameterArena,
     StateLayout,
     state_to_vector,
     vector_to_state,
 )
+from repro.nn.tensor import Tensor
 
 
 def legacy_pack(state: dict[str, np.ndarray]) -> np.ndarray:
@@ -141,3 +148,81 @@ class TestAccumulator:
         acc.add({"b": np.ones(2)})
         # Sorted layout: "b" first, then the four scalars of "w".
         np.testing.assert_array_equal(acc.total, [1, 1, 0, 0, 0, 0])
+
+
+class TestArena:
+    """A model re-homed in a ParameterArena: flat storage, same contracts."""
+
+    def _model(self, rng):
+        return make_mlp(
+            rng, in_features=5, hidden=(4,), num_classes=3, batch_norm=True
+        )
+
+    def test_pack_of_arena_model_is_the_concatenated_state_dict(self, rng):
+        model = self._model(rng)
+        before = legacy_pack(model.state_dict())
+        arena = model.to_arena()
+        layout = arena.layout
+        assert model.to_arena() is arena  # idempotent
+        assert arena.data.shape == (1, layout.total_size)
+        assert layout.pack(arena).tobytes() == before.tobytes()
+        assert layout.pack(model.state_arrays()).tobytes() == before.tobytes()
+        assert legacy_pack(model.state_dict()).tobytes() == before.tobytes()
+        # Every parameter, gradient and buffer is a view into the arena.
+        for array in model.state_arrays().values():
+            assert array.base is arena.data
+        for p in model.parameters():
+            assert p.grad.base is arena.grad
+
+    def test_load_state_dict_writes_through_to_the_arena(self, rng):
+        model = self._model(rng)
+        arena = model.to_arena()
+        bindings = model.state_arrays()
+        fresh = {k: rng.normal(size=v.shape) for k, v in model.state_dict().items()}
+        model.load_state_dict(fresh)
+        for key, array in model.state_arrays().items():
+            assert array is bindings[key]  # identity preserved, as documented
+        assert arena.data[0].tobytes() == legacy_pack(fresh).tobytes()
+
+    def test_unpack_into_arena_is_one_broadcast_copy(self, rng):
+        model = self._model(rng)
+        layout = StateLayout.for_state(model.state_dict())
+        stacked = ParameterArena(layout, group=3)
+        vec = rng.normal(size=layout.total_size)
+        assert layout.unpack_into(vec, stacked) is stacked
+        assert all(stacked.data[g].tobytes() == vec.tobytes() for g in range(3))
+        with pytest.raises(SerializationError):
+            layout.pack(stacked)  # three members do not fit one vector
+        other = StateLayout.for_state({"w": np.zeros(layout.total_size)})
+        with pytest.raises(SerializationError):
+            other.unpack_into(vec, stacked)
+
+    def test_tape_gradients_accumulate_flat(self, rng):
+        model = self._model(rng)
+        arena = model.to_arena()
+        x, y = rng.normal(size=(6, 5)), rng.integers(0, 3, size=6)
+        cross_entropy(model(Tensor(x)), y).backward()
+        named = {name: p.grad.copy() for name, p in model.named_parameters()}
+        per_key, flat = GradientAccumulator(model.state_dict()), GradientAccumulator(
+            model.state_dict()
+        )
+        per_key.add(named)
+        flat.add(arena)
+        assert flat.total.tobytes() == per_key.total.tobytes()
+        model.zero_grad()
+        assert not arena.grad.any()
+
+    def test_checkpoint_resume_writes_through_to_the_eval_arena(self):
+        config = TrainingJobConfig(
+            max_epochs=2, num_shards=4, num_train=80, num_val=20, num_test=20, seed=3
+        ).with_pct(1, 2, 2)
+        first = DistributedRunner(replace(config, max_epochs=1))
+        first.run()
+        resumed = DistributedRunner(config, resume_from=first.checkpoint())
+        bindings = resumed._eval_model.state_arrays()
+        resumed._evaluate_vec(first.checkpoint().params)
+        for key, array in resumed._eval_model.state_arrays().items():
+            assert array is bindings[key] and array.base is resumed._eval_arena.data
+        assert (
+            resumed._eval_arena.data[0].tobytes() == first.checkpoint().params.tobytes()
+        )
