@@ -20,6 +20,8 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/bench_fleet.py \
         [--quick] [--full] [--out FILE] \
         [--baseline FILE] [--max-regression 2.0]
+    PYTHONPATH=src python benchmarks/perf/bench_fleet.py \
+        --watcher LABEL [--out FILE]
 
 ``--quick`` runs the 1k fleet only (the CI fleet-smoke job);
 ``--full`` adds a 100k fleet on top of the default 1k + 10k.
@@ -27,6 +29,12 @@ Usage::
 non-zero if any shared fleet size got slower than ``--max-regression``×
 (note the inversion vs a timing gate: *lower* events/sec is the
 regression).
+
+``--watcher LABEL`` prices the watcher instead (ROADMAP 5b): the 1k and
+10k fleets are timed three ways — auditor attached, auditor detached
+(records still buffered and counted), ``Trace.emit`` stubbed out — and
+the split is stored under ``watcher[LABEL]``; with ``--out`` it is merged
+into the existing report, so a before/after pair lives in one file.
 """
 
 from __future__ import annotations
@@ -46,6 +54,9 @@ SCHEMA = "repro.bench.fleet.v1"
 GATED_SIZES = (1_000, 10_000)
 FULL_SIZES = (1_000, 10_000, 100_000)
 
+# Watcher modes, most to least instrumented (see --watcher).
+WATCHER_MODES = ("attached", "detached", "stubbed")
+
 # Stub-workload shape: enough to exercise sticky affinity and the
 # validator, small enough that 100k clients is middleware-bound.
 VEC_SIZE = 64
@@ -59,8 +70,16 @@ def size_label(num_clients: int) -> str:
     return f"{num_clients // 1000}k"
 
 
-def run_fleet(num_clients: int, queue_impl: str = "indexed") -> dict:
-    """Simulate one fleet to completion; returns its metrics dict."""
+def run_fleet(
+    num_clients: int, queue_impl: str = "indexed", watcher: str = "attached"
+) -> dict:
+    """Simulate one fleet to completion; returns its metrics dict.
+
+    ``watcher`` picks how much of the observation path runs: "attached"
+    (the default: every record buffered, counted and audited), "detached"
+    (no observer) or "stubbed" (``Trace.emit`` does nothing at all).  Only
+    the attached run can vouch for the conservation laws.
+    """
     from repro.boinc import (
         BoincServer,
         CallbackAssimilator,
@@ -80,7 +99,8 @@ def run_fleet(num_clients: int, queue_impl: str = "indexed") -> dict:
     # the auditor is an observer, so it still sees every record.
     trace = Trace(max_records=10_000)
     auditor = InvariantAuditor()
-    trace.attach(auditor)
+    if watcher == "attached":
+        trace.attach(auditor)
 
     config = SchedulerConfig(
         timeout_s=1e8,  # effectively disabled: the bench measures the
@@ -156,6 +176,9 @@ def run_fleet(num_clients: int, queue_impl: str = "indexed") -> dict:
         server.attach_client(client)
 
     scheduler = server.scheduler
+    real_emit = Trace.emit
+    if watcher == "stubbed":
+        Trace.emit = lambda self, time, kind, **fields: None
     # The measured loop runs with the cyclic GC paused: collection pauses
     # scale with the heap (i.e. the fleet), which would masquerade as
     # per-event scheduler cost.  The object graph here is effectively
@@ -173,19 +196,22 @@ def run_fleet(num_clients: int, queue_impl: str = "indexed") -> dict:
         wall_s = time.perf_counter() - t0
     finally:
         gc.enable()
+        Trace.emit = real_emit
 
     completed = sum(c.subtasks_completed for c in server.clients.values())
     if completed < num_workunits:
         raise RuntimeError(
             f"fleet finished with {completed}/{num_workunits} subtasks"
         )
-    auditor.verify()  # raises InvariantViolation on any broken law
+    if watcher == "attached":
+        auditor.verify()  # raises InvariantViolation on any broken law
 
     return {
         "clients": num_clients,
         "workunits": num_workunits,
         "completed": completed,
         "queue_impl": queue_impl,
+        "watcher": watcher,
         "wall_s": round(wall_s, 4),
         "sim_events": sim.events_processed,
         "events_per_sec": round(sim.events_processed / wall_s, 1),
@@ -238,6 +264,47 @@ def run_benchmarks(sizes: tuple[int, ...]) -> dict:
     return out
 
 
+def run_watcher_split(sizes: tuple[int, ...], rounds: int = 3) -> dict:
+    """Time each fleet attached / detached / stubbed; price the watcher.
+
+    The three modes run round-robin (so drift hits all of them alike) and
+    each keeps its minimum wall time.  ``auditor_share`` and
+    ``trace_share`` are fractions of the attached run: what detaching the
+    auditor saves, and what stubbing ``emit`` saves on top of that.
+    """
+    out: dict = {"cpu_count": os.cpu_count() or 1, "rounds": rounds, "fleets": {}}
+    for num_clients in sizes:
+        label = size_label(num_clients)
+        best: dict[str, dict] = {}
+        for _ in range(rounds):
+            for mode in WATCHER_MODES:
+                fleet = run_fleet(num_clients, watcher=mode)
+                if mode not in best or fleet["wall_s"] < best[mode]["wall_s"]:
+                    best[mode] = fleet
+        events = {fleet["sim_events"] for fleet in best.values()}
+        if len(events) != 1:
+            raise RuntimeError(f"watcher modes disagree on event count: {events}")
+        attached, detached, stubbed = (best[m]["wall_s"] for m in WATCHER_MODES)
+        out["fleets"][label] = {
+            "sim_events": events.pop(),
+            "audit_checks": best["attached"]["audit_checks"],
+            "audit_records": best["attached"]["audit_records"],
+            "attached_s": attached,
+            "detached_s": detached,
+            "stubbed_s": stubbed,
+            "auditor_share": round((attached - detached) / attached, 3),
+            "trace_share": round((detached - stubbed) / attached, 3),
+            "watcher_share": round((attached - stubbed) / attached, 3),
+        }
+        print(
+            f"fleet {label}: attached {attached:.2f}s, detached {detached:.2f}s, "
+            f"emit stubbed {stubbed:.2f}s -> watcher "
+            f"{100 * out['fleets'][label]['watcher_share']:.0f}% of the run",
+            file=sys.stderr,
+        )
+    return out
+
+
 def check_regression(report: dict, baseline: dict, max_ratio: float) -> list[str]:
     """Compare events/sec against a committed report; inverted gate —
     a *drop* in throughput beyond ``max_ratio``× is the regression."""
@@ -271,7 +338,27 @@ def main(argv: list[str] | None = None) -> int:
         help="committed report to regression-check events/sec against",
     )
     parser.add_argument("--max-regression", type=float, default=2.0, metavar="X")
+    parser.add_argument(
+        "--watcher", default=None, metavar="LABEL",
+        help="time 1k + 10k attached/detached/emit-stubbed; store the split "
+        "under watcher[LABEL] (merged into --out if it exists)",
+    )
     args = parser.parse_args(argv)
+
+    if args.watcher:
+        split = run_watcher_split(GATED_SIZES)
+        report = {"schema": SCHEMA}
+        if args.out and os.path.exists(args.out):
+            with open(args.out) as fh:
+                report = json.load(fh)
+        report.setdefault("watcher", {})[args.watcher] = split
+        print(json.dumps({"watcher": {args.watcher: split}}, indent=1))
+        if args.out:
+            with open(args.out, "w") as fh:
+                json.dump(report, fh, indent=1)
+                fh.write("\n")
+            print(f"watcher split merged into {args.out}", file=sys.stderr)
+        return 0
 
     if args.quick:
         sizes: tuple[int, ...] = (GATED_SIZES[0],)

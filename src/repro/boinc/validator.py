@@ -127,11 +127,15 @@ class ParameterValidator:
             return ValidationResult(
                 False, f"{kind} size {vec.size} != expected {self.expected_size}", "size"
             )
+        # One scan on the accept path: NaN propagates through max() and
+        # fails both comparisons, +-inf fails the second, so a finite peak
+        # within the bound proves every element finite.  Only a failing
+        # vector is scanned again, to tell the two reason codes apart.
+        peak = float(np.abs(vec).max()) if vec.size else 0.0
+        if peak <= bound and peak < np.inf:
+            return ValidationResult(True)
         if not np.isfinite(vec).all():
             return ValidationResult(False, f"non-finite {kind} values", "non_finite")
-        peak = float(np.abs(vec).max()) if vec.size else 0.0
-        if peak > bound:
-            return ValidationResult(
-                False, f"{kind} magnitude {peak:.3g} exceeds bound", "bound"
-            )
-        return ValidationResult(True)
+        return ValidationResult(
+            False, f"{kind} magnitude {peak:.3g} exceeds bound", "bound"
+        )

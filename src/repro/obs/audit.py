@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from ..boinc.replication import logical_id
 from ..errors import InvariantViolation
@@ -86,12 +86,35 @@ class InvariantAuditor:
         self._last_version: int | None = None
         self._open_epoch: int | None = None
         self._epochs_ended = 0
+        # kind -> bound handler, spelled out: a kind reaches exactly the
+        # handler listed here and nothing else on the instance.  Every key
+        # is catalogued in docs/TRACE_KINDS.md (pinned by the drift-guard
+        # test).
+        self._handlers: dict[str, Callable[[TraceRecord], None]] = {
+            "sched.created": self._audit_sched_created,
+            "sched.assign": self._audit_sched_assign,
+            "sched.exhausted": self._audit_sched_exhausted,
+            "sched.cancelled": self._audit_sched_cancelled,
+            "server.result_valid": self._audit_server_result_valid,
+            "server.assimilated": self._audit_server_assimilated,
+            "credit.grant": self._audit_credit_grant,
+            "credit.deny": self._audit_credit_deny,
+            "credit.quarantine": self._audit_credit_quarantine,
+            "quorum.reached": self._audit_quorum_decided,
+            "quorum.failed": self._audit_quorum_decided,
+            "ps.assimilated": self._audit_ps_assimilated,
+            "params.publish": self._audit_params_publish,
+            "epoch.start": self._audit_epoch_start,
+            "epoch.end": self._audit_epoch_end,
+        }
 
     # -- Trace observer protocol ---------------------------------------
     def on_record(self, record: TraceRecord) -> None:
         self.records_seen += 1
-        self.kind_counts[record.kind] += 1
-        handler = getattr(self, "_audit_" + record.kind.replace(".", "_"), None)
+        kind = record.kind
+        counts = self.kind_counts
+        counts[kind] = counts.get(kind, 0) + 1
+        handler = self._handlers.get(kind)
         if handler is not None:
             handler(record)
 
@@ -104,32 +127,41 @@ class InvariantAuditor:
             self.on_record(record)
 
     # -- online checks --------------------------------------------------
+    def _violation(self, message: str) -> None:
+        self.violations.append(message)
+        if self.strict:
+            raise InvariantViolation(message)
+
     def _check(self, condition: bool, message: str) -> None:
         self.checks += 1
         if not condition:
-            self.violations.append(message)
-            if self.strict:
-                raise InvariantViolation(message)
+            self._violation(message)
 
+    # The handlers of the kinds emitted once or more per workunit spell
+    # ``_check`` out (count, test, report): a fleet pays them hundreds of
+    # thousands of times, and the message is only worth formatting for a
+    # violation.
     def _audit_sched_created(self, r: TraceRecord) -> None:
-        wu = r["wu"]
-        self._check(wu not in self._created, f"workunit {wu} created twice")
-        self._created[wu] = (r["epoch"], r["shard"])
+        fields = r.fields
+        wu = fields["wu"]
+        self.checks += 1
+        if wu in self._created:
+            self._violation(f"workunit {wu} created twice")
+        self._created[wu] = (fields["epoch"], fields["shard"])
 
     def _audit_sched_assign(self, r: TraceRecord) -> None:
-        wu = r["wu"]
-        self._check(wu in self._created, f"assignment of unknown workunit {wu}")
-        self._check(
-            wu not in self._valid
-            and wu not in self._exhausted
-            and wu not in self._cancelled,
-            f"workunit {wu} assigned after reaching a terminal state",
-        )
-        client = r.get("client")
-        self._check(
-            client not in self._quarantined_hosts,
-            f"workunit {wu} assigned to quarantined host {client}",
-        )
+        fields = r.fields
+        wu = fields["wu"]
+        self.checks += 1
+        if wu not in self._created:
+            self._violation(f"assignment of unknown workunit {wu}")
+        self.checks += 1
+        if wu in self._valid or wu in self._exhausted or wu in self._cancelled:
+            self._violation(f"workunit {wu} assigned after reaching a terminal state")
+        client = fields.get("client")
+        self.checks += 1
+        if client in self._quarantined_hosts:
+            self._violation(f"workunit {wu} assigned to quarantined host {client}")
 
     def _audit_sched_exhausted(self, r: TraceRecord) -> None:
         wu = r["wu"]
@@ -146,20 +178,28 @@ class InvariantAuditor:
         self._cancelled.add(wu)
 
     def _audit_server_result_valid(self, r: TraceRecord) -> None:
-        wu = r["wu"]
-        self._check(wu in self._created, f"validated result for unknown workunit {wu}")
-        self._check(wu not in self._valid, f"workunit {wu} validated twice")
-        self._check(
-            wu not in self._exhausted and wu not in self._cancelled,
-            f"terminal workunit {wu} validated",
-        )
+        wu = r.fields["wu"]
+        self.checks += 1
+        if wu not in self._created:
+            self._violation(f"validated result for unknown workunit {wu}")
+        self.checks += 1
+        if wu in self._valid:
+            self._violation(f"workunit {wu} validated twice")
+        self.checks += 1
+        if wu in self._exhausted or wu in self._cancelled:
+            self._violation(f"terminal workunit {wu} validated")
         self._valid.add(wu)
 
     def _audit_credit_grant(self, r: TraceRecord) -> None:
-        wu = r["wu"]
-        self._check(wu in self._valid, f"credit granted for unvalidated workunit {wu}")
-        self._check(wu not in self._granted, f"credit granted twice for workunit {wu}")
-        self._granted[wu] = float(r["amount"])
+        fields = r.fields
+        wu = fields["wu"]
+        self.checks += 1
+        if wu not in self._valid:
+            self._violation(f"credit granted for unvalidated workunit {wu}")
+        self.checks += 1
+        if wu in self._granted:
+            self._violation(f"credit granted twice for workunit {wu}")
+        self._granted[wu] = float(fields["amount"])
 
     def _audit_credit_deny(self, r: TraceRecord) -> None:
         self._denials += 1
@@ -170,10 +210,7 @@ class InvariantAuditor:
             # the must-be-paid set checked at verify().
             self._quorum_denied.add(wu)
 
-    def _audit_quorum_reached(self, r: TraceRecord) -> None:
-        self._decided_logicals.add(r["logical"])
-
-    def _audit_quorum_failed(self, r: TraceRecord) -> None:
+    def _audit_quorum_decided(self, r: TraceRecord) -> None:
         self._decided_logicals.add(r["logical"])
 
     def _audit_credit_quarantine(self, r: TraceRecord) -> None:
@@ -184,16 +221,20 @@ class InvariantAuditor:
         self._quarantined_hosts.add(host)
 
     def _audit_server_assimilated(self, r: TraceRecord) -> None:
-        wu = r["wu"]
-        self._check(wu in self._valid, f"unvalidated workunit {wu} assimilated")
-        self._check(wu not in self._assimilated, f"workunit {wu} assimilated twice")
+        wu = r.fields["wu"]
+        self.checks += 1
+        if wu not in self._valid:
+            self._violation(f"unvalidated workunit {wu} assimilated")
+        self.checks += 1
+        if wu in self._assimilated:
+            self._violation(f"workunit {wu} assimilated twice")
         self._assimilated.add(wu)
 
     def _audit_ps_assimilated(self, r: TraceRecord) -> None:
-        wu = r["wu"]
-        self._check(
-            wu not in self._pool_merged, f"pool merged workunit {wu} twice"
-        )
+        wu = r.fields["wu"]
+        self.checks += 1
+        if wu in self._pool_merged:
+            self._violation(f"pool merged workunit {wu} twice")
         self._pool_merged.add(wu)
 
     def _audit_params_publish(self, r: TraceRecord) -> None:

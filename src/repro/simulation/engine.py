@@ -54,48 +54,12 @@ class Simulator:
         return self._queue.push(time, callback, label)
 
     # -- execution ------------------------------------------------------
-    def run(self, until: float | None = None, max_events: int = 10_000_000) -> None:
-        """Process events in time order.
-
-        Stops when the queue drains, when the next event lies beyond
-        ``until`` (clock is then advanced exactly to ``until``), or after
-        ``max_events`` (guarding against runaway self-rescheduling loops).
-        """
-        if self._running:
-            raise SimulationError("run() re-entered from within an event callback")
-        self._running = True
-        try:
-            processed = 0
-            while True:
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self.now = until
-                    return
-                if processed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; "
-                        "likely a self-rescheduling loop"
-                    )
-                handle = self._queue.pop()
-                self.now = handle.time
-                if self.profiler is None:
-                    handle.callback()
-                else:
-                    self.profiler.run_event(handle.label, handle.callback)
-                processed += 1
-                self.events_processed += 1
-            if until is not None and until > self.now:
-                self.now = until
-        finally:
-            self._running = False
-
-    def step(self) -> bool:
-        """Process exactly one event; returns False if none remained."""
-        if self._queue.is_empty():
+    def _dispatch_next(self, until: float | None) -> bool:
+        """Pop the earliest event due by ``until`` and run it; the one
+        dispatch path shared by :meth:`run` and :meth:`step`."""
+        handle = self._queue.pop_due(until)
+        if handle is None:
             return False
-        handle = self._queue.pop()
         self.now = handle.time
         if self.profiler is None:
             handle.callback()
@@ -104,7 +68,37 @@ class Simulator:
         self.events_processed += 1
         return True
 
+    def run(self, until: float | None = None, max_events: int = 10_000_000) -> None:
+        """Process events in time order.
+
+        Stops when the queue drains, when the next event lies beyond
+        ``until`` (the clock is then advanced exactly to ``until``; it
+        never moves backwards), or after ``max_events`` (guarding against
+        runaway self-rescheduling loops).
+        """
+        if self._running:
+            raise SimulationError("run() re-entered from within an event callback")
+        self._running = True
+        try:
+            processed = 0
+            while processed < max_events and self._dispatch_next(until):
+                processed += 1
+            if processed >= max_events:
+                next_time = self._queue.peek_time()
+                if next_time is not None and (until is None or next_time <= until):
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; "
+                        "likely a self-rescheduling loop"
+                    )
+            if until is not None and until > self.now:
+                self.now = until
+        finally:
+            self._running = False
+
+    def step(self) -> bool:
+        """Process exactly one event; returns False if none remained."""
+        return self._dispatch_next(None)
+
     def pending(self) -> int:
         """Number of live events still queued."""
-        # Count live entries only (len() over the heap includes cancelled).
-        return sum(1 for h in self._queue._heap if not h.cancelled)
+        return self._queue.live_count()

@@ -2,7 +2,13 @@
 
 A classic calendar queue on a binary heap: events are ordered by
 ``(time, sequence)`` so simultaneous events fire in scheduling order
-(deterministic FIFO tie-break — essential for reproducibility).
+(deterministic FIFO tie-break — essential for reproducibility).  Heap
+entries are ``(time, seq, handle)`` tuples: ``seq`` is unique, so the
+comparison is decided in C on the first two items and never reaches the
+handle (which defines no ordering).  The sequence number lives only in
+the entry; the handle keeps what callers read (``time``, ``label``,
+``callback``, ``cancelled``).
+
 Cancellation is lazy: a cancelled handle stays in the heap and is skipped
 when popped, which keeps cancel O(1).  When more than half the heap is
 cancelled entries the queue compacts (filter + re-heapify), so dead
@@ -26,13 +32,10 @@ __all__ = ["EventHandle", "EventQueue"]
 class EventHandle:
     """Opaque handle to a scheduled event; supports cancellation."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "label", "_queue")
+    __slots__ = ("time", "callback", "cancelled", "label", "_queue")
 
-    def __init__(
-        self, time: float, seq: int, callback: Callable[[], None], label: str
-    ) -> None:
+    def __init__(self, time: float, callback: Callable[[], None], label: str) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
         self.label = label
@@ -45,9 +48,6 @@ class EventHandle:
         self.cancelled = True
         self.callback = _noop  # drop closure references promptly
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
         return f"EventHandle(t={self.time:.6g}, {self.label!r}{state})"
@@ -58,59 +58,71 @@ def _noop() -> None:
 
 
 class EventQueue:
-    """Min-heap of :class:`EventHandle` ordered by (time, sequence)."""
+    """Min-heap of ``(time, seq, handle)`` entries ordered by (time, seq)."""
 
     # Below this size compaction isn't worth the heapify; above it, a
     # majority-cancelled heap is rebuilt (amortized O(1) per cancel).
     _COMPACT_MIN = 64
 
     def __init__(self) -> None:
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._counter = itertools.count()
         self._cancelled_count = 0  # cancelled entries still in the heap
 
     def __len__(self) -> int:
-        # Includes lazily-cancelled entries; use is_empty() for liveness.
+        # Includes lazily-cancelled entries; use live_count() for liveness.
         return len(self._heap)
 
-    def _maybe_compact(self) -> None:
-        if (
-            len(self._heap) >= self._COMPACT_MIN
-            and self._cancelled_count * 2 > len(self._heap)
-        ):
-            self._heap = [h for h in self._heap if not h.cancelled]
-            heapq.heapify(self._heap)
-            self._cancelled_count = 0
+    def live_count(self) -> int:
+        """Number of live (non-cancelled) events still queued, in O(1)."""
+        return len(self._heap) - self._cancelled_count
 
     def push(self, time: float, callback: Callable[[], None], label: str = "") -> EventHandle:
         """Schedule ``callback`` at absolute ``time``; returns its handle."""
         if time != time:  # NaN guard
             raise SimulationError("cannot schedule an event at NaN time")
-        self._maybe_compact()
-        handle = EventHandle(time, next(self._counter), callback, label)
+        heap = self._heap
+        if len(heap) >= self._COMPACT_MIN and self._cancelled_count * 2 > len(heap):
+            # Compact: (time, seq) is a total order, so the pop sequence
+            # does not depend on the layout heapify happens to produce.
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapq.heapify(heap)
+            self._cancelled_count = 0
+        handle = EventHandle(time, callback, label)
         handle._queue = self
-        heapq.heappush(self._heap, handle)
+        heapq.heappush(heap, (time, next(self._counter), handle))
+        return handle
+
+    def pop_due(self, until: float | None = None) -> EventHandle | None:
+        """Pop the earliest live event, unless it lies beyond ``until``.
+
+        Returns None when no live event remains, or when the earliest one
+        is later than ``until`` (it then stays queued).
+        """
+        time = self.peek_time()
+        if time is None or (until is not None and time > until):
+            return None
+        handle = heapq.heappop(self._heap)[2]
+        # Detach so a later cancel() of this (already fired) handle
+        # doesn't count against a heap it has left.
+        handle._queue = None
         return handle
 
     def pop(self) -> EventHandle:
         """Pop the earliest live event; raises if the queue is drained."""
-        while self._heap:
-            handle = heapq.heappop(self._heap)
-            if not handle.cancelled:
-                # Detach so a later cancel() of this (already fired)
-                # handle doesn't count against a heap it has left.
-                handle._queue = None
-                return handle
-            self._cancelled_count -= 1
-        raise SimulationError("pop() from an empty event queue")
+        handle = self.pop_due()
+        if handle is None:
+            raise SimulationError("pop() from an empty event queue")
+        return handle
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if none remain."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
             self._cancelled_count -= 1
-        return self._heap[0].time if self._heap else None
+        return heap[0][0] if heap else None
 
     def is_empty(self) -> bool:
         """True when no live (non-cancelled) events remain."""
-        return self.peek_time() is None
+        return self._cancelled_count == len(self._heap)

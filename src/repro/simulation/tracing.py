@@ -9,7 +9,6 @@ tests a stable surface to assert scheduling behaviour against.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 import numpy as np
@@ -17,13 +16,22 @@ import numpy as np
 __all__ = ["TraceRecord", "Trace"]
 
 
-@dataclass(frozen=True)
 class TraceRecord:
-    """One timestamped event: a kind tag plus free-form fields."""
+    """One timestamped event: a kind tag plus free-form fields.
 
-    time: float
-    kind: str
-    fields: dict[str, Any] = field(default_factory=dict)
+    A plain ``__slots__`` class — one is built per emitted event, so
+    construction is three attribute stores.  Records are shared between
+    the trace buffer and every observer: treat them as read-only.
+    """
+
+    __slots__ = ("time", "kind", "fields")
+
+    def __init__(
+        self, time: float, kind: str, fields: dict[str, Any] | None = None
+    ) -> None:
+        self.time = time
+        self.kind = kind
+        self.fields = {} if fields is None else fields
 
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
@@ -31,6 +39,21 @@ class TraceRecord:
     def get(self, key: str, default: Any = None) -> Any:
         """Field value with a default, like ``dict.get``."""
         return self.fields.get(key, default)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TraceRecord:
+            return NotImplemented
+        return (self.time, self.kind, self.fields) == (
+            other.time,
+            other.kind,
+            other.fields,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"TraceRecord(time={self.time!r}, kind={self.kind!r}, "
+            f"fields={self.fields!r})"
+        )
 
 
 class Trace:
@@ -40,8 +63,9 @@ class Trace:
     bump) as it happens — the hook behind ``repro.obs``'s metrics
     collector and invariant auditor.  The hot path stays allocation-free
     when nobody is listening: a single truthiness check on an empty list.
-    Observers must be pure readers; mutating simulation state or drawing
-    randomness from inside one would break bit-exact reproducibility.
+    Observers must be pure readers; mutating a record, simulation state
+    or drawing randomness from inside one would break bit-exact
+    reproducibility.
 
     ``max_records`` bounds the in-memory record list: once full, each new
     record evicts the oldest (ring/drop policy) and bumps the
@@ -57,6 +81,10 @@ class Trace:
         self._records: deque[TraceRecord] = deque(maxlen=max_records)
         self.counters: Counter[str] = Counter()
         self._observers: list[Any] = []
+        # Appends left before the bounded buffer starts evicting (records
+        # are never removed, so a countdown replaces a len() test per
+        # emit); None while unbounded.
+        self._room: int | None = max_records
 
     def attach(self, observer: Any) -> None:
         """Subscribe ``observer`` (``on_record(rec)`` / ``on_counter(kind, n)``)."""
@@ -71,15 +99,20 @@ class Trace:
     def emit(self, time: float, kind: str, **fields: Any) -> None:
         """Record an event at simulated ``time``."""
         record = TraceRecord(time, kind, fields)
-        if self.max_records is not None and len(self._records) == self.max_records:
-            # deque(maxlen=...) silently evicts; account for it explicitly
-            # so bounded runs can report how much history they lost.
-            self.counters["trace.dropped"] += 1
+        counters = self.counters
+        room = self._room
+        if room is not None:
+            if room:
+                self._room = room - 1
+            else:
+                # deque(maxlen=...) silently evicts; account for it
+                # explicitly so bounded runs can report how much history
+                # they lost.
+                counters["trace.dropped"] = counters.get("trace.dropped", 0) + 1
         self._records.append(record)
-        self.counters[kind] += 1
-        if self._observers:
-            for observer in self._observers:
-                observer.on_record(record)
+        counters[kind] = counters.get(kind, 0) + 1
+        for observer in self._observers:
+            observer.on_record(record)
 
     def incr(self, counter: str, amount: int = 1) -> None:
         """Bump a counter without storing a record (cheap hot-path stats)."""

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.boinc import (
     BoincServer,
@@ -53,6 +55,35 @@ class TestValidator:
         res = validator.validate(vec)
         assert not res.ok and "magnitude" in res.reason
         assert validator.rejected == 1
+
+
+def _two_scan_verdict(vec: np.ndarray, bound: float) -> tuple[bool, str, str]:
+    """The historical finite-then-magnitude check, kept verbatim as the
+    oracle for the one-scan accept path."""
+    if not np.isfinite(vec).all():
+        return False, "non-finite parameter values", "non_finite"
+    peak = float(np.abs(vec).max()) if vec.size else 0.0
+    if peak > bound:
+        return False, f"parameter magnitude {peak:.3g} exceeds bound", "bound"
+    return True, "", "ok"
+
+
+_ELEMENTS = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([np.nan, np.inf, -np.inf, 100.0, -100.0, 100.5, 1e300]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(_ELEMENTS, min_size=0, max_size=12),
+    bound=st.sampled_from([100.0, 1e6, np.inf]),
+)
+def test_property_one_scan_verdicts_match_two_scan_oracle(values, bound):
+    vec = np.asarray(values, dtype=np.float64)
+    validator = ParameterValidator(expected_size=vec.size, max_abs_value=bound)
+    verdict = validator.validate(vec)
+    assert (verdict.ok, verdict.reason, verdict.code) == _two_scan_verdict(vec, bound)
 
 
 def build_system(

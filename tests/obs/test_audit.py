@@ -136,6 +136,43 @@ class TestCorruptedStreams:
             t.emit(1.0, "sched.created", wu="wu-a", epoch=1, shard=0)
 
 
+class TestDispatchTable:
+    """Kinds reach handlers through an explicit table, not by name-munging."""
+
+    def test_underscore_and_dot_are_distinct_kinds(self):
+        # "sched_created.x" / "sched.created_x"-style kinds used to collapse
+        # onto one method name; here the look-alike of a real kind is inert.
+        t = Trace()
+        auditor = InvariantAuditor()
+        t.attach(auditor)
+        t.emit(0.0, "server.result_valid", wu="wu-a", host="h1")  # a violation
+        t.emit(0.0, "server_result.valid", wu="wu-b", host="h1")  # no handler
+        t.emit(0.0, "server.result.valid", wu="wu-c", host="h1")  # no handler
+        assert auditor.checks == 3  # only the real kind was audited
+        assert auditor._valid == {"wu-a"}
+        assert auditor.kind_counts["server_result.valid"] == 1
+
+    def test_crafted_kind_cannot_reach_other_attributes(self):
+        # getattr dispatch would have called auditor._audit_boom(record).
+        calls = []
+        auditor = InvariantAuditor()
+        auditor._audit_boom = calls.append
+        t = Trace()
+        t.attach(auditor)
+        t.emit(0.0, "boom")
+        t.emit(0.0, "audit.boom")
+        assert calls == []
+        assert auditor.records_seen == 2 and auditor.checks == 0
+
+    def test_strict_failure_counts_only_the_checks_made(self):
+        auditor = InvariantAuditor(strict=True)
+        t = Trace()
+        t.attach(auditor)
+        with pytest.raises(InvariantViolation, match="unknown workunit"):
+            t.emit(0.0, "sched.assign", wu="ghost", client="c1")
+        assert auditor.checks == 1  # raised at the first of three checks
+
+
 class TestLiveRun:
     def test_default_run_carries_a_clean_report(self):
         runner = DistributedRunner(tiny_config())

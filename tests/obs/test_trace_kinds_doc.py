@@ -17,6 +17,9 @@ import pytest
 
 from repro.core import FaultConfig
 from repro.core.runner import DistributedRunner
+from repro.obs.audit import InvariantAuditor
+from repro.obs.collector import MetricsCollector
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanStore
 
 from ..chaos._invariants import seeded_plan
@@ -60,6 +63,17 @@ def test_catalogue_parses_nonempty():
     assert len(kinds) > 30
     assert "sched.created" in kinds
     assert "ps.assimilated" in kinds
+
+
+def test_observer_dispatch_tables_only_name_catalogued_kinds():
+    # The auditor and the collector route records through explicit
+    # kind -> handler tables; a key that is not a catalogued kind is a
+    # handler nothing can ever reach (or a typo of one that should be).
+    kinds = set(documented_kinds())
+    auditor_keys = set(InvariantAuditor()._handlers)
+    collector_keys = set(MetricsCollector(MetricsRegistry())._handlers)
+    assert auditor_keys and auditor_keys <= kinds, sorted(auditor_keys - kinds)
+    assert collector_keys and collector_keys <= kinds, sorted(collector_keys - kinds)
 
 
 def test_every_emitted_kind_is_documented(chaotic_trace):

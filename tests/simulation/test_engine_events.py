@@ -51,6 +51,34 @@ class TestEventQueue:
         a.cancel()
         assert q.is_empty()
 
+    def test_pop_due_leaves_later_events_queued(self):
+        q = EventQueue()
+        dead = q.push(1.0, lambda: None)
+        later = q.push(5.0, lambda: None)
+        dead.cancel()
+        assert q.pop_due(4.0) is None  # skips the cancelled top, keeps 5.0
+        assert q.live_count() == 1 and len(q) == 1
+        assert q.pop_due(5.0) is later
+        assert q.pop_due() is None
+
+    def test_live_count_excludes_cancelled(self):
+        q = EventQueue()
+        handles = [q.push(float(i), lambda: None) for i in range(10)]
+        for handle in handles[::2]:
+            handle.cancel()
+        assert len(q) == 10 and q.live_count() == 5
+        q.pop()
+        assert q.live_count() == 4
+
+    def test_handles_define_no_ordering(self):
+        # Ties are decided by the entry's sequence number, in C; a handle
+        # comparison would mean two entries shared (time, seq).
+        q = EventQueue()
+        a, b = q.push(1.0, lambda: None), q.push(1.0, lambda: None)
+        with pytest.raises(TypeError):
+            a < b
+        assert not hasattr(a, "seq")
+
     def test_nan_time_rejected(self):
         with pytest.raises(SimulationError):
             EventQueue().push(float("nan"), lambda: None)
@@ -191,6 +219,38 @@ class TestSimulator:
         sim.schedule(2.0, lambda: None)
         h.cancel()
         assert sim.pending() == 1
+
+    def test_pending_tracks_compaction_and_fired_events(self, sim):
+        handles = [sim.schedule(float(i), lambda: None) for i in range(200)]
+        for handle in handles[:150]:
+            handle.cancel()
+        sim.schedule(500.0, lambda: None)  # compacts the majority-dead heap
+        assert sim.pending() == 51
+        sim.step()
+        handles[150].cancel()  # already fired: must not count
+        assert sim.pending() == 50
+
+    def test_run_until_never_rewinds_the_clock(self, sim):
+        sim.schedule(10.0, lambda: None)
+        sim.schedule(30.0, lambda: None)
+        sim.run(until=20.0)
+        assert sim.now == 20.0
+        sim.run(until=5.0)  # next event (t=30) lies beyond an earlier until
+        assert sim.now == 20.0
+
+    def test_max_events_zero_runs_nothing(self, sim):
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        with pytest.raises(SimulationError):
+            sim.run(max_events=0)
+        assert fired == [] and sim.pending() == 1
+
+    def test_max_events_exactly_enough_is_not_an_error(self, sim):
+        for i in range(5):
+            sim.schedule(float(i), lambda: None)
+        sim.schedule(50.0, lambda: None)
+        sim.run(until=10.0, max_events=5)  # the sixth event is not due
+        assert sim.events_processed == 5 and sim.now == 10.0
 
     def test_reentrant_run_rejected(self, sim):
         def nested() -> None:

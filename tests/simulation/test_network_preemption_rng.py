@@ -16,6 +16,7 @@ from repro.simulation import (
     NetworkLink,
     RngRegistry,
     Trace,
+    TraceRecord,
     interruption_rate_per_hour,
     lan_link,
     stable_name_hash,
@@ -211,6 +212,41 @@ class TestTrace:
         trace.emit(0.0, "k", a=1)
         rec = trace.of_kind("k")[0]
         assert rec.get("missing", 42) == 42
+
+    def test_record_contract(self):
+        # Slot record: same surface the dataclass had, minus the dict.
+        rec = TraceRecord(time=1.5, kind="k", fields={"a": 1})
+        assert (rec.time, rec.kind, rec.fields, rec["a"]) == (1.5, "k", {"a": 1}, 1)
+        assert rec == TraceRecord(1.5, "k", {"a": 1})
+        assert rec != TraceRecord(1.5, "k", {"a": 2})
+        assert rec != (1.5, "k", {"a": 1})
+        assert repr(rec) == "TraceRecord(time=1.5, kind='k', fields={'a': 1})"
+        assert TraceRecord(0.0, "bare").fields == {}
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(TypeError):
+            hash(rec)
+
+    def test_bounded_buffer_counts_every_eviction(self):
+        seen = []
+
+        class Observer:
+            def on_record(self, record):
+                seen.append(record.kind)
+
+            def on_counter(self, kind, amount):
+                seen.append((kind, amount))
+
+        trace = Trace(max_records=3)
+        trace.attach(Observer())
+        for i in range(3):
+            trace.emit(float(i), "fill", i=i)
+        assert "trace.dropped" not in trace.counters  # full, nothing shed yet
+        for i in range(3, 8):
+            trace.emit(float(i), "spill", i=i)
+        assert trace.count("trace.dropped") == 5
+        assert [r["i"] for r in trace] == [5, 6, 7]
+        assert list(trace.counters) == ["fill", "trace.dropped", "spill"]
+        assert seen == ["fill"] * 3 + ["spill"] * 5  # drops are not events
 
 
 @settings(max_examples=30, deadline=None)
