@@ -1,9 +1,9 @@
 """Fleet-scale scheduler benchmark: events/sec at 1k / 10k (/ 100k) clients.
 
 Measures the paths the fleet-scale scheduling core optimizes: the
-indexed ready queue (O(1) amortized push/pop/remove vs the legacy
-full-list scan) and the ping + server-suggested-sleep work-fetch
-protocol (no poke broadcasts, wake-ups O(new work) not O(fleet)).
+indexed ready queue (O(1) amortized push/pop/remove) and the ping +
+server-suggested-sleep work-fetch protocol (no poke broadcasts, wake-ups
+O(new work) not O(fleet)).
 
 Each fleet size runs a real discrete-event simulation — ``Simulator`` +
 ``BoincServer`` + ``Scheduler`` + one ``ClientDaemon`` per client in
@@ -70,9 +70,7 @@ def size_label(num_clients: int) -> str:
     return f"{num_clients // 1000}k"
 
 
-def run_fleet(
-    num_clients: int, queue_impl: str = "indexed", watcher: str = "attached"
-) -> dict:
+def run_fleet(num_clients: int, watcher: str = "attached") -> dict:
     """Simulate one fleet to completion; returns its metrics dict.
 
     ``watcher`` picks how much of the observation path runs: "attached"
@@ -106,7 +104,6 @@ def run_fleet(
         timeout_s=1e8,  # effectively disabled: the bench measures the
         max_attempts=1,  # steady path, not the reissue machinery
         work_fetch="ping",
-        queue_impl=queue_impl,
     )
     server = BoincServer(
         sim,
@@ -210,7 +207,6 @@ def run_fleet(
         "clients": num_clients,
         "workunits": num_workunits,
         "completed": completed,
-        "queue_impl": queue_impl,
         "watcher": watcher,
         "wall_s": round(wall_s, 4),
         "sim_events": sim.events_processed,
@@ -233,8 +229,8 @@ def run_benchmarks(sizes: tuple[int, ...]) -> dict:
         label = size_label(num_clients)
         print(f"fleet {label}: simulating...", file=sys.stderr)
         # Best of two runs (one for the 100k fleet — it is long enough to
-        # average out scheduler noise by itself): the minimum-wall-time
-        # estimator from bench_hotpath, applied to whole fleets.
+        # average out scheduler noise by itself): on a shared box the
+        # minimum wall time is the estimator least polluted by contention.
         repeats = 1 if num_clients >= 100_000 else 2
         fleet = max(
             (run_fleet(num_clients) for _ in range(repeats)),
@@ -253,14 +249,6 @@ def run_benchmarks(sizes: tuple[int, ...]) -> dict:
     eps_10k = out.get("events_per_sec_10k")
     if eps_1k and eps_10k:
         out["flatness_1k_10k"] = round(eps_10k / eps_1k, 3)
-    # Informational: the legacy full-scan queue on the smallest fleet
-    # (same-process comparison, so same machine, same noise).
-    legacy = run_fleet(sizes[0], queue_impl="legacy")
-    out["legacy_events_per_sec_1k"] = legacy["events_per_sec"]
-    if eps_1k:
-        out["indexed_vs_legacy_speedup"] = round(
-            eps_1k / legacy["events_per_sec"], 2
-        )
     return out
 
 

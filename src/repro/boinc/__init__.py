@@ -4,7 +4,7 @@ from .assimilator import Assimilator, CallbackAssimilator
 from .credit import CreditClaim, CreditLedger, HostCredit
 from .client import ClientDaemon, TaskExecutor
 from .files import FileCatalog, ServerFile, StickyCache, WebServer
-from .ready_queue import IndexedReadyQueue, LegacyListQueue, ReadyQueue
+from .ready_queue import IndexedReadyQueue
 from .scheduler import ClientRecord, Scheduler, SchedulerConfig
 from .server import BoincServer
 from .server_plane import ShardedValidatorPool, ShardedWorkGenerator, plane_of
@@ -39,9 +39,7 @@ __all__ = [
     "TaskExecutor",
     "WorkGenerator",
     "BoincServer",
-    "ReadyQueue",
     "IndexedReadyQueue",
-    "LegacyListQueue",
     "ShardedWorkGenerator",
     "ShardedValidatorPool",
     "plane_of",

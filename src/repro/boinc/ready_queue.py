@@ -1,28 +1,21 @@
-"""Ready-queue implementations for the scheduler's unsent workunits.
+"""The scheduler's ready queue of unsent workunits.
 
-The scheduler's grant path used to be a Python list plus a full scan per
-request — O(n) per grant and O(n) per mid-queue removal, which caps the
-fleet size the simulation can carry (ROADMAP: "Million-client fleet
-scale").  This module provides two interchangeable implementations:
+A Python list plus a full scan per request is O(n) per grant and O(n) per
+mid-queue removal, which caps the fleet size the simulation can carry.
+:class:`IndexedReadyQueue` is the fleet-scale structure: a monotonic
+sequence number per enqueue, a live-membership dict (O(1) contains /
+remove), an append-only FIFO deque, and a per-shard-file affinity index so
+sticky matching is a dict lookup instead of a scan.  Stale deque entries
+(removed or re-enqueued ids) are discarded lazily when they surface at a
+deque head, so amortized cost per enqueue/pick is O(1) plus the length of
+the *ineligible* prefix actually inspected.
 
-* :class:`IndexedReadyQueue` — the fleet-scale structure: a monotonic
-  sequence number per enqueue, a live-membership dict (O(1) contains /
-  remove), an append-only FIFO deque, and a per-shard-file affinity
-  index so sticky matching is a dict lookup instead of a scan.  Stale
-  deque entries (removed or re-enqueued ids) are discarded lazily when
-  they surface at a deque head, so amortized cost per enqueue/pick is
-  O(1) plus the length of the *ineligible* prefix actually inspected.
-
-* :class:`LegacyListQueue` — the original list + full-scan semantics,
-  kept verbatim behind a config switch so equivalence can be proven
-  property-by-property (see tests/boinc/test_scheduler_equivalence.py)
-  and seed runs can be pinned bit-identical during the migration.
-
-Both honour the same pick contract, matching the historical scan order
-exactly: among *eligible* entries (eligibility is evaluated lazily at
-pick time against the requesting host), prefer the earliest-enqueued one
-whose shard file the host already caches; otherwise the earliest-enqueued
-eligible entry; None when no entry is eligible.
+The pick contract: among *eligible* entries (eligibility is evaluated
+lazily at pick time against the requesting host), prefer the
+earliest-enqueued one whose shard file the host already caches; otherwise
+the earliest-enqueued eligible entry; None when no entry is eligible.  The
+list-and-scan reference model this contract is checked against lives in
+``tests/boinc/reference_queue.py``.
 """
 
 from __future__ import annotations
@@ -30,85 +23,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable
 
-__all__ = ["ReadyQueue", "LegacyListQueue", "IndexedReadyQueue", "make_ready_queue"]
-
-QUEUE_IMPLS = ("indexed", "legacy")
+__all__ = ["IndexedReadyQueue"]
 
 
-class ReadyQueue:
-    """Interface both queue implementations satisfy."""
-
-    def push(self, wu_id: str, shard_file: str) -> None:
-        raise NotImplementedError
-
-    def remove(self, wu_id: str) -> bool:
-        """Drop ``wu_id`` from the queue; True if it was present."""
-        raise NotImplementedError
-
-    def pick(
-        self,
-        sticky_names: Iterable[str],
-        shard_of: Callable[[str], str],
-        eligible: Callable[[str], bool],
-    ) -> str | None:
-        """Pop and return the next workunit for a host, or None.
-
-        ``sticky_names`` is the host's cached-file set (empty disables
-        affinity); ``eligible`` is the host's lazy eligibility predicate.
-        """
-        raise NotImplementedError
-
-    def snapshot(self) -> list[str]:
-        """Queued ids in FIFO order (introspection/tests only)."""
-        raise NotImplementedError
-
-    def __contains__(self, wu_id: str) -> bool:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class LegacyListQueue(ReadyQueue):
-    """The original ``_unsent`` list with its full-scan pick."""
-
-    def __init__(self) -> None:
-        self._unsent: list[str] = []
-
-    def push(self, wu_id: str, shard_file: str) -> None:
-        self._unsent.append(wu_id)
-
-    def remove(self, wu_id: str) -> bool:
-        try:
-            self._unsent.remove(wu_id)
-        except ValueError:
-            return False
-        return True
-
-    def pick(self, sticky_names, shard_of, eligible):
-        eligible_positions = [
-            pos for pos, wu_id in enumerate(self._unsent) if eligible(wu_id)
-        ]
-        if not eligible_positions:
-            return None
-        if sticky_names:
-            for pos in eligible_positions:
-                wu_id = self._unsent[pos]
-                if shard_of(wu_id) in sticky_names:
-                    return self._unsent.pop(pos)
-        return self._unsent.pop(eligible_positions[0])
-
-    def snapshot(self) -> list[str]:
-        return list(self._unsent)
-
-    def __contains__(self, wu_id: str) -> bool:
-        return wu_id in self._unsent
-
-    def __len__(self) -> int:
-        return len(self._unsent)
-
-
-class IndexedReadyQueue(ReadyQueue):
+class IndexedReadyQueue:
     """Seq-stamped FIFO + per-shard affinity buckets, lazy stale cleanup.
 
     Every enqueue stamps the id with a fresh sequence number and appends
@@ -116,8 +34,8 @@ class IndexedReadyQueue(ReadyQueue):
     bucket.  ``self._live`` maps each queued id to its *current* seq, so
     membership/removal are dict ops and any deque entry whose seq no
     longer matches is stale garbage, dropped when it reaches a deque
-    head.  FIFO order is "by latest enqueue", exactly like the legacy
-    list's remove-then-append behaviour on requeue.
+    head.  FIFO order is "by latest enqueue": a requeued id moves to the
+    tail.
     """
 
     def __init__(self) -> None:
@@ -134,6 +52,7 @@ class IndexedReadyQueue(ReadyQueue):
         self._buckets.setdefault(shard_file, deque()).append(entry)
 
     def remove(self, wu_id: str) -> bool:
+        """Drop ``wu_id`` from the queue; True if it was present."""
         # Deque entries for the id become stale and are purged lazily.
         return self._live.pop(wu_id, None) is not None
 
@@ -163,7 +82,17 @@ class IndexedReadyQueue(ReadyQueue):
                 return (seq, wu_id)
         return None
 
-    def pick(self, sticky_names, shard_of, eligible):
+    def pick(
+        self,
+        sticky_names: Iterable[str],
+        shard_of: Callable[[str], str],
+        eligible: Callable[[str], bool],
+    ) -> str | None:
+        """Pop and return the next workunit for a host, or None.
+
+        ``sticky_names`` is the host's cached-file set (empty disables
+        affinity); ``eligible`` is the host's lazy eligibility predicate.
+        """
         best: tuple[int, str] | None = None
         if sticky_names:
             for name in sticky_names:
@@ -182,6 +111,7 @@ class IndexedReadyQueue(ReadyQueue):
         return best[1]
 
     def snapshot(self) -> list[str]:
+        """Queued ids in FIFO order (introspection/tests only)."""
         live = self._live
         return [wu_id for seq, wu_id in self._fifo if live.get(wu_id) == seq]
 
@@ -190,12 +120,3 @@ class IndexedReadyQueue(ReadyQueue):
 
     def __len__(self) -> int:
         return len(self._live)
-
-
-def make_ready_queue(impl: str) -> ReadyQueue:
-    """Build a queue by config name ("indexed" | "legacy")."""
-    if impl == "indexed":
-        return IndexedReadyQueue()
-    if impl == "legacy":
-        return LegacyListQueue()
-    raise ValueError(f"unknown ready-queue impl {impl!r}; use one of {QUEUE_IMPLS}")

@@ -32,7 +32,7 @@ from ..errors import SchedulerError
 from ..simulation.engine import Simulator
 from ..simulation.events import EventHandle
 from ..simulation.tracing import Trace
-from .ready_queue import QUEUE_IMPLS, make_ready_queue
+from .ready_queue import IndexedReadyQueue
 from .replication import logical_id
 from .workunit import Workunit, WorkunitState
 
@@ -67,11 +67,6 @@ class SchedulerConfig:
     # slow-but-alive heterogeneous nodes against spurious reissues.
     heartbeats_enabled: bool = False
     heartbeat_interval_s: float = 60.0
-    # Ready-queue implementation: "indexed" (O(1) amortized per event) or
-    # "legacy" (the original full-scan list).  Grant order is proven
-    # identical by the equivalence property test, so "indexed" is the
-    # default; "legacy" remains as the bit-for-bit reference.
-    queue_impl: str = "indexed"
     # Work-fetch protocol (consumed by BoincServer/ClientDaemon): "poke"
     # keeps the legacy broadcast wake-up, "ping" switches the fleet to the
     # ping + server-suggested-sleep contract.
@@ -94,10 +89,6 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         if self.quarantine_after < 0:
             raise SchedulerError("quarantine_after must be non-negative")
-        if self.queue_impl not in QUEUE_IMPLS:
-            raise SchedulerError(
-                f"unknown queue_impl {self.queue_impl!r}; use one of {QUEUE_IMPLS}"
-            )
         if self.work_fetch not in WORK_FETCH_MODES:
             raise SchedulerError(
                 f"unknown work_fetch {self.work_fetch!r}; use one of {WORK_FETCH_MODES}"
@@ -142,7 +133,7 @@ class Scheduler:
         self.config = config or SchedulerConfig()
         self.trace = trace
         self._workunits: dict[str, Workunit] = {}
-        self._ready = make_ready_queue(self.config.queue_impl)
+        self._ready = IndexedReadyQueue()
         self._clients: dict[str, ClientRecord] = {}
         self._timeout_handles: dict[tuple[str, int], EventHandle] = {}
         # Incremental state counters, fed by the workunit transition

@@ -19,7 +19,7 @@ BLAKE2 digest that is verified on load (torn or bit-flipped files raise
 :class:`~repro.errors.CheckpointError` instead of half-loading), and
 :func:`save_checkpoint` writes to a temp file and atomically renames it
 so a crash mid-write can never destroy the previous good checkpoint.
-Envelope-less blobs from older versions still load.
+A blob without the envelope is rejected, never loaded unverified.
 """
 
 from __future__ import annotations
@@ -164,31 +164,32 @@ class Checkpoint:
     def from_bytes(blob: bytes) -> "Checkpoint":
         """Inverse of :meth:`to_bytes`; verifies the integrity envelope.
 
-        Enveloped blobs are digest-checked before any field is decoded, so
-        a torn write or bit flip raises :class:`CheckpointError` rather
-        than yielding a half-loaded checkpoint.  Blobs without the magic
-        header are treated as legacy raw ``.npz`` checkpoints.
+        The magic, format version and digest are all checked before any
+        field is decoded, so a torn write, a bit flip or a blob that never
+        was a checkpoint raises :class:`CheckpointError` rather than
+        yielding a half-loaded (or unverified) checkpoint.
         """
-        if blob.startswith(_MAGIC):
-            header_len = len(_MAGIC) + 1 + _DIGEST_SIZE
-            if len(blob) < header_len:
-                raise CheckpointError(
-                    "checkpoint truncated inside its integrity header"
-                )
-            version = blob[len(_MAGIC)]
-            if version != _FORMAT_VERSION:
-                raise CheckpointError(
-                    f"unsupported checkpoint format version {version} "
-                    f"(this build reads version {_FORMAT_VERSION})"
-                )
-            stored = blob[len(_MAGIC) + 1 : header_len]
-            payload = blob[header_len:]
-            if _digest(payload) != stored:
-                raise CheckpointError(
-                    "checkpoint digest mismatch: file is corrupt or was "
-                    "torn mid-write; refusing to load it"
-                )
-            blob = payload
+        if not blob.startswith(_MAGIC):
+            raise CheckpointError(
+                "not a checkpoint: the integrity header's magic is missing "
+                "or damaged; refusing to load it"
+            )
+        header_len = len(_MAGIC) + 1 + _DIGEST_SIZE
+        if len(blob) < header_len:
+            raise CheckpointError("checkpoint truncated inside its integrity header")
+        version = blob[len(_MAGIC)]
+        if version != _FORMAT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint format version {version} "
+                f"(this build reads version {_FORMAT_VERSION})"
+            )
+        stored = blob[len(_MAGIC) + 1 : header_len]
+        blob = blob[header_len:]
+        if _digest(blob) != stored:
+            raise CheckpointError(
+                "checkpoint digest mismatch: file is corrupt or was "
+                "torn mid-write; refusing to load it"
+            )
         try:
             with np.load(io.BytesIO(blob)) as archive:
                 meta = json.loads(archive["meta"].tobytes().decode())

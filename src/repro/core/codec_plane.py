@@ -96,7 +96,6 @@ class ParamCodecPlane:
         topk_fraction: float = 0.01,
         quant: str = "fp32",
         error_feedback: bool = True,
-        level: int = 6,
     ) -> None:
         self.name = name
         self.layout = layout
@@ -105,13 +104,13 @@ class ParamCodecPlane:
         if name == "topk":
             # Sparsification is an upload-side codec; broadcasts of the
             # full dense state go out at the zlib baseline.
-            self.down_codec = ZlibCodec(level)
+            self.down_codec = ZlibCodec()
             self.up_codec = TopKCodec(topk_fraction, quant)
         else:
-            self.down_codec = make_codec(name, topk_fraction, quant, level)
-            self.up_codec = make_codec(name, topk_fraction, quant, level)
+            self.down_codec = make_codec(name, topk_fraction, quant)
+            self.up_codec = make_codec(name, topk_fraction, quant)
         self._delta = name == "delta"
-        self._zlib = ZlibCodec(level)
+        self._zlib = ZlibCodec()
         # Error feedback only makes sense for lossy uploads, and must be
         # off under replication (per-client residuals would make sibling
         # replicas' decoded payloads disagree).

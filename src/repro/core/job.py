@@ -177,10 +177,6 @@ class TrainingJobConfig:
     # clients park on scheduler sleep hints and new work wakes O(work)
     # hosts instead of O(fleet).
     work_fetch: str = "poke"
-    # Scheduler ready-queue implementation: "indexed" (O(1) amortized) or
-    # "legacy" (the original full-scan list, kept as the equivalence
-    # reference).  Grant order is identical by construction and by test.
-    sched_queue_impl: str = "indexed"
     # Sharded server planes (§III-B scale-out): N work-generator/validator
     # shards partitioned by logical-workunit hash, with epoch cut-over
     # coordinated through the KV store.  1 keeps the single-plane path.
@@ -247,10 +243,6 @@ class TrainingJobConfig:
             raise ConfigurationError("warm_start_passes must be non-negative")
         if self.work_fetch not in ("poke", "ping"):
             raise ConfigurationError(f"unknown work_fetch {self.work_fetch!r}")
-        if self.sched_queue_impl not in ("indexed", "legacy"):
-            raise ConfigurationError(
-                f"unknown sched_queue_impl {self.sched_queue_impl!r}"
-            )
         if self.server_planes < 1:
             raise ConfigurationError("server_planes must be >= 1")
         if self.cohort_size < 1:

@@ -103,15 +103,13 @@ class UpdateRule:
     def apply(self, server: np.ndarray, update: ClientUpdate, epoch: int) -> np.ndarray:
         """Return the new server vector after absorbing one client update.
 
-        Must be out of place: with an eventually consistent store,
-        ``server`` may be a snapshot other in-flight transactions still
-        reference.  ``epoch`` is 1-based, as the paper counts.
-
-        Built-in rules route through :meth:`apply_into` with a single
-        fresh output allocation, so absorbing a result costs exactly one
-        vector-sized allocation and zero temporaries.
+        Out of place: with an eventually consistent store, ``server`` may
+        be a snapshot other in-flight transactions still reference, and
+        the store commits the result by reference, so every call returns a
+        fresh vector — one allocation, zero temporaries.  ``epoch`` is
+        1-based, as the paper counts.
         """
-        raise NotImplementedError
+        return self.apply_into(server, update, epoch, np.empty_like(server))
 
     def apply_into(
         self,
@@ -120,21 +118,15 @@ class UpdateRule:
         epoch: int,
         out: np.ndarray,
     ) -> np.ndarray:
-        """In-place variant of :meth:`apply`: write the merged vector into
-        ``out`` and return it.
+        """The rule's kernel: write the merged vector into ``out``, return it.
 
         ``out`` must not alias ``server``, ``update.params`` or
-        ``update.gradient``.  Built-in rules implement their kernel here
-        with ``np.<op>(..., out=)`` BLAS-1 calls over per-rule scratch
-        buffers — bit-identical results to the historical allocating
-        expressions (same elementwise ops in the same order), with zero
-        temporaries.  The default delegates to :meth:`apply` so custom
-        out-of-place rules keep working unchanged.
+        ``update.gradient``.  Rules implement this with ``np.<op>(...,
+        out=)`` BLAS-1 calls over per-rule scratch buffers — the same
+        elementwise ops in the same order as the textbook expressions,
+        with zero temporaries.
         """
-        result = self.apply(server, update, epoch)
-        if result is not out:
-            np.copyto(out, result)
-        return out
+        raise NotImplementedError
 
     def _scratch(self, shape: tuple[int, ...], slot: int = 0) -> np.ndarray:
         """A reusable per-rule scratch buffer (lazily grown per slot).
@@ -196,9 +188,6 @@ class VCASGDRule(UpdateRule):
     schedule: AlphaSchedule
     fault_tolerant: bool = True
 
-    def apply(self, server: np.ndarray, update: ClientUpdate, epoch: int) -> np.ndarray:
-        return self.apply_into(server, update, epoch, np.empty_like(server))
-
     def apply_into(
         self,
         server: np.ndarray,
@@ -233,9 +222,6 @@ class DownpourRule(UpdateRule):
         if self.server_lr <= 0:
             raise ConfigurationError("server_lr must be positive")
 
-    def apply(self, server: np.ndarray, update: ClientUpdate, epoch: int) -> np.ndarray:
-        return self.apply_into(server, update, epoch, np.empty_like(server))
-
     def apply_into(
         self,
         server: np.ndarray,
@@ -267,9 +253,6 @@ class EASGDRule(UpdateRule):
     def __post_init__(self) -> None:
         if not 0.0 < self.moving_rate < 1.0:
             raise ConfigurationError("moving_rate must be in (0, 1)")
-
-    def apply(self, server: np.ndarray, update: ClientUpdate, epoch: int) -> np.ndarray:
-        return self.apply_into(server, update, epoch, np.empty_like(server))
 
     def apply_into(
         self,
@@ -304,9 +287,6 @@ class SyncAllReduceRule(UpdateRule):
     fault_tolerant: bool = False
     _round: int = field(default=-1, repr=False)
     _arrivals: int = field(default=0, repr=False)
-
-    def apply(self, server: np.ndarray, update: ClientUpdate, epoch: int) -> np.ndarray:
-        return self.apply_into(server, update, epoch, np.empty_like(server))
 
     def apply_into(
         self,
@@ -374,9 +354,6 @@ class DCASGDRule(UpdateRule):
         self._backups[version] = server.copy()
         while len(self._backups) > self.max_backups:
             del self._backups[min(self._backups)]
-
-    def apply(self, server: np.ndarray, update: ClientUpdate, epoch: int) -> np.ndarray:
-        return self.apply_into(server, update, epoch, np.empty_like(server))
 
     def apply_into(
         self,
@@ -450,9 +427,6 @@ class RescaledASGDRule(UpdateRule):
     def staleness_of(self, update: ClientUpdate) -> int:
         """Delay τ of an update relative to the latest publish."""
         return max(0, self._latest_version - update.base_version)
-
-    def apply(self, server: np.ndarray, update: ClientUpdate, epoch: int) -> np.ndarray:
-        return self.apply_into(server, update, epoch, np.empty_like(server))
 
     def apply_into(
         self,
@@ -552,9 +526,6 @@ class CoordMedianRule(_WindowedRule):
         if self.window < 1:
             raise ConfigurationError("window must be >= 1")
 
-    def apply(self, server: np.ndarray, update: ClientUpdate, epoch: int) -> np.ndarray:
-        return self.apply_into(server, update, epoch, np.empty_like(server))
-
     def apply_into(
         self,
         server: np.ndarray,
@@ -612,9 +583,6 @@ class CenteredClipRule(_WindowedRule):
             raise ConfigurationError("iters must be >= 1")
         if self.window < 1:
             raise ConfigurationError("window must be >= 1")
-
-    def apply(self, server: np.ndarray, update: ClientUpdate, epoch: int) -> np.ndarray:
-        return self.apply_into(server, update, epoch, np.empty_like(server))
 
     def apply_into(
         self,

@@ -308,7 +308,6 @@ class DistributedRunner:
                 affinity_enabled=config.affinity_enabled,
                 reliability_enabled=config.reliability_enabled,
                 heartbeats_enabled=config.heartbeats_enabled,
-                queue_impl=config.sched_queue_impl,
                 work_fetch=config.work_fetch,
                 quarantine_after=config.quarantine_after,
             ),
@@ -582,15 +581,18 @@ class DistributedRunner:
         """
         if self._adversary is not None and self._adversary.compromised(client_id):
             return False
-        faults = self.config.faults
-        if faults.corrupt_clients > 0 and client_id.startswith("client-"):
-            try:
-                index = int(client_id.rsplit("-", 1)[1])
-            except (IndexError, ValueError):  # pragma: no cover - ids are ours
-                return True
-            if index < faults.corrupt_clients:
-                return False
-        return True
+        return not self._corrupt_designated(client_id)
+
+    def _corrupt_designated(self, client_id: str) -> bool:
+        """Whether fault injection perturbs this client's uploads: the
+        first ``faults.corrupt_clients`` of the ``client-<i>`` fleet (sybils
+        and volunteers are never in the corrupt-index range)."""
+        prefix, _, index = client_id.rpartition("-")
+        return (
+            prefix == "client"
+            and index.isdigit()
+            and int(index) < self.config.faults.corrupt_clients
+        )
 
     def _draw_orders(self, wu: Workunit, client_id: str, n: int) -> list[np.ndarray]:
         """Pre-draw the subtask's batch permutations.
@@ -698,20 +700,10 @@ class DistributedRunner:
         validator's sanity checks — exactly the threat replication with
         quorum exists to catch.
         """
-        faults = self.config.faults
-        if faults.corrupt_clients == 0:
-            return vec
-        if not client_id.startswith("client-"):
-            # Sybils and volunteers are never in the corrupt-index range.
-            return vec
-        try:
-            index = int(client_id.rsplit("-", 1)[1])
-        except (IndexError, ValueError):  # pragma: no cover - ids are ours
-            return vec
-        if index >= faults.corrupt_clients:
+        if not self._corrupt_designated(client_id):
             return vec
         rng = self.rngs.stream(f"corrupt:{client_id}")
-        scale = faults.corruption_scale * float(np.abs(vec).mean())
+        scale = self.config.faults.corruption_scale * float(np.abs(vec).mean())
         self.trace.emit(self.sim.now, "fault.corrupt_upload", client=client_id)
         return vec + rng.normal(scale=max(scale, 1e-12), size=vec.shape)
 

@@ -42,7 +42,6 @@ from .optim import (
 )
 from .rnn import RNN, Embedding, GRUCell, LSTMCell, RNNCell
 from .serialization import (
-    GradientAccumulator,
     ParameterArena,
     StateLayout,
     compressed_size,
@@ -54,7 +53,7 @@ from .serialization import (
     vector_to_state,
 )
 from .tensor import Tensor, no_grad
-from .workspace import Workspace, use_workspaces, workspaces_enabled
+from .workspace import Workspace
 
 __all__ = [
     "Tensor",
@@ -113,7 +112,6 @@ __all__ = [
     "clip_grad_norm",
     "StateLayout",
     "ParameterArena",
-    "GradientAccumulator",
     "state_to_bytes",
     "state_from_bytes",
     "state_to_vector",
@@ -122,6 +120,4 @@ __all__ = [
     "state_checksum",
     "compressed_size",
     "Workspace",
-    "use_workspaces",
-    "workspaces_enabled",
 ]

@@ -140,14 +140,11 @@ class ZlibCodec(Codec):
     name = "zlib"
     lossy = False
 
-    def __init__(self, level: int = 6) -> None:
-        self.level = level
-
     def encode(self, vec: np.ndarray, layout=None) -> Encoded:
         from .serialization import compressed_size
 
         vec = _as_f64(vec)
-        wire = min(compressed_size(vec, self.level), vec.nbytes)
+        wire = min(compressed_size(vec), vec.nbytes)
         return Encoded(self.name, wire, vec.nbytes, vec)
 
     def decode(self, encoded: Encoded) -> np.ndarray:
@@ -165,15 +162,12 @@ class Fp16Codec(Codec):
     name = "fp16"
     lossy = True
 
-    def __init__(self, level: int = 6) -> None:
-        self.level = level
-
     def encode(self, vec: np.ndarray, layout=None) -> Encoded:
         from .serialization import compressed_size
 
         vec = _as_f64(vec)
         q = np.clip(vec, -_FP16_MAX, _FP16_MAX).astype(np.float16)
-        wire = min(compressed_size(q, self.level), q.nbytes)
+        wire = min(compressed_size(q), q.nbytes)
         return Encoded(self.name, wire, vec.nbytes, q)
 
     def decode(self, encoded: Encoded) -> np.ndarray:
@@ -198,9 +192,6 @@ class Int8Codec(Codec):
     name = "int8"
     lossy = True
 
-    def __init__(self, level: int = 6) -> None:
-        self.level = level
-
     def encode(self, vec: np.ndarray, layout=None) -> Encoded:
         from .serialization import compressed_size
 
@@ -218,7 +209,7 @@ class Int8Codec(Codec):
             codes[offset : offset + size] = np.clip(
                 np.round(chunk / scale), -127, 127
             ).astype(np.int8)
-        wire = min(compressed_size(codes, self.level), codes.nbytes)
+        wire = min(compressed_size(codes), codes.nbytes)
         wire += 4 * len(segments)
         return Encoded(self.name, wire, vec.nbytes, (codes, scales, segments))
 
@@ -326,9 +317,8 @@ class DeltaCodec(Codec):
     name = "delta"
     lossy = False
 
-    def __init__(self, level: int = 6) -> None:
-        self.level = level
-        self._zlib = ZlibCodec(level)
+    def __init__(self) -> None:
+        self._zlib = ZlibCodec()
 
     def encode(self, vec: np.ndarray, layout=None, reference=None) -> Encoded:
         from .serialization import compressed_size
@@ -343,7 +333,7 @@ class DeltaCodec(Codec):
                 f"delta reference has {reference.size} scalars, vector {vec.size}"
             )
         xor = np.bitwise_xor(vec.view(np.uint64), reference.view(np.uint64))
-        wire = min(compressed_size(xor, self.level), vec.nbytes)
+        wire = min(compressed_size(xor), vec.nbytes)
         return Encoded(self.name, wire, vec.nbytes, vec)
 
     def decode(self, encoded: Encoded) -> np.ndarray:
@@ -354,19 +344,18 @@ def make_codec(
     name: str,
     topk_fraction: float = 0.01,
     quant: str = "fp32",
-    level: int = 6,
 ) -> Codec:
     """Codec factory used by the job config and the CLI flags."""
     if name == "zlib":
-        return ZlibCodec(level)
+        return ZlibCodec()
     if name == "fp16":
-        return Fp16Codec(level)
+        return Fp16Codec()
     if name == "int8":
-        return Int8Codec(level)
+        return Int8Codec()
     if name == "topk":
         return TopKCodec(topk_fraction, quant)
     if name == "delta":
-        return DeltaCodec(level)
+        return DeltaCodec()
     raise ConfigurationError(
         f"unknown codec {name!r} (choices: {', '.join(CODEC_NAMES)})"
     )

@@ -4,17 +4,17 @@ The im2col transform rewrites a convolution as a single GEMM, which is the
 standard way to get NumPy-speed convolutions (see the HPC guide's advice to
 push work into vectorized kernels).  Layout is NCHW throughout.
 
-Every kernel takes an optional :class:`~repro.nn.workspace.Workspace`.
-With one, the large per-step intermediates — padded input, column matrix,
-GEMM output, backward column gradients, col2im scatter target — are
-written into reused buffers instead of freshly allocated (shapes repeat
-every step, so after the first step the hot path allocates only the
-output tensors the autograd graph must own).  The arithmetic is the same
-ops in the same order either way, so results are bit-identical with or
-without a workspace.  Constraint: a workspace-backed forward invalidates
-the intermediates captured by the *previous* forward of the same layer,
-so backward must run before that layer's next forward — which the
-step-per-batch training loop guarantees.
+Every kernel writes its large per-step intermediates — padded input,
+column matrix, GEMM output, backward column gradients, col2im scatter
+target — into a :class:`~repro.nn.workspace.Workspace`.  A layer passes
+its own, so shapes that repeat every step reuse the same buffers and the
+hot path allocates only the output tensors the autograd graph must own;
+``workspace=None`` means a fresh ``Workspace()`` for that call.  Reuse
+only changes where an intermediate lives, never its value.  Constraint: a
+forward on a reused workspace invalidates the intermediates captured by
+the *previous* forward of the same layer, so backward must run before
+that layer's next forward — which the step-per-batch training loop
+guarantees.
 """
 
 from __future__ import annotations
@@ -64,22 +64,19 @@ def im2col(
 
     Returns the column matrix plus the output spatial dims.  Built with
     stride tricks: the intermediate 6-D view costs no copies; only the final
-    reshape materializes — into a reused workspace buffer when one is given
-    (the returned matrix is then owned by the workspace and valid until the
-    next call with the same tag and shape).
+    reshape materializes, into a workspace buffer (the returned matrix is
+    owned by the workspace and valid until the next call on it with the
+    same tag and shape).
     """
+    if workspace is None:
+        workspace = Workspace()
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
     if pad > 0:
-        if workspace is None:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        else:
-            padded = workspace.zeros(
-                f"{tag}:pad", (n, c, h + 2 * pad, w + 2 * pad), x.dtype
-            )
-            padded[:, :, pad:-pad, pad:-pad] = x
-            x = padded
+        padded = workspace.zeros(f"{tag}:pad", (n, c, h + 2 * pad, w + 2 * pad), x.dtype)
+        padded[:, :, pad:-pad, pad:-pad] = x
+        x = padded
     sn, sc, sh, sw = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
@@ -89,11 +86,8 @@ def im2col(
     )
     # (N, OH, OW, C, kh, kw) -> (N*OH*OW, C*kh*kw)
     t = windows.transpose(0, 2, 3, 1, 4, 5)
-    if workspace is None:
-        cols = np.ascontiguousarray(t.reshape(n * oh * ow, c * kh * kw))
-    else:
-        cols = workspace.buffer(f"{tag}:cols", (n * oh * ow, c * kh * kw), x.dtype)
-        np.copyto(cols.reshape(n, oh, ow, c, kh, kw), t)
+    cols = workspace.buffer(f"{tag}:cols", (n * oh * ow, c * kh * kw), x.dtype)
+    np.copyto(cols.reshape(n, oh, ow, c, kh, kw), t)
     return cols, oh, ow
 
 
@@ -109,20 +103,17 @@ def col2im(
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add columns back into an image.
 
-    With a workspace the scatter target is a reused buffer and the return
-    value (a view of it when ``pad > 0``) is only valid until the next call
-    with the same tag — callers hand it straight to ``Tensor._accumulate``,
-    which copies.
+    The scatter target is a workspace buffer, so the return value (a view
+    of it when ``pad > 0``) is only valid until the next call on that
+    workspace with the same tag — layers hand it straight to
+    ``Tensor._accumulate``, which copies.
     """
+    if workspace is None:
+        workspace = Workspace()
     n, c, h, w = x_shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
-    if workspace is None:
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    else:
-        padded = workspace.zeros(
-            f"{tag}:pad", (n, c, h + 2 * pad, w + 2 * pad), cols.dtype
-        )
+    padded = workspace.zeros(f"{tag}:pad", (n, c, h + 2 * pad, w + 2 * pad), cols.dtype)
     cols6 = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
     # cols6: (N, C, kh, kw, OH, OW); add each kernel offset's contribution.
     for i in range(kh):
@@ -147,9 +138,11 @@ def conv2d(
 
     Implemented as im2col + GEMM; the backward pass reuses the cached
     column matrix for the weight gradient and col2im for the input gradient.
-    The output tensor's data is always freshly allocated; a workspace only
+    The output tensor's data is always freshly allocated; the workspace only
     backs the intermediates.
     """
+    if workspace is None:
+        workspace = Workspace()
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input, got ndim={x.ndim}")
     if weight.ndim != 4:
@@ -161,12 +154,7 @@ def conv2d(
 
     cols, oh, ow = im2col(x.data, kh, kw, stride, pad, workspace, tag="fwd")
     w2d = weight.data.reshape(co, ci * kh * kw)
-    if workspace is None:
-        out = cols @ w2d.T  # (N*OH*OW, CO)
-    else:
-        out = np.matmul(
-            cols, w2d.T, out=workspace.buffer("fwd:gemm", (n * oh * ow, co))
-        )
+    out = np.matmul(cols, w2d.T, out=workspace.buffer("fwd:gemm", (n * oh * ow, co)))
     if bias is not None:
         out += bias.data
     out = out.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
@@ -174,31 +162,20 @@ def conv2d(
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray) -> None:
-        if workspace is None:
-            # Materialized, like the workspace copy below: for a batch of
-            # one sample a bare reshape is a transposed view and the GEMMs
-            # would run with the other operand order (different rounding).
-            g2d = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, co)
-        else:
-            g2d = workspace.buffer("bwd:g2d", (n * oh * ow, co))
-            np.copyto(g2d.reshape(n, oh, ow, co), g.transpose(0, 2, 3, 1))
+        # Materialized: for a batch of one sample a bare reshape is a
+        # transposed view and the GEMMs would run with the other operand
+        # order (different rounding).
+        g2d = workspace.buffer("bwd:g2d", (n * oh * ow, co))
+        np.copyto(g2d.reshape(n, oh, ow, co), g.transpose(0, 2, 3, 1))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g2d.sum(axis=0))
         if weight.requires_grad:
-            if workspace is None:
-                gw = g2d.T @ cols
-            else:
-                gw = np.matmul(
-                    g2d.T, cols, out=workspace.buffer("bwd:gw", (co, ci * kh * kw))
-                )
+            gw = np.matmul(
+                g2d.T, cols, out=workspace.buffer("bwd:gw", (co, ci * kh * kw))
+            )
             weight._accumulate(gw.reshape(weight.shape))
         if x.requires_grad:
-            if workspace is None:
-                gcols = g2d @ w2d
-            else:
-                gcols = np.matmul(
-                    g2d, w2d, out=workspace.buffer("bwd:gcols", cols.shape)
-                )
+            gcols = np.matmul(g2d, w2d, out=workspace.buffer("bwd:gcols", cols.shape))
             x._accumulate(
                 col2im(gcols, (n, c, h, w), kh, kw, stride, pad, workspace, tag="bwd")
             )
@@ -213,6 +190,8 @@ def max_pool2d_kernel(
     workspace: Workspace | None = None,
 ):
     """Max pooling as an ``(out, pull)`` kernel (see :mod:`.functional`)."""
+    if workspace is None:
+        workspace = Workspace()
     if stride is None:
         stride = kernel
     n, c, h, w = x.shape
@@ -221,19 +200,12 @@ def max_pool2d_kernel(
     )
     # cols: (N*C*OH*OW, kernel*kernel)
     rows = cols.shape[0]
-    if workspace is None:
-        argmax = cols.argmax(axis=1)
-        row_idx = np.arange(rows)
-    else:
-        argmax = cols.argmax(axis=1, out=workspace.buffer("fwd:argmax", (rows,), np.intp))
-        row_idx = workspace.arange_rows(rows)
+    argmax = cols.argmax(axis=1, out=workspace.buffer("fwd:argmax", (rows,), np.intp))
+    row_idx = workspace.arange_rows(rows)
     out = cols[row_idx, argmax]
 
     def pull(g: np.ndarray) -> np.ndarray:
-        if workspace is None:
-            gcols = np.zeros_like(cols)
-        else:
-            gcols = workspace.zeros("bwd:gcols", cols.shape, cols.dtype)
+        gcols = workspace.zeros("bwd:gcols", cols.shape, cols.dtype)
         gcols[row_idx, argmax] = g.reshape(-1)
         gx = col2im(
             gcols, (n * c, 1, h, w), kernel, kernel, stride, 0, workspace, tag="bwd"
@@ -250,6 +222,8 @@ def avg_pool2d_kernel(
     workspace: Workspace | None = None,
 ):
     """Average pooling as an ``(out, pull)`` kernel."""
+    if workspace is None:
+        workspace = Workspace()
     if stride is None:
         stride = kernel
     n, c, h, w = x.shape
@@ -259,12 +233,9 @@ def avg_pool2d_kernel(
     inv = 1.0 / (kernel * kernel)
 
     def pull(g: np.ndarray) -> np.ndarray:
-        if workspace is None:
-            gcols = np.repeat(g.reshape(-1, 1), kernel * kernel, axis=1) * inv
-        else:
-            gcols = workspace.buffer("bwd:gcols", cols.shape, cols.dtype)
-            np.copyto(gcols, g.reshape(-1, 1))
-            gcols *= inv
+        gcols = workspace.buffer("bwd:gcols", cols.shape, cols.dtype)
+        np.copyto(gcols, g.reshape(-1, 1))
+        gcols *= inv
         gx = col2im(
             gcols, (n * c, 1, h, w), kernel, kernel, stride, 0, workspace, tag="bwd"
         )

@@ -19,7 +19,7 @@ from .conv import avg_pool2d, conv2d, global_avg_pool2d, max_pool2d
 from .initializers import Initializer, get_initializer, he_normal
 from .serialization import BUFFER_PREFIX, ParameterArena, StateLayout
 from .tensor import Tensor
-from .workspace import Workspace, workspaces_enabled
+from .workspace import Workspace
 
 __all__ = [
     "Parameter",
@@ -263,10 +263,7 @@ class Conv2D(Module):
         self._workspace = Workspace()
 
     def forward(self, x: Tensor) -> Tensor:
-        ws = self._workspace if workspaces_enabled() else None
-        return conv2d(
-            x, self.weight, self.bias, stride=self.stride, pad=self.padding, workspace=ws
-        )
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding, self._workspace)
 
 
 class BatchNorm(Module):
@@ -378,8 +375,7 @@ class MaxPool2D(Module):
         self._workspace = Workspace()
 
     def forward(self, x: Tensor) -> Tensor:
-        ws = self._workspace if workspaces_enabled() else None
-        return max_pool2d(x, self.kernel, self.stride, workspace=ws)
+        return max_pool2d(x, self.kernel, self.stride, workspace=self._workspace)
 
 
 class AvgPool2D(Module):
@@ -390,8 +386,7 @@ class AvgPool2D(Module):
         self._workspace = Workspace()
 
     def forward(self, x: Tensor) -> Tensor:
-        ws = self._workspace if workspaces_enabled() else None
-        return avg_pool2d(x, self.kernel, self.stride, workspace=ws)
+        return avg_pool2d(x, self.kernel, self.stride, workspace=self._workspace)
 
 
 class GlobalAvgPool2D(Module):

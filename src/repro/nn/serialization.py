@@ -46,7 +46,6 @@ __all__ = [
     "state_num_scalars",
     "state_checksum",
     "gradients_to_vector",
-    "GradientAccumulator",
     "compressed_size",
     "compressed_size_cache_stats",
     # codec plane re-exports (defined in repro.nn.codecs; the ROADMAP
@@ -401,35 +400,6 @@ def gradients_to_vector(
     return layout.accumulate(named_grads, layout.zeros())
 
 
-class GradientAccumulator:
-    """Running sum of per-step gradients in the flat-vector codec.
-
-    Client-side subtask training applies many optimizer steps; gradient-
-    consuming update rules (Downpour, DC-ASGD, Rescaled ASGD) need the
-    *accumulated* local gradient in the same flat layout as the parameter
-    vector.  ``add`` is called once per backward pass with the model's
-    ``named_parameters`` gradients; ``total`` is the upload payload.
-
-    Accumulation is in place into per-key slices of one preallocated
-    total — no full-size temporary per step — or, for the gradients of a
-    one-member :class:`ParameterArena`, a single whole-vector add.
-    """
-
-    def __init__(self, template: dict[str, np.ndarray]) -> None:
-        self.template = template
-        self._layout = StateLayout.for_state(template)
-        self._total = self._layout.zeros()
-
-    def add(self, named_grads: "dict[str, np.ndarray | None] | ParameterArena") -> None:
-        """Accumulate one step's gradients."""
-        self._layout.accumulate(named_grads, self._total)
-
-    @property
-    def total(self) -> np.ndarray:
-        """The accumulated gradient vector so far."""
-        return self._total
-
-
 def state_checksum(state: dict[str, np.ndarray]) -> str:
     """Stable content hash of a state dict (used by the BOINC validator)."""
     digest = hashlib.sha256()
@@ -441,11 +411,14 @@ def state_checksum(state: dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
+# The one zlib level every wire size in the system is priced at.
+_ZLIB_LEVEL = 6
+
 # ``compressed_size`` memoisation: zlib over the full ~21 MB parameter blob
 # costs ~100 ms; the simulation asks for the same payload's size repeatedly
 # (work generator, catalog publishes, transfer planning).  Key by a cheap
 # BLAKE2b content digest so identical payloads compress exactly once.
-_COMPRESSED_SIZE_CACHE: "OrderedDict[tuple[bytes, int], int]" = OrderedDict()
+_COMPRESSED_SIZE_CACHE: "OrderedDict[bytes, int]" = OrderedDict()
 _COMPRESSED_SIZE_CACHE_MAX = 256
 # Process-global hit/miss tallies for the memo above.  Surfaced through
 # the (digest-excluded) obs metrics registry only — the cache is shared
@@ -454,7 +427,7 @@ _COMPRESSED_SIZE_CACHE_MAX = 256
 _COMPRESSED_SIZE_CACHE_STATS = {"hits": 0, "misses": 0}
 
 
-def compressed_size(payload: bytes | np.ndarray, level: int = 6) -> int:
+def compressed_size(payload: bytes | np.ndarray) -> int:
     """Size in bytes of ``payload`` after zlib compression.
 
     Models BOINC's server-side gzip feature (§III-B): the network transfer
@@ -466,14 +439,14 @@ def compressed_size(payload: bytes | np.ndarray, level: int = 6) -> int:
     if isinstance(payload, np.ndarray):
         arr = payload if payload.flags["C_CONTIGUOUS"] else np.ascontiguousarray(payload)
         payload = arr.tobytes()
-    key = (hashlib.blake2b(payload, digest_size=16).digest(), level)
+    key = hashlib.blake2b(payload, digest_size=16).digest()
     cached = _COMPRESSED_SIZE_CACHE.get(key)
     if cached is not None:
         _COMPRESSED_SIZE_CACHE.move_to_end(key)
         _COMPRESSED_SIZE_CACHE_STATS["hits"] += 1
         return cached
     _COMPRESSED_SIZE_CACHE_STATS["misses"] += 1
-    size = len(zlib.compress(payload, level))
+    size = len(zlib.compress(payload, _ZLIB_LEVEL))
     _COMPRESSED_SIZE_CACHE[key] = size
     while len(_COMPRESSED_SIZE_CACHE) > _COMPRESSED_SIZE_CACHE_MAX:
         _COMPRESSED_SIZE_CACHE.popitem(last=False)

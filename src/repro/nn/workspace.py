@@ -18,45 +18,17 @@ Safety model (why reuse cannot corrupt the autograd graph):
   share buffers, and a layer's buffers are only rewritten at its next
   forward — after every consumer of the previous step finished.
 
-Results are bit-identical with workspaces on or off: the kernels execute
-the same elementwise/GEMM operations in the same order either way, only
-the destination of each intermediate changes.  ``use_workspaces(False)``
-turns the arena off globally (the determinism tests assert the
-equivalence).
+Reuse only changes where each intermediate lives: the kernels execute the
+same elementwise/GEMM operations in the same order whether a buffer is
+fresh or on its thousandth step (``tests/nn/test_workspace.py`` trains
+with reused and with cleared-every-step workspaces and asserts equality).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Workspace", "use_workspaces", "workspaces_enabled"]
-
-_ENABLED = True
-
-
-def workspaces_enabled() -> bool:
-    """Whether layers currently hand their workspace to the kernels."""
-    return _ENABLED
-
-
-class use_workspaces:
-    """Context manager / switch: enable or disable workspace reuse.
-
-    ``with use_workspaces(False): ...`` runs the enclosed code with every
-    kernel allocating exactly as the historical implementation did.
-    """
-
-    def __init__(self, enabled: bool) -> None:
-        global _ENABLED
-        self._prev = _ENABLED
-        _ENABLED = bool(enabled)
-
-    def __enter__(self) -> "use_workspaces":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        global _ENABLED
-        _ENABLED = self._prev
+__all__ = ["Workspace"]
 
 
 class Workspace:

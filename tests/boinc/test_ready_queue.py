@@ -1,10 +1,10 @@
-"""Unit tests for the scheduler's ready-queue implementations.
+"""Unit tests for the scheduler's ready queue.
 
-Both implementations must honour the same pick contract (earliest
-eligible sticky match, else earliest eligible, else None); the indexed
-queue additionally has lazy stale-entry machinery worth exercising
-directly.  Cross-implementation equivalence at the full-scheduler level
-lives in test_scheduler_equivalence.py.
+The indexed queue and the test-local list-and-scan reference must honour
+the same pick contract (earliest eligible sticky match, else earliest
+eligible, else None); the indexed queue additionally has lazy stale-entry
+machinery worth exercising directly.  Equivalence at the full-scheduler
+level lives in test_scheduler_equivalence.py.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import random
 
 import pytest
 
-from repro.boinc import IndexedReadyQueue, LegacyListQueue
-from repro.boinc.ready_queue import make_ready_queue
+from repro.boinc import IndexedReadyQueue
+
+from .reference_queue import LegacyListQueue
 
 IMPLS = (IndexedReadyQueue, LegacyListQueue)
 
@@ -135,13 +136,6 @@ class TestIndexedInternals:
             q.remove("young")
             q.push("old", "sA")
             q.push("young", "sB")
-
-
-def test_make_ready_queue():
-    assert isinstance(make_ready_queue("indexed"), IndexedReadyQueue)
-    assert isinstance(make_ready_queue("legacy"), LegacyListQueue)
-    with pytest.raises(ValueError):
-        make_ready_queue("btree")
 
 
 def test_randomized_equivalence_against_legacy():

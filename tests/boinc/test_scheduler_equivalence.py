@@ -1,14 +1,13 @@
-"""Property test: the indexed scheduler is behaviourally identical to legacy.
+"""Property test: the scheduler behaves identically on the reference queue.
 
 Satellite of the fleet-scale scheduling core: Hypothesis drives random
 action sequences — work requests with random sticky sets, time advances
 past deadlines, client failures, validator rejections, server-side
 cancellations — through two *complete* ``Scheduler`` instances (each
-with its own ``Simulator``), one on ``queue_impl="legacy"`` and one on
-``"indexed"``.  After every action and at the end, the two must agree
-on the grant order, the reissue/timeout counters, the queue snapshot,
-and each workunit's terminal state.  This is the proof that lets the
-indexed queue be the default while seed runs stay bit-identical.
+with its own ``Simulator``), one as built and one whose ready queue is
+swapped for the list-and-scan reference model.  After every action and at
+the end, the two must agree on the grant order, the reissue/timeout
+counters, the queue snapshot, and each workunit's terminal state.
 """
 
 from __future__ import annotations
@@ -19,23 +18,22 @@ from hypothesis import strategies as st
 from repro.boinc import Scheduler, SchedulerConfig, Workunit, WorkunitState
 from repro.simulation import Simulator
 
+from .reference_queue import LegacyListQueue
+
 NUM_WUS = 12
 NUM_CLIENTS = 4
 SHARD_FILES = 4
 TIMEOUT_S = 50.0
 
 
-def build(queue_impl: str) -> Scheduler:
+def build(reference_queue: bool) -> Scheduler:
     sim = Simulator()
     sched = Scheduler(
         sim,
-        SchedulerConfig(
-            timeout_s=TIMEOUT_S,
-            max_attempts=3,
-            queue_impl=queue_impl,
-            backoff_base_s=10.0,
-        ),
+        SchedulerConfig(timeout_s=TIMEOUT_S, max_attempts=3, backoff_base_s=10.0),
     )
+    if reference_queue:
+        sched._ready = LegacyListQueue()  # still empty: nothing enqueued yet
     sched.add_workunits(
         [
             Workunit(
@@ -141,8 +139,8 @@ def observables(sched: Scheduler) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(actions=actions)
 def test_indexed_scheduler_equivalent_to_legacy(actions):
-    legacy = build("legacy")
-    indexed = build("indexed")
+    legacy = build(reference_queue=True)
+    indexed = build(reference_queue=False)
     flight_legacy: dict = {}
     flight_indexed: dict = {}
     for action in actions:

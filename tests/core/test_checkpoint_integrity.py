@@ -79,12 +79,18 @@ class TestEnvelope:
         with pytest.raises(SerializationError):
             Checkpoint.from_bytes(b"not a checkpoint")
 
-    def test_legacy_envelope_less_blob_loads(self):
-        # Blobs written before the integrity envelope are raw npz payloads.
-        ckpt = make_checkpoint()
-        legacy = ckpt._payload_bytes()
-        clone = Checkpoint.from_bytes(legacy)
-        np.testing.assert_array_equal(clone.params, ckpt.params)
+    def test_envelope_less_blob_rejected(self):
+        # A raw npz payload carries no digest to verify, so it never loads.
+        with pytest.raises(CheckpointError, match="magic"):
+            Checkpoint.from_bytes(make_checkpoint()._payload_bytes())
+
+    def test_flipped_magic_bit_never_loads(self):
+        good = make_checkpoint().to_bytes()
+        for bit in range(64):
+            blob = bytearray(good)
+            blob[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(CheckpointError, match="magic"):
+                Checkpoint.from_bytes(bytes(blob))
 
 
 class TestAtomicSave:

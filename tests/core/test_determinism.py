@@ -99,14 +99,20 @@ def test_spans_on_vs_off_bit_identical():
     assert records_on == records_off
 
 
-def test_indexed_queue_bit_identical_to_legacy():
-    """The fleet-scale indexed ready queue must reproduce the legacy
-    full-scan scheduler's runs bit-for-bit (grant order is proven
+def test_indexed_queue_bit_identical_to_legacy(monkeypatch):
+    """The fleet-scale indexed ready queue must reproduce the list-and-scan
+    reference scheduler's runs bit-for-bit (grant order is proven
     equivalent property-by-property in tests/boinc; this pins the whole
     pipeline — physics, counters, trace, digest)."""
-    indexed = DistributedRunner(tiny_config(sched_queue_impl="indexed"))
+    from repro.boinc import scheduler
+
+    from ..boinc.reference_queue import LegacyListQueue
+
+    indexed = DistributedRunner(tiny_config())
     indexed.run()
-    legacy = DistributedRunner(tiny_config(sched_queue_impl="legacy"))
+    monkeypatch.setattr(scheduler, "IndexedReadyQueue", LegacyListQueue)
+    legacy = DistributedRunner(tiny_config())
+    assert isinstance(legacy.server.scheduler._ready, LegacyListQueue)
     legacy.run()
     assert fingerprint(indexed) == fingerprint(legacy)
     assert indexed.telemetry()["digest"] == legacy.telemetry()["digest"]

@@ -29,6 +29,7 @@ from repro.core import (
     VCASGDRule,
     make_rule,
 )
+from repro.core.rules import RULE_NAMES, ClientUpdate
 from repro.core.runner import MAX_BARRIER_RETRIES, VersionedParams
 from repro.data import SyntheticImageConfig
 from repro.errors import ConfigurationError, TrainingError
@@ -335,9 +336,59 @@ class TestRuleStateCheckpointing:
         assert result.counters["max_staleness"] < resumed._param_publish_count
 
 
+@pytest.mark.parametrize("name", RULE_NAMES)
+class TestApplyContract:
+    """``apply`` is ``apply_into`` on a fresh vector — for every rule.
+
+    The parameter-server pool commits what ``apply`` returns *by
+    reference*, so the result may alias nothing the rule or the caller
+    still holds.
+    """
+
+    @staticmethod
+    def _updates(steps=4):
+        rng = np.random.default_rng(5)
+        return [
+            ClientUpdate(
+                "c0",
+                rng.normal(size=16),
+                gradient=rng.normal(size=16),
+                base_version=max(1, version - 1),
+            )
+            for version in range(1, steps + 1)
+        ]
+
+    def test_apply_equals_apply_into(self, name):
+        by_apply, by_kernel = make_rule(name), make_rule(name)
+        server = np.linspace(-1.0, 1.0, 16)
+        for version, update in enumerate(self._updates(), start=1):
+            for rule in (by_apply, by_kernel):
+                rule.snapshot_sent(version, server)  # DC-ASGD backup, rescaled τ
+            out = np.empty(16)
+            got = by_apply.apply(server, update, epoch=2)
+            assert by_kernel.apply_into(server, update, 2, out) is out
+            assert got.tobytes() == out.tobytes()
+            server = got
+
+    def test_apply_returns_a_fresh_unaliased_vector(self, name):
+        rule = make_rule(name)
+        server = np.linspace(-1.0, 1.0, 16)
+        returned = []
+        for version, update in enumerate(self._updates(), start=1):
+            rule.snapshot_sent(version, server)
+            got = rule.apply(server, update, epoch=2)
+            held = [server, update.params, update.gradient, *returned]
+            held += rule.__dict__.get("_scratch_buffers", {}).values()
+            if getattr(rule, "_buf", None) is not None:
+                held.append(rule._buf)  # the robust rules' window
+            assert not any(np.shares_memory(got, other) for other in held)
+            returned.append(got)
+            server = got
+
+
 class TestMakeRuleFactory:
     def test_every_name_builds(self):
-        for name in ("vcasgd", "downpour", "easgd", "dcasgd", "rescaled", "allreduce"):
+        for name in RULE_NAMES:
             assert make_rule(name).describe()
 
     def test_vcasgd_defaults_to_var_schedule(self):

@@ -50,7 +50,7 @@ from repro.nn.layers import (
 from repro.nn.losses import cross_entropy
 from repro.nn.models import make_convnet, make_mlp, make_resnetv2
 from repro.nn.optim import SGD, Adam
-from repro.nn.serialization import GradientAccumulator, StateLayout
+from repro.nn.serialization import StateLayout
 from repro.nn.tensor import Tensor
 
 
@@ -62,17 +62,18 @@ def _tape_loop(model, base_vec, shard, orders, *, batch_size, optimizer,
     model.train()
     make = Adam if optimizer == "adam" else SGD
     opt = make(model.parameters(), lr=learning_rate)
-    accumulator = GradientAccumulator(model.state_dict()) if collect_gradient else None
+    gradient = layout.zeros() if collect_gradient else None
     for order in orders:
         for start in range(0, len(shard), batch_size):
             idx = order[start : start + batch_size]
             model.zero_grad()
             loss = cross_entropy(model(Tensor(shard.x[idx])), shard.y[idx])
             loss.backward()
-            if accumulator is not None:
-                accumulator.add({name: p.grad for name, p in model.named_parameters()})
+            if gradient is not None:
+                layout.accumulate(
+                    {name: p.grad for name, p in model.named_parameters()}, gradient
+                )
             opt.step()
-    gradient = None if accumulator is None else accumulator.total
     return layout.pack(model.state_dict()), gradient
 
 

@@ -14,7 +14,6 @@ from repro.errors import SerializationError
 from repro.nn.losses import cross_entropy
 from repro.nn.models import make_mlp
 from repro.nn.serialization import (
-    GradientAccumulator,
     ParameterArena,
     StateLayout,
     state_to_vector,
@@ -134,20 +133,21 @@ class TestViewsAndAliasing:
 class TestAccumulator:
     def test_accumulate_matches_sum_of_packed_gradients(self, rng):
         template = {"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3)}
-        acc = GradientAccumulator(template)
+        layout = StateLayout.for_state(template)
+        acc = layout.zeros()
         total = np.zeros(12)
         for _ in range(4):
             grads = {k: rng.normal(size=v.shape) for k, v in template.items()}
-            acc.add(grads)
+            layout.accumulate(grads, acc)
             total += legacy_pack(grads)
-        np.testing.assert_array_equal(acc.total, total)
+        np.testing.assert_array_equal(acc, total)
 
     def test_missing_keys_contribute_zero(self, rng):
         template = {"w": rng.normal(size=(2, 2)), "b": rng.normal(size=2)}
-        acc = GradientAccumulator(template)
-        acc.add({"b": np.ones(2)})
+        layout = StateLayout.for_state(template)
+        acc = layout.accumulate({"b": np.ones(2)}, layout.zeros())
         # Sorted layout: "b" first, then the four scalars of "w".
-        np.testing.assert_array_equal(acc.total, [1, 1, 0, 0, 0, 0])
+        np.testing.assert_array_equal(acc, [1, 1, 0, 0, 0, 0])
 
 
 class TestArena:
@@ -203,12 +203,10 @@ class TestArena:
         x, y = rng.normal(size=(6, 5)), rng.integers(0, 3, size=6)
         cross_entropy(model(Tensor(x)), y).backward()
         named = {name: p.grad.copy() for name, p in model.named_parameters()}
-        per_key, flat = GradientAccumulator(model.state_dict()), GradientAccumulator(
-            model.state_dict()
-        )
-        per_key.add(named)
-        flat.add(arena)
-        assert flat.total.tobytes() == per_key.total.tobytes()
+        layout = StateLayout.for_state(model.state_dict())
+        per_key = layout.accumulate(named, layout.zeros())
+        flat = layout.accumulate(arena, layout.zeros())
+        assert flat.tobytes() == per_key.tobytes()
         model.zero_grad()
         assert not arena.grad.any()
 

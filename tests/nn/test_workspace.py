@@ -11,10 +11,8 @@ from repro.nn import (
     cross_entropy,
     make_convnet,
     state_checksum,
-    use_workspaces,
-    workspaces_enabled,
 )
-from repro.nn.conv import avg_pool2d, conv2d, max_pool2d
+from repro.nn.conv import avg_pool2d, col2im, conv2d, im2col, max_pool2d
 
 
 class TestWorkspace:
@@ -43,15 +41,6 @@ class TestWorkspace:
         ws.clear()
         assert ws.nbytes == 0
 
-    def test_toggle_context_manager(self):
-        assert workspaces_enabled()
-        with use_workspaces(False):
-            assert not workspaces_enabled()
-            with use_workspaces(True):
-                assert workspaces_enabled()
-            assert not workspaces_enabled()
-        assert workspaces_enabled()
-
 
 def _conv_forward_backward(x_data, w_data, b_data, workspace):
     x = Tensor(x_data.copy(), requires_grad=True)
@@ -70,7 +59,7 @@ class TestBitIdenticalKernels:
         ws = Workspace()
         plain = _conv_forward_backward(x, w, b, None)
         # Two passes through the same workspace: the second pass reuses
-        # every buffer and must still match the allocating kernel exactly.
+        # every buffer and must still match the fresh-workspace call exactly.
         _conv_forward_backward(x, w, b, ws)
         reused = _conv_forward_backward(x, w, b, ws)
         for got, want in zip(reused, plain):
@@ -90,6 +79,18 @@ class TestBitIdenticalKernels:
                 np.testing.assert_array_equal(out1.data, out2.data)
                 np.testing.assert_array_equal(x1.grad, x2.grad)
 
+    def test_im2col_col2im_with_and_without_workspace(self, rng):
+        x = rng.normal(size=(2, 3, 6, 6))
+        ws = Workspace()
+        for _ in range(2):  # second pass exercises buffer reuse
+            cols, oh, ow = im2col(x, 3, 3, 1, 1)
+            cols_ws, *dims = im2col(x, 3, 3, 1, 1, ws)
+            assert dims == [oh, ow]
+            np.testing.assert_array_equal(cols_ws, cols)
+            np.testing.assert_array_equal(
+                col2im(cols, x.shape, 3, 3, 1, 1, ws), col2im(cols, x.shape, 3, 3, 1, 1)
+            )
+
     def test_output_tensors_never_alias_workspace(self, rng):
         ws = Workspace()
         x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
@@ -100,21 +101,33 @@ class TestBitIdenticalKernels:
         np.testing.assert_array_equal(first, snapshot)
 
 
+def _workspaces(module):
+    if hasattr(module, "_workspace"):
+        yield module._workspace
+    for child in module._modules.values():
+        yield from _workspaces(child)
+
+
 class TestEndToEndTraining:
-    def _train(self, enabled: bool) -> str:
-        with use_workspaces(enabled):
-            rng = np.random.default_rng(0)
-            model = make_convnet(rng, in_channels=1, image_size=8, num_classes=4)
-            opt = SGD(model.parameters(), lr=0.05)
-            data_rng = np.random.default_rng(1)
-            for _ in range(4):
-                x = Tensor(data_rng.normal(size=(6, 1, 8, 8)))
-                y = data_rng.integers(0, 4, size=6)
-                loss = cross_entropy(model(x), y)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-            return state_checksum(model.state_dict())
+    def _train(self, reuse: bool) -> str:
+        rng = np.random.default_rng(0)
+        model = make_convnet(rng, in_channels=1, image_size=8, num_classes=4)
+        workspaces = list(_workspaces(model))
+        assert workspaces
+        opt = SGD(model.parameters(), lr=0.05)
+        data_rng = np.random.default_rng(1)
+        for _ in range(4):
+            if not reuse:
+                for ws in workspaces:
+                    ws.clear()  # every buffer of this step is fresh
+            x = Tensor(data_rng.normal(size=(6, 1, 8, 8)))
+            y = data_rng.integers(0, 4, size=6)
+            loss = cross_entropy(model(x), y)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        assert all(ws.nbytes for ws in workspaces)
+        return state_checksum(model.state_dict())
 
     def test_training_bit_identical_with_arena_on_and_off(self):
-        assert self._train(True) == self._train(False)
+        assert self._train(reuse=True) == self._train(reuse=False)
