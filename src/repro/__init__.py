@@ -33,20 +33,23 @@ Quickstart
 0.41
 """
 
-from . import analysis, boinc, cloud, core, data, kvstore, nn, simulation
+import importlib
+
 from .errors import ReproError
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "nn",
-    "data",
-    "simulation",
-    "kvstore",
-    "boinc",
-    "core",
-    "cloud",
-    "analysis",
-    "ReproError",
-    "__version__",
-]
+_SUBPACKAGES = (
+    "nn", "data", "simulation", "kvstore", "boinc", "core", "cloud", "analysis"
+)
+
+
+def __getattr__(name: str):
+    # Subpackages load on first use, so that ``python -m repro`` can pin
+    # the BLAS thread count (``repro.__main__``) before NumPy is imported.
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [*_SUBPACKAGES, "ReproError", "__version__"]

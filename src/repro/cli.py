@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="fan one run's client steps out over N worker processes "
-        "reading parameters from a shared-memory plane (1 = in-process)",
+        "(bit-identical to serial; 1 = in-process)",
     )
     run_p.add_argument("--warm-start", type=int, default=0, metavar="PASSES")
     run_p.add_argument("--seed", type=int, default=1234)
@@ -767,10 +767,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             [config for _, config in pairs],
             jobs=jobs,
             collect_telemetry=bool(args.metrics_out),
-            on_fallback=lambda fb: print(
-                f"  note: {fb.kind} — {fb.configs} config(s) cannot be "
-                f"shipped to workers ({fb.reason}); running serially"
-            ),
         )
         for (overrides, config), (result, telemetry) in zip(pairs, outcomes):
             sweep.points.append(

@@ -189,8 +189,8 @@ class TrainingJobConfig:
     # 1 keeps the fully inline legacy execution path.
     cohort_size: int = 1
     # Process fan-out for one run's client steps: deferred step groups run
-    # on a fork pool of N workers reading published parameters from a
-    # shared-memory plane (no per-step state pickling).  1 stays in-process.
+    # on a fork pool of N workers, each group shipped with its base
+    # parameter vector by value.  1 stays in-process.
     step_jobs: int = 1
 
     # -- dynamic parameter-server scaling (§III-D future design) ---------------

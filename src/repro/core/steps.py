@@ -5,8 +5,8 @@ compiled step program of :mod:`repro.nn.cohort` at cohort size 1 — and one
 :class:`_StepContext` per process owns the programs it runs on.  The same
 numerics can run three ways: inline at compute end, fused across a cohort
 of clients (the same program at G > 1), or fanned out across worker
-processes reading published parameters from the shared-memory plane
-(:class:`repro.core.parallel.SharedParameterPlane`).  Architectures with
+processes that receive each group's base vector by value, as a volunteer
+host downloads its parameter file.  Architectures with
 no stacked kernels train on the ``Tensor`` tape instead, one member at a
 time; which path runs is decided by whether the architecture compiles.
 
@@ -19,9 +19,9 @@ the *numbers* are kept bit-identical by two rules:
   from the same stream the legacy ``BatchLoader`` consumed, so deferring
   the (RNG-free) compute moves no draw;
 * deferred execution is *value-lazy, schedule-eager*: the dispatcher
-  batches submitted steps and computes them at first resolve, which the
-  client triggers when its upload is accepted — before any consumer reads
-  the payload.
+  batches submitted steps and computes the whole pending batch at the
+  first resolve, which the client triggers when its upload is accepted —
+  before any consumer reads the payload.
 
 Clients whose upload is perturbed by state that depends on the trained
 result (corrupt-designated clients, adversary-compromised clients) are
@@ -46,13 +46,7 @@ from ..nn.cohort import (
 )
 from ..nn.layers import Module
 from ..nn.models import build_model
-from .parallel import (
-    AttachedPlane,
-    ParallelFallback,
-    SharedParameterPlane,
-    _pool_context,
-    record_fallback,
-)
+from .parallel import ParallelFallback, _pool_context, record_fallback
 from .rules import ClientUpdate
 
 __all__ = [
@@ -242,11 +236,9 @@ class _StepContext:
 
 _WORKER_CONTEXT: _StepContext | None = None
 _WORKER_SHARDS: Sequence[Dataset] = ()
-_WORKER_PLANE: AttachedPlane | None = None
 
 
 def _pool_init(
-    plane_handle,
     model_spec,
     shards,
     batch_size,
@@ -254,9 +246,8 @@ def _pool_init(
     learning_rate,
     collect_gradient,
 ) -> None:
-    """Worker start-up: attach the parameter plane, build the step context."""
-    global _WORKER_CONTEXT, _WORKER_SHARDS, _WORKER_PLANE
-    _WORKER_PLANE = plane_handle.attach()
+    """Worker start-up: keep the shards, build the step context."""
+    global _WORKER_CONTEXT, _WORKER_SHARDS
     _WORKER_SHARDS = shards
     template = build_model(model_spec, np.random.default_rng(0))
     _WORKER_CONTEXT = _StepContext(
@@ -269,19 +260,14 @@ def _pool_init(
 
 
 def _pool_run_group(
-    slot: int,
+    base_vec: np.ndarray,
     shard_indexes: list[int],
     orders_list: list[list[np.ndarray]],
 ) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Worker body: run one group against a read-only plane slot.
-
-    The task payload is a slot number plus batch orders — the full
-    parameter state arrives through the shared-memory mapping, never
-    through pickle.
-    """
-    assert _WORKER_CONTEXT is not None and _WORKER_PLANE is not None
+    """Worker body: run one group from a base vector shipped by value."""
+    assert _WORKER_CONTEXT is not None
     return _WORKER_CONTEXT.run_group(
-        _WORKER_PLANE.view(slot),
+        base_vec,
         [_WORKER_SHARDS[i] for i in shard_indexes],
         orders_list,
     )
@@ -294,8 +280,8 @@ class StepDispatcher:
     simulation's first accepted upload whose payload is still pending) and
     are then flushed together: grouped by (base parameter version, shard
     length), chunked to ``cohort_size``, and executed either in-process or
-    across a fork pool of ``jobs`` workers that read the base parameters
-    from a :class:`SharedParameterPlane`.
+    across a fork pool of ``jobs`` workers, each chunk shipped with its
+    base vector by value.
 
     Everything here is wall-clock machinery; nothing touches simulated
     time, counters, traces or RNG — which is what keeps every enabled
@@ -309,7 +295,6 @@ class StepDispatcher:
         shards: Sequence[Dataset],
         cohort_size: int = 1,
         jobs: int = 1,
-        plane_slots: int = 16,
     ) -> None:
         if cohort_size < 1:
             raise ConfigurationError(f"cohort_size must be >= 1, got {cohort_size}")
@@ -320,10 +305,8 @@ class StepDispatcher:
         self.shards = list(shards)
         self.cohort_size = cohort_size
         self.jobs = jobs
-        self.plane_slots = plane_slots
         self._pending: list[StepTask] = []
         self._pool = None
-        self._plane: SharedParameterPlane | None = None
         # Wall-clock-side stats, deliberately kept out of RunResult
         # counters and the trace (both are digest material).
         self.stats = {
@@ -360,18 +343,10 @@ class StepDispatcher:
         return task
 
     def resolve(self, task: StepTask) -> tuple[np.ndarray, np.ndarray | None]:
-        """Return the task's result, computing pending work if needed.
-
-        With process fan-out the whole pending batch flushes at once (the
-        pool eats the chunks concurrently); in-process only the chunk
-        containing ``task`` runs, so tasks whose uploads are still in
-        flight stay pending and keep gathering cohort mates.
-        """
+        """Return the task's result, flushing the whole pending batch if
+        it is still pending."""
         if task.result is None:
-            if self.jobs > 1:
-                self._flush()
-            else:
-                self._flush_chunk_for(task)
+            self._flush()
         if task.result is None:
             raise SimulationError(
                 "step task resolved without a result; it was not pending "
@@ -389,17 +364,11 @@ class StepDispatcher:
             from concurrent.futures import ProcessPoolExecutor
 
             context = self._context
-            if self._plane is None:
-                self._plane = SharedParameterPlane(
-                    slot_size=context.single.program.arena.layout.total_size,
-                    slots=self.plane_slots,
-                )
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=_pool_context(),
                 initializer=_pool_init,
                 initargs=(
-                    self._plane.handle(),
                     self.model_spec,
                     self.shards,
                     context.batch_size,
@@ -410,40 +379,26 @@ class StepDispatcher:
             )
         return self._pool
 
-    def _group_key(self, task: StepTask) -> tuple[int, int]:
-        # Cohort members must share the exact base vector and batch
-        # geometry.  The tasks themselves pin the base arrays, so id() is
-        # collision-free while a task is pending.
-        return (id(task.base_vec), len(self.shards[task.shard_index]))
-
-    def _flush_chunk_for(self, target: StepTask) -> None:
-        """Compute only the chunk containing ``target`` (in-process path)."""
-        key = self._group_key(target)
-        mates = [t for t in self._pending if self._group_key(t) == key]
-        index = mates.index(target)
-        start = (index // self.cohort_size) * self.cohort_size
-        chunk = mates[start : start + self.cohort_size]
-        self.stats["flushes"] += 1
-        self.stats["max_flush"] = max(self.stats["max_flush"], len(chunk))
-        self._run_chunks_inprocess([chunk])
-        done = set(map(id, chunk))
-        self._pending = [t for t in self._pending if id(t) not in done]
-
     def _flush(self) -> None:
         pending, self._pending = self._pending, []
         if not pending:
             return
         self.stats["flushes"] += 1
         self.stats["max_flush"] = max(self.stats["max_flush"], len(pending))
+        # Cohort members must share the exact base vector and batch
+        # geometry.  The tasks themselves pin the base arrays, so id() is
+        # collision-free while a task is pending.
         groups: dict[tuple[int, int], list[StepTask]] = {}
         for task in pending:
-            groups.setdefault(self._group_key(task), []).append(task)
-        chunks: list[list[StepTask]] = []
-        for tasks in groups.values():
-            for i in range(0, len(tasks), self.cohort_size):
-                chunks.append(tasks[i : i + self.cohort_size])
+            key = (id(task.base_vec), len(self.shards[task.shard_index]))
+            groups.setdefault(key, []).append(task)
+        chunks = [
+            tasks[i : i + self.cohort_size]
+            for tasks in groups.values()
+            for i in range(0, len(tasks), self.cohort_size)
+        ]
+        self._count_chunks(chunks)
         if self.jobs > 1 and len(chunks) > 1:
-            self._count_chunks(chunks)
             self._run_chunks_pool(chunks)
         else:
             self._run_chunks_inprocess(chunks)
@@ -459,7 +414,6 @@ class StepDispatcher:
                 self.stats["unsupported_members"] += len(chunk)
 
     def _run_chunks_inprocess(self, chunks: list[list[StepTask]]) -> None:
-        self._count_chunks(chunks)
         for chunk in chunks:
             results = self._context.run_group(
                 chunk[0].base_vec,
@@ -470,52 +424,27 @@ class StepDispatcher:
                 task.result = result
 
     def _run_chunks_pool(self, chunks: list[list[StepTask]]) -> None:
-        """Fan chunks out across the pool in plane-slot-bounded waves.
-
-        Each distinct base vector is written to one plane slot per wave;
-        a slot is never rewritten while a future of the current wave may
-        still read it (the wave drains first).
-        """
+        """Fan the chunks out across the pool, one future each, and collect
+        the results in submission order."""
         pool = self._ensure_pool()
-        plane = self._plane
-        assert plane is not None
-        wave: list[tuple[object, list[StepTask]]] = []
-        slot_of: dict[int, int] = {}
-
-        def drain() -> None:
-            for future, tasks in wave:
-                results = future.result()
-                for task, result in zip(tasks, results):
-                    task.result = result
-            wave.clear()
-            slot_of.clear()
-
-        for chunk in chunks:
-            base = chunk[0].base_vec
-            key = id(base)
-            if key not in slot_of:
-                if len(slot_of) >= plane.slots:
-                    drain()
-                slot = len(slot_of)
-                plane.write(slot, base)
-                slot_of[key] = slot
-            future = pool.submit(
+        futures = [
+            pool.submit(
                 _pool_run_group,
-                slot_of[key],
+                chunk[0].base_vec,
                 [t.shard_index for t in chunk],
                 [t.orders for t in chunk],
             )
-            self.stats["pool_groups"] += 1
-            wave.append((future, chunk))
-        drain()
+            for chunk in chunks
+        ]
+        self.stats["pool_groups"] += len(chunks)
+        for chunk, future in zip(chunks, futures):
+            for task, result in zip(chunk, future.result()):
+                task.result = result
 
     # -- lifecycle ------------------------------------------------------
     def shutdown(self) -> None:
-        """Drop pending work, stop workers, destroy the plane segment."""
+        """Drop pending work and stop the workers."""
         self._pending.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        if self._plane is not None:
-            self._plane.unlink()
-            self._plane = None

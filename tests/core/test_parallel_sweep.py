@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core import CallableAlpha, Sweep, TrainingJobConfig, run_configs
 from repro.core.parallel import (
+    ParallelFallback,
     ParallelFallbackWarning,
     default_jobs,
-    last_fallback,
     picklable,
+    record_fallback,
 )
 from repro.errors import ConfigurationError
 
@@ -63,27 +67,32 @@ class TestRunConfigs:
         assert len(result.epochs) == 1
 
     def test_fallback_is_loud_and_recorded(self, base_config):
-        """Forced serial degradation publishes a record on every channel:
-        warning, ``last_fallback`` and the ``on_fallback`` callback."""
+        """Forced serial degradation is one warning that carries the
+        :class:`ParallelFallback` record."""
         sneaky = base_config.with_alpha(CallableAlpha(lambda e: 0.9))
-        seen: list = []
-        with pytest.warns(ParallelFallbackWarning, match="parallel.fallback"):
-            run_configs([sneaky, sneaky], jobs=3, on_fallback=seen.append)
-        fallback = last_fallback()
-        assert fallback is not None
+        with pytest.warns(ParallelFallbackWarning, match="parallel.fallback") as caught:
+            run_configs([sneaky, sneaky], jobs=3)
+        assert len(caught) == 1
+        fallback = caught[0].message.fallback
         assert fallback.kind == "parallel.fallback"
         assert fallback.requested_jobs == 3
         assert fallback.configs == 2
         assert fallback.reason == "unpicklable_config"
-        assert seen == [fallback]
 
-    def test_clean_run_resets_last_fallback(self, base_config):
-        sneaky = base_config.with_alpha(CallableAlpha(lambda e: 0.9))
-        with pytest.warns(ParallelFallbackWarning):
-            run_configs([sneaky], jobs=2)
-        assert last_fallback() is not None
-        run_configs([base_config], jobs=1)
-        assert last_fallback() is None
+    def test_fallback_warning_pickles_with_its_record(self):
+        fallback = ParallelFallback(
+            requested_jobs=4, configs=1, reason="cohort_unsupported"
+        )
+        with pytest.warns(ParallelFallbackWarning) as caught:
+            record_fallback(fallback, "m")
+        emitted = caught[0].message
+        warning = pickle.loads(pickle.dumps(emitted))
+        assert str(warning) == str(emitted) and warning.fallback == fallback
+
+    def test_clean_run_is_quiet(self, base_config):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ParallelFallbackWarning)
+            run_configs([base_config, base_config], jobs=2)
 
     def test_jobs_below_one_rejected(self, base_config):
         with pytest.raises(ConfigurationError):

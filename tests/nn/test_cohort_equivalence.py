@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.parallel import ParallelFallbackWarning, last_fallback
+from repro.core.parallel import ParallelFallbackWarning
 from repro.core.steps import (
     StepDispatcher,
     _StepContext,
@@ -299,7 +299,7 @@ def test_subclassed_layer_is_not_compiled_as_its_base():
 
 
 def test_cohort_request_on_uncompilable_model_is_loud():
-    """cohort_size > 1 with no kernels: one warning, a last_fallback()
+    """cohort_size > 1 with no kernels: one warning carrying the fallback
     record, and the members counted — never a silent serial run."""
     rng = np.random.default_rng(9)
     template = _unsupported(rng)["layernorm"]
@@ -313,7 +313,7 @@ def test_cohort_request_on_uncompilable_model_is_loud():
     with pytest.warns(ParallelFallbackWarning, match="parallel.fallback") as caught:
         dispatcher = StepDispatcher(context, None, shards, cohort_size=3)
     assert len(caught) == 1
-    fallback = last_fallback()
+    fallback = caught[0].message.fallback
     assert fallback.reason == "cohort_unsupported" and fallback.requested_jobs == 3
     base = base_vecs[0]  # cohort mates share the base vector *object*
     tasks = [dispatcher.submit(base, g, orders[g]) for g in range(3)]
