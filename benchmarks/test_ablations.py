@@ -18,12 +18,11 @@ import dataclasses
 
 from repro.analysis import format_pct, render_table
 from repro.core import ConstantAlpha, TrainingJobConfig, run_experiment
-from repro.core.baselines import (
+from repro.core.baselines import RoundConfig, RoundHarness
+from repro.core.rules import (
     DCASGDRule,
     DownpourRule,
     EASGDRule,
-    RoundConfig,
-    RoundHarness,
     SyncAllReduceRule,
     VCASGDRule,
 )

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from repro.analysis import render_table
 from repro.core import ConstantAlpha, VarAlpha
-from repro.core.baselines import (
+from repro.core.baselines import RoundConfig, RoundHarness
+from repro.core.rules import (
     DCASGDRule,
     DownpourRule,
     EASGDRule,
-    RoundConfig,
-    RoundHarness,
     SyncAllReduceRule,
     VCASGDRule,
 )

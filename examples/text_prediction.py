@@ -17,7 +17,7 @@ from repro.analysis import render_table
 from repro.core.vcasgd import vcasgd_merge
 from repro.nn import Adam, Dense, Tensor, cross_entropy
 from repro.nn.rnn import RNN, Embedding, GRUCell
-from repro.nn.serialization import state_to_vector, vector_to_state
+from repro.nn.serialization import StateLayout
 
 CORPUS = (
     "the quick brown fox jumps over the lazy dog while the lazy dog dreams "
@@ -107,16 +107,17 @@ def main() -> None:
     # VC-ASGD: 4 clients, each owning a contiguous corpus slice.
     template_model = CharModel(vocab, seed=1)
     template = template_model.state_dict()
-    server = state_to_vector(template)
+    layout = StateLayout.for_state(template)
+    server = layout.pack(template)
     shards = np.array_split(np.arange(len(x_tr)), 4)
     for _ in range(4):  # merge rounds
         for ci, idx in enumerate(shards):
             worker = CharModel(vocab, seed=1)
-            worker.load_state_dict(vector_to_state(server, template))
+            worker.load_state_dict(layout.views(server))
             train(worker, x_tr[idx], y_tr[idx], steps=30, seed=10 + ci)
-            server = vcasgd_merge(server, state_to_vector(worker.state_dict()), 0.6)
+            server = vcasgd_merge(server, layout.pack(worker.state_dict()), 0.6)
     merged = CharModel(vocab, seed=1)
-    merged.load_state_dict(vector_to_state(server, template))
+    merged.load_state_dict(layout.views(server))
 
     print(
         render_table(

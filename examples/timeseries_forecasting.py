@@ -26,7 +26,7 @@ from repro.data import (
     windowed_dataset,
 )
 from repro.nn import Adam, Tensor, make_mlp, mse_loss
-from repro.nn.serialization import state_to_vector, vector_to_state
+from repro.nn.serialization import StateLayout
 
 WINDOW = 24
 
@@ -72,19 +72,20 @@ def main() -> None:
     for k in (2, 5, 10):
         template_model = make_forecaster(1)
         template = template_model.state_dict()
-        server = state_to_vector(template)
+        layout = StateLayout.for_state(template)
+        server = layout.pack(template)
         shards = np.array_split(np.arange(len(x_tr)), k)
         for merge_round in range(3):
             client_vecs = []
             for ci, idx in enumerate(shards):
                 worker = make_forecaster(1)
-                worker.load_state_dict(vector_to_state(server, template))
+                worker.load_state_dict(layout.views(server))
                 train_on(worker, x_tr[idx], y_tr[idx], passes=2, seed=10 + ci)
-                client_vecs.append(state_to_vector(worker.state_dict()))
+                client_vecs.append(layout.pack(worker.state_dict()))
             for vec in client_vecs:
                 server = vcasgd_merge(server, vec, alpha=0.7)
         merged = make_forecaster(1)
-        merged.load_state_dict(vector_to_state(server, template))
+        merged.load_state_dict(layout.views(server))
         rows.append(
             [f"VC-ASGD, {k} shards", round(val_mse(merged, x_va, y_va), 4), "0.7"]
         )

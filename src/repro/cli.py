@@ -727,19 +727,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         faults=_parse_faults(args),
         seed=args.seed,
     )
-    telemetry_runs: list[dict] = []
-    if args.metrics_out and jobs == 1:
-        # Swap in a runner that keeps the DistributedRunner long enough to
-        # export its telemetry; every sweep point runs with the auditor on.
-        def traced_runner(config: TrainingJobConfig) -> RunResult:
-            runner = DistributedRunner(config)
-            result = runner.run()
-            telemetry_runs.append(runner.telemetry())
-            return result
-
-        sweep = Sweep(base, runner=traced_runner)
-    else:
-        sweep = Sweep(base)
+    sweep = Sweep(base)
     sweep.axis("num_param_servers", [int(v) for v in args.servers.split(",")])
     sweep.axis("num_clients", [int(v) for v in args.clients.split(",")])
     sweep.axis("max_concurrent_subtasks", [int(v) for v in args.concurrency.split(",")])
@@ -759,24 +747,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             [None if token == "none" else token for token in codec_tokens],
         )
     print(f"running {sweep.size} configurations ...")
-    if jobs > 1:
-        # Parallel path: fan the grid out over worker processes, carrying
-        # each run's telemetry back so --metrics-out still works.
-        pairs = sweep.configs()
-        outcomes = run_configs(
-            [config for _, config in pairs],
-            jobs=jobs,
-            collect_telemetry=bool(args.metrics_out),
-        )
-        for (overrides, config), (result, telemetry) in zip(pairs, outcomes):
-            sweep.points.append(
-                SweepPoint(overrides=overrides, config=config, result=result)
-            )
-            if telemetry is not None:
-                telemetry_runs.append(telemetry)
-            print(f"  done: {sweep.points[-1].label()}")
-    else:
-        sweep.run(progress=lambda p: print(f"  done: {p.label()}"))
+    # One path at any -j: run_configs runs serially at jobs=1 and carries
+    # each run's telemetry back for --metrics-out either way.
+    pairs = sweep.configs()
+    outcomes = run_configs(
+        [config for _, config in pairs],
+        jobs=jobs,
+        collect_telemetry=bool(args.metrics_out),
+    )
+    telemetry_runs = [telemetry for _, telemetry in outcomes if telemetry is not None]
+    for (overrides, config), (result, _) in zip(pairs, outcomes):
+        sweep.points.append(SweepPoint(overrides=overrides, config=config, result=result))
+        print(f"  done: {sweep.points[-1].label()}")
     print(render_table(sweep.headers(), sweep.table_rows(), title="sweep results"))
     fastest = sweep.best("total_time_hours", maximize=False)
     best_acc = sweep.best("final_val_accuracy")

@@ -1,27 +1,15 @@
-"""Comparators: single-instance training and the prior ASGD family."""
+"""Comparators: single-instance training and the prior ASGD family.
+
+The update rules themselves live in :mod:`repro.core.rules`; the round
+harness races them.
+"""
 
 from .rounds import RoundConfig, RoundHarness, RoundRecord, RoundResult
-from .rules import (
-    ClientUpdate,
-    DCASGDRule,
-    DownpourRule,
-    EASGDRule,
-    SyncAllReduceRule,
-    UpdateRule,
-    VCASGDRule,
-)
 from .single_instance import SingleInstanceTrainer, run_single_instance
 
 __all__ = [
     "SingleInstanceTrainer",
     "run_single_instance",
-    "UpdateRule",
-    "ClientUpdate",
-    "VCASGDRule",
-    "DownpourRule",
-    "EASGDRule",
-    "DCASGDRule",
-    "SyncAllReduceRule",
     "RoundConfig",
     "RoundHarness",
     "RoundRecord",

@@ -20,18 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...data.dataset import Dataset
-from ...data.loader import BatchLoader
 from ...data.sharding import split_dataset
 from ...data.synthetic import SyntheticImageConfig, make_classification_splits
 from ...errors import ConfigurationError
-from ...nn.losses import cross_entropy
+from ...nn.cohort import CohortTrainer, compile_program
 from ...nn.metrics import evaluate_classifier
 from ...nn.models import ModelSpec, build_model
-from ...nn.optim import SGD
-from ...nn.serialization import gradients_to_vector, state_to_vector, vector_to_state
-from ...nn.tensor import Tensor
 from ...simulation.rng import RngRegistry
 from ..rules import ClientUpdate, UpdateRule
+from ..steps import draw_batch_orders, run_local_step
 
 __all__ = ["RoundConfig", "RoundRecord", "RoundResult", "RoundHarness"]
 
@@ -112,42 +109,45 @@ class RoundHarness:
         self.shards: list[Dataset] = split_dataset(
             train, config.num_clients, rng=self.rngs.stream("shards")
         )
+        # The evaluated model lives in one arena, as the runner's does.
         self.model = build_model(config.model, self.rngs.stream("init"))
-        self.template = self.model.state_dict()
-        self.initial_vec = state_to_vector(self.template)
+        self._arena = self.model.to_arena()
+        self.initial_vec = self._arena.data[0].copy()
+        self.trainer = CohortTrainer(
+            compile_program(build_model(config.model, np.random.default_rng(0))),
+            "sgd",
+            config.local_lr,
+        )
 
     # -- client-side local training ------------------------------------------
     def _local_train(
-        self, start_vec: np.ndarray, shard: Dataset, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Return (new weights, accumulated gradient) from one local pass."""
+        self,
+        start_vec: np.ndarray,
+        shard: Dataset,
+        rng: np.random.Generator,
+        collect_gradient: bool,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Return (new weights, accumulated gradient or None) from
+        ``local_steps`` mini-batch steps: whole passes, each a fresh
+        permutation, the last one cut short at the step cap."""
         cfg = self.config
-        self.model.load_state_dict(vector_to_state(start_vec, self.template))
-        self.model.train()
-        opt = SGD(self.model.parameters(), lr=cfg.local_lr)
-        params = list(self.model.parameters())
-        accumulated = np.zeros_like(start_vec)
-        loader = BatchLoader(shard, cfg.batch_size, rng=rng)
-        steps = 0
-        while steps < cfg.local_steps:
-            for xb, yb in loader:
-                if steps >= cfg.local_steps:
-                    break
-                self.model.zero_grad()
-                loss = cross_entropy(self.model(Tensor(xb)), yb)
-                loss.backward()
-                grads = {
-                    name: p.grad for name, p in self.model.named_parameters()
-                }
-                # Zero-filled at buffer slots, so it stays aligned with the
-                # parameter vector even for models with buffers.
-                accumulated += gradients_to_vector(grads, self.template)
-                opt.step()
-                steps += 1
-        return state_to_vector(self.model.state_dict()), accumulated
+        n = len(shard)
+        per_pass = -(-n // cfg.batch_size)
+        passes = -(-cfg.local_steps // per_pass)
+        orders = draw_batch_orders(rng, n, passes)
+        last_steps = cfg.local_steps - (passes - 1) * per_pass
+        orders[-1] = orders[-1][: last_steps * cfg.batch_size]
+        return run_local_step(
+            self.trainer,
+            start_vec,
+            shard,
+            orders,
+            batch_size=cfg.batch_size,
+            collect_gradient=collect_gradient,
+        )
 
     def _evaluate(self, vec: np.ndarray) -> float:
-        self.model.load_state_dict(vector_to_state(vec, self.template))
+        self._arena.layout.unpack_into(vec, self._arena)
         _, acc = evaluate_classifier(self.model, self.val_set.x, self.val_set.y)
         return acc
 
@@ -180,7 +180,7 @@ class RoundHarness:
             updates: list[ClientUpdate] = []
             for client in reporting:
                 new_vec, grad = self._local_train(
-                    server, self.shards[client], rng
+                    server, self.shards[client], rng, rule.uses_gradient
                 )
                 updates.append(
                     ClientUpdate(

@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...data.loader import BatchLoader
 from ...data.synthetic import make_classification_splits
 from ...errors import ConfigurationError
-from ...nn.losses import cross_entropy
+from ...nn.cohort import CohortTrainer, compile_program, train_steps
 from ...nn.metrics import evaluate_classifier
 from ...nn.models import build_model
-from ...nn.optim import SGD, Adam
-from ...nn.tensor import Tensor
 from ...simulation.rng import RngRegistry
 from ..job import TrainingJobConfig
 from ..results import EpochRecord, RunResult
+from ..steps import draw_batch_orders
 
 __all__ = ["SingleInstanceTrainer", "run_single_instance"]
 
@@ -60,14 +58,18 @@ class SingleInstanceTrainer:
             num_test=config.num_test,
             flat=config.flat_features,
         )
+        # The evaluated model lives in one arena, as the runner's does; the
+        # training program starts from its initial weights and hands its
+        # trained state back after every epoch.
         self.model = build_model(config.model, self.rngs.stream("init"))
+        self._arena = self.model.to_arena()
         cfg = config.local_training
-        if cfg.optimizer == "adam":
-            self.optimizer = Adam(self.model.parameters(), lr=cfg.learning_rate)
-        elif cfg.optimizer == "sgd":
-            self.optimizer = SGD(self.model.parameters(), lr=cfg.learning_rate)
-        else:  # pragma: no cover - config validates
-            raise ConfigurationError(f"unknown optimizer {cfg.optimizer!r}")
+        self.trainer = CohortTrainer(
+            compile_program(build_model(config.model, np.random.default_rng(0))),
+            cfg.optimizer,
+            cfg.learning_rate,
+        )
+        np.copyto(self.trainer.program.arena.data, self._arena.data)
         # One epoch of serial work = the whole job's subtask work; all the
         # instance's cores contribute (data-parallel batches on one node).
         total_work = config.num_shards * config.work_units_per_subtask
@@ -78,20 +80,22 @@ class SingleInstanceTrainer:
         """Train serially for up to ``max_epochs``; returns epoch records."""
         config = self.config
         result = RunResult(label="single-instance")
-        loader = BatchLoader(
-            self.train_set,
-            config.local_training.batch_size,
-            rng=self.rngs.stream("batches"),
-        )
+        rng = self.rngs.stream("batches")
+        program = self.trainer.program
         clock = 0.0
         for epoch in range(1, config.max_epochs + 1):
-            self.model.train()
-            for _ in range(self.passes_per_epoch):
-                for xb, yb in loader:
-                    self.model.zero_grad()
-                    loss = cross_entropy(self.model(Tensor(xb)), yb)
-                    loss.backward()
-                    self.optimizer.step()
+            # One optimizer across the whole run: its state carries over.
+            orders = draw_batch_orders(
+                rng, len(self.train_set), self.passes_per_epoch
+            )
+            train_steps(
+                program,
+                self.trainer.optimizer,
+                [self.train_set],
+                [orders],
+                config.local_training.batch_size,
+            )
+            np.copyto(self._arena.data, program.arena.data)
             clock += self.epoch_seconds
             _, val_acc = evaluate_classifier(self.model, self.val_set.x, self.val_set.y)
             _, test_acc = evaluate_classifier(self.model, self.test_set.x, self.test_set.y)

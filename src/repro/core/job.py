@@ -16,7 +16,9 @@ from ..errors import ConfigurationError
 from ..nn.models import ModelSpec
 from ..simulation.adversary import AdversaryPlan
 from ..simulation.chaos import ChaosPlan
+from ..simulation.congestion import CongestionSchedule
 from ..simulation.resources import TABLE1_CLIENTS, TABLE1_SERVER, InstanceSpec
+from .autoscale import AutoscalePolicy
 from .rules import UpdateRule, VCASGDRule
 from .vcasgd import AlphaSchedule, ConstantAlpha
 
@@ -160,7 +162,7 @@ class TrainingJobConfig:
     # Time-varying WAN conditions (§II-A "variable network latency"): a
     # CongestionSchedule applied to every client link, or None for
     # stationary links.  See repro.simulation.congestion.
-    congestion: object | None = None
+    congestion: CongestionSchedule | None = None
 
     # -- timing calibration (§IV anchors) ---------------------------------------
     work_units_per_subtask: float = 144.0  # t_e ≈ 2.4 min on a reference core
@@ -198,7 +200,7 @@ class TrainingJobConfig:
     # pool grows/shrinks with queue pressure per `autoscale_policy`
     # (see repro.core.autoscale; None means the policy defaults).
     ps_autoscale: bool = False
-    autoscale_policy: object | None = None
+    autoscale_policy: AutoscalePolicy | None = None
 
     # -- redundancy (§II-C: replication for verification) -----------------------
     # 1 disables replication; k>1 sends each subtask to k distinct hosts
@@ -249,11 +251,17 @@ class TrainingJobConfig:
             raise ConfigurationError("cohort_size must be >= 1")
         if self.step_jobs < 1:
             raise ConfigurationError("step_jobs must be >= 1")
-        if self.update_rule is not None and not isinstance(self.update_rule, UpdateRule):
-            raise ConfigurationError(
-                f"update_rule must be an UpdateRule or None, "
-                f"got {type(self.update_rule).__name__}"
-            )
+        for name, kind in (
+            ("update_rule", UpdateRule),
+            ("congestion", CongestionSchedule),
+            ("autoscale_policy", AutoscalePolicy),
+        ):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, kind):
+                raise ConfigurationError(
+                    f"{name} must be a {kind.__name__} or None, "
+                    f"got {type(value).__name__}"
+                )
         if self.replicas < 1 or not 1 <= self.quorum <= self.replicas:
             raise ConfigurationError(
                 f"invalid replication: replicas={self.replicas}, quorum={self.quorum}"

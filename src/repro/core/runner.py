@@ -47,12 +47,12 @@ from ..nn.serialization import compressed_size_cache_stats
 from ..obs.runtime import ObservabilityConfig, RunObservability
 from ..simulation.adversary import AdversaryFabric
 from ..simulation.chaos import ChaosPlan, PartitionSchedule
-from ..simulation.congestion import CongestedLink, CongestionSchedule
+from ..simulation.congestion import CongestedLink
 from ..simulation.engine import Simulator
 from ..simulation.preemption import ExponentialLifetime
 from ..simulation.rng import RngRegistry
 from ..simulation.tracing import Trace
-from .autoscale import AutoscalePolicy, AutoscalingPool
+from .autoscale import AutoscalingPool
 from .checkpoint import Checkpoint
 from .codec_plane import ParamCodecPlane
 from .job import TrainingJobConfig
@@ -254,13 +254,8 @@ class DistributedRunner:
             trace=self.trace,
         )
         if config.ps_autoscale:
-            policy = config.autoscale_policy
-            if policy is not None and not isinstance(policy, AutoscalePolicy):
-                raise TrainingError(
-                    "autoscale_policy must be an AutoscalePolicy or None"
-                )
             self.pool: ParameterServerPool = AutoscalingPool(
-                policy=policy, **pool_kwargs
+                policy=config.autoscale_policy, **pool_kwargs
             )
         else:
             self.pool = ParameterServerPool(**pool_kwargs)
@@ -499,10 +494,6 @@ class DistributedRunner:
         cache_cap = 8e9 if self.config.sticky_files_enabled else 1.0
         link = spec.default_link()
         if self.config.congestion is not None:
-            if not isinstance(self.config.congestion, CongestionSchedule):
-                raise TrainingError(
-                    "config.congestion must be a CongestionSchedule or None"
-                )
             link = CongestedLink(link, self.config.congestion)
         client = ClientDaemon(
             client_id=cid,

@@ -15,9 +15,9 @@ where compute runs (durations come from work units, not wall clock), and
 the *numbers* are kept bit-identical by two rules:
 
 * every RNG draw happens at submit time, in the serial schedule's order —
-  :func:`draw_batch_orders` pre-draws the per-epoch batch permutations
-  from the same stream the legacy ``BatchLoader`` consumed, so deferring
-  the (RNG-free) compute moves no draw;
+  :func:`draw_batch_orders` pre-draws one permutation per local epoch
+  from the attempt's own batch stream, so deferring the (RNG-free)
+  compute moves no draw;
 * deferred execution is *value-lazy, schedule-eager*: the dispatcher
   batches submitted steps and computes the whole pending batch at the
   first resolve, which the client triggers when its upload is accepted —
@@ -37,13 +37,7 @@ import numpy as np
 
 from ..data.dataset import Dataset
 from ..errors import ConfigurationError, SimulationError
-from ..nn.cohort import (
-    CohortTrainer,
-    CohortUnsupported,
-    StepProgram,
-    TapeProgram,
-    train_steps,
-)
+from ..nn.cohort import CohortTrainer, StepProgram, compile_program, train_steps
 from ..nn.layers import Module
 from ..nn.models import build_model
 from .parallel import ParallelFallback, _pool_context, record_fallback
@@ -63,10 +57,9 @@ def draw_batch_orders(
 ) -> list[np.ndarray]:
     """Pre-draw the per-epoch batch permutations for one subtask.
 
-    One ``rng.permutation(n)`` per local epoch — the exact draws, in the
-    exact order, that ``BatchLoader.__iter__`` makes lazily on the serial
-    path.  Nothing else consumes the per-subtask batch stream, so drawing
-    upfront is stream-for-stream identical.
+    The contract: one ``rng.permutation(n)`` per local epoch, drawn in
+    epoch order from the attempt's stream.  Nothing else consumes that
+    stream, so when the compute runs cannot move a draw.
     """
     return [rng.permutation(n) for _ in range(epochs)]
 
@@ -82,16 +75,17 @@ def run_local_step(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One client's full local-training subtask, RNG-free.
 
-    Loads ``base_vec`` into the single-member ``trainer``'s arena, runs
-    ``len(orders)`` epochs of mini-batch training with the pre-drawn batch
-    orders, and packs the trained state into a fresh flat vector.  Returns
-    ``(new_vec, gradient)`` where ``gradient`` is the accumulated local
-    gradient when ``collect_gradient`` (rules like Downpour) and None
-    otherwise.
+    Loads ``base_vec`` into the single-member ``trainer``'s arena, resets
+    its optimizer, runs ``len(orders)`` epochs of mini-batch training with
+    the pre-drawn batch orders, and packs the trained state into a fresh
+    flat vector.  Returns ``(new_vec, gradient)`` where ``gradient`` is the
+    accumulated local gradient when ``collect_gradient`` (rules like
+    Downpour) and None otherwise.
     """
     program = trainer.program
     arena = program.arena
     arena.layout.unpack_into(base_vec, arena)
+    trainer.optimizer.reset()
     totals = train_steps(
         program, trainer.optimizer, [shard], [orders], batch_size, collect_gradient
     )
@@ -176,12 +170,8 @@ class _StepContext:
         self.optimizer = optimizer
         self.learning_rate = learning_rate
         self.collect_gradient = collect_gradient
-        self.compiles = True
-        try:
-            program: Module = StepProgram(template)
-        except CohortUnsupported:
-            self.compiles = False
-            program = TapeProgram(template)
+        program = compile_program(template)
+        self.compiles = isinstance(program, StepProgram)
         self.single = CohortTrainer(program, optimizer, learning_rate)
         self._stacked: CohortTrainer | None = None
 

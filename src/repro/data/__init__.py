@@ -1,8 +1,7 @@
-"""Dataset substrate: synthetic CIFAR-style data, shards, batch loading."""
+"""Dataset substrate: synthetic CIFAR-style data and shards."""
 
 from . import augment
 from .dataset import Dataset
-from .loader import BatchLoader
 from .sharding import shard_name, split_dataset
 from .synthetic import (
     SyntheticImageConfig,
@@ -23,7 +22,6 @@ __all__ = [
     "windowed_dataset",
     "train_val_split_series",
     "Dataset",
-    "BatchLoader",
     "split_dataset",
     "shard_name",
     "SyntheticImageConfig",

@@ -49,8 +49,6 @@ from .serialization import (
     state_from_bytes,
     state_num_scalars,
     state_to_bytes,
-    state_to_vector,
-    vector_to_state,
 )
 from .tensor import Tensor, no_grad
 from .workspace import Workspace
@@ -114,8 +112,6 @@ __all__ = [
     "ParameterArena",
     "state_to_bytes",
     "state_from_bytes",
-    "state_to_vector",
-    "vector_to_state",
     "state_num_scalars",
     "state_checksum",
     "compressed_size",

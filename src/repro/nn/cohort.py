@@ -66,6 +66,7 @@ __all__ = [
     "CohortUnsupported",
     "StepProgram",
     "TapeProgram",
+    "compile_program",
     "train_steps",
     "CohortTrainer",
 ]
@@ -363,6 +364,16 @@ class TapeProgram(Module):
         return cross_entropy(self.model(Tensor(x[0])), labels[0])
 
 
+def compile_program(template: Module) -> Module:
+    """The single-member program ``template``'s architecture trains on:
+    stacked kernels when every layer has one, else the ``Tensor`` tape
+    (which trains ``template`` itself, in place)."""
+    try:
+        return StepProgram(template)
+    except CohortUnsupported:
+        return TapeProgram(template)
+
+
 def train_steps(
     program: Module,
     optimizer: Optimizer,
@@ -371,16 +382,19 @@ def train_steps(
     batch_size: int,
     collect_gradient: bool = False,
 ) -> np.ndarray | None:
-    """The mini-batch loop of a client subtask, on an already loaded program.
+    """The one mini-batch loop — client subtasks and both baselines — on
+    an already loaded program.
 
     ``shards[g]`` and ``orders[g]`` are member g's data and pre-drawn
-    per-epoch batch permutations (RNG draws happen at the caller's site, so
-    the draw *order* never depends on where or when the compute runs);
-    batches are ``order[start : start + batch_size]`` slices, short final
-    batch included.  ``optimizer`` must be over ``program.arena.trainable``
-    and is reset first.  Returns the ``(G, total_size)`` sum of every
-    step's gradients when ``collect_gradient`` (rules like Downpour), else
-    None; the trained state is left in the arena.
+    per-epoch batch orders (RNG draws happen at the caller's site, so the
+    draw *order* never depends on where or when the compute runs); batches
+    are ``order[start : start + batch_size]`` slices, short final batch
+    included, so an order cut short ends its epoch early.  ``optimizer``
+    must be over ``program.arena.trainable``; its state carries on from
+    the previous call (callers that start a fresh subtask reset it).
+    Returns the ``(G, total_size)`` sum of every step's gradients when
+    ``collect_gradient`` (rules like Downpour), else None; the trained
+    state is left in the arena.
     """
     arena: ParameterArena = program.arena
     if not (len(shards) == len(orders) == arena.group):
@@ -388,18 +402,14 @@ def train_steps(
             f"program of {arena.group} member(s) got {len(shards)} shards / "
             f"{len(orders)} batch orders"
         )
-    n = len(shards[0])
-    if any(len(shard) != n for shard in shards):
-        raise TrainingError("cohort members must have equal shard lengths")
-    epochs = len(orders[0])
-    if any(len(member) != epochs for member in orders):
-        raise TrainingError("cohort members must train the same number of epochs")
+    lengths = [len(order) for order in orders[0]]
+    if any([len(order) for order in member] != lengths for member in orders):
+        raise TrainingError("cohort members' batch orders must have equal lengths")
     xs, ys = [shard.x for shard in shards], [shard.y for shard in shards]
     if min(int(y.min()) for y in ys) < 0:
         raise ShapeError("negative class label")
-    optimizer.reset()
     totals = np.zeros_like(arena.grad) if collect_gradient else None
-    for epoch in range(epochs):
+    for epoch, n in enumerate(lengths):
         for start in range(0, n, batch_size):
             idxs = [member[epoch][start : start + batch_size] for member in orders]
             if len(idxs) == 1:
@@ -442,6 +452,7 @@ class CohortTrainer:
         vectors and, when collected, the stacked accumulated gradients."""
         arena = self.program.arena
         np.copyto(arena.data, base_vecs)
+        self.optimizer.reset()
         totals = train_steps(
             self.program, self.optimizer, shards, orders, batch_size, collect_gradient
         )

@@ -14,8 +14,7 @@ The flat codec is driven by :class:`StateLayout` — per-key offsets, shapes
 and sizes precomputed once per state-dict *signature* and cached, so the
 hot path (one pack + one unpack per client result) never re-sorts keys,
 never re-derives shapes, and allocates nothing beyond what the caller
-asks for.  The legacy helpers (:func:`state_to_vector` and friends)
-delegate to the cached layout and keep their exact historical semantics.
+asks for.
 
 A :class:`ParameterArena` is the storage counterpart of a layout: the
 whole state already *lives* in layout order, so packing and unpacking are
@@ -41,11 +40,8 @@ __all__ = [
     "ParameterArena",
     "state_to_bytes",
     "state_from_bytes",
-    "state_to_vector",
-    "vector_to_state",
     "state_num_scalars",
     "state_checksum",
-    "gradients_to_vector",
     "compressed_size",
     "compressed_size_cache_stats",
     # codec plane re-exports (defined in repro.nn.codecs; the ROADMAP
@@ -87,9 +83,7 @@ class StateLayout:
     the same model shape reuses a single instance.
 
     Aliasing contract: :meth:`views` returns *views into the vector* —
-    writes through them mutate the vector and vice versa.  :meth:`unpack`
-    (the safe default) returns fresh copies, matching the historical
-    :func:`vector_to_state`.
+    writes through them mutate the vector and vice versa.
     """
 
     __slots__ = ("keys", "shapes", "sizes", "offsets", "total_size", "signature")
@@ -142,14 +136,6 @@ class StateLayout:
 
     # -- vector <-> state ----------------------------------------------------
 
-    def empty(self) -> np.ndarray:
-        """An uninitialised flat vector of the right size."""
-        return np.empty(self.total_size)
-
-    def zeros(self) -> np.ndarray:
-        """A zero flat vector of the right size."""
-        return np.zeros(self.total_size)
-
     def pack(
         self,
         state: "dict[str, np.ndarray] | ParameterArena",
@@ -159,8 +145,7 @@ class StateLayout:
 
         With ``out`` given, writes into it (no allocation) and returns it;
         otherwise allocates a fresh vector.  Only per-key *sizes* must
-        match the layout — exactly the historical ``state_to_vector``
-        contract, which ravels each entry.  A single-member
+        match the layout: each entry is ravelled.  A single-member
         :class:`ParameterArena` is already in layout order: one copy.
         """
         if out is None:
@@ -206,23 +191,11 @@ class StateLayout:
             )
         return vector
 
-    def unpack(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        """Unpack into freshly-copied arrays shaped like the template."""
-        vector = self._check_vector(vector)
-        return {
-            key: vector[offset : offset + size].reshape(shape).copy()
-            for key, offset, size, shape in zip(
-                self.keys, self.offsets, self.sizes, self.shapes
-            )
-        }
-
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Unpack into *views* of ``vector`` — zero-copy.
 
         Writes through a view mutate the vector (and vice versa); callers
-        must not let a view outlive the vector's logical lifetime.  Used
-        on read-only paths (evaluation, checksum) where the historical
-        per-key copy was pure overhead.
+        must not let a view outlive the vector's logical lifetime.
         """
         vector = self._check_vector(vector)
         return {
@@ -233,62 +206,24 @@ class StateLayout:
         }
 
     def unpack_into(
-        self, vector: np.ndarray, dest: "dict[str, np.ndarray] | ParameterArena"
-    ) -> "dict[str, np.ndarray] | ParameterArena":
-        """Copy ``vector`` into preallocated arrays in ``dest`` (by key).
-
-        A :class:`ParameterArena` destination takes the vector in one copy,
-        broadcast to every member.
-        """
+        self, vector: np.ndarray, arena: "ParameterArena"
+    ) -> "ParameterArena":
+        """Copy ``vector`` into ``arena`` in one copy, broadcast to every
+        member."""
         vector = self._check_vector(vector)
-        if isinstance(dest, ParameterArena):
-            self._check_arena(dest)
-            np.copyto(dest.data, vector)
-            return dest
-        for key, offset, size, shape in zip(
-            self.keys, self.offsets, self.sizes, self.shapes
-        ):
-            target = dest[key]
-            if target.shape != shape:
-                raise SerializationError(
-                    f"destination for {key!r} has shape {target.shape}, "
-                    f"layout expects {shape}"
-                )
-            np.copyto(target, vector[offset : offset + size].reshape(shape))
-        return dest
+        self._check_arena(arena)
+        np.copyto(arena.data, vector)
+        return arena
 
     # -- gradients -----------------------------------------------------------
 
-    def accumulate(
-        self,
-        named_grads: "dict[str, np.ndarray | None] | ParameterArena",
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """Add one step's gradients into ``out`` in place, per-key.
-
-        Keys missing from ``named_grads`` (or mapped to None) contribute
-        nothing — the flat codec covers non-trainable buffer slots too.
-        Bit-identical to ``out += gradients_to_vector(...)`` without
-        materialising the intermediate full-size vector.  An arena's
-        gradients are already flat (``out`` is then shaped like
-        ``arena.grad`` or, for one member, like its row): one add.
+    def accumulate(self, arena: "ParameterArena", out: np.ndarray) -> np.ndarray:
+        """Add one step's gradients into ``out`` in place: one add, ``out``
+        shaped like ``arena.grad`` or, for one member, like its row.
+        Buffer slots of ``arena.grad`` are never written, so they add zero.
         """
-        if isinstance(named_grads, ParameterArena):
-            self._check_arena(named_grads)
-            return np.add(out, named_grads.grad.reshape(out.shape), out=out)
-        for key, offset, size in zip(self.keys, self.offsets, self.sizes):
-            grad = named_grads.get(key)
-            if grad is None:
-                continue
-            grad = np.asarray(grad, dtype=np.float64)
-            if grad.size != size:
-                raise SerializationError(
-                    f"gradient for {key!r} has {grad.size} scalars, "
-                    f"template expects {size}"
-                )
-            view = out[offset : offset + size]
-            np.add(view, grad.ravel(), out=view)
-        return out
+        self._check_arena(arena)
+        return np.add(out, arena.grad.reshape(out.shape), out=out)
 
 
 class ParameterArena:
@@ -362,42 +297,6 @@ def state_from_bytes(blob: bytes) -> dict[str, np.ndarray]:
 def state_num_scalars(state: dict[str, np.ndarray]) -> int:
     """Total scalar count across all entries."""
     return int(sum(np.asarray(v).size for v in state.values()))
-
-
-def state_to_vector(state: dict[str, np.ndarray]) -> np.ndarray:
-    """Pack all entries (sorted by key) into one contiguous float64 vector."""
-    if not state:
-        raise SerializationError("cannot vectorize an empty state dict")
-    return StateLayout.for_state(state).pack(state)
-
-
-def vector_to_state(
-    vector: np.ndarray, template: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Unpack a flat vector into arrays shaped like ``template`` (sorted keys)."""
-    if not template:
-        size = np.asarray(vector, dtype=np.float64).size
-        raise SerializationError(
-            f"vector of size {size} does not match template (0 scalars)"
-        )
-    return StateLayout.for_state(template).unpack(vector)
-
-
-def gradients_to_vector(
-    named_grads: dict[str, np.ndarray | None], template: dict[str, np.ndarray]
-) -> np.ndarray:
-    """Pack gradients into the flat codec, aligned with ``template``.
-
-    The flat parameter vector covers every ``state_dict`` entry (sorted by
-    key), including non-trainable buffers that never receive a gradient;
-    slots whose key is missing from ``named_grads`` (or maps to None) are
-    zero-filled so the result is position-compatible with
-    :func:`state_to_vector` of the same template.
-    """
-    if not template:
-        raise SerializationError("cannot vectorize against an empty template")
-    layout = StateLayout.for_state(template)
-    return layout.accumulate(named_grads, layout.zeros())
 
 
 def state_checksum(state: dict[str, np.ndarray]) -> str:

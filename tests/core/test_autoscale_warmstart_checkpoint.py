@@ -124,9 +124,8 @@ class TestAutoscalingPool:
         assert result.counters["ps_final_workers"] >= 1
 
     def test_runner_rejects_bad_policy_type(self):
-        cfg = tiny_config(ps_autoscale=True, autoscale_policy="nope")
-        with pytest.raises(TrainingError):
-            DistributedRunner(cfg)
+        with pytest.raises(ConfigurationError, match="autoscale_policy"):
+            tiny_config(ps_autoscale=True, autoscale_policy="nope")
 
 
 class TestWarmStart:

@@ -7,16 +7,18 @@ import pytest
 
 from repro.core import ConstantAlpha, LocalTrainingConfig, TrainingJobConfig
 from repro.core.baselines import (
+    RoundConfig,
+    RoundHarness,
+    SingleInstanceTrainer,
+    run_single_instance,
+)
+from repro.core.rules import (
     ClientUpdate,
     DCASGDRule,
     DownpourRule,
     EASGDRule,
     SyncAllReduceRule,
-    RoundConfig,
-    RoundHarness,
-    SingleInstanceTrainer,
     VCASGDRule,
-    run_single_instance,
 )
 from repro.data import SyntheticImageConfig
 from repro.errors import ConfigurationError

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DistributedRunner, run_experiment
-from repro.errors import TrainingError
+from repro.core import run_experiment
+from repro.errors import ConfigurationError
 from repro.simulation import CongestionSchedule, diurnal_schedule
 
 from .test_runner import tiny_config
@@ -36,8 +36,8 @@ class TestCongestedPipeline:
         assert scheduled.total_time_s == pytest.approx(clear.total_time_s)
 
     def test_invalid_congestion_type_rejected(self):
-        with pytest.raises(TrainingError):
-            DistributedRunner(tiny_config(congestion="evening"))
+        with pytest.raises(ConfigurationError, match="congestion"):
+            tiny_config(congestion="evening")
 
     def test_deterministic_under_congestion(self):
         import numpy as np

@@ -1,4 +1,4 @@
-"""Sharding (work-generator split) and batch loader tests."""
+"""Sharding (work-generator split) and mini-batch order tests."""
 
 from __future__ import annotations
 
@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import BatchLoader, Dataset, shard_name, split_dataset
+from repro.core.steps import draw_batch_orders
+from repro.data import Dataset, shard_name, split_dataset
 from repro.errors import ConfigurationError
+
+from .reference_loader import BatchLoader
 
 
 @pytest.fixture
@@ -72,15 +75,10 @@ class TestSplitDataset:
 class TestBatchLoader:
     def test_batch_count(self, ds):
         assert len(BatchLoader(ds, 32)) == 4  # 100/32 -> 3 full + 1 partial
-        assert len(BatchLoader(ds, 32, drop_last=True)) == 3
 
     def test_iterates_all_samples(self, ds):
         seen = sum(len(xb) for xb, _ in BatchLoader(ds, 7))
         assert seen == 100
-
-    def test_drop_last(self, ds):
-        batches = list(BatchLoader(ds, 7, drop_last=True))
-        assert all(len(xb) == 7 for xb, _ in batches)
 
     def test_shuffles_with_rng(self, ds):
         loader = BatchLoader(ds, 100, rng=np.random.default_rng(1))
@@ -103,6 +101,17 @@ class TestBatchLoader:
     def test_invalid_batch_size(self, ds):
         with pytest.raises(ConfigurationError):
             BatchLoader(ds, 0)
+
+    def test_batch_orders_draw_the_same_stream(self, ds):
+        """``draw_batch_orders`` sliced as ``train_steps`` slices it yields
+        the reference loader's batches, pass for pass."""
+        loader = BatchLoader(ds, 13, rng=np.random.default_rng(5))
+        orders = draw_batch_orders(np.random.default_rng(5), len(ds), 3)
+        for order in orders:
+            for (xb, yb), start in zip(loader, range(0, len(ds), 13), strict=True):
+                idx = order[start : start + 13]
+                assert xb.tobytes() == ds.x[idx].tobytes()
+                assert yb.tobytes() == ds.y[idx].tobytes()
 
 
 @settings(max_examples=20, deadline=None)

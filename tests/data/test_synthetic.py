@@ -8,7 +8,8 @@ import pytest
 from repro.data import SyntheticImageConfig, make_classification_splits, make_synthetic_images
 from repro.errors import ConfigurationError
 from repro.nn import Adam, Tensor, cross_entropy, make_mlp
-from repro.data.loader import BatchLoader
+
+from .reference_loader import BatchLoader
 
 
 class TestConfig:

@@ -58,11 +58,11 @@ def _tape_loop(model, base_vec, shard, orders, *, batch_size, optimizer,
                learning_rate, collect_gradient):
     """The oracle: one subtask on the autograd tape, as it always ran."""
     layout = StateLayout.for_state(model.state_dict())
-    model.load_state_dict(layout.unpack(base_vec))
+    model.load_state_dict(layout.views(base_vec))
     model.train()
     make = Adam if optimizer == "adam" else SGD
     opt = make(model.parameters(), lr=learning_rate)
-    gradient = layout.zeros() if collect_gradient else None
+    gradient = np.zeros(layout.total_size) if collect_gradient else None
     for order in orders:
         for start in range(0, len(shard), batch_size):
             idx = order[start : start + batch_size]
@@ -70,9 +70,9 @@ def _tape_loop(model, base_vec, shard, orders, *, batch_size, optimizer,
             loss = cross_entropy(model(Tensor(shard.x[idx])), shard.y[idx])
             loss.backward()
             if gradient is not None:
-                layout.accumulate(
-                    {name: p.grad for name, p in model.named_parameters()}, gradient
-                )
+                slots = layout.views(gradient)
+                for name, p in model.named_parameters():
+                    slots[name] += p.grad
             opt.step()
     return layout.pack(model.state_dict()), gradient
 

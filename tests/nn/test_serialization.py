@@ -10,14 +10,21 @@ from hypothesis import strategies as st
 from repro.errors import SerializationError
 from repro.nn.models import ModelSpec, build_model
 from repro.nn.serialization import (
+    StateLayout,
     compressed_size,
     state_checksum,
     state_from_bytes,
     state_num_scalars,
     state_to_bytes,
-    state_to_vector,
-    vector_to_state,
 )
+
+
+def to_vector(state: dict[str, np.ndarray]) -> np.ndarray:
+    return StateLayout.for_state(state).pack(state)
+
+
+def from_vector(vector: np.ndarray, template: dict[str, np.ndarray]) -> dict:
+    return StateLayout.for_state(template).views(vector)
 
 
 @pytest.fixture
@@ -50,27 +57,29 @@ class TestBytesRoundtrip:
 
 
 class TestVectorRoundtrip:
+    """The flat codec through :class:`StateLayout`: ``pack`` and ``views``."""
+
     def test_roundtrip_exact(self, state):
-        vec = state_to_vector(state)
+        vec = to_vector(state)
         assert vec.size == state_num_scalars(state)
-        restored = vector_to_state(vec, state)
+        restored = from_vector(vec, state)
         for key in state:
             np.testing.assert_array_equal(restored[key], state[key])
 
     def test_vector_order_is_key_sorted(self):
         state = {"b": np.array([2.0]), "a": np.array([1.0])}
-        np.testing.assert_array_equal(state_to_vector(state), [1.0, 2.0])
+        np.testing.assert_array_equal(to_vector(state), [1.0, 2.0])
 
     def test_size_mismatch_raises(self, state):
         with pytest.raises(SerializationError):
-            vector_to_state(np.zeros(3), state)
+            from_vector(np.zeros(3), state)
 
     def test_empty_state_raises(self):
         with pytest.raises(SerializationError):
-            state_to_vector({})
+            to_vector({})
 
     def test_vector_is_contiguous_float64(self, state):
-        vec = state_to_vector(state)
+        vec = to_vector(state)
         assert vec.flags["C_CONTIGUOUS"]
         assert vec.dtype == np.float64
 
@@ -78,12 +87,10 @@ class TestVectorRoundtrip:
         spec = ModelSpec("mlp", {"in_features": 6, "hidden": [4], "num_classes": 3})
         model = build_model(spec, rng)
         state = model.state_dict()
-        vec = state_to_vector(state)
+        vec = to_vector(state)
         model2 = build_model(spec, np.random.default_rng(99))
-        model2.load_state_dict(vector_to_state(vec, model2.state_dict()))
-        np.testing.assert_array_equal(
-            state_to_vector(model2.state_dict()), vec
-        )
+        model2.load_state_dict(from_vector(vec, model2.state_dict()))
+        np.testing.assert_array_equal(to_vector(model2.state_dict()), vec)
 
 
 class TestChecksum:
@@ -125,7 +132,7 @@ def test_property_vector_roundtrip_any_shapes(seed, n_arrays):
     for i in range(n_arrays):
         shape = tuple(int(s) for s in rng.integers(1, 4, size=int(rng.integers(1, 4))))
         state[f"p{i}"] = rng.normal(size=shape)
-    vec = state_to_vector(state)
-    restored = vector_to_state(vec, state)
+    vec = to_vector(state)
+    restored = from_vector(vec, state)
     for key in state:
         np.testing.assert_array_equal(restored[key], state[key])

@@ -1,4 +1,4 @@
-"""StateLayout codec: legacy equivalence, zero-copy views, mutation safety."""
+"""StateLayout codec: legacy equivalence, zero-copy views, the arena."""
 
 from __future__ import annotations
 
@@ -13,12 +13,7 @@ from repro.core import DistributedRunner, TrainingJobConfig
 from repro.errors import SerializationError
 from repro.nn.losses import cross_entropy
 from repro.nn.models import make_mlp
-from repro.nn.serialization import (
-    ParameterArena,
-    StateLayout,
-    state_to_vector,
-    vector_to_state,
-)
+from repro.nn.serialization import BUFFER_PREFIX, ParameterArena, StateLayout
 from repro.nn.tensor import Tensor
 
 
@@ -55,20 +50,11 @@ class TestLegacyEquivalence:
     @given(state=random_states())
     def test_roundtrip_exact(self, state):
         layout = StateLayout.for_state(state)
-        restored = layout.unpack(layout.pack(state))
+        restored = layout.views(layout.pack(state))
         assert set(restored) == set(state)
         for key in state:
             np.testing.assert_array_equal(restored[key], state[key])
             assert restored[key].shape == np.asarray(state[key]).shape
-
-    @settings(max_examples=25, deadline=None)
-    @given(state=random_states())
-    def test_module_level_helpers_delegate(self, state):
-        vec = state_to_vector(state)
-        np.testing.assert_array_equal(vec, legacy_pack(state))
-        restored = vector_to_state(vec, state)
-        for key in state:
-            np.testing.assert_array_equal(restored[key], state[key])
 
 
 class TestLayoutCache:
@@ -96,32 +82,23 @@ class TestViewsAndAliasing:
         views["b"][0] = 123.0
         assert vec[0] == 123.0
 
-    def test_unpack_returns_owning_copies(self, rng):
-        state = {"w": rng.normal(size=(4, 3))}
-        layout = StateLayout.for_state(state)
-        vec = layout.pack(state)
-        restored = layout.unpack(vec)
-        restored["w"][0, 0] = 999.0
-        assert vec[0] != 999.0
-
     def test_pack_into_preallocated_out(self, rng):
         state = {"w": rng.normal(size=(5, 2))}
         layout = StateLayout.for_state(state)
-        out = layout.empty()
+        out = np.empty(layout.total_size)
         returned = layout.pack(state, out=out)
         assert returned is out
         np.testing.assert_array_equal(out, legacy_pack(state))
 
     def test_unpack_into_live_arrays(self, rng):
-        state = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
-        layout = StateLayout.for_state(state)
-        vec = layout.pack(state)
-        dest = {k: np.zeros_like(v) for k, v in state.items()}
-        bindings = dict(dest)  # unpack_into must write through, not rebind
-        layout.unpack_into(vec, dest)
-        for key in state:
-            np.testing.assert_array_equal(dest[key], state[key])
-            assert dest[key] is bindings[key]
+        model = make_mlp(rng, in_features=4, hidden=(3,), num_classes=2)
+        arena = model.to_arena()
+        bindings = model.state_arrays()
+        vec = rng.normal(size=arena.layout.total_size)
+        arena.layout.unpack_into(vec, arena)  # writes through, never rebinds
+        for key, array in model.state_arrays().items():
+            assert array is bindings[key]
+        assert arena.layout.pack(model.state_arrays()).tobytes() == vec.tobytes()
 
     def test_pack_size_mismatch_raises(self, rng):
         state = {"w": rng.normal(size=(4, 3))}
@@ -131,23 +108,31 @@ class TestViewsAndAliasing:
 
 
 class TestAccumulator:
+    def _model(self, rng):
+        return make_mlp(
+            rng, in_features=5, hidden=(4,), num_classes=3, batch_norm=True
+        )
+
     def test_accumulate_matches_sum_of_packed_gradients(self, rng):
-        template = {"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3)}
-        layout = StateLayout.for_state(template)
-        acc = layout.zeros()
-        total = np.zeros(12)
+        arena = self._model(rng).to_arena()
+        acc = np.zeros(arena.layout.total_size)
+        total = np.zeros_like(acc)
         for _ in range(4):
-            grads = {k: rng.normal(size=v.shape) for k, v in template.items()}
-            layout.accumulate(grads, acc)
-            total += legacy_pack(grads)
-        np.testing.assert_array_equal(acc, total)
+            for tensor in arena.trainable:
+                tensor.grad[...] = rng.normal(size=tensor.grad.shape)
+            arena.layout.accumulate(arena, acc)
+            total += arena.grad[0]
+        assert acc.tobytes() == total.tobytes()
 
     def test_missing_keys_contribute_zero(self, rng):
-        template = {"w": rng.normal(size=(2, 2)), "b": rng.normal(size=2)}
-        layout = StateLayout.for_state(template)
-        acc = layout.accumulate({"b": np.ones(2)}, layout.zeros())
-        # Sorted layout: "b" first, then the four scalars of "w".
-        np.testing.assert_array_equal(acc, [1, 1, 0, 0, 0, 0])
+        """Buffer slots never receive a gradient, so they accumulate zero."""
+        model = self._model(rng)
+        arena = model.to_arena()
+        x, y = rng.normal(size=(6, 5)), rng.integers(0, 3, size=6)
+        cross_entropy(model(Tensor(x)), y).backward()
+        acc = arena.layout.accumulate(arena, np.zeros(arena.layout.total_size))
+        for key, slot in arena.layout.views(acc).items():
+            assert slot.any() != key.startswith(BUFFER_PREFIX)
 
 
 class TestArena:
@@ -202,10 +187,12 @@ class TestArena:
         arena = model.to_arena()
         x, y = rng.normal(size=(6, 5)), rng.integers(0, 3, size=6)
         cross_entropy(model(Tensor(x)), y).backward()
-        named = {name: p.grad.copy() for name, p in model.named_parameters()}
         layout = StateLayout.for_state(model.state_dict())
-        per_key = layout.accumulate(named, layout.zeros())
-        flat = layout.accumulate(arena, layout.zeros())
+        per_key = np.zeros(layout.total_size)
+        slots = layout.views(per_key)
+        for name, p in model.named_parameters():
+            slots[name] += p.grad
+        flat = layout.accumulate(arena, np.zeros(layout.total_size))
         assert flat.tobytes() == per_key.tobytes()
         model.zero_grad()
         assert not arena.grad.any()

@@ -176,3 +176,23 @@ class TestCli:
 
         assert main(["dashboard", str(out)]) == 0
         assert "sweep telemetry" in capsys.readouterr().out
+
+    def test_sweep_metrics_out_is_one_path_at_any_jobs(self, tmp_path, capsys):
+        digests = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"sweep-j{jobs}.json"
+            code = main(
+                [
+                    "sweep",
+                    "-p", "1", "-c", "2", "-t", "1,2",
+                    "--epochs", "1",
+                    "--shards", "4",
+                    "-j", jobs,
+                    "--metrics-out", str(out),
+                ]
+            )
+            assert code == 0
+            digests.append([run["digest"] for run in read_telemetry(out)["runs"]])
+        capsys.readouterr()
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
