@@ -4,10 +4,12 @@ The codecs themselves (``repro.nn.codecs``) are pure, stateless vector
 transforms.  This module owns everything *stateful* about using them in
 one run:
 
-* **publish path** — every republished parameter file is encoded once;
-  the decoded copy becomes the payload clients download and train on
-  (simulation honesty: quantization error affects real training), and
-  the measured encoded size becomes the file's wire size;
+* **publish path** — every republished parameter file is encoded once
+  and the measured encoded size becomes the file's wire size.  A lossy
+  file rests in its wire form (:class:`VersionedParams`): each client
+  decodes its own copy when it trains, so quantization error affects
+  real training (simulation honesty) while the server holds one encoded
+  record per live version, not one float64 vector;
 * **download path** — the delta codec keeps a bounded window of
   version-to-version XOR sizes; a client whose sticky cache records the
   last parameter version it fetched is charged only the chain of deltas
@@ -36,13 +38,15 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..nn.codecs import DeltaCodec, TopKCodec, ZlibCodec, make_codec
+from ..nn.codecs import Encoded, TopKCodec, ZlibCodec, make_codec
 from .rules import ClientUpdate
 
-__all__ = ["ParamCodecPlane", "EncodedUpdate"]
+__all__ = ["ParamCodecPlane", "EncodedUpdate", "VersionedParams"]
 
 # Versions retained in the delta-size window; older chains fall back to
 # the full transfer.  One entry per publish: an int, so the window is
@@ -51,6 +55,44 @@ DELTA_WINDOW = 64
 # Floor charged for a delta download whose chain is empty (client already
 # holds the published version): headers still cross the wire.
 DELTA_MIN_WIRE = 32
+
+
+@dataclass(frozen=True)
+class VersionedParams:
+    """Published server parameter copy, tagged with its publish version.
+
+    The version travels with the payload itself, so staleness bookkeeping
+    no longer needs an id()-keyed side table that outlives its vectors:
+    every downloader reads the version straight off the file it trained
+    from, including frozen per-epoch replica copies.
+
+    A lossy codec's file rests in its wire form: ``content`` is the
+    codec's :class:`~repro.nn.codecs.Encoded` record and ``decoder`` its
+    decoder.  Otherwise ``content`` is the float64 vector itself, shared
+    by reference.
+    """
+
+    content: np.ndarray | Encoded
+    version: int
+    decoder: Callable[[Encoded], np.ndarray] | None = None
+
+    def decode_params(self) -> np.ndarray:
+        """The parameter vector a downloader trains on.
+
+        For a lossy file every call decodes and allocates a fresh
+        model-sized vector (never cached), so a caller reads it once per
+        use and keeps the result.  Otherwise it is ``content`` itself.
+        """
+        if self.decoder is None:
+            return self.content
+        return self.decoder(self.content)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the float64 parameter vector, without decoding it."""
+        if self.decoder is None:
+            return int(self.content.nbytes)
+        return int(self.content.raw_nbytes)
 
 
 class EncodedUpdate:
@@ -139,12 +181,12 @@ class ParamCodecPlane:
 
     def encode_publish(
         self, vec: np.ndarray, version: int, frozen: bool = False
-    ) -> tuple[np.ndarray, int]:
+    ) -> tuple[VersionedParams, int]:
         """Encode one published parameter file.
 
-        Returns ``(payload_vec, wire_bytes)``: the vector clients will
-        actually train on (the decoded copy for lossy codecs) and the
-        file's wire size (for delta, the full-transfer fallback — the
+        Returns ``(payload, wire_bytes)``: the file's payload — the
+        encoded record for lossy codecs, ``vec`` by reference otherwise —
+        and its wire size (for delta, the full-transfer fallback — the
         per-client chain price is computed at download time).  Frozen
         per-epoch replica copies are encoded identically but do not
         advance the delta chain (they alias the current version).
@@ -161,13 +203,14 @@ class ParamCodecPlane:
                         self._delta_window.popitem(last=False)
                 self._last_published = vec.copy()
             full = self._zlib.encode(vec)
-            payload, wire = vec, full.nbytes
+            payload, wire = VersionedParams(vec, version), full.nbytes
         else:
             enc = self.down_codec.encode(vec, self.layout)
-            t1 = time.perf_counter()
-            payload = self.down_codec.decode(enc)
-            self.decode_cpu_s += time.perf_counter() - t1
             wire = enc.nbytes
+            if self.down_codec.lossy:
+                payload = VersionedParams(enc, version, self._decode_download)
+            else:
+                payload = VersionedParams(vec, version)
         self.encode_cpu_s += time.perf_counter() - t0
         self.publishes += 1
         self.publish_raw_bytes += int(vec.nbytes)
@@ -183,6 +226,13 @@ class ParamCodecPlane:
                 wire=int(wire),
             )
         return payload, int(wire)
+
+    def _decode_download(self, enc: Encoded) -> np.ndarray:
+        """A client decodes its downloaded copy of a lossy parameter file."""
+        t0 = time.perf_counter()
+        vec = self.down_codec.decode(enc)
+        self.decode_cpu_s += time.perf_counter() - t0
+        return vec
 
     def download_wire_size(self, file, cache) -> int | None:
         """Per-client wire size override for a download, or None for the
@@ -233,7 +283,7 @@ class ParamCodecPlane:
                 codec=self.name,
                 client=client_id,
                 wu=wu_id,
-                raw=int(payload.params.nbytes),
+                raw=payload.nbytes,
             )
 
     # -- upload path -------------------------------------------------------
@@ -270,19 +320,31 @@ class ParamCodecPlane:
             wire = enc.nbytes
             payload: object = update
         else:
+            # ``params - base`` is the one fresh vector: the residual is
+            # added into it, and error feedback turns it into the next
+            # residual in place.  ``gradient + residual`` lands in the old
+            # residual instead, so ``update.gradient`` is never written.
             vector = (
-                update.gradient if gradient_stream else update.params - base_vec
+                update.gradient
+                if gradient_stream
+                else np.subtract(update.params, base_vec)
             )
-            if self.error_feedback:
-                residual = self._residuals.get(update.client_id)
-                if residual is not None:
-                    vector = vector + residual
+            residual = (
+                self._residuals.get(update.client_id) if self.error_feedback else None
+            )
+            if residual is not None:
+                vector = np.add(
+                    vector, residual, out=residual if gradient_stream else vector
+                )
             enc = self.up_codec.encode(vector, self.layout)
             t1 = time.perf_counter()
             decoded = self.up_codec.decode(enc)
             self.decode_cpu_s += time.perf_counter() - t1
             if self.error_feedback:
-                self._residuals[update.client_id] = vector - decoded
+                owned = vector is not update.gradient
+                self._residuals[update.client_id] = np.subtract(
+                    vector, decoded, out=vector if owned else None
+                )
             wire = enc.nbytes
             if gradient_stream:
                 # The gradient is what crossed the wire; the parameter
@@ -298,7 +360,7 @@ class ParamCodecPlane:
             else:
                 resolved = ClientUpdate(
                     client_id=update.client_id,
-                    params=base_vec + decoded,
+                    params=np.add(base_vec, decoded, out=decoded),
                     gradient=None,
                     base_version=update.base_version,
                     claimed_credit=update.claimed_credit,

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..nn.serialization import BLOCK_SIZE
 from .vcasgd import AlphaSchedule, ConstantAlpha, VarAlpha, vcasgd_merge
 
 __all__ = [
@@ -195,12 +196,13 @@ class VCASGDRule(UpdateRule):
         epoch: int,
         out: np.ndarray,
     ) -> np.ndarray:
+        # One block of scratch: vcasgd_merge walks longer vectors by block.
         return vcasgd_merge(
             server,
             update.params,
             self.schedule.alpha_at(epoch),
             out=out,
-            scratch=self._scratch(server.shape),
+            scratch=self._scratch((min(server.size, BLOCK_SIZE),)),
         )
 
     def describe(self) -> str:

@@ -21,7 +21,7 @@ Client-side training is *real* NumPy training; every duration is
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from ..simulation.rng import RngRegistry
 from ..simulation.tracing import Trace
 from .autoscale import AutoscalingPool
 from .checkpoint import Checkpoint
-from .codec_plane import ParamCodecPlane
+from .codec_plane import ParamCodecPlane, VersionedParams
 from .job import TrainingJobConfig
 from .param_server import PARAM_KEY, ParameterServerPool
 from .results import EpochRecord, RunResult
@@ -73,20 +73,6 @@ PARAM_COMPRESSION_RATIO = 0.9
 # workunits for the missing shards at most this many times before declaring
 # the barrier permanently stalled.
 MAX_BARRIER_RETRIES = 3
-
-
-@dataclass(frozen=True)
-class VersionedParams:
-    """Published server parameter copy, tagged with its publish version.
-
-    The version travels with the payload itself, so staleness bookkeeping
-    no longer needs an id()-keyed side table that outlives its vectors:
-    every downloader reads the version straight off the file it trained
-    from, including frozen per-epoch replica copies.
-    """
-
-    params: np.ndarray
-    version: int
 
 
 class DistributedRunner:
@@ -621,7 +607,9 @@ class DistributedRunner:
         published: VersionedParams = payloads[wu.input_files[1]]
         shard: Dataset = payloads[self.work_generator.shard_file_name(wu.shard_index)]
         orders = self._draw_orders(wu, client_id, len(shard))
-        task = self._dispatcher.submit(published.params, wu.shard_index, orders)
+        task = self._dispatcher.submit(
+            published.decode_params(), wu.shard_index, orders
+        )
         self._prepared[(wu.wu_id, client_id)] = task
 
     def _execute_subtask(self, wu: Workunit, payloads: dict) -> tuple[object, int]:
@@ -637,7 +625,7 @@ class DistributedRunner:
         """
         client_id = wu.current_attempt.client_id
         published: VersionedParams = payloads[wu.input_files[1]]  # the parameter file
-        param_vec = published.params
+        param_vec = published.decode_params()
         self._wu_base_version[wu.wu_id] = published.version
         shard: Dataset = payloads[self.work_generator.shard_file_name(wu.shard_index)]
         if self._dispatcher is not None and self._deferrable(client_id):
@@ -722,19 +710,20 @@ class DistributedRunner:
             fields["wu"] = source_wu
         self.trace.emit(self.sim.now, "params.publish", **fields)
         if self._codec_plane is None:
-            payload_vec, wire = vec, self._param_wire_bytes
+            payload = VersionedParams(vec, self._param_publish_count)
+            wire = self._param_wire_bytes
         else:
-            # Lossy codecs publish the *decoded* copy — what clients will
-            # actually train on — so staleness snapshots and quorum
-            # agreement see exactly the downloaded bytes.
-            payload_vec, wire = self._codec_plane.encode_publish(
+            # A lossy file rests encoded and decodes on every use, so
+            # staleness snapshots and every client see exactly the
+            # downloaded bytes.
+            payload, wire = self._codec_plane.encode_publish(
                 vec, self._param_publish_count
             )
-        self.rule.snapshot_sent(self._param_publish_count, payload_vec)
+        self.rule.snapshot_sent(self._param_publish_count, payload.decode_params())
         self.server.catalog.publish(
             ServerFile(
                 name=PARAM_FILE,
-                payload=VersionedParams(payload_vec, self._param_publish_count),
+                payload=payload,
                 raw_size=self._param_raw_bytes,
                 compressed_size=wire,
                 sticky=False,
@@ -822,7 +811,8 @@ class DistributedRunner:
             param_file = f"{PARAM_FILE}:e{self._current_epoch:03d}"
             frozen = self.pool.current_params().copy()
             if self._codec_plane is None:
-                frozen_payload, frozen_wire = frozen, self._param_wire_bytes
+                frozen_payload = VersionedParams(frozen, self._param_publish_count)
+                frozen_wire = self._param_wire_bytes
             else:
                 # Frozen copies encode like any publish but do not advance
                 # the delta chain: they alias the current publish version.
@@ -832,7 +822,7 @@ class DistributedRunner:
             self.server.catalog.publish(
                 ServerFile(
                     name=param_file,
-                    payload=VersionedParams(frozen_payload, self._param_publish_count),
+                    payload=frozen_payload,
                     raw_size=self._param_raw_bytes,
                     compressed_size=frozen_wire,
                     sticky=False,

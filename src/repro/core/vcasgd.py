@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..nn.serialization import BLOCK_SIZE
 
 __all__ = [
     "AlphaSchedule",
@@ -140,10 +141,13 @@ def vcasgd_merge(
 
     Vectorized BLAS-1; with ``out=server`` the merge is fully in place
     (the hot path at the parameter server — ~5M scalars per update in the
-    paper's setup).  Passing ``scratch`` (same shape, aliasing nothing)
-    eliminates the last temporary: the merge then allocates nothing at
-    all.  Results are bit-identical either way — the same two multiplies
-    and one add in the same order.
+    paper's setup).  The merge walks the last axis one block
+    (:data:`~repro.nn.serialization.BLOCK_SIZE` columns) at a time, so
+    ``(1−α)·client`` needs only one block of scratch; passing ``scratch``
+    (that long or longer, aliasing nothing) reuses it and the merge then
+    allocates nothing at all.  Results are bit-identical to the whole-array
+    expression — the same two multiplies and one add in the same order,
+    per element.
     """
     if not 0.0 < alpha <= 1.0:
         raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
@@ -153,10 +157,19 @@ def vcasgd_merge(
         )
     if out is None:
         out = np.empty_like(server)
-    np.multiply(server, alpha, out=out)
-    # out += (1 - alpha) * client, without allocating (1-alpha)*client:
-    scaled = np.multiply(client, 1.0 - alpha, out=scratch)
-    out += scaled
+    width = server.shape[-1]
+    if scratch is None:
+        scratch = np.empty(
+            server.shape[:-1] + (min(width, BLOCK_SIZE),),
+            dtype=np.result_type(client, 1.0 - alpha),
+        )
+    for lo in range(0, width, BLOCK_SIZE):
+        cols = slice(lo, lo + BLOCK_SIZE)
+        block = np.multiply(server[..., cols], alpha, out=out[..., cols])
+        # block += (1 - alpha) * client, without allocating (1-alpha)*client:
+        block += np.multiply(
+            client[..., cols], 1.0 - alpha, out=scratch[..., : block.shape[-1]]
+        )
     return out
 
 

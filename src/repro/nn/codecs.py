@@ -193,22 +193,28 @@ class Int8Codec(Codec):
     lossy = True
 
     def encode(self, vec: np.ndarray, layout=None) -> Encoded:
-        from .serialization import compressed_size
+        from .serialization import BLOCK_SIZE, compressed_size
 
         vec = _as_f64(vec)
         segments = _segments(layout, vec.size)
         scales = np.zeros(len(segments))
         codes = np.zeros(vec.size, dtype=np.int8)
+        # ``round(x / scale)`` clipped to ±127, one block at a time through
+        # one scratch buffer: no segment-sized temporaries.
+        work = np.empty(min(vec.size, BLOCK_SIZE))
         for i, (offset, size) in enumerate(segments):
             chunk = vec[offset : offset + size]
-            maxabs = float(np.abs(chunk).max()) if size else 0.0
+            maxabs = float(max(chunk.max(), -chunk.min())) if size else 0.0
             if maxabs == 0.0:
                 continue
             scale = maxabs / 127.0
             scales[i] = scale
-            codes[offset : offset + size] = np.clip(
-                np.round(chunk / scale), -127, 127
-            ).astype(np.int8)
+            for lo in range(offset, offset + size, BLOCK_SIZE):
+                hi = min(lo + BLOCK_SIZE, offset + size)
+                q = np.divide(vec[lo:hi], scale, out=work[: hi - lo])
+                np.round(q, out=q)
+                np.clip(q, -127, 127, out=q)
+                codes[lo:hi] = q
         wire = min(compressed_size(codes), codes.nbytes)
         wire += 4 * len(segments)
         return Encoded(self.name, wire, vec.nbytes, (codes, scales, segments))

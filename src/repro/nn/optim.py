@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
+from .serialization import BLOCK_SIZE
 from .tensor import Tensor
 
 __all__ = [
@@ -126,9 +127,17 @@ class Optimizer:
     layer's :class:`~repro.nn.layers.Parameter`, or a whole run of a
     :class:`~repro.nn.serialization.ParameterArena` (``arena.trainable``),
     in which case one :meth:`_update` call covers every parameter in the
-    run and the moments and scratch are contiguous vectors.  The update
-    arithmetic is elementwise, so both give bit-identical parameters.
+    run and the moments are contiguous vectors.  The update arithmetic is
+    elementwise, so both give bit-identical parameters.
+
+    Moments are full-size; scratch is at most one block of the last axis
+    (:data:`~repro.nn.serialization.BLOCK_SIZE` columns), and every
+    update walks the last axis block by block with the same ops in the
+    same order per element (one pass when it fits in one block).
     """
+
+    #: Scratch buffers :meth:`_update` writes its intermediates into.
+    scratch_buffers = 1
 
     def __init__(self, parameters: Iterable[Tensor], schedule: LRSchedule) -> None:
         self.parameters: Sequence[Tensor] = list(parameters)
@@ -136,11 +145,14 @@ class Optimizer:
             raise ConfigurationError("optimizer got an empty parameter list")
         self.schedule = schedule
         self.step_count = 0
-        # Per-parameter state arrays (moments, scratch), allocated at the
-        # parameter's first update and reused for the optimizer's lifetime.
+        # Per-parameter moments, allocated at the parameter's first update
+        # and reused for the optimizer's lifetime, and the same moments and
+        # scratch cut into per-block views once, so a step slices only the
+        # parameter's own data and grad.
         self._state: list[tuple[np.ndarray, ...] | None] = [None] * len(
             self.parameters
         )
+        self._blocks: list[list[tuple] | None] = [None] * len(self.parameters)
 
     @property
     def lr(self) -> float:
@@ -153,7 +165,8 @@ class Optimizer:
 
     def reset(self) -> None:
         """Return to step 0 with zeroed moments, keeping the allocations —
-        indistinguishable from a freshly constructed optimizer."""
+        indistinguishable from a freshly constructed optimizer (scratch is
+        always written before it is read)."""
         self.step_count = 0
         for state in self._state:
             for array in state or ():
@@ -166,16 +179,45 @@ class Optimizer:
         for i, p in enumerate(self.parameters):
             if p.grad is None:
                 continue
-            state = self._state[i]
-            if state is None:
-                state = self._state[i] = self._new_state(p.data)
-            self._update(p.data, p.grad, state, lr)
+            blocks = self._blocks[i]
+            if blocks is None:
+                blocks = self._blocks[i] = self._allocate(i, p.data)
+            for cols, state, scratch in blocks:
+                self._update(p.data[..., cols], p.grad[..., cols], state, scratch, lr)
+
+    def _allocate(self, i: int, data: np.ndarray) -> list[tuple]:
+        """Allocate parameter ``i``'s moments (full-size) and scratch (one
+        block of columns); return ``(cols, moments, scratch)`` views per
+        block of the last axis."""
+        width = data.shape[-1]
+        state = self._state[i] = self._new_state(data)
+        scratch = tuple(
+            np.empty(data.shape[:-1] + (min(width, BLOCK_SIZE),), dtype=data.dtype)
+            for _ in range(self.scratch_buffers)
+        )
+        blocks = []
+        for lo in range(0, width, BLOCK_SIZE):
+            cols = slice(lo, lo + BLOCK_SIZE)
+            part = slice(0, min(BLOCK_SIZE, width - lo))
+            blocks.append(
+                (
+                    cols,
+                    tuple(m[..., cols] for m in state),
+                    tuple(s[..., part] for s in scratch),
+                )
+            )
+        return blocks
 
     def _new_state(self, data: np.ndarray) -> tuple[np.ndarray, ...]:  # pragma: no cover
         raise NotImplementedError
 
     def _update(
-        self, data: np.ndarray, grad: np.ndarray, state: tuple[np.ndarray, ...], lr: float
+        self,
+        data: np.ndarray,
+        grad: np.ndarray,
+        state: tuple[np.ndarray, ...],
+        scratch: tuple[np.ndarray, ...],
+        lr: float,
     ) -> None:  # pragma: no cover
         raise NotImplementedError
 
@@ -198,25 +240,22 @@ class SGD(Optimizer):
         self.weight_decay = weight_decay
 
     def _new_state(self, data: np.ndarray) -> tuple[np.ndarray, ...]:
-        scratch = np.empty_like(data)
-        return (scratch, np.zeros_like(data)) if self.momentum else (scratch,)
+        return (np.zeros_like(data),) if self.momentum else ()
 
-    def _update(
-        self, data: np.ndarray, grad: np.ndarray, state: tuple[np.ndarray, ...], lr: float
-    ) -> None:
+    def _update(self, data, grad, state, scratch, lr) -> None:
         if self.weight_decay:
             grad = grad + self.weight_decay * data
-        scratch = state[0]
+        (s,) = scratch
         # lr*grad lands in scratch instead of a fresh temporary; same
         # multiply, same subtract, bit-identical result.
-        np.multiply(grad, lr, out=scratch)
+        np.multiply(grad, lr, out=s)
         if self.momentum:
-            v = state[1]
+            (v,) = state
             v *= self.momentum
-            v -= scratch
+            v -= s
             data += v
         else:
-            data -= scratch
+            data -= s
 
 
 class Adam(Optimizer):
@@ -224,6 +263,8 @@ class Adam(Optimizer):
 
     Defaults match the paper: lr=0.001, standard betas, no weight decay.
     """
+
+    scratch_buffers = 2
 
     def __init__(
         self,
@@ -244,17 +285,10 @@ class Adam(Optimizer):
         self.weight_decay = weight_decay
 
     def _new_state(self, data: np.ndarray) -> tuple[np.ndarray, ...]:
-        # First and second moment, then two scratch buffers.
-        return (
-            np.zeros_like(data),
-            np.zeros_like(data),
-            np.empty_like(data),
-            np.empty_like(data),
-        )
+        # First and second moment.
+        return (np.zeros_like(data), np.zeros_like(data))
 
-    def _update(
-        self, data: np.ndarray, grad: np.ndarray, state: tuple[np.ndarray, ...], lr: float
-    ) -> None:
+    def _update(self, data, grad, state, scratch, lr) -> None:
         """One Adam step, fully in place.
 
         Every intermediate lands in one of the two scratch buffers instead
@@ -264,7 +298,8 @@ class Adam(Optimizer):
         """
         if self.weight_decay:
             grad = grad + self.weight_decay * data
-        m, v, s1, s2 = state
+        m, v = state
+        s1, s2 = scratch
         t = self.step_count  # step() already incremented: t >= 1
         m *= self.beta1
         np.multiply(grad, 1 - self.beta1, out=s1)  # (1-beta1)*grad

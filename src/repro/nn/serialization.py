@@ -36,6 +36,7 @@ from .tensor import Tensor
 
 __all__ = [
     "BUFFER_PREFIX",
+    "BLOCK_SIZE",
     "StateLayout",
     "ParameterArena",
     "state_to_bytes",
@@ -62,6 +63,12 @@ __all__ = [
 # State-dict keys of non-trainable buffers (batch-norm running statistics)
 # carry this prefix; they occupy layout slots but never receive gradients.
 BUFFER_PREFIX = "buffer:"
+
+# Columns per block of the blocked elementwise passes over parameter
+# vectors (optimizer updates, the VC-ASGD merge, int8 quantization): their
+# scratch holds one block, not one model.  2**16 float64 scalars are
+# 512 KiB.
+BLOCK_SIZE = 1 << 16
 
 
 def _as_f64_contiguous(value: np.ndarray) -> np.ndarray:
@@ -334,10 +341,11 @@ def compressed_size(payload: bytes | np.ndarray) -> int:
     Results are memoised by content checksum (bounded LRU, so
     million-publish fleet runs cannot grow it without limit), so repeated
     queries for the same payload skip the (expensive) compression pass.
+    An array is hashed and compressed through its own buffer, so it shares
+    its memo entry with its ``tobytes()``.
     """
     if isinstance(payload, np.ndarray):
-        arr = payload if payload.flags["C_CONTIGUOUS"] else np.ascontiguousarray(payload)
-        payload = arr.tobytes()
+        payload = np.ascontiguousarray(payload)
     key = hashlib.blake2b(payload, digest_size=16).digest()
     cached = _COMPRESSED_SIZE_CACHE.get(key)
     if cached is not None:

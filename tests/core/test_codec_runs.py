@@ -21,6 +21,7 @@ import pytest
 from repro.core import DistributedRunner, make_rule
 from repro.core.checkpoint import Checkpoint
 from repro.errors import ConfigurationError
+from repro.nn.models import ModelSpec
 
 from .test_runner import tiny_config
 
@@ -30,6 +31,33 @@ GOLDEN_NONE_VCASGD = (
 GOLDEN_NONE_DOWNPOUR = (
     "3a96ad63bad955afecd268e2a05a0f1b279c9759151c0a062a7ce07e33050c89"
 )
+# Lossy-codec pins, captured before parameter files were kept in their
+# encoded form and before the optimizer/merge/encoder scratch became
+# block-sized.  The int8 model (74 k scalars) is wider than one block, so
+# it drives the blocked Adam, merge and quantizer loops end to end.
+WIDE_MLP = ModelSpec("mlp", {"in_features": 48, "hidden": [1400], "num_classes": 4})
+GOLDEN_LOSSY = {
+    "int8_wide": (
+        dict(codec="int8", model=WIDE_MLP),
+        "c26df9a86ae89b875184e42d92b40a7cd8b2c77924b46f2c1d79496d062fa940",
+    ),
+    "fp16": (
+        dict(codec="fp16"),
+        "9ee43626211d540e94dab34d3131c3afa91d21f10d9fd78458baaa7a733fe8a8",
+    ),
+    "topk_int8_downpour": (
+        dict(
+            codec="topk",
+            codec_quant="int8",
+            update_rule=make_rule("downpour", server_lr=0.05),
+        ),
+        "6c6e75642f5652c2c128a06382da4e8c7dbfcbd639fe448b56166bb8ec713281",
+    ),
+    "fp16_replicated": (
+        dict(num_clients=3, codec="fp16", replicas=2, quorum=2),
+        "a9c50364860069afd8acfcf94c97dd56fae3883bb11563ffe8a39a8db77fdc6f",
+    ),
+}
 
 CODEC_COUNTERS = (
     "codec_publishes",
@@ -71,6 +99,16 @@ class TestCodecNoneBitExact:
             num_clients=3, update_rule=make_rule("downpour", server_lr=0.05)
         )
         assert run_digest(config) == GOLDEN_NONE_DOWNPOUR
+
+
+class TestLossyCodecGolden:
+    """Error feedback on (one replica) except in the replicated run, where
+    the plane turns it off."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_LOSSY))
+    def test_matches_golden(self, name):
+        overrides, golden = GOLDEN_LOSSY[name]
+        assert run_digest(tiny_config(**overrides)) == golden
 
 
 class TestCodecRuns:

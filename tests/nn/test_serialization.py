@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SerializationError
+from repro.nn import serialization
 from repro.nn.models import ModelSpec, build_model
 from repro.nn.serialization import (
     StateLayout,
     compressed_size,
+    compressed_size_cache_stats,
     state_checksum,
     state_from_bytes,
     state_num_scalars,
@@ -122,6 +126,28 @@ class TestCompressedSize:
 
     def test_accepts_bytes(self):
         assert compressed_size(b"a" * 1000) < 100
+
+    def test_array_and_its_bytes_share_one_memo_entry(self, rng):
+        arr = rng.normal(size=(37, 11)).astype(np.float16)
+        entries = len(serialization._COMPRESSED_SIZE_CACHE)
+        hits, misses = compressed_size_cache_stats()
+        size = compressed_size(arr)
+        assert size == len(zlib.compress(arr.tobytes(), serialization._ZLIB_LEVEL))
+        assert compressed_size(arr.tobytes()) == size
+        assert compressed_size_cache_stats() == (hits + 1, misses + 1)
+        assert len(serialization._COMPRESSED_SIZE_CACHE) == min(
+            entries + 1, serialization._COMPRESSED_SIZE_CACHE_MAX
+        )
+
+    def test_strided_array_prices_as_its_contiguous_copy(self, rng):
+        base = rng.normal(size=(20, 30))
+        strided = base[:, ::3]
+        assert not strided.flags["C_CONTIGUOUS"]
+        hits, misses = compressed_size_cache_stats()
+        size = compressed_size(strided)
+        assert compressed_size(np.ascontiguousarray(strided)) == size
+        assert compressed_size(strided.tobytes()) == size
+        assert compressed_size_cache_stats() == (hits + 2, misses + 1)
 
 
 @settings(max_examples=20, deadline=None)
