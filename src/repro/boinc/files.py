@@ -53,7 +53,10 @@ class ServerFile:
     ``compressed_size`` may be :data:`ServerFile.AUTO`, in which case the
     catalogue measures the payload's real zlib size exactly once at
     registration (memoised by content, so republishing an identical
-    payload never re-compresses).
+    payload never re-compresses).  It may also be a pending size — an
+    object whose ``resolve()`` returns the int (the codec plane prices
+    published parameter files on a pricing thread): the first
+    :meth:`wire_size` read resolves it and keeps the int.
     """
 
     AUTO = "auto"
@@ -61,7 +64,7 @@ class ServerFile:
     name: str
     payload: object
     raw_size: int
-    compressed_size: int | str | None = None
+    compressed_size: object = None
     sticky: bool = False
     compressible: bool = True
 
@@ -79,6 +82,8 @@ class ServerFile:
                     f"file {self.name!r} has an unresolved AUTO compressed "
                     "size; publish it through a FileCatalog first"
                 )
+            if hasattr(self.compressed_size, "resolve"):
+                self.compressed_size = self.compressed_size.resolve()
             return int(self.compressed_size)
         return self.raw_size
 

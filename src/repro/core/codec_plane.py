@@ -9,7 +9,11 @@ one run:
   file rests in its wire form (:class:`VersionedParams`): each client
   decodes its own copy when it trains, so quantization error affects
   real training (simulation honesty) while the server holds one encoded
-  record per live version, not one float64 vector;
+  record per live version, not one float64 vector.  Inside
+  ``DistributedRunner.run()`` the zlib pass that prices a publish runs
+  on one pricing thread, overlapping the simulation thread's NumPy
+  work; the size is a :class:`PendingPrice` until something first
+  reads it (see :meth:`ParamCodecPlane.start_pricing`);
 * **download path** — the delta codec keeps a bounded window of
   version-to-version XOR sizes; a client whose sticky cache records the
   last parameter version it fetched is charged only the chain of deltas
@@ -28,7 +32,11 @@ one run:
   bit-identical decoded payloads to reach quorum.
 
 Determinism contract: every counter is an integer derived from encoded
-content, never from timing.  The ``encode_cpu_s``/``decode_cpu_s``
+content, never from timing.  A pending price resolves only at points the
+simulation fixes (a file's first size read, an epoch boundary,
+:meth:`ParamCodecPlane.counters`), never when the thread happens to
+finish, so its counter increment and its ``net.encode`` record land at
+the same place on every run.  The ``encode_cpu_s``/``decode_cpu_s``
 attributes are host wall-clock attributions for benchmarks and obs
 metrics only — they must never reach ``RunResult.counters``, trace
 fields, or any digested artifact.
@@ -38,19 +46,23 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from ..nn.codecs import Encoded, TopKCodec, ZlibCodec, make_codec
+from ..nn.codecs import Encoded, TopKCodec, ZlibCodec, make_codec, wire_nbytes
+from ..nn.serialization import _deflated_size, compressed_size
 from .rules import ClientUpdate
 
-__all__ = ["ParamCodecPlane", "EncodedUpdate", "VersionedParams"]
+__all__ = ["ParamCodecPlane", "EncodedUpdate", "PendingPrice", "VersionedParams"]
 
 # Versions retained in the delta-size window; older chains fall back to
-# the full transfer.  One entry per publish: an int, so the window is
-# tiny regardless of model size.
+# the full transfer.  One entry per publish: an int (or a pending price
+# that holds none of the vectors), so the window is tiny regardless of
+# model size.
 DELTA_WINDOW = 64
 # Floor charged for a delta download whose chain is empty (client already
 # holds the published version): headers still cross the wire.
@@ -93,6 +105,36 @@ class VersionedParams:
         if self.decoder is None:
             return int(self.content.nbytes)
         return int(self.content.raw_nbytes)
+
+
+def _timed_deflate(body: np.ndarray) -> tuple[int, float]:
+    """Pricing-thread task: the body's zlib size and the CPU seconds it
+    took on this thread (time spent waiting for the GIL excluded)."""
+    t0 = time.thread_time()
+    return _deflated_size(body), time.thread_time() - t0
+
+
+class PendingPrice:
+    """Wire size of a published file while the pricing thread deflates it.
+
+    :meth:`resolve` waits for the deflate once and hands it to ``finish``
+    (the plane's bookkeeping), which returns the wire size; later calls
+    return the same int.  ``ServerFile`` sizes and the delta window hold
+    these until their first read.
+    """
+
+    __slots__ = ("_future", "_finish", "value")
+
+    def __init__(self, future: Future, finish: Callable[[int, float], int]) -> None:
+        self._future = future
+        self._finish = finish
+        self.value: int | None = None
+
+    def resolve(self) -> int:
+        if self.value is None:
+            self.value = self._finish(*self._future.result())
+            self._future = self._finish = None
+        return self.value
 
 
 class EncodedUpdate:
@@ -160,7 +202,11 @@ class ParamCodecPlane:
         # Delta bookkeeping: the previous published vector and the wire
         # size of each version's XOR step against its predecessor.
         self._last_published: np.ndarray | None = None
-        self._delta_window: "OrderedDict[int, int]" = OrderedDict()
+        self._delta_window: "OrderedDict[int, int | PendingPrice]" = OrderedDict()
+        # The pricing thread (only between start_pricing and stop_pricing)
+        # and the prices it has not had read yet, oldest first.
+        self._pricing: ThreadPoolExecutor | None = None
+        self._pending: list[PendingPrice] = []
         # Per-client error-feedback residuals (flat vectors).
         self._residuals: dict[str, np.ndarray] = {}
         # Integer counters — deterministic, safe for RunResult.counters.
@@ -181,7 +227,7 @@ class ParamCodecPlane:
 
     def encode_publish(
         self, vec: np.ndarray, version: int, frozen: bool = False
-    ) -> tuple[VersionedParams, int]:
+    ) -> tuple[VersionedParams, "int | PendingPrice"]:
         """Encode one published parameter file.
 
         Returns ``(payload, wire_bytes)``: the file's payload — the
@@ -190,42 +236,108 @@ class ParamCodecPlane:
         per-client chain price is computed at download time).  Frozen
         per-epoch replica copies are encoded identically but do not
         advance the delta chain (they alias the current version).
+
+        While the pricing thread runs, the wire size (and a delta step's
+        size) is a :class:`PendingPrice`; the publish's wire-byte counter
+        and ``net.encode`` record wait for its resolution.
         """
         t0 = time.perf_counter()
+        raw = int(vec.nbytes)
         if self._delta:
             if not frozen:
                 if self._last_published is not None:
-                    step = self.down_codec.encode(
+                    step, body = self.down_codec.encode_unpriced(
                         vec, self.layout, reference=self._last_published
                     )
-                    self._delta_window[version] = step.nbytes
+                    self._delta_window[version] = self._price(step, body)
                     while len(self._delta_window) > DELTA_WINDOW:
                         self._delta_window.popitem(last=False)
                 self._last_published = vec.copy()
-            full = self._zlib.encode(vec)
-            payload, wire = VersionedParams(vec, version), full.nbytes
+            encoded, body = self._zlib.encode_unpriced(vec)
+            payload = VersionedParams(vec, version)
         else:
-            enc = self.down_codec.encode(vec, self.layout)
-            wire = enc.nbytes
+            encoded, body = self.down_codec.encode_unpriced(vec, self.layout)
             if self.down_codec.lossy:
-                payload = VersionedParams(enc, version, self._decode_download)
+                payload = VersionedParams(encoded, version, self._decode_download)
             else:
                 payload = VersionedParams(vec, version)
+        wire = self._price(encoded, body, version, raw)
         self.encode_cpu_s += time.perf_counter() - t0
         self.publishes += 1
-        self.publish_raw_bytes += int(vec.nbytes)
-        self.publish_wire_bytes += int(wire)
-        if self.trace is not None:
-            self.trace.emit(
-                self.now(),
-                "net.encode",
-                direction="down",
-                codec=self.name,
-                version=version,
-                raw=int(vec.nbytes),
-                wire=int(wire),
-            )
-        return payload, int(wire)
+        self.publish_raw_bytes += raw
+        return payload, wire
+
+    # -- publish pricing ---------------------------------------------------
+
+    def _price(
+        self,
+        unpriced: Encoded,
+        body: np.ndarray,
+        version: int | None = None,
+        raw: int = 0,
+    ) -> "int | PendingPrice":
+        """Wire size of an unpriced record: deflated on the pricing thread
+        while it runs, else here.  ``version`` marks a whole published
+        file, which is counted and traced once priced."""
+        finish = partial(self._priced, unpriced.nbytes, body.nbytes, version, raw)
+        if self._pricing is None:
+            return finish(compressed_size(body), 0.0)
+        price = PendingPrice(self._pricing.submit(_timed_deflate, body), finish)
+        self._pending.append(price)
+        return price
+
+    def _priced(
+        self,
+        unpriced_nbytes: int,
+        body_nbytes: int,
+        version: int | None,
+        raw: int,
+        deflated: int,
+        seconds: float,
+    ) -> int:
+        wire = wire_nbytes(unpriced_nbytes, body_nbytes, deflated)
+        self.encode_cpu_s += seconds
+        if version is not None:
+            self.publish_wire_bytes += wire
+            if self.trace is not None:
+                self.trace.emit(
+                    self.now(),
+                    "net.encode",
+                    direction="down",
+                    codec=self.name,
+                    version=version,
+                    raw=raw,
+                    wire=wire,
+                )
+        return wire
+
+    def start_pricing(self) -> None:
+        """Deflate publishes on one pricing thread from now on.
+
+        ``DistributedRunner.run`` brackets itself with this and
+        :meth:`stop_pricing`, so the thread never outlives a run (sweeps
+        fork between runs).  The thread calls only the private memo
+        function behind ``compressed_size``, never a public codec or
+        serialization callable.
+        """
+        self._pricing = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-pricing"
+        )
+
+    def settle(self) -> None:
+        """Resolve every pending price, oldest first (epoch boundaries,
+        :meth:`counters`)."""
+        pending, self._pending = self._pending, []
+        for price in pending:
+            price.resolve()
+
+    def stop_pricing(self) -> None:
+        """Join the pricing thread and settle what it priced; publishes
+        price inline again."""
+        pricing, self._pricing = self._pricing, None
+        if pricing is not None:
+            pricing.shutdown(wait=True)
+        self.settle()
 
     def _decode_download(self, enc: Encoded) -> np.ndarray:
         """A client decodes its downloaded copy of a lossy parameter file."""
@@ -247,7 +359,7 @@ class ParamCodecPlane:
         version = getattr(file.payload, "version", None)
         if version is None:
             return None  # shards, model specs: not parameter files
-        full = int(file.compressed_size)
+        full = file.wire_size(compression_enabled=True)
         base = getattr(cache, "param_version", None) if cache is not None else None
         if base is None:
             self.delta_full_downloads += 1
@@ -259,7 +371,7 @@ class ParamCodecPlane:
             if step is None:
                 self.delta_full_downloads += 1
                 return full
-            chain += step
+            chain += step if isinstance(step, int) else step.resolve()
         self.delta_chain_downloads += 1
         return min(max(chain, DELTA_MIN_WIRE), full)
 
@@ -416,6 +528,7 @@ class ParamCodecPlane:
 
     def counters(self) -> dict[str, int]:
         """Deterministic integer counters for ``RunResult.counters``."""
+        self.settle()
         out = {
             "codec_publishes": self.publishes,
             "codec_publish_raw_bytes": self.publish_raw_bytes,

@@ -100,6 +100,10 @@ class UpdateRule:
     #: Whether :meth:`apply` reads ``update.gradient``.  Clients only pay
     #: for gradient accumulation when the job's rule needs it.
     uses_gradient: bool = False
+    #: Whether :meth:`snapshot_sent` keeps the vector it is handed.  A
+    #: lossy publish decodes a copy only for a rule that does; the others
+    #: are handed the undecoded server vector.
+    keeps_snapshots: bool = False
 
     def apply(self, server: np.ndarray, update: ClientUpdate, epoch: int) -> np.ndarray:
         """Return the new server vector after absorbing one client update.
@@ -345,6 +349,7 @@ class DCASGDRule(UpdateRule):
     fault_tolerant: bool = True
     uses_gradient: bool = True
     _backups: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    keeps_snapshots = True
 
     def __post_init__(self) -> None:
         if self.server_lr <= 0 or self.lam < 0:

@@ -713,13 +713,17 @@ class DistributedRunner:
             payload = VersionedParams(vec, self._param_publish_count)
             wire = self._param_wire_bytes
         else:
-            # A lossy file rests encoded and decodes on every use, so
-            # staleness snapshots and every client see exactly the
-            # downloaded bytes.
+            # A lossy file rests encoded and decodes on every use, so a
+            # kept snapshot and every client see exactly the downloaded
+            # bytes.
             payload, wire = self._codec_plane.encode_publish(
                 vec, self._param_publish_count
             )
-        self.rule.snapshot_sent(self._param_publish_count, payload.decode_params())
+        # Only a rule that keeps the snapshot pays for decoding it.
+        self.rule.snapshot_sent(
+            self._param_publish_count,
+            payload.decode_params() if self.rule.keeps_snapshots else vec,
+        )
         self.server.catalog.publish(
             ServerFile(
                 name=PARAM_FILE,
@@ -959,12 +963,20 @@ class DistributedRunner:
         return record
 
     def run(self) -> RunResult:
-        """Execute the full training job; returns the per-epoch results."""
+        """Execute the full training job; returns the per-epoch results.
+
+        With a codec, publishes are priced on the plane's pricing thread
+        for the duration of this call only.
+        """
+        if self._codec_plane is not None:
+            self._codec_plane.start_pricing()
         try:
             return self._run()
         finally:
             if self._dispatcher is not None:
                 self._dispatcher.shutdown()
+            if self._codec_plane is not None:
+                self._codec_plane.stop_pricing()
 
     def _run(self) -> RunResult:
         config = self.config
@@ -983,6 +995,8 @@ class DistributedRunner:
                 continue
             if self._barrier_blocked():
                 continue
+            if self._codec_plane is not None:
+                self._codec_plane.settle()
             record = self._record_epoch()
             self.result.append(record)
             if self._chaos is not None and self._chaos.ps_crashes:

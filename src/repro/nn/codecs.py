@@ -39,7 +39,7 @@ Wire-format accounting (simulated; payloads travel by reference):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "CODEC_NAMES",
     "VALUE_QUANTS",
     "Encoded",
+    "wire_nbytes",
     "Codec",
     "ZlibCodec",
     "Fp16Codec",
@@ -95,7 +96,9 @@ class Encoded:
 
     ``data`` is codec-specific and travels by reference (the simulation
     never serializes payloads — see DESIGN.md §5); ``nbytes`` is what the
-    transfer model charges for.
+    transfer model charges for.  A record from :meth:`Codec.encode_unpriced`
+    has not been through zlib yet: its ``nbytes`` is the uncompressed
+    wire form, the file as it rests on the server.
     """
 
     codec: str
@@ -104,13 +107,41 @@ class Encoded:
     data: object
 
 
+def wire_nbytes(unpriced_nbytes: int, body_nbytes: int, deflated: int) -> int:
+    """Wire size of an unpriced record (``unpriced_nbytes``) whose body
+    (``body_nbytes`` of them) deflates to ``deflated`` bytes: the body
+    crosses the wire zlib'd, or raw when zlib would not shrink it; the
+    rest of the record is fixed-size."""
+    return unpriced_nbytes - max(0, body_nbytes - deflated)
+
+
 class Codec:
     """Deterministic, stateless encoder/decoder for flat float64 vectors."""
 
     name: str = "base"
     lossy: bool = False
 
-    def encode(self, vec: np.ndarray, layout=None) -> Encoded:
+    def encode(self, vec: np.ndarray, layout=None, **options) -> Encoded:
+        """Encode ``vec`` and price it: ``nbytes`` is the wire size."""
+        from .serialization import compressed_size
+
+        encoded, body = self.encode_unpriced(vec, layout, **options)
+        if body is None:
+            return encoded
+        wire = wire_nbytes(encoded.nbytes, body.nbytes, compressed_size(body))
+        return replace(encoded, nbytes=wire)
+
+    def encode_unpriced(
+        self, vec: np.ndarray, layout=None
+    ) -> tuple[Encoded, np.ndarray | None]:
+        """Encode ``vec`` without running zlib.
+
+        Returns ``(record, body)``: the decodable record, whose ``nbytes``
+        is the uncompressed wire form, and the array the wire prices
+        through zlib (None when the format is fixed-size).
+        :func:`wire_nbytes` turns the body's deflated size into the wire
+        size :meth:`encode` reports.
+        """
         raise NotImplementedError
 
     def decode(self, encoded: Encoded) -> np.ndarray:
@@ -140,12 +171,9 @@ class ZlibCodec(Codec):
     name = "zlib"
     lossy = False
 
-    def encode(self, vec: np.ndarray, layout=None) -> Encoded:
-        from .serialization import compressed_size
-
+    def encode_unpriced(self, vec: np.ndarray, layout=None):
         vec = _as_f64(vec)
-        wire = min(compressed_size(vec), vec.nbytes)
-        return Encoded(self.name, wire, vec.nbytes, vec)
+        return Encoded(self.name, vec.nbytes, vec.nbytes, vec), vec
 
     def decode(self, encoded: Encoded) -> np.ndarray:
         return encoded.data
@@ -162,13 +190,10 @@ class Fp16Codec(Codec):
     name = "fp16"
     lossy = True
 
-    def encode(self, vec: np.ndarray, layout=None) -> Encoded:
-        from .serialization import compressed_size
-
+    def encode_unpriced(self, vec: np.ndarray, layout=None):
         vec = _as_f64(vec)
         q = np.clip(vec, -_FP16_MAX, _FP16_MAX).astype(np.float16)
-        wire = min(compressed_size(q), q.nbytes)
-        return Encoded(self.name, wire, vec.nbytes, q)
+        return Encoded(self.name, q.nbytes, vec.nbytes, q), q
 
     def decode(self, encoded: Encoded) -> np.ndarray:
         return encoded.data.astype(np.float64)
@@ -192,8 +217,8 @@ class Int8Codec(Codec):
     name = "int8"
     lossy = True
 
-    def encode(self, vec: np.ndarray, layout=None) -> Encoded:
-        from .serialization import BLOCK_SIZE, compressed_size
+    def encode_unpriced(self, vec: np.ndarray, layout=None):
+        from .serialization import BLOCK_SIZE
 
         vec = _as_f64(vec)
         segments = _segments(layout, vec.size)
@@ -215,9 +240,9 @@ class Int8Codec(Codec):
                 np.round(q, out=q)
                 np.clip(q, -127, 127, out=q)
                 codes[lo:hi] = q
-        wire = min(compressed_size(codes), codes.nbytes)
-        wire += 4 * len(segments)
-        return Encoded(self.name, wire, vec.nbytes, (codes, scales, segments))
+        wire = codes.nbytes + 4 * len(segments)
+        data = (codes, scales, segments)
+        return Encoded(self.name, wire, vec.nbytes, data), codes
 
     def decode(self, encoded: Encoded) -> np.ndarray:
         codes, scales, segments = encoded.data
@@ -266,7 +291,7 @@ class TopKCodec(Codec):
     def _k(self, n: int) -> int:
         return max(1, min(n, int(math.ceil(self.fraction * n))))
 
-    def encode(self, vec: np.ndarray, layout=None) -> Encoded:
+    def encode_unpriced(self, vec: np.ndarray, layout=None):
         vec = _as_f64(vec)
         k = self._k(vec.size)
         idx = np.argsort(-np.abs(vec), kind="stable")[:k]
@@ -295,7 +320,7 @@ class TopKCodec(Codec):
             decoded = values.astype(np.float32).astype(np.float64)
             value_bytes = 4
         wire = k * (4 + value_bytes) + 16
-        return Encoded(self.name, wire, vec.nbytes, (vec.size, idx, decoded))
+        return Encoded(self.name, wire, vec.nbytes, (vec.size, idx, decoded)), None
 
     def decode(self, encoded: Encoded) -> np.ndarray:
         n, idx, decoded = encoded.data
@@ -323,24 +348,18 @@ class DeltaCodec(Codec):
     name = "delta"
     lossy = False
 
-    def __init__(self) -> None:
-        self._zlib = ZlibCodec()
-
-    def encode(self, vec: np.ndarray, layout=None, reference=None) -> Encoded:
-        from .serialization import compressed_size
-
+    def encode_unpriced(self, vec: np.ndarray, layout=None, reference=None):
         vec = _as_f64(vec)
         if reference is None:
-            base = self._zlib.encode(vec)
-            return Encoded(self.name, base.nbytes, base.raw_nbytes, vec)
-        reference = _as_f64(reference)
-        if reference.size != vec.size:
-            raise SerializationError(
-                f"delta reference has {reference.size} scalars, vector {vec.size}"
-            )
-        xor = np.bitwise_xor(vec.view(np.uint64), reference.view(np.uint64))
-        wire = min(compressed_size(xor), vec.nbytes)
-        return Encoded(self.name, wire, vec.nbytes, vec)
+            body = vec
+        else:
+            reference = _as_f64(reference)
+            if reference.size != vec.size:
+                raise SerializationError(
+                    f"delta reference has {reference.size} scalars, vector {vec.size}"
+                )
+            body = np.bitwise_xor(vec.view(np.uint64), reference.view(np.uint64))
+        return Encoded(self.name, vec.nbytes, vec.nbytes, vec), body
 
     def decode(self, encoded: Encoded) -> np.ndarray:
         return encoded.data

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import threading
 import zlib
 from collections import OrderedDict
 from itertools import groupby
@@ -331,6 +332,35 @@ _COMPRESSED_SIZE_CACHE_MAX = 256
 # across runs in one process, so putting these in RunResult.counters
 # would break repeat-run determinism.
 _COMPRESSED_SIZE_CACHE_STATS = {"hits": 0, "misses": 0}
+# Guards the memo and its tallies: the codec plane's pricing thread
+# deflates published files while the simulation thread prices uploads.
+# Never held across the zlib pass, so the two deflates overlap.
+_COMPRESSED_SIZE_LOCK = threading.Lock()
+
+
+def _deflated_size(payload: bytes | np.ndarray) -> int:
+    """Memoised zlib size of ``payload``; safe to call from any thread.
+
+    The body of :func:`compressed_size`.  Code running off the simulation
+    thread calls this name, never the public one, so wrappers installed
+    around ``compressed_size`` only ever see the simulation thread.
+    """
+    if isinstance(payload, np.ndarray):
+        payload = np.ascontiguousarray(payload)
+    key = hashlib.blake2b(payload, digest_size=16).digest()
+    with _COMPRESSED_SIZE_LOCK:
+        cached = _COMPRESSED_SIZE_CACHE.get(key)
+        if cached is not None:
+            _COMPRESSED_SIZE_CACHE.move_to_end(key)
+            _COMPRESSED_SIZE_CACHE_STATS["hits"] += 1
+            return cached
+        _COMPRESSED_SIZE_CACHE_STATS["misses"] += 1
+    size = len(zlib.compress(payload, _ZLIB_LEVEL))
+    with _COMPRESSED_SIZE_LOCK:
+        _COMPRESSED_SIZE_CACHE[key] = size
+        while len(_COMPRESSED_SIZE_CACHE) > _COMPRESSED_SIZE_CACHE_MAX:
+            _COMPRESSED_SIZE_CACHE.popitem(last=False)
+    return size
 
 
 def compressed_size(payload: bytes | np.ndarray) -> int:
@@ -344,28 +374,16 @@ def compressed_size(payload: bytes | np.ndarray) -> int:
     An array is hashed and compressed through its own buffer, so it shares
     its memo entry with its ``tobytes()``.
     """
-    if isinstance(payload, np.ndarray):
-        payload = np.ascontiguousarray(payload)
-    key = hashlib.blake2b(payload, digest_size=16).digest()
-    cached = _COMPRESSED_SIZE_CACHE.get(key)
-    if cached is not None:
-        _COMPRESSED_SIZE_CACHE.move_to_end(key)
-        _COMPRESSED_SIZE_CACHE_STATS["hits"] += 1
-        return cached
-    _COMPRESSED_SIZE_CACHE_STATS["misses"] += 1
-    size = len(zlib.compress(payload, _ZLIB_LEVEL))
-    _COMPRESSED_SIZE_CACHE[key] = size
-    while len(_COMPRESSED_SIZE_CACHE) > _COMPRESSED_SIZE_CACHE_MAX:
-        _COMPRESSED_SIZE_CACHE.popitem(last=False)
-    return size
+    return _deflated_size(payload)
 
 
 def compressed_size_cache_stats() -> tuple[int, int]:
     """(hits, misses) of the process-global ``compressed_size`` memo."""
-    return (
-        _COMPRESSED_SIZE_CACHE_STATS["hits"],
-        _COMPRESSED_SIZE_CACHE_STATS["misses"],
-    )
+    with _COMPRESSED_SIZE_LOCK:
+        return (
+            _COMPRESSED_SIZE_CACHE_STATS["hits"],
+            _COMPRESSED_SIZE_CACHE_STATS["misses"],
+        )
 
 
 # Codec plane (ROADMAP "first-class codecs in repro.nn.serialization").

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import zlib
 
 import numpy as np
@@ -148,6 +150,86 @@ class TestCompressedSize:
         assert compressed_size(np.ascontiguousarray(strided)) == size
         assert compressed_size(strided.tobytes()) == size
         assert compressed_size_cache_stats() == (hits + 2, misses + 1)
+
+    def test_memo_holds_under_two_threads(self, rng):
+        # The pricing thread and the simulation thread share the memo.
+        # More threads than cores hammer an overlapping set of payloads,
+        # with a short switch interval, on a set larger than the memo so
+        # it also evicts under load.
+        sizes = rng.integers(20, 2000, size=serialization._COMPRESSED_SIZE_CACHE_MAX + 40)
+        payloads = [
+            rng.integers(0, 4, size=int(n)).astype(np.int8).tobytes() for n in sizes
+        ]
+        expected = [len(zlib.compress(p, serialization._ZLIB_LEVEL)) for p in payloads]
+        calls_per_thread = 3 * len(payloads)
+        strides = (1, 7, 11, 13)
+        hits, misses = compressed_size_cache_stats()
+        wrong: list = []
+        start = threading.Barrier(len(strides))
+
+        def hammer(stride: int) -> None:
+            start.wait()
+            for i in range(calls_per_thread):
+                j = (i * stride) % len(payloads)
+                try:
+                    if serialization._deflated_size(payloads[j]) != expected[j]:
+                        wrong.append(j)
+                except Exception as exc:  # a thread's error fails the test
+                    wrong.append(repr(exc))
+
+        threads = [threading.Thread(target=hammer, args=(s,)) for s in strides]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        new_hits, new_misses = compressed_size_cache_stats()
+        calls = len(strides) * calls_per_thread
+        assert (new_hits - hits) + (new_misses - misses) == calls
+        assert len(serialization._COMPRESSED_SIZE_CACHE) <= (
+            serialization._COMPRESSED_SIZE_CACHE_MAX
+        )
+
+    def test_memo_is_locked_and_zlib_is_not(self, rng, monkeypatch):
+        # Every memo access holds the lock; the zlib pass never does, so
+        # a deflate on one thread does not stall the other's memo hits.
+        lock = serialization._COMPRESSED_SIZE_LOCK
+        unlocked: list[str] = []
+
+        def check(what: str, held: bool) -> None:
+            if lock.locked() != held:
+                unlocked.append(what)
+
+        class GuardedMemo(type(serialization._COMPRESSED_SIZE_CACHE)):
+            def get(self, key, default=None):
+                check("get", True)
+                return super().get(key, default)
+
+            def __setitem__(self, key, value):
+                check("set", True)
+                super().__setitem__(key, value)
+
+            def move_to_end(self, key, last=True):
+                check("move_to_end", True)
+                super().move_to_end(key, last)
+
+        deflate = zlib.compress
+
+        def compress(data, level):
+            check("zlib", False)
+            return deflate(data, level)
+
+        monkeypatch.setattr(serialization, "_COMPRESSED_SIZE_CACHE", GuardedMemo())
+        monkeypatch.setattr(serialization.zlib, "compress", compress)
+        payload = rng.integers(0, 4, size=5000).astype(np.int8)
+        assert compressed_size(payload) == compressed_size(payload.tobytes())
+        assert not unlocked
 
 
 @settings(max_examples=20, deadline=None)
