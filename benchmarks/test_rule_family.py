@@ -21,6 +21,8 @@ volunteer churn of §II-A.  Asserted:
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.analysis import render_table
 from repro.core import FaultConfig, TrainingJobConfig, VarAlpha, make_rule, run_experiment
 
@@ -65,7 +67,7 @@ def test_rule_family_race(benchmark):
         out = {}
         for display, name, kwargs in RULES:
             rule = None if name == "vcasgd" else make_rule(name, **kwargs)
-            out[display] = run_experiment(base.with_rule(rule))
+            out[display] = run_experiment(dataclasses.replace(base, update_rule=rule))
         return out
 
     runs = run_once(benchmark, race)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 from typing import Sequence
 
 from .analysis import (
@@ -48,7 +49,6 @@ from .core import (
 from .core.baselines import run_single_instance
 from .errors import ConfigurationError
 from .core.checkpoint import load_checkpoint, save_checkpoint
-from .nn.codecs import CODEC_NAMES, VALUE_QUANTS
 from .core.runner import DistributedRunner
 from .obs import (
     ObservabilityConfig,
@@ -78,61 +78,108 @@ from .simulation.chaos import (
 __all__ = ["main", "build_parser"]
 
 
+# The config fields each job command exposes as flags (None: every field
+# of TrainingJobConfig that declares one), and the command's own defaults.
+_PCT = ("num_param_servers", "num_clients", "max_concurrent_subtasks")
+_JOB_COMMANDS = {
+    "run": (None, {"num_param_servers": 3, "max_epochs": 10}),
+    "sweep": (("max_epochs", "num_shards", "seed"), {"max_epochs": 5, "num_shards": 25}),
+    "single": (("max_epochs", "seed", "target_accuracy"), {"max_epochs": 10}),
+    "alpha-study": (
+        (*_PCT, "max_epochs"),
+        {"num_param_servers": 3, "max_concurrent_subtasks": 4, "max_epochs": 12},
+    ),
+}
+# Sweep axes and their defaults: each flag takes a comma list of values.
+_SWEEP_AXES = {
+    "num_param_servers": "1,3",
+    "num_clients": "3",
+    "max_concurrent_subtasks": "2,4",
+    "codec": None,
+}
+
+
+def _flag_fields(cls, names=None) -> list[dataclasses.Field]:
+    """The fields of ``cls`` that declare a command-line flag, in field order."""
+    return [
+        f
+        for f in dataclasses.fields(cls)
+        if "flags" in f.metadata and (names is None or f.name in names)
+    ]
+
+
+def _dest(f: dataclasses.Field) -> str:
+    """The argparse dest of a field's flag (from its first, long, name)."""
+    return f.metadata["flags"][0].lstrip("-").replace("-", "_")
+
+
+def _value_type(cls, f: dataclasses.Field) -> type:
+    """The scalar type of a field, without its ``| None``."""
+    hint = typing.get_type_hints(cls)[f.name]
+    (kind,) = [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
+    return kind
+
+
+def _add_field_flags(parser, cls, names=None, defaults=None) -> None:
+    """One flag per field of ``cls`` that declares one, typed by the field."""
+    groups = {None: parser}
+    for f in _flag_fields(cls, names):
+        options = dict(f.metadata)
+        flags, title = options.pop("flags"), options.pop("group", None)
+        if title not in groups:
+            groups[title] = parser.add_argument_group(title)
+        kind = _value_type(cls, f)
+        if kind is bool:
+            options["action"] = "store_true"
+        else:
+            options["type"] = None if kind is str else kind
+            options["default"] = (defaults or {}).get(f.name, f.default)
+        groups[title].add_argument(*flags, **options)
+
+
+def _from_args(cls, args: argparse.Namespace, names=None, **values):
+    """``cls`` built from the flags :func:`_add_field_flags` added, plus ``values``."""
+    for f in _flag_fields(cls, names):
+        values.setdefault(f.name, getattr(args, _dest(f)))
+    return cls(**values)
+
+
+def _job_config(args: argparse.Namespace, **values) -> TrainingJobConfig:
+    """The command's job config: its flags, plus the values it computed."""
+    names, _ = _JOB_COMMANDS[args.command]
+    return _from_args(TrainingJobConfig, args, names, **values)
+
+
+def _add_axis_flags(parser: argparse.ArgumentParser) -> None:
+    """Sweep axes: the field's flag, taking a comma list of its values."""
+    for f in _flag_fields(TrainingJobConfig, _SWEEP_AXES):
+        choices = f.metadata.get("choices")
+        note = ""
+        if choices:
+            none = ("none",) if f.default is None else ()
+            note = f" (choices: {', '.join(none + tuple(choices))})"
+        parser.add_argument(
+            *f.metadata["flags"],
+            default=_SWEEP_AXES[f.name],
+            help=f"{f.metadata['help']}; a comma list sweeps it{note}",
+        )
+
+
+def _axis_values(args: argparse.Namespace, name: str) -> list:
+    """A sweep axis flag's comma list, parsed as values of field ``name``."""
+    (f,) = _flag_fields(TrainingJobConfig, (name,))
+    kind = _value_type(TrainingJobConfig, f)
+    tokens = [t.strip().lower() for t in (getattr(args, _dest(f)) or "").split(",")]
+    return [
+        None if f.default is None and t == "none" else kind(t) for t in tokens if t
+    ]
+
+
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     """Fault-model flags shared by ``run`` and ``sweep``."""
-    fleet = parser.add_argument_group("fleet faults")
-    fleet.add_argument(
-        "--preempt-p", type=float, default=0.0, help="hourly interruption probability"
-    )
-    fleet.add_argument(
-        "--corrupt-clients",
-        type=int,
-        default=0,
-        metavar="N",
-        help="first N clients upload subtly corrupted parameters",
-    )
-    fleet.add_argument(
-        "--corruption-scale",
-        type=float,
-        default=1.0,
-        help="relative magnitude of the corruption noise",
-    )
-    fleet.add_argument(
-        "--churn-per-hour",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="Poisson arrival rate of extra volunteer hosts",
-    )
-    fleet.add_argument(
-        "--max-volunteers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="cap on extra volunteer hosts (0 = no volunteers)",
-    )
+    _add_field_flags(parser.add_argument_group("fleet faults"), FaultConfig)
     chaos = parser.add_argument_group("chaos plan (layered fault injection)")
-    chaos.add_argument(
-        "--xfer-fail-p",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="per-transfer abort probability (persistent-transfer retries kick in)",
-    )
-    chaos.add_argument(
-        "--xfer-stall-p",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="per-transfer stall probability",
-    )
-    chaos.add_argument(
-        "--xfer-stall-timeout",
-        type=float,
-        default=120.0,
-        metavar="SECONDS",
-        help="time a client waits before detecting a stalled transfer",
-    )
+    _add_field_flags(chaos, TransferFaultPlan)
     chaos.add_argument(
         "--partition",
         action="append",
@@ -197,11 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a distributed training job")
-    run_p.add_argument("--servers", "-p", type=int, default=3, help="Pn")
-    run_p.add_argument("--clients", "-c", type=int, default=3, help="Cn")
-    run_p.add_argument("--concurrency", "-t", type=int, default=2, help="Tn")
-    run_p.add_argument("--epochs", type=int, default=10)
-    run_p.add_argument("--shards", type=int, default=50)
+    _add_field_flags(run_p, TrainingJobConfig, *_JOB_COMMANDS["run"])
     run_p.add_argument(
         "--alpha",
         default="var",
@@ -221,84 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="server step size for gradient rules (downpour/dcasgd/rescaled); "
         "ignored by averaging rules",
     )
-    run_p.add_argument("--target", type=float, default=None, help="stop accuracy")
-    run_p.add_argument("--store", choices=["eventual", "strong"], default="eventual")
-    codec_g = run_p.add_argument_group("parameter transfer codecs")
-    codec_g.add_argument(
-        "--codec",
-        choices=CODEC_NAMES,
-        default=None,
-        help="wire codec for parameter transfers (default: the flat "
-        "compressed-size model; lossy codecs train on decoded values)",
-    )
-    codec_g.add_argument(
-        "--topk",
-        type=float,
-        default=0.01,
-        metavar="FRACTION",
-        help="fraction of coordinates the topk codec keeps per upload",
-    )
-    codec_g.add_argument(
-        "--quant",
-        choices=VALUE_QUANTS,
-        default="fp32",
-        help="value quantization for the topk codec's kept coordinates",
-    )
-    _add_fault_args(run_p)
-    run_p.add_argument("--replicas", type=int, default=1)
     run_p.add_argument("--quorum", type=int, default=None)
-    defense = run_p.add_argument_group("byzantine defenses")
-    defense.add_argument(
-        "--collusion-guard",
-        action="store_true",
-        help="reliability-weighted canonical selection in the replica quorum",
-    )
-    defense.add_argument(
-        "--quarantine-after",
-        type=int,
-        default=0,
-        metavar="N",
-        help="bar a host from work after N invalidated results (0 = never)",
-    )
-    defense.add_argument(
-        "--max-param-norm",
-        type=float,
-        default=None,
-        metavar="NORM",
-        help="validator rejects uploads whose parameter L2 norm exceeds NORM",
-    )
-    run_p.add_argument("--autoscale", action="store_true")
-    run_p.add_argument(
-        "--work-fetch",
-        choices=["poke", "ping"],
-        default="poke",
-        help="work-fetch protocol: legacy poke broadcast or fleet-scale "
-        "ping + server-suggested-sleep",
-    )
-    run_p.add_argument(
-        "--server-planes",
-        type=int,
-        default=1,
-        help="sharded work-generator/validator planes (1 = single plane)",
-    )
-    run_p.add_argument(
-        "--cohort-size",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fuse up to N clients' training steps into one vectorized "
-        "cohort pass (bit-identical to serial; 1 = inline legacy path)",
-    )
-    run_p.add_argument(
-        "--step-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan one run's client steps out over N worker processes "
-        "(bit-identical to serial; 1 = in-process)",
-    )
-    run_p.add_argument("--warm-start", type=int, default=0, metavar="PASSES")
-    run_p.add_argument("--seed", type=int, default=1234)
+    _add_fault_args(run_p)
     run_p.add_argument("--checkpoint-out", default=None, metavar="FILE")
     run_p.add_argument("--resume", default=None, metavar="FILE")
     obs_g = run_p.add_argument_group("observability")
@@ -336,9 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     single_p = sub.add_parser("single", help="serial single-instance baseline")
-    single_p.add_argument("--epochs", type=int, default=10)
-    single_p.add_argument("--seed", type=int, default=1234)
-    single_p.add_argument("--target", type=float, default=None)
+    _add_field_flags(single_p, TrainingJobConfig, *_JOB_COMMANDS["single"])
 
     cost_p = sub.add_parser("cost", help="fleet cost table (SecIV-E)")
     cost_p.add_argument("--hours", type=float, default=8.0)
@@ -353,11 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser(
         "sweep", help="grid sweep over Pn/Cn/Tn (comma-separated values)"
     )
-    sweep_p.add_argument("--servers", "-p", default="1,3", help="e.g. 1,3,5")
-    sweep_p.add_argument("--clients", "-c", default="3")
-    sweep_p.add_argument("--concurrency", "-t", default="2,4")
-    sweep_p.add_argument("--epochs", type=int, default=5)
-    sweep_p.add_argument("--shards", type=int, default=25)
+    _add_axis_flags(sweep_p)
+    _add_field_flags(sweep_p, TrainingJobConfig, *_JOB_COMMANDS["sweep"])
     sweep_p.add_argument("--alpha", default="0.95")
     sweep_p.add_argument(
         "--rule",
@@ -371,13 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="server step size for gradient rules (downpour/dcasgd/rescaled)",
     )
-    sweep_p.add_argument(
-        "--codec",
-        default=None,
-        help="comma-separated wire codecs; 'none' is the flat model; more "
-        f"than one adds a sweep axis (choices: none, {', '.join(CODEC_NAMES)})",
-    )
-    sweep_p.add_argument("--seed", type=int, default=1234)
     sweep_p.add_argument(
         "--jobs",
         "-j",
@@ -397,10 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_args(sweep_p)
 
     alpha_p = sub.add_parser("alpha-study", help="quick alpha sweep")
-    alpha_p.add_argument("--servers", "-p", type=int, default=3)
-    alpha_p.add_argument("--clients", "-c", type=int, default=3)
-    alpha_p.add_argument("--concurrency", "-t", type=int, default=4)
-    alpha_p.add_argument("--epochs", type=int, default=12)
+    _add_field_flags(alpha_p, TrainingJobConfig, *_JOB_COMMANDS["alpha-study"])
     alpha_p.add_argument(
         "--alphas", default="0.7,0.95,var", help="comma-separated values / 'var'"
     )
@@ -510,23 +462,16 @@ def _parse_faults(args: argparse.Namespace) -> FaultConfig:
         sybils=tuple(_parse_sybils(s) for s in args.sybils),
     )
     plan = ChaosPlan(
-        transfer=TransferFaultPlan(
-            failure_p=args.xfer_fail_p,
-            stall_p=args.xfer_stall_p,
-            stall_timeout_s=args.xfer_stall_timeout,
-        ),
+        transfer=_from_args(TransferFaultPlan, args),
         partitions=tuple(_parse_partition(p) for p in args.partition),
         ps_crashes=tuple(_parse_ps_crash(c) for c in args.ps_crash),
         kv_windows=tuple(_parse_kv_outage(w) for w in args.kv_outage)
         + tuple(_parse_kv_degrade(w) for w in args.kv_degrade),
         restore_from_checkpoint=not args.no_chaos_restore,
     )
-    return FaultConfig(
-        preemption_hourly_p=args.preempt_p,
-        corrupt_clients=args.corrupt_clients,
-        corruption_scale=args.corruption_scale,
-        volunteer_arrivals_per_hour=args.churn_per_hour,
-        max_volunteers=args.max_volunteers,
+    return _from_args(
+        FaultConfig,
+        args,
         chaos=plan if plan.active else None,
         adversary=adversary if adversary.active else None,
     )
@@ -563,32 +508,15 @@ def _print_run(result: RunResult) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = TrainingJobConfig(
-        num_param_servers=args.servers,
-        num_clients=args.clients,
-        max_concurrent_subtasks=args.concurrency,
-        max_epochs=args.epochs,
-        num_shards=args.shards,
+    config = _job_config(
+        args,
         alpha_schedule=_parse_alpha(args.alpha),
         update_rule=_parse_rule(args.rule, _parse_alpha(args.alpha), args.server_lr),
-        target_accuracy=args.target,
-        store_kind=args.store,
-        replicas=args.replicas,
+        # Asking for replicas asks for verification, so the CLI's quorum
+        # defaults to two agreeing results (capped by the replica count);
+        # the config's own default of 1 accepts the first result.
         quorum=args.quorum if args.quorum is not None else min(2, args.replicas),
-        collusion_guard=args.collusion_guard,
-        quarantine_after=args.quarantine_after,
-        max_param_norm=args.max_param_norm,
-        ps_autoscale=args.autoscale,
-        warm_start_passes=args.warm_start,
-        work_fetch=args.work_fetch,
-        server_planes=args.server_planes,
-        cohort_size=args.cohort_size,
-        step_jobs=args.step_jobs,
-        codec=args.codec,
-        codec_topk=args.topk,
-        codec_quant=args.quant,
         faults=_parse_faults(args),
-        seed=args.seed,
     )
     resume = load_checkpoint(args.resume) if args.resume else None
     obs_config = ObservabilityConfig(
@@ -615,10 +543,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_single(args: argparse.Namespace) -> int:
-    config = TrainingJobConfig(
-        max_epochs=args.epochs, seed=args.seed, target_accuracy=args.target
-    )
-    _print_run(run_single_instance(config))
+    _print_run(run_single_instance(_job_config(args)))
     return 0
 
 
@@ -664,12 +589,7 @@ def _cmd_preempt_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_alpha_study(args: argparse.Namespace) -> int:
-    base = TrainingJobConfig(
-        num_param_servers=args.servers,
-        num_clients=args.clients,
-        max_concurrent_subtasks=args.concurrency,
-        max_epochs=args.epochs,
-    )
+    base = _job_config(args)
     rows = []
     for token in args.alphas.split(","):
         schedule = _parse_alpha(token.strip())
@@ -699,38 +619,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     schedule = _parse_alpha(args.alpha)
     rule_tokens = [token.strip() for token in args.rule.split(",") if token.strip()]
-    codec_tokens = [
-        token.strip().lower()
-        for token in (args.codec or "").split(",")
-        if token.strip()
-    ]
-    for token in codec_tokens:
-        if token != "none" and token not in CODEC_NAMES:
-            raise SystemExit(
-                f"unknown codec {token!r} (choices: none, {', '.join(CODEC_NAMES)})"
-            )
+    codecs = _axis_values(args, "codec")
     jobs = max(1, args.jobs)
-    base = TrainingJobConfig(
-        max_epochs=args.epochs,
-        num_shards=args.shards,
+    base = _job_config(
+        args,
         alpha_schedule=schedule,
         update_rule=(
             _parse_rule(rule_tokens[0], schedule, args.server_lr)
             if len(rule_tokens) == 1
             else None
         ),
-        codec=(
-            None
-            if len(codec_tokens) != 1 or codec_tokens[0] == "none"
-            else codec_tokens[0]
-        ),
+        codec=codecs[0] if len(codecs) == 1 else None,
         faults=_parse_faults(args),
-        seed=args.seed,
     )
+    # Axis order is the grid order: P, C, T, then rule, then codec.
     sweep = Sweep(base)
-    sweep.axis("num_param_servers", [int(v) for v in args.servers.split(",")])
-    sweep.axis("num_clients", [int(v) for v in args.clients.split(",")])
-    sweep.axis("max_concurrent_subtasks", [int(v) for v in args.concurrency.split(",")])
+    for name in _PCT:
+        sweep.axis(name, _axis_values(args, name))
     if len(rule_tokens) > 1:
         # Rule-comparison sweeps carry explicit rule objects (vcasgd
         # included) so each point's label names the rule it ran.
@@ -741,15 +646,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 for token in rule_tokens
             ],
         )
-    if len(codec_tokens) > 1:
-        sweep.axis(
-            "codec",
-            [None if token == "none" else token for token in codec_tokens],
-        )
+    if len(codecs) > 1:
+        sweep.axis("codec", codecs)
+    pairs = sweep.configs()
     print(f"running {sweep.size} configurations ...")
     # One path at any -j: run_configs runs serially at jobs=1 and carries
     # each run's telemetry back for --metrics-out either way.
-    pairs = sweep.configs()
     outcomes = run_configs(
         [config for _, config in pairs],
         jobs=jobs,
@@ -875,9 +777,13 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    """Entry point; returns a process exit code (2 for a bad flag or config)."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as err:
+        parser.error(str(err))
 
 
 if __name__ == "__main__":  # pragma: no cover

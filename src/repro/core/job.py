@@ -5,6 +5,10 @@ directly onto fields here (``num_param_servers``, ``num_clients``,
 ``max_concurrent_subtasks``, ``alpha_schedule``).  The remaining fields
 pin down the substrate: model, data, client-side optimizer, store choice,
 fault model, and the timing calibration anchors from §IV.
+
+A scalar field settable from the command line declares its flag in its
+``metadata`` (see :func:`_flag`); :mod:`repro.cli` builds its job commands
+from these, taking each flag's type and default from the field itself.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from ..data.synthetic import SyntheticImageConfig
 from ..errors import ConfigurationError
+from ..nn.codecs import CODEC_NAMES, VALUE_QUANTS
 from ..nn.models import ModelSpec
 from ..simulation.adversary import AdversaryPlan
 from ..simulation.chaos import ChaosPlan
@@ -23,6 +28,20 @@ from .rules import UpdateRule, VCASGDRule
 from .vcasgd import AlphaSchedule, ConstantAlpha
 
 __all__ = ["LocalTrainingConfig", "FaultConfig", "TrainingJobConfig"]
+
+STORE_KINDS = ("eventual", "strong")
+WORK_FETCH_MODES = ("poke", "ping")
+_CODECS = "parameter transfer codecs"
+_DEFENSES = "byzantine defenses"
+
+
+def _flag(default, *flags: str, **options):
+    """A field set by the command-line ``flags`` (long name first).
+
+    ``options`` go to argparse as they are (``help``, ``metavar``,
+    ``choices``), except ``group``, the title of the flag's help section.
+    """
+    return field(default=default, metadata={"flags": flags, **options})
 
 
 @dataclass(frozen=True)
@@ -64,15 +83,23 @@ class FaultConfig:
     subtle corruption — §II-C replication with quorum.
     """
 
-    preemption_hourly_p: float = 0.0
+    preemption_hourly_p: float = _flag(0.0, "--preempt-p", help="hourly interruption probability")
     relaunch_delay_s: float | None = 120.0
-    corrupt_clients: int = 0
-    corruption_scale: float = 1.0
+    corrupt_clients: int = _flag(
+        0, "--corrupt-clients", metavar="N", help="first N clients upload subtly corrupted parameters"
+    )
+    corruption_scale: float = _flag(
+        1.0, "--corruption-scale", help="relative magnitude of the corruption noise"
+    )
     # Volunteer churn (§II-A: "volunteers join and leave projects at
     # will"): Poisson arrivals of *additional* volunteer hosts, capped so
     # the fleet cannot grow without bound.
-    volunteer_arrivals_per_hour: float = 0.0
-    max_volunteers: int = 0
+    volunteer_arrivals_per_hour: float = _flag(
+        0.0, "--churn-per-hour", metavar="RATE", help="Poisson arrival rate of extra volunteer hosts"
+    )
+    max_volunteers: int = _flag(
+        0, "--max-volunteers", metavar="N", help="cap on extra volunteer hosts (0 = no volunteers)"
+    )
     # Layered chaos plan (see repro.simulation.chaos): per-transfer
     # failures/stalls, timed network partitions, parameter-server
     # crash/restart schedules, and KV-store outage windows.  None (or an
@@ -110,9 +137,9 @@ class TrainingJobConfig:
     """Full specification of a distributed training experiment."""
 
     # -- the paper's headline knobs (Pn, Cn, Tn, alpha) --------------------
-    num_param_servers: int = 1
-    num_clients: int = 3
-    max_concurrent_subtasks: int = 2
+    num_param_servers: int = _flag(1, "--servers", "-p", help="Pn")
+    num_clients: int = _flag(3, "--clients", "-c", help="Cn")
+    max_concurrent_subtasks: int = _flag(2, "--concurrency", "-t", help="Tn")
     alpha_schedule: AlphaSchedule = field(default_factory=lambda: ConstantAlpha(0.95))
     # Server-side merge rule.  None selects the paper's VC-ASGD (Eq. 1)
     # driven by ``alpha_schedule``; any other member of the ASGD family
@@ -129,20 +156,23 @@ class TrainingJobConfig:
     num_train: int = 2000
     num_val: int = 400
     num_test: int = 400
-    flat_features: bool = True
-    num_shards: int = 50
-    max_epochs: int = 40
-    target_accuracy: float | None = None  # stop early once mean val acc >= this
+    num_shards: int = _flag(50, "--shards", help="training-set shards per epoch")
+    max_epochs: int = _flag(40, "--epochs", help="epochs to train")
+    target_accuracy: float | None = _flag(
+        None, "--target", help="stop accuracy: stop early once mean val acc >= this"
+    )
     local_training: LocalTrainingConfig = field(default_factory=LocalTrainingConfig)
     # Downpour-style warm starting (§II-B): serial synchronous passes over
     # the full training set on the server before distribution begins; the
     # time they take is charged to the simulated clock.
-    warm_start_passes: int = 0
+    warm_start_passes: int = _flag(0, "--warm-start", metavar="PASSES", help="warm-start passes")
 
     # -- infrastructure ------------------------------------------------------
     server_spec: InstanceSpec = TABLE1_SERVER
     client_specs: tuple[InstanceSpec, ...] = TABLE1_CLIENTS
-    store_kind: str = "eventual"  # "eventual" (Redis-like) | "strong" (MySQL-like)
+    store_kind: str = _flag(
+        "eventual", "--store", choices=STORE_KINDS, help="Redis-like eventual or MySQL-like strong"
+    )
     compression_enabled: bool = True
     sticky_files_enabled: bool = True
     # -- transfer codec plane (repro.nn.codecs / repro.core.codec_plane) ----
@@ -153,11 +183,28 @@ class TrainingJobConfig:
     # per-tensor scales), "topk" (upload sparsification with client-side
     # error feedback), "delta" (XOR chains against the client's cached
     # parameter version).
-    codec: str | None = None
-    codec_topk: float = 0.01  # kept fraction for the topk codec
-    codec_quant: str = "fp32"  # topk value quantization: fp32 | fp16 | int8
-    affinity_enabled: bool = True
-    reliability_enabled: bool = True
+    codec: str | None = _flag(
+        None,
+        "--codec",
+        choices=CODEC_NAMES,
+        group=_CODECS,
+        help="wire codec for parameter transfers (default: the flat "
+        "compressed-size model; lossy codecs train on decoded values)",
+    )
+    codec_topk: float = _flag(
+        0.01,
+        "--topk",
+        metavar="FRACTION",
+        group=_CODECS,
+        help="fraction of coordinates the topk codec keeps per upload",
+    )
+    codec_quant: str = _flag(
+        "fp32",
+        "--quant",
+        choices=VALUE_QUANTS,
+        group=_CODECS,
+        help="value quantization for the topk codec's kept coordinates",
+    )
     heartbeats_enabled: bool = False  # trickle progress reports
     # Time-varying WAN conditions (§II-A "variable network latency"): a
     # CongestionSchedule applied to every client link, or None for
@@ -170,7 +217,6 @@ class TrainingJobConfig:
     subtask_timeout_s: float = 300.0  # t_o = 5 min
     max_attempts: int = 5
     ps_effective_cores: int = 5  # §IV-B: server throughput flattens past P5
-    val_eval_subsample: int = 256  # samples used for the per-update accuracy
 
     # -- fleet-scale scheduling core --------------------------------------------
     # Work-fetch protocol: "poke" is the legacy server broadcast on every
@@ -178,34 +224,53 @@ class TrainingJobConfig:
     # fleet-scale ping + server-suggested-sleep contract, where idle
     # clients park on scheduler sleep hints and new work wakes O(work)
     # hosts instead of O(fleet).
-    work_fetch: str = "poke"
+    work_fetch: str = _flag(
+        "poke",
+        "--work-fetch",
+        choices=WORK_FETCH_MODES,
+        help="work-fetch protocol: legacy poke broadcast or fleet-scale "
+        "ping + server-suggested-sleep",
+    )
     # Sharded server planes (§III-B scale-out): N work-generator/validator
     # shards partitioned by logical-workunit hash, with epoch cut-over
-    # coordinated through the KV store.  1 keeps the single-plane path.
-    server_planes: int = 1
+    # coordinated through the KV store.
+    server_planes: int = _flag(
+        1, "--server-planes", help="sharded work-generator/validator planes (1 = single plane)"
+    )
 
     # -- multi-core execution plane (DESIGN.md §8.5) ----------------------------
-    # Vectorized client cohorts: fuse up to N deferred client steps that
-    # share a base parameter version into one stacked-NumPy training pass
-    # (repro.nn.cohort), bit-identical to the serial per-client loop.
-    # 1 keeps the fully inline legacy execution path.
-    cohort_size: int = 1
-    # Process fan-out for one run's client steps: deferred step groups run
-    # on a fork pool of N workers, each group shipped with its base
-    # parameter vector by value.  1 stays in-process.
-    step_jobs: int = 1
+    # Vectorized client cohorts: deferred client steps that share a base
+    # parameter version train in one stacked-NumPy pass (repro.nn.cohort).
+    cohort_size: int = _flag(
+        1,
+        "--cohort-size",
+        metavar="N",
+        help="fuse up to N clients' training steps into one vectorized "
+        "cohort pass (bit-identical to serial; 1 = inline legacy path)",
+    )
+    # Process fan-out: deferred step groups run on a fork pool, each group
+    # shipped with its base parameter vector by value.
+    step_jobs: int = _flag(
+        1,
+        "--step-jobs",
+        metavar="N",
+        help="fan one run's client steps out over N worker processes "
+        "(bit-identical to serial; 1 = in-process)",
+    )
 
     # -- dynamic parameter-server scaling (§III-D future design) ---------------
     # When True, num_param_servers is the *initial* worker count and the
     # pool grows/shrinks with queue pressure per `autoscale_policy`
     # (see repro.core.autoscale; None means the policy defaults).
-    ps_autoscale: bool = False
+    ps_autoscale: bool = _flag(
+        False, "--autoscale", help="grow and shrink the parameter-server pool with queue pressure"
+    )
     autoscale_policy: AutoscalePolicy | None = None
 
     # -- redundancy (§II-C: replication for verification) -----------------------
     # 1 disables replication; k>1 sends each subtask to k distinct hosts
     # and assimilates once `quorum` of them agree.
-    replicas: int = 1
+    replicas: int = _flag(1, "--replicas", help="send each subtask to this many distinct hosts")
     quorum: int = 1
 
     # -- Byzantine defenses ------------------------------------------------------
@@ -214,19 +279,36 @@ class TrainingJobConfig:
     # raw clique size, so a cartel of unreliable hosts submitting
     # bit-identical wrong answers cannot out-vote honest replicas.  Off by
     # default (bit-identical to the size-based selection).
-    collusion_guard: bool = False
+    collusion_guard: bool = _flag(
+        False,
+        "--collusion-guard",
+        group=_DEFENSES,
+        help="reliability-weighted canonical selection in the replica quorum",
+    )
     # Quarantine loop: a host whose results are invalidated this many
     # times is barred from further work assignment (0 disables — the
     # pre-fabric behaviour, where validator rejects never touched
     # scheduler reliability).
-    quarantine_after: int = 0
+    quarantine_after: int = _flag(
+        0,
+        "--quarantine-after",
+        metavar="N",
+        group=_DEFENSES,
+        help="bar a host from work after N invalidated results (0 = never)",
+    )
     # Validator parameter-norm bound: reject uploads whose parameter L2
     # norm exceeds this (None disables; the finite/peak checks always run).
-    max_param_norm: float | None = None
+    max_param_norm: float | None = _flag(
+        None,
+        "--max-param-norm",
+        metavar="NORM",
+        group=_DEFENSES,
+        help="validator rejects uploads whose parameter L2 norm exceeds NORM",
+    )
 
     # -- fault model & reproducibility ----------------------------------------
     faults: FaultConfig = field(default_factory=FaultConfig)
-    seed: int = 1234
+    seed: int = _flag(1234, "--seed", help="master RNG seed")
 
     def __post_init__(self) -> None:
         if self.num_param_servers <= 0 or self.num_clients <= 0:
@@ -235,7 +317,7 @@ class TrainingJobConfig:
             raise ConfigurationError("Tn must be positive")
         if self.num_shards <= 0 or self.max_epochs <= 0:
             raise ConfigurationError("num_shards and max_epochs must be positive")
-        if self.store_kind not in ("eventual", "strong"):
+        if self.store_kind not in STORE_KINDS:
             raise ConfigurationError(f"unknown store_kind {self.store_kind!r}")
         if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
             raise ConfigurationError("target_accuracy must be in (0, 1]")
@@ -243,7 +325,7 @@ class TrainingJobConfig:
             raise ConfigurationError("need at least one client spec")
         if self.warm_start_passes < 0:
             raise ConfigurationError("warm_start_passes must be non-negative")
-        if self.work_fetch not in ("poke", "ping"):
+        if self.work_fetch not in WORK_FETCH_MODES:
             raise ConfigurationError(f"unknown work_fetch {self.work_fetch!r}")
         if self.server_planes < 1:
             raise ConfigurationError("server_planes must be >= 1")
@@ -276,8 +358,6 @@ class TrainingJobConfig:
         if self.max_param_norm is not None and self.max_param_norm <= 0:
             raise ConfigurationError("max_param_norm must be positive or None")
         if self.codec is not None:
-            from ..nn.codecs import CODEC_NAMES, VALUE_QUANTS
-
             if self.codec not in CODEC_NAMES:
                 raise ConfigurationError(
                     f"unknown codec {self.codec!r} "
@@ -311,6 +391,11 @@ class TrainingJobConfig:
             f"T{self.max_concurrent_subtasks}"
         )
 
+    @property
+    def flat_features(self) -> bool:
+        """Whether samples are flat vectors (the MLP's) or NCHW images."""
+        return self.model.kind == "mlp"
+
     def spec_for_client(self, index: int) -> InstanceSpec:
         """Round-robin over the configured heterogeneous client types."""
         return self.client_specs[index % len(self.client_specs)]
@@ -327,26 +412,6 @@ class TrainingJobConfig:
     def with_alpha(self, schedule: AlphaSchedule) -> "TrainingJobConfig":
         """Copy with a different α schedule (the Fig. 4 sweep helper)."""
         return replace(self, alpha_schedule=schedule)
-
-    def with_rule(self, rule: UpdateRule | None) -> "TrainingJobConfig":
-        """Copy with a different server-side update rule (the rule-family
-        comparison helper); None restores the default VC-ASGD."""
-        return replace(self, update_rule=rule)
-
-    def with_codec(
-        self,
-        codec: str | None,
-        topk: float | None = None,
-        quant: str | None = None,
-    ) -> "TrainingJobConfig":
-        """Copy with a different transfer codec (the frontier-sweep
-        helper); None restores the historical fixed-ratio accounting."""
-        overrides: dict = {"codec": codec}
-        if topk is not None:
-            overrides["codec_topk"] = topk
-        if quant is not None:
-            overrides["codec_quant"] = quant
-        return replace(self, **overrides)
 
     def resolved_update_rule(self) -> UpdateRule:
         """The configured rule, or the default VC-ASGD over ``alpha_schedule``."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -73,6 +74,8 @@ PARAM_COMPRESSION_RATIO = 0.9
 # workunits for the missing shards at most this many times before declaring
 # the barrier permanently stalled.
 MAX_BARRIER_RETRIES = 3
+# Validation samples scored for the per-update accuracy.
+VAL_EVAL_SUBSAMPLE = 256
 
 
 class DistributedRunner:
@@ -222,7 +225,7 @@ class DistributedRunner:
         self.server_cpu = ComputeResource(self.sim, ps_spec, contention=0.15)
 
         # ---- validation subsample used for per-update accuracy -----------
-        k = min(config.val_eval_subsample, len(self.val_set))
+        k = min(VAL_EVAL_SUBSAMPLE, len(self.val_set))
         self._val_x = self.val_set.x[:k]
         self._val_y = self.val_set.y[:k]
 
@@ -267,11 +270,14 @@ class DistributedRunner:
             assimilator = self.quorum
 
         # ---- BOINC server ----------------------------------------------------
-        validator = ParameterValidator(
+        # One validator per server plane, every one with the same checks.
+        make_validator = partial(
+            ParameterValidator,
             expected_size=self.param_size,
             max_norm=config.max_param_norm,
             trace=self.trace,
         )
+        validator = make_validator()
         transfer_faults = None
         partitions = None
         if self._chaos is not None:
@@ -286,8 +292,6 @@ class DistributedRunner:
             scheduler_config=SchedulerConfig(
                 timeout_s=config.subtask_timeout_s,
                 max_attempts=config.max_attempts,
-                affinity_enabled=config.affinity_enabled,
-                reliability_enabled=config.reliability_enabled,
                 heartbeats_enabled=config.heartbeats_enabled,
                 work_fetch=config.work_fetch,
                 quarantine_after=config.quarantine_after,
@@ -348,10 +352,7 @@ class DistributedRunner:
                 ],
             )
             self.server.validator = ShardedValidatorPool(
-                [
-                    ParameterValidator(expected_size=self.param_size, trace=self.trace)
-                    for _ in range(config.server_planes)
-                ]
+                [make_validator() for _ in range(config.server_planes)]
             )
         self._republish_params(initial_vec)
 

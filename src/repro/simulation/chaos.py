@@ -46,12 +46,34 @@ class TransferFaultPlan:
     ``stall_p`` — probability a transfer hangs: the client waits
     ``stall_timeout_s`` before detecting the stall and retrying.
     Both are evaluated per transfer from the client's network RNG stream,
-    so runs stay deterministic for a fixed seed.
+    so runs stay deterministic for a fixed seed.  Each field's ``metadata``
+    declares its command-line flag (see :mod:`repro.core.job`).
     """
 
-    failure_p: float = 0.0
-    stall_p: float = 0.0
-    stall_timeout_s: float = 120.0
+    failure_p: float = field(
+        default=0.0,
+        metadata={
+            "flags": ("--xfer-fail-p",),
+            "metavar": "P",
+            "help": "per-transfer abort probability (persistent-transfer retries kick in)",
+        },
+    )
+    stall_p: float = field(
+        default=0.0,
+        metadata={
+            "flags": ("--xfer-stall-p",),
+            "metavar": "P",
+            "help": "per-transfer stall probability",
+        },
+    )
+    stall_timeout_s: float = field(
+        default=120.0,
+        metadata={
+            "flags": ("--xfer-stall-timeout",),
+            "metavar": "SECONDS",
+            "help": "time a client waits before detecting a stalled transfer",
+        },
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.failure_p <= 1.0 or not 0.0 <= self.stall_p <= 1.0:

@@ -207,6 +207,25 @@ class TestEndToEnd:
         ]
         assert first.counters == second.counters
 
+    def test_norm_bound_holds_on_every_plane(self):
+        # Each shard validator carries the job's max_param_norm, so a bound
+        # no upload meets rejects the same results on one plane or two.
+        from repro.core import DistributedRunner
+        from repro.errors import TrainingError
+
+        from ..core.test_runner import tiny_config
+
+        rejected = []
+        for planes in (1, 2):
+            runner = DistributedRunner(
+                tiny_config(max_param_norm=1e-3, max_epochs=1, server_planes=planes)
+            )
+            with pytest.raises(TrainingError, match="failed validation"):
+                runner.run()
+            rejected.append(runner.server.validator.rejected)
+        assert rejected[0] > 0
+        assert rejected[0] == rejected[1]
+
     def test_single_plane_has_no_cutover_counter(self):
         from repro.core import run_experiment
 

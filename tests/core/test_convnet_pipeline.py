@@ -26,7 +26,6 @@ def convnet_config(**overrides) -> TrainingJobConfig:
             {"in_channels": 3, "image_size": 8, "channels": [6, 12], "num_classes": 4},
         ),
         data=SyntheticImageConfig(image_size=8, num_classes=4, noise_std=1.5),
-        flat_features=False,  # NCHW images all the way through
         num_train=96,
         num_val=32,
         num_test=32,

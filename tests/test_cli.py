@@ -175,6 +175,32 @@ class TestCommands:
         assert "alpha=0.8" in out and "e/(e+1)" in out
 
 
+class TestConfigErrors:
+    """An invalid config exits like a bad flag, with the config's message."""
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["run", "--codec", "int8", "--cohort-size", "2"],
+             dict(codec="int8", cohort_size=2)),
+            (["run", "--replicas", "5"], dict(replicas=5, quorum=2)),
+            (["sweep", "--codec", "bogus"], dict(codec="bogus")),
+        ],
+    )
+    def test_exits_2_with_the_config_message(self, argv, config, capsys):
+        from repro.core import TrainingJobConfig
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError) as direct:
+            TrainingJobConfig(**config)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro: error: {direct.value}\n" in err
+        assert "Traceback" not in err
+
+
 class TestFaultFlags:
     def test_fleet_fault_flags(self):
         args = build_parser().parse_args(
