@@ -42,7 +42,9 @@ __all__ = ["TaskExecutor", "ClientDaemon"]
 
 # The application hook: given the workunit and its downloaded input
 # payloads, run the actual training and return (result_payload, nbytes).
-TaskExecutor = Callable[[Workunit, dict[str, object]], tuple[object, int]]
+# ``nbytes`` may be a pending size (an object with ``resolve()``), which
+# the upload resolves before it reads it.
+TaskExecutor = Callable[[Workunit, dict[str, object]], tuple[object, object]]
 
 # Persistent-transfer policy (BOINC's project backoff is minutes-scale;
 # ours is compressed to match the 5-minute subtask deadline so a transient
@@ -257,8 +259,9 @@ class ClientDaemon:
             # Deferred-execution runs (core.steps) open their batching
             # window here: the runner pre-draws the step's RNG and queues
             # the compute so it can fuse with every other subtask training
-            # concurrently over this simulated interval.
-            self.on_train_start(wu, payloads)
+            # concurrently over this simulated interval.  Codec runs note
+            # the attempt so it can be trained ahead of its compute end.
+            self.on_train_start(wu, payloads, task)
         if self.scheduler.config.heartbeats_enabled:
             self._schedule_heartbeat(wu.wu_id)
 
@@ -283,8 +286,11 @@ class ClientDaemon:
             handle.cancel()
 
     def _start_upload(
-        self, wu: Workunit, result: object, nbytes: int, retry: int = 0
+        self, wu: Workunit, result: object, nbytes, retry: int = 0
     ) -> None:
+        if hasattr(nbytes, "resolve"):  # priced off-thread; retries reuse the int
+            nbytes = nbytes.resolve()
+
         def on_uploaded() -> None:
             if self.trace is not None:
                 self.trace.emit(
@@ -365,9 +371,12 @@ class ClientDaemon:
     _on_result_accepted: Callable[[Workunit, object], None] = lambda self, wu, r: None
 
     # Optional hook fired when a subtask's compute begins (see
-    # _start_compute); the deferred-execution runner uses it to pre-submit
-    # the step to its dispatcher.  None keeps the legacy path untouched.
-    on_train_start: "Callable[[Workunit, dict[str, object]], None] | None" = None
+    # _start_compute), with the compute task; the runner uses it to
+    # pre-submit the step to its dispatcher or to train it ahead.  None
+    # keeps the legacy path untouched.
+    on_train_start: (
+        "Callable[[Workunit, dict[str, object], ComputeTask], None] | None"
+    ) = None
 
     # -- abort / preemption ----------------------------------------------------
     def abort_workunit(self, wu_id: str) -> None:

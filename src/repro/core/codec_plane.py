@@ -24,7 +24,10 @@ one run:
 * **upload path** — exactly one vector crosses the wire per result
   (matching the historical accounting): the accumulated gradient for
   gradient-consuming rules, the parameter delta against the downloaded
-  base for averaging rules.  Lossy codecs apply **error feedback**: the
+  base for averaging rules.  Inside ``DistributedRunner.run()`` its zlib
+  pass runs on the same pricing thread, and the size resolves where the
+  client's upload first reads it, in the same compute-end event.  Lossy
+  codecs apply **error feedback**: the
   encode error is carried client-side as a residual and added to the
   next upload from the same client, so dropped/rounded mass is delayed,
   never lost.  Residuals are checkpointable (:meth:`state_dict`) and are
@@ -33,10 +36,10 @@ one run:
 
 Determinism contract: every counter is an integer derived from encoded
 content, never from timing.  A pending price resolves only at points the
-simulation fixes (a file's first size read, an epoch boundary,
-:meth:`ParamCodecPlane.counters`), never when the thread happens to
-finish, so its counter increment and its ``net.encode`` record land at
-the same place on every run.  The ``encode_cpu_s``/``decode_cpu_s``
+simulation fixes (a file's or an upload's first size read, an epoch
+boundary, :meth:`ParamCodecPlane.counters`), never when the thread
+happens to finish, so its counter increment and its ``net.encode``
+record land at the same place on every run.  The ``encode_cpu_s``/``decode_cpu_s``
 attributes are host wall-clock attributions for benchmarks and obs
 metrics only — they must never reach ``RunResult.counters``, trace
 fields, or any digested artifact.
@@ -115,12 +118,12 @@ def _timed_deflate(body: np.ndarray) -> tuple[int, float]:
 
 
 class PendingPrice:
-    """Wire size of a published file while the pricing thread deflates it.
+    """Wire size of a file while the pricing thread deflates it.
 
     :meth:`resolve` waits for the deflate once and hands it to ``finish``
     (the plane's bookkeeping), which returns the wire size; later calls
-    return the same int.  ``ServerFile`` sizes and the delta window hold
-    these until their first read.
+    return the same int.  ``ServerFile`` sizes, the delta window and a
+    result upload's size hold these until their first read.
     """
 
     __slots__ = ("_future", "_finish", "value")
@@ -261,25 +264,28 @@ class ParamCodecPlane:
                 payload = VersionedParams(encoded, version, self._decode_download)
             else:
                 payload = VersionedParams(vec, version)
-        wire = self._price(encoded, body, version, raw)
+        wire = self._price(
+            encoded,
+            body,
+            dict(direction="down", codec=self.name, version=version, raw=raw),
+        )
         self.encode_cpu_s += time.perf_counter() - t0
         self.publishes += 1
         self.publish_raw_bytes += raw
         return payload, wire
 
-    # -- publish pricing ---------------------------------------------------
+    # -- pricing -------------------------------------------------------------
 
     def _price(
-        self,
-        unpriced: Encoded,
-        body: np.ndarray,
-        version: int | None = None,
-        raw: int = 0,
+        self, unpriced: Encoded, body: np.ndarray | None, record: dict | None = None
     ) -> "int | PendingPrice":
         """Wire size of an unpriced record: deflated on the pricing thread
-        while it runs, else here.  ``version`` marks a whole published
-        file, which is counted and traced once priced."""
-        finish = partial(self._priced, unpriced.nbytes, body.nbytes, version, raw)
+        while it runs, else here.  ``record`` marks a whole published file
+        or result upload: the ``net.encode`` fields it is counted and
+        traced with once priced."""
+        if body is None:  # a fixed-size format (top-k): nothing to deflate
+            return self._priced(unpriced.nbytes, 0, record, 0, 0.0)
+        finish = partial(self._priced, unpriced.nbytes, body.nbytes, record)
         if self._pricing is None:
             return finish(compressed_size(body), 0.0)
         price = PendingPrice(self._pricing.submit(_timed_deflate, body), finish)
@@ -290,29 +296,23 @@ class ParamCodecPlane:
         self,
         unpriced_nbytes: int,
         body_nbytes: int,
-        version: int | None,
-        raw: int,
+        record: dict | None,
         deflated: int,
         seconds: float,
     ) -> int:
         wire = wire_nbytes(unpriced_nbytes, body_nbytes, deflated)
         self.encode_cpu_s += seconds
-        if version is not None:
-            self.publish_wire_bytes += wire
+        if record is not None:
+            if record["direction"] == "down":
+                self.publish_wire_bytes += wire
+            else:
+                self.upload_wire_bytes += wire
             if self.trace is not None:
-                self.trace.emit(
-                    self.now(),
-                    "net.encode",
-                    direction="down",
-                    codec=self.name,
-                    version=version,
-                    raw=raw,
-                    wire=wire,
-                )
+                self.trace.emit(self.now(), "net.encode", **record, wire=wire)
         return wire
 
     def start_pricing(self) -> None:
-        """Deflate publishes on one pricing thread from now on.
+        """Deflate publishes and uploads on one pricing thread from now on.
 
         ``DistributedRunner.run`` brackets itself with this and
         :meth:`stop_pricing`, so the thread never outlives a run (sweeps
@@ -333,7 +333,7 @@ class ParamCodecPlane:
 
     def stop_pricing(self) -> None:
         """Join the pricing thread and settle what it priced; publishes
-        price inline again."""
+        and uploads price inline again."""
         pricing, self._pricing = self._pricing, None
         if pricing is not None:
             pricing.shutdown(wait=True)
@@ -402,7 +402,7 @@ class ParamCodecPlane:
 
     def encode_upload(
         self, update: ClientUpdate, base_vec: np.ndarray, wu_id: str
-    ) -> tuple[object, int]:
+    ) -> tuple[object, "int | PendingPrice"]:
         """Encode one result upload; returns ``(payload, wire_bytes)``.
 
         Exactly one vector is charged to the wire, matching the
@@ -411,6 +411,12 @@ class ParamCodecPlane:
         client trained from.  Lossy codecs return an
         :class:`EncodedUpdate` whose resolution yields the *decoded*
         update — what the server actually receives.
+
+        While the pricing thread runs, the wire size is a
+        :class:`PendingPrice` (top-k's fixed-size format excepted); the
+        upload's wire-byte counter and ``net.encode`` record wait for its
+        resolution, which the client's upload makes before it reads the
+        size.
         """
         t0 = time.perf_counter()
         gradient_stream = update.gradient is not None
@@ -421,15 +427,14 @@ class ParamCodecPlane:
             if self._delta and not gradient_stream:
                 # Both sides hold the base (the server published it), so
                 # the upload is the XOR of the new parameters against it.
-                enc = self.up_codec.encode(
+                enc, body = self.up_codec.encode_unpriced(
                     update.params, self.layout, reference=base_vec
                 )
             else:
                 # The zlib baseline compresses the uploaded result file
                 # itself (gradient or full parameter copy), not a delta.
                 uploaded = update.gradient if gradient_stream else update.params
-                enc = self._zlib.encode(np.ascontiguousarray(uploaded))
-            wire = enc.nbytes
+                enc, body = self._zlib.encode_unpriced(np.ascontiguousarray(uploaded))
             payload: object = update
         else:
             # ``params - base`` is the one fresh vector: the residual is
@@ -448,7 +453,7 @@ class ParamCodecPlane:
                 vector = np.add(
                     vector, residual, out=residual if gradient_stream else vector
                 )
-            enc = self.up_codec.encode(vector, self.layout)
+            enc, body = self.up_codec.encode_unpriced(vector, self.layout)
             t1 = time.perf_counter()
             decoded = self.up_codec.decode(enc)
             self.decode_cpu_s += time.perf_counter() - t1
@@ -457,7 +462,6 @@ class ParamCodecPlane:
                 self._residuals[update.client_id] = np.subtract(
                     vector, decoded, out=vector if owned else None
                 )
-            wire = enc.nbytes
             if gradient_stream:
                 # The gradient is what crossed the wire; the parameter
                 # copy rides along as bookkeeping (today's payloads carry
@@ -478,22 +482,21 @@ class ParamCodecPlane:
                     claimed_credit=update.claimed_credit,
                 )
             payload = EncodedUpdate(self, resolved, update.client_id, wu_id)
-        self.encode_cpu_s += time.perf_counter() - t0
         self.uploads += 1
         self.upload_raw_bytes += raw_nbytes
-        self.upload_wire_bytes += int(wire)
-        if self.trace is not None:
-            self.trace.emit(
-                self.now(),
-                "net.encode",
+        wire = self._price(
+            enc,
+            body,
+            dict(
                 direction="up",
                 codec=self.name,
                 client=update.client_id,
                 wu=wu_id,
                 raw=raw_nbytes,
-                wire=int(wire),
-            )
-        return payload, int(wire)
+            ),
+        )
+        self.encode_cpu_s += time.perf_counter() - t0
+        return payload, wire
 
     def _on_upload_decoded(self, encoded: EncodedUpdate) -> None:
         self.decodes += 1

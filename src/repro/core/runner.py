@@ -55,7 +55,7 @@ from ..simulation.rng import RngRegistry
 from ..simulation.tracing import Trace
 from .autoscale import AutoscalingPool
 from .checkpoint import Checkpoint
-from .codec_plane import ParamCodecPlane, VersionedParams
+from .codec_plane import ParamCodecPlane, PendingPrice, VersionedParams
 from .job import TrainingJobConfig
 from .param_server import PARAM_KEY, ParameterServerPool
 from .results import EpochRecord, RunResult
@@ -76,6 +76,28 @@ PARAM_COMPRESSION_RATIO = 0.9
 MAX_BARRIER_RETRIES = 3
 # Validation samples scored for the per-update accuracy.
 VAL_EVAL_SUBSAMPLE = 256
+
+
+def _attempt_key(wu: Workunit) -> tuple[str, int]:
+    """Key of a workunit's current attempt: a unit reissued to the same
+    client is a new attempt, with a new base and a new key."""
+    return wu.wu_id, wu.num_attempts
+
+
+class _InFlightAttempt:
+    """A codec run's deferrable attempt, noted at compute start: its
+    inputs, its compute task and, once trained ahead, its result."""
+
+    __slots__ = ("wu", "client_id", "published", "shard", "task", "resource", "result")
+
+    def __init__(self, wu, client_id, published, shard, task, resource) -> None:
+        self.wu = wu
+        self.client_id = client_id
+        self.published = published
+        self.shard = shard
+        self.task = task
+        self.resource = resource
+        self.result: tuple[np.ndarray, np.ndarray | None] | None = None
 
 
 class DistributedRunner:
@@ -361,10 +383,12 @@ class DistributedRunner:
         # defaults (1/1) no dispatcher exists and every subtask computes
         # at execute time, on the same step context.
         self._dispatcher: StepDispatcher | None = None
-        # Steps pre-submitted at compute start, keyed by (wu_id, client):
-        # popped when the executor runs at compute end, pruned at epoch
-        # boundaries for attempts that aborted mid-compute.
-        self._prepared: dict[tuple[str, str], object] = {}
+        # What the compute-start hook noted, keyed by attempt: steps
+        # pre-submitted to the dispatcher, or a codec run's attempts that
+        # an upload deflate may train ahead.  Popped when the executor runs
+        # at compute end, pruned at epoch boundaries for attempts that
+        # aborted mid-compute.
+        self._prepared: dict[tuple[str, int], object] = {}
         if config.cohort_size > 1 or config.step_jobs > 1:
             wg = self.work_generator
             shards = (
@@ -495,7 +519,7 @@ class DistributedRunner:
             cache_capacity_bytes=cache_cap,
             trace=self.trace,
         )
-        if self._dispatcher is not None:
+        if self._dispatcher is not None or self._codec_plane is not None:
             client.on_train_start = self._prepare_subtask
         self.server.attach_client(client)
         if self.config.faults.preemption_hourly_p > 0:
@@ -591,29 +615,38 @@ class DistributedRunner:
             batch_rng = self.rngs.fresh(f"batches:{wu.wu_id}:{client_id}")
         return draw_batch_orders(batch_rng, n, cfg.local_epochs)
 
-    def _prepare_subtask(self, wu: Workunit, payloads: dict) -> None:
-        """Compute-start hook (deferred mode only): open the batching window.
+    def _prepare_subtask(self, wu: Workunit, payloads: dict, task) -> None:
+        """Compute-start hook: note a deferrable attempt under its key.
 
-        Draws the step's batch orders and queues the RNG-free compute with
-        the dispatcher, so every subtask training concurrently over this
-        simulated interval can fuse into one cohort.  Batch orders are
-        keyed per attempt (see :meth:`_draw_orders`), so drawing here —
-        rather than at compute end like the inline path — cannot shift
-        any other attempt's permutations; the run stays bit-identical to
-        serial even across preemptions and timeouts (DESIGN.md §8.5).
+        In deferred mode this opens the batching window: it draws the
+        step's batch orders and queues the RNG-free compute with the
+        dispatcher, so every subtask training concurrently over this
+        simulated interval can fuse into one cohort.  In a codec run it
+        records the attempt's inputs and compute ``task``, so that an
+        upload deflate can train it ahead (:meth:`_train_ahead`).  Batch
+        orders are keyed per attempt (see :meth:`_draw_orders`), so
+        training from them before compute end — rather than at compute
+        end like the inline path — cannot shift any other attempt's
+        permutations; the run stays bit-identical to serial even across
+        preemptions and timeouts (DESIGN.md §8.5).
         """
         client_id = wu.current_attempt.client_id
         if not self._deferrable(client_id):
             return
         published: VersionedParams = payloads[wu.input_files[1]]
         shard: Dataset = payloads[self.work_generator.shard_file_name(wu.shard_index)]
+        if self._dispatcher is None:
+            resource = self.server.clients[client_id].resource
+            self._prepared[_attempt_key(wu)] = _InFlightAttempt(
+                wu, client_id, published, shard, task, resource
+            )
+            return
         orders = self._draw_orders(wu, client_id, len(shard))
-        task = self._dispatcher.submit(
+        self._prepared[_attempt_key(wu)] = self._dispatcher.submit(
             published.decode_params(), wu.shard_index, orders
         )
-        self._prepared[(wu.wu_id, client_id)] = task
 
-    def _execute_subtask(self, wu: Workunit, payloads: dict) -> tuple[object, int]:
+    def _execute_subtask(self, wu: Workunit, payloads: dict) -> tuple[object, object]:
         """Train on the shard starting from the downloaded server params.
 
         Returns a :class:`ClientUpdate` carrying the new parameter copy,
@@ -622,30 +655,42 @@ class DistributedRunner:
         the multi-core execution plane enabled the return value is a
         :class:`DeferredUpdate` instead, wrapping the step pre-submitted
         at compute start; the compute materializes when the upload is
-        accepted.
+        accepted.  In a codec run the upload's size may still be pending
+        on the pricing thread; meanwhile the attempt whose compute ends
+        next trains ahead.
         """
+        payload, wire = self._compute_subtask(wu, payloads)
+        if isinstance(wire, PendingPrice):
+            # Every vector of this subtask but its payload died with
+            # _compute_subtask's frame.
+            self._train_ahead()
+        return payload, wire
+
+    def _compute_subtask(self, wu: Workunit, payloads: dict) -> tuple[object, object]:
         client_id = wu.current_attempt.client_id
         published: VersionedParams = payloads[wu.input_files[1]]  # the parameter file
         param_vec = published.decode_params()
         self._wu_base_version[wu.wu_id] = published.version
         shard: Dataset = payloads[self.work_generator.shard_file_name(wu.shard_index)]
+        prepared = self._prepared.pop(_attempt_key(wu), None)
         if self._dispatcher is not None and self._deferrable(client_id):
-            task = self._prepared.pop((wu.wu_id, client_id), None)
-            if task is None:  # pragma: no cover - hook installed with dispatcher
-                task = self._dispatcher.submit(
+            if prepared is None:  # pragma: no cover - hook installed with dispatcher
+                prepared = self._dispatcher.submit(
                     param_vec,
                     wu.shard_index,
                     self._draw_orders(wu, client_id, len(shard)),
                 )
             deferred = DeferredUpdate(
                 dispatcher=self._dispatcher,
-                task=task,
+                task=prepared,
                 client_id=client_id,
                 base_version=published.version,
             )
             return deferred, self._param_wire_bytes
-        orders = self._draw_orders(wu, client_id, len(shard))
-        new_vec, gradient = self._steps.run_group(param_vec, [shard], [orders])[0]
+        if prepared is not None and prepared.result is not None:
+            new_vec, gradient = prepared.result
+        else:
+            new_vec, gradient = self._train(wu, client_id, param_vec, shard)
         new_vec = self._maybe_corrupt(client_id, new_vec)
         claimed: float | None = None
         if self._adversary is not None and self._adversary.compromised(client_id):
@@ -672,6 +717,36 @@ class DistributedRunner:
         if self._codec_plane is not None:
             return self._codec_plane.encode_upload(update, param_vec, wu.wu_id)
         return update, self._param_wire_bytes
+
+    def _train(
+        self, wu: Workunit, client_id: str, base: np.ndarray, shard: Dataset
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """One attempt's local step from its base vector (inline path)."""
+        orders = self._draw_orders(wu, client_id, len(shard))
+        return self._steps.run_group(base, [shard], [orders])[0]
+
+    def _train_ahead(self) -> None:
+        """Train the noted attempt whose compute ends next, while the
+        pricing thread deflates an upload.
+
+        The step reads only inputs fixed at compute start — the
+        downloaded base, the shard and the per-attempt batch orders — and
+        only deferrable attempts are noted, so its result is the one the
+        attempt's compute end would compute (DESIGN.md §8.6, invariant 4).
+        The next finisher is read off each client's compute resource
+        without advancing it.  The base is decoded here and again at
+        compute end rather than kept.  At most one result is held; noted
+        attempts whose compute was cancelled (timeout, cancellation,
+        preemption) are dropped first, their result with them.
+        """
+        for key in [k for k, a in self._prepared.items() if a.task.cancelled]:
+            del self._prepared[key]
+        noted = self._prepared.values()
+        if not noted or any(a.result is not None for a in noted):
+            return
+        nxt = min(noted, key=lambda a: a.resource.seconds_to_finish(a.task))
+        base = nxt.published.decode_params()
+        nxt.result = self._train(nxt.wu, nxt.client_id, base, nxt.shard)
 
     def _maybe_corrupt(self, client_id: str, vec: np.ndarray) -> np.ndarray:
         """Fault injection: designated clients upload perturbed parameters.
@@ -939,12 +1014,15 @@ class DistributedRunner:
         for wu in self._epoch_workunits:
             self._wu_base_version.pop(wu.wu_id, None)
         if self._prepared:
-            # Pre-submitted steps whose attempts aborted mid-compute never
-            # reached the executor; drop them so the dispatcher stops
-            # holding their base parameter copies.
+            # Noted attempts that aborted mid-compute never reached the
+            # executor; drop them so the dispatcher stops holding their
+            # base parameter copies and no trained-ahead result outlives
+            # its epoch.
             epoch_ids = {wu.wu_id for wu in self._epoch_workunits}
             for key in [k for k in self._prepared if k[0] in epoch_ids]:
-                self._dispatcher.discard(self._prepared.pop(key))
+                noted = self._prepared.pop(key)
+                if self._dispatcher is not None:
+                    self._dispatcher.discard(noted)
         record = EpochRecord(
             epoch=epoch + 1,
             end_time_s=self.sim.now + self._time_offset,

@@ -182,6 +182,15 @@ class ComputeResource:
             self._completion_event = None
         return dropped
 
+    def seconds_to_finish(self, task: ComputeTask) -> float:
+        """Simulated seconds until ``task`` completes if the rate holds.
+
+        A pure read: :meth:`_advance` would split the float interval since
+        the last state change and so move every later completion time.
+        """
+        rate = self.per_task_rate()
+        return (task.work_remaining - rate * (self.sim.now - self._last_update)) / rate
+
     @property
     def active_count(self) -> int:
         """Tasks currently sharing the machine."""
