@@ -42,9 +42,7 @@ __all__ = ["TaskExecutor", "ClientDaemon"]
 
 # The application hook: given the workunit and its downloaded input
 # payloads, run the actual training and return (result_payload, nbytes).
-# ``nbytes`` may be a pending size (an object with ``resolve()``), which
-# the upload resolves before it reads it.
-TaskExecutor = Callable[[Workunit, dict[str, object]], tuple[object, object]]
+TaskExecutor = Callable[[Workunit, dict[str, object]], tuple[object, int]]
 
 # Persistent-transfer policy (BOINC's project backoff is minutes-scale;
 # ours is compressed to match the 5-minute subtask deadline so a transient
@@ -286,11 +284,8 @@ class ClientDaemon:
             handle.cancel()
 
     def _start_upload(
-        self, wu: Workunit, result: object, nbytes, retry: int = 0
+        self, wu: Workunit, result: object, nbytes: int, retry: int = 0
     ) -> None:
-        if hasattr(nbytes, "resolve"):  # priced off-thread; retries reuse the int
-            nbytes = nbytes.resolve()
-
         def on_uploaded() -> None:
             if self.trace is not None:
                 self.trace.emit(

@@ -25,24 +25,25 @@ one run:
   (matching the historical accounting): the accumulated gradient for
   gradient-consuming rules, the parameter delta against the downloaded
   base for averaging rules.  Inside ``DistributedRunner.run()`` its zlib
-  pass runs on the same pricing thread, and the size resolves where the
-  client's upload first reads it, in the same compute-end event.  Lossy
-  codecs apply **error feedback**: the
-  encode error is carried client-side as a residual and added to the
-  next upload from the same client, so dropped/rounded mass is delayed,
-  never lost.  Residuals are checkpointable (:meth:`state_dict`) and are
-  disabled under replication, where sibling replicas must produce
-  bit-identical decoded payloads to reach quorum.
+  pass runs on the same pricing thread when the runner has a subtask to
+  train meanwhile; the size resolves before the runner hands it to the
+  client's upload, in the same compute-end event.  Lossy codecs apply
+  **error feedback**: the encode error is carried client-side as a
+  residual and added to the next upload from the same client, so
+  dropped/rounded mass is delayed, never lost.  Residuals are
+  checkpointable (:meth:`state_dict`) and are disabled under
+  replication, where sibling replicas must produce bit-identical decoded
+  payloads to reach quorum.
 
 Determinism contract: every counter is an integer derived from encoded
 content, never from timing.  A pending price resolves only at points the
-simulation fixes (a file's or an upload's first size read, an epoch
-boundary, :meth:`ParamCodecPlane.counters`), never when the thread
-happens to finish, so its counter increment and its ``net.encode``
-record land at the same place on every run.  The ``encode_cpu_s``/``decode_cpu_s``
-attributes are host wall-clock attributions for benchmarks and obs
-metrics only — they must never reach ``RunResult.counters``, trace
-fields, or any digested artifact.
+simulation fixes (a file's first size read, the runner's executor
+returning an upload, an epoch boundary, :meth:`ParamCodecPlane.counters`),
+never when the thread happens to finish, so its counter increment and
+its ``net.encode`` record land at the same place on every run.  The
+``encode_cpu_s``/``decode_cpu_s`` attributes are host wall-clock
+attributions for benchmarks and obs metrics only — they must never
+reach ``RunResult.counters``, trace fields, or any digested artifact.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class PendingPrice:
     :meth:`resolve` waits for the deflate once and hands it to ``finish``
     (the plane's bookkeeping), which returns the wire size; later calls
     return the same int.  ``ServerFile`` sizes, the delta window and a
-    result upload's size hold these until their first read.
+    result upload's size hold these until they are read.
     """
 
     __slots__ = ("_future", "_finish", "value")
@@ -283,7 +284,7 @@ class ParamCodecPlane:
         while it runs, else here.  ``record`` marks a whole published file
         or result upload: the ``net.encode`` fields it is counted and
         traced with once priced."""
-        if body is None:  # a fixed-size format (top-k): nothing to deflate
+        if body is None:  # already priced, or a fixed-size format (top-k)
             return self._priced(unpriced.nbytes, 0, record, 0, 0.0)
         finish = partial(self._priced, unpriced.nbytes, body.nbytes, record)
         if self._pricing is None:
@@ -401,7 +402,11 @@ class ParamCodecPlane:
     # -- upload path -------------------------------------------------------
 
     def encode_upload(
-        self, update: ClientUpdate, base_vec: np.ndarray, wu_id: str
+        self,
+        update: ClientUpdate,
+        base_vec: np.ndarray,
+        wu_id: str,
+        defer_price: bool = False,
     ) -> tuple[object, "int | PendingPrice"]:
         """Encode one result upload; returns ``(payload, wire_bytes)``.
 
@@ -412,12 +417,20 @@ class ParamCodecPlane:
         :class:`EncodedUpdate` whose resolution yields the *decoded*
         update — what the server actually receives.
 
-        While the pricing thread runs, the wire size is a
-        :class:`PendingPrice` (top-k's fixed-size format excepted); the
-        upload's wire-byte counter and ``net.encode`` record wait for its
-        resolution, which the client's upload makes before it reads the
-        size.
+        ``defer_price`` says the caller has work to do before it reads
+        the size.  Then, while the pricing thread runs, the body is
+        deflated there and the wire size is a :class:`PendingPrice`
+        (top-k's fixed-size format excepted); the upload's wire-byte
+        counter and ``net.encode`` record wait for its resolution.
+        Otherwise the codec's own ``encode`` prices it here.
         """
+        deferred = defer_price and self._pricing is not None
+
+        def encode(codec, vec, layout=None, **options):
+            if deferred:
+                return codec.encode_unpriced(vec, layout, **options)
+            return codec.encode(vec, layout, **options), None
+
         t0 = time.perf_counter()
         gradient_stream = update.gradient is not None
         raw_nbytes = int(
@@ -427,14 +440,14 @@ class ParamCodecPlane:
             if self._delta and not gradient_stream:
                 # Both sides hold the base (the server published it), so
                 # the upload is the XOR of the new parameters against it.
-                enc, body = self.up_codec.encode_unpriced(
-                    update.params, self.layout, reference=base_vec
+                enc, body = encode(
+                    self.up_codec, update.params, self.layout, reference=base_vec
                 )
             else:
                 # The zlib baseline compresses the uploaded result file
                 # itself (gradient or full parameter copy), not a delta.
                 uploaded = update.gradient if gradient_stream else update.params
-                enc, body = self._zlib.encode_unpriced(np.ascontiguousarray(uploaded))
+                enc, body = encode(self._zlib, np.ascontiguousarray(uploaded))
             payload: object = update
         else:
             # ``params - base`` is the one fresh vector: the residual is
@@ -453,7 +466,7 @@ class ParamCodecPlane:
                 vector = np.add(
                     vector, residual, out=residual if gradient_stream else vector
                 )
-            enc, body = self.up_codec.encode_unpriced(vector, self.layout)
+            enc, body = encode(self.up_codec, vector, self.layout)
             t1 = time.perf_counter()
             decoded = self.up_codec.decode(enc)
             self.decode_cpu_s += time.perf_counter() - t1

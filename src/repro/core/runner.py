@@ -88,15 +88,13 @@ class _InFlightAttempt:
     """A codec run's deferrable attempt, noted at compute start: its
     inputs, its compute task and, once trained ahead, its result."""
 
-    __slots__ = ("wu", "client_id", "published", "shard", "task", "resource", "result")
+    __slots__ = ("wu", "published", "shard", "task", "result")
 
-    def __init__(self, wu, client_id, published, shard, task, resource) -> None:
+    def __init__(self, wu, published, shard, task) -> None:
         self.wu = wu
-        self.client_id = client_id
         self.published = published
         self.shard = shard
         self.task = task
-        self.resource = resource
         self.result: tuple[np.ndarray, np.ndarray | None] | None = None
 
 
@@ -623,7 +621,7 @@ class DistributedRunner:
         dispatcher, so every subtask training concurrently over this
         simulated interval can fuse into one cohort.  In a codec run it
         records the attempt's inputs and compute ``task``, so that an
-        upload deflate can train it ahead (:meth:`_train_ahead`).  Batch
+        upload deflate can train it ahead (:meth:`_next_finisher`).  Batch
         orders are keyed per attempt (see :meth:`_draw_orders`), so
         training from them before compute end — rather than at compute
         end like the inline path — cannot shift any other attempt's
@@ -636,9 +634,8 @@ class DistributedRunner:
         published: VersionedParams = payloads[wu.input_files[1]]
         shard: Dataset = payloads[self.work_generator.shard_file_name(wu.shard_index)]
         if self._dispatcher is None:
-            resource = self.server.clients[client_id].resource
             self._prepared[_attempt_key(wu)] = _InFlightAttempt(
-                wu, client_id, published, shard, task, resource
+                wu, published, shard, task
             )
             return
         orders = self._draw_orders(wu, client_id, len(shard))
@@ -646,7 +643,7 @@ class DistributedRunner:
             published.decode_params(), wu.shard_index, orders
         )
 
-    def _execute_subtask(self, wu: Workunit, payloads: dict) -> tuple[object, object]:
+    def _execute_subtask(self, wu: Workunit, payloads: dict) -> tuple[object, int]:
         """Train on the shard starting from the downloaded server params.
 
         Returns a :class:`ClientUpdate` carrying the new parameter copy,
@@ -655,42 +652,54 @@ class DistributedRunner:
         the multi-core execution plane enabled the return value is a
         :class:`DeferredUpdate` instead, wrapping the step pre-submitted
         at compute start; the compute materializes when the upload is
-        accepted.  In a codec run the upload's size may still be pending
-        on the pricing thread; meanwhile the attempt whose compute ends
-        next trains ahead.
+        accepted.  In a codec run with a noted attempt free to train
+        ahead, the upload is deflated on the pricing thread while that
+        attempt trains, and its size resolves before this returns.
         """
-        payload, wire = self._compute_subtask(wu, payloads)
+        noted = self._prepared.pop(_attempt_key(wu), None)
+        ahead = self._next_finisher() if self._codec_plane is not None else None
+        payload, wire = self._compute_subtask(wu, payloads, noted, ahead is not None)
         if isinstance(wire, PendingPrice):
-            # Every vector of this subtask but its payload died with
-            # _compute_subtask's frame.
-            self._train_ahead()
+            # Train while the pricing thread deflates the upload.  Every
+            # vector of this subtask but its payload is dead by now: it
+            # died with _compute_subtask's frame, or with ``noted`` here.
+            del noted
+            ahead.result = self._train(
+                ahead.wu, ahead.published.decode_params(), ahead.shard
+            )
+            wire = wire.resolve()
         return payload, wire
 
-    def _compute_subtask(self, wu: Workunit, payloads: dict) -> tuple[object, object]:
+    def _compute_subtask(
+        self, wu: Workunit, payloads: dict, noted, defer_price: bool
+    ) -> tuple[object, "int | PendingPrice"]:
+        """One compute end's training and upload encode.  ``noted`` is what
+        the compute-start hook noted for this attempt (a dispatcher step,
+        or an attempt that may hold a trained-ahead result);
+        ``defer_price`` goes to the codec plane's upload encode."""
         client_id = wu.current_attempt.client_id
         published: VersionedParams = payloads[wu.input_files[1]]  # the parameter file
         param_vec = published.decode_params()
         self._wu_base_version[wu.wu_id] = published.version
         shard: Dataset = payloads[self.work_generator.shard_file_name(wu.shard_index)]
-        prepared = self._prepared.pop(_attempt_key(wu), None)
         if self._dispatcher is not None and self._deferrable(client_id):
-            if prepared is None:  # pragma: no cover - hook installed with dispatcher
-                prepared = self._dispatcher.submit(
+            if noted is None:  # pragma: no cover - hook installed with dispatcher
+                noted = self._dispatcher.submit(
                     param_vec,
                     wu.shard_index,
                     self._draw_orders(wu, client_id, len(shard)),
                 )
             deferred = DeferredUpdate(
                 dispatcher=self._dispatcher,
-                task=prepared,
+                task=noted,
                 client_id=client_id,
                 base_version=published.version,
             )
             return deferred, self._param_wire_bytes
-        if prepared is not None and prepared.result is not None:
-            new_vec, gradient = prepared.result
+        if noted is not None and noted.result is not None:
+            new_vec, gradient = noted.result
         else:
-            new_vec, gradient = self._train(wu, client_id, param_vec, shard)
+            new_vec, gradient = self._train(wu, param_vec, shard)
         new_vec = self._maybe_corrupt(client_id, new_vec)
         claimed: float | None = None
         if self._adversary is not None and self._adversary.compromised(client_id):
@@ -715,38 +724,44 @@ class DistributedRunner:
             claimed_credit=claimed,
         )
         if self._codec_plane is not None:
-            return self._codec_plane.encode_upload(update, param_vec, wu.wu_id)
+            return self._codec_plane.encode_upload(
+                update, param_vec, wu.wu_id, defer_price
+            )
         return update, self._param_wire_bytes
 
     def _train(
-        self, wu: Workunit, client_id: str, base: np.ndarray, shard: Dataset
+        self, wu: Workunit, base: np.ndarray, shard: Dataset
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One attempt's local step from its base vector (inline path)."""
-        orders = self._draw_orders(wu, client_id, len(shard))
+        """The current attempt's local step from its base vector."""
+        orders = self._draw_orders(wu, wu.current_attempt.client_id, len(shard))
         return self._steps.run_group(base, [shard], [orders])[0]
 
-    def _train_ahead(self) -> None:
-        """Train the noted attempt whose compute ends next, while the
-        pricing thread deflates an upload.
+    def _next_finisher(self) -> "_InFlightAttempt | None":
+        """The noted attempt whose compute ends next, to train ahead while
+        the pricing thread deflates an upload; None when none is noted or
+        one already holds a result (at most one is held).
 
-        The step reads only inputs fixed at compute start — the
-        downloaded base, the shard and the per-attempt batch orders — and
-        only deferrable attempts are noted, so its result is the one the
-        attempt's compute end would compute (DESIGN.md §8.6, invariant 4).
-        The next finisher is read off each client's compute resource
-        without advancing it.  The base is decoded here and again at
-        compute end rather than kept.  At most one result is held; noted
-        attempts whose compute was cancelled (timeout, cancellation,
-        preemption) are dropped first, their result with them.
+        Noted attempts whose compute was cancelled (timeout, cancellation,
+        preemption) are dropped first, their result with them, so every
+        one left is its unit's current attempt.  The next finisher is read
+        off each client's compute resource without advancing it.  A step
+        trained ahead reads only inputs fixed at compute start — the
+        downloaded base (decoded again rather than kept), the shard and
+        the per-attempt batch orders — and only deferrable attempts are
+        noted, so its result is the one the attempt's compute end would
+        compute (DESIGN.md §8.6, invariant 4).
         """
         for key in [k for k, a in self._prepared.items() if a.task.cancelled]:
             del self._prepared[key]
         noted = self._prepared.values()
         if not noted or any(a.result is not None for a in noted):
-            return
-        nxt = min(noted, key=lambda a: a.resource.seconds_to_finish(a.task))
-        base = nxt.published.decode_params()
-        nxt.result = self._train(nxt.wu, nxt.client_id, base, nxt.shard)
+            return None
+
+        def seconds_left(attempt: _InFlightAttempt) -> float:
+            client = self.server.clients[attempt.wu.current_attempt.client_id]
+            return client.resource.seconds_to_finish(attempt.task)
+
+        return min(noted, key=seconds_left)
 
     def _maybe_corrupt(self, client_id: str, vec: np.ndarray) -> np.ndarray:
         """Fault injection: designated clients upload perturbed parameters.

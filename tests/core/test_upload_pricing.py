@@ -1,10 +1,12 @@
 """Upload pricing on the pricing thread, and training ahead while it runs.
 
-Inside ``DistributedRunner.run()`` a result upload's zlib pass runs on the
-codec plane's pricing thread; its size resolves where the upload reads it,
-inside the same compute-end event.  While it is pending the runner trains
-the in-flight attempt whose compute ends next, so that attempt's compute
-end takes a finished result.  Neither may show in the bits: the pins below
+Inside ``DistributedRunner.run()``, when a noted attempt is free to train
+ahead, a result upload's zlib pass runs on the codec plane's pricing
+thread while the runner trains the in-flight attempt whose compute ends
+next; the size resolves before the executor returns, inside the same
+compute-end event, and that attempt's compute end takes a finished
+result.  Otherwise the upload is priced inline, as outside ``run()``.
+Neither may show in the bits: the pins below
 were captured on the tree that priced every upload inline and trained
 every subtask at its compute end.  If one moves, find the leak — do not
 re-pin.
@@ -16,11 +18,13 @@ import hashlib
 import json
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 import repro.core.codec_plane as codec_plane
+import repro.nn.serialization as serialization
 from repro.core import DistributedRunner, FaultConfig, make_rule
 from repro.core.rules import ClientUpdate
 from repro.core.runner import PARAM_FILE
@@ -158,21 +162,50 @@ class TestTraceOrder:
         assert trace_digest(tiny_config(**overrides)) == golden
 
 
+def held(runner) -> list:
+    return [key for key, a in runner._prepared.items() if a.result is not None]
+
+
 class TestThreads:
-    def test_uploads_are_priced_on_the_pricing_thread(self, monkeypatch):
-        # Inside run() no deflate is left on the simulation thread: the
-        # public compressed_size runs only for the constructor's publish.
-        calls = []
-        compressed_size = codec_plane.compressed_size
-        monkeypatch.setattr(
-            codec_plane,
-            "compressed_size",
-            lambda body: calls.append(1) or compressed_size(body),
-        )
+    def test_an_upload_deflates_off_thread_only_while_one_trains_ahead(
+        self, monkeypatch
+    ):
         runner = DistributedRunner(tiny_config(codec="int8"))
-        assert len(calls) == 1
+        # Inside run() the simulation thread deflates an upload only
+        # through the codec's own encode, and only when no attempt can
+        # train meanwhile.
+        inline = []
+        compressed_size = serialization.compressed_size
+        monkeypatch.setattr(
+            serialization,
+            "compressed_size",
+            lambda body: inline.append(1) or compressed_size(body),
+        )
+        deferred = []
+        encode_upload = runner._codec_plane.encode_upload
+
+        def spying(*args):
+            payload, wire = encode_upload(*args)
+            deferred.append(isinstance(wire, codec_plane.PendingPrice))
+            return payload, wire
+
+        runner._codec_plane.encode_upload = spying
+        execute = runner._execute_subtask
+
+        def executing(wu, payloads):
+            payload, wire = execute(wu, payloads)
+            # A deferred deflate trained one attempt ahead, and its size
+            # left the executor resolved.
+            assert type(wire) is int
+            assert len(held(runner)) == (1 if deferred[-1] else 0)
+            return payload, wire
+
+        for client in runner.server.clients.values():
+            client.executor = executing
         counters = runner.run().counters
-        assert len(calls) == 1 and counters["codec_uploads"] > 0
+        assert len(deferred) == counters["codec_uploads"]
+        assert len(inline) == deferred.count(False)
+        assert 0 < deferred.count(True) < len(deferred)
 
     def test_a_failed_upload_deflate_surfaces_from_run(self, monkeypatch):
         def broken(body):
@@ -184,7 +217,7 @@ class TestThreads:
         runner = DistributedRunner(tiny_config(codec="zlib"))
         with pytest.raises(RuntimeError, match="deflate failed") as failure:
             runner.run()
-        assert "_start_upload" in {entry.name for entry in failure.traceback}
+        assert "_execute_subtask" in {entry.name for entry in failure.traceback}
         assert not pricing_threads()
 
     def test_uploads_outside_run_are_priced_inline(self):
@@ -226,8 +259,13 @@ class TestTrainingAhead:
         client.on_train_start(wu, payloads, task)
         return task, payloads
 
-    def held(self, runner) -> list:
-        return [key for key, a in runner._prepared.items() if a.result is not None]
+    def train_ahead(self, runner) -> None:
+        """What an upload's deferred deflate does in the executor."""
+        ahead = runner._next_finisher()
+        if ahead is not None:
+            ahead.result = runner._train(
+                ahead.wu, ahead.published.decode_params(), ahead.shard
+            )
 
     def test_a_reissued_attempt_never_takes_its_predecessors_result(self):
         runner, units, shard_files = self.setup_runner()
@@ -237,8 +275,8 @@ class TestTrainingAhead:
         second = runner.server.catalog.get(PARAM_FILE).payload
         client = runner.server.clients["client-000"]
         task, payloads = self.start(runner, wu, client.client_id, first, shard_file)
-        runner._train_ahead()
-        assert self.held(runner) == [(wu.wu_id, 1)]
+        self.train_ahead(runner)
+        assert held(runner) == [(wu.wu_id, 1)]
         # Attempt 1 times out and the unit goes back to the same client,
         # which downloaded the second copy.  Its compute end finds no
         # result under its own key, so it trains from its own base.
@@ -249,17 +287,15 @@ class TestTrainingAhead:
         uploaded = []
         encode_upload = runner._codec_plane.encode_upload
 
-        def spying(update, base, wu_id):
+        def spying(update, *args):
             uploaded.append(update.params)
-            return encode_upload(update, base, wu_id)
+            return encode_upload(update, *args)
 
         runner._codec_plane.encode_upload = spying
         runner._execute_subtask(wu, payloads)
 
         def trained(published):
-            return runner._train(
-                wu, client.client_id, published.decode_params(), payloads[shard_file]
-            )[0]
+            return runner._train(wu, published.decode_params(), payloads[shard_file])[0]
 
         assert not np.array_equal(trained(first), trained(second))
         np.testing.assert_array_equal(uploaded[0], trained(second))
@@ -273,16 +309,45 @@ class TestTrainingAhead:
             )[0]
             for wu, work in zip(units, (3.0, 1.0))
         ]
-        runner._train_ahead()
-        assert self.held(runner) == [(units[1].wu_id, 1)]
-        runner._train_ahead()
-        assert self.held(runner) == [(units[1].wu_id, 1)]
+        self.train_ahead(runner)
+        assert held(runner) == [(units[1].wu_id, 1)]
+        self.train_ahead(runner)
+        assert held(runner) == [(units[1].wu_id, 1)]
         # The held attempt is cancelled: its entry and result are dropped,
         # and the freed slot trains the other attempt.
         runner.server.clients["client-000"].resource.cancel(started[1])
-        runner._train_ahead()
-        assert self.held(runner) == [(units[0].wu_id, 1)]
+        self.train_ahead(runner)
+        assert held(runner) == [(units[0].wu_id, 1)]
         assert set(runner._prepared) == {(units[0].wu_id, 1)}
+
+    def test_the_taken_result_is_dead_before_the_next_trains(self):
+        # Training ahead adds one model-sized step to the peak; the
+        # finished attempt's own vectors must not ride along.
+        runner, units, shard_files = self.setup_runner()
+        published = runner.server.catalog.get(PARAM_FILE).payload
+        payloads = [
+            self.start(runner, wu, client, published, shard_files[wu.wu_id], work)[1]
+            for wu, client, work in zip(
+                units, ("client-000", "client-001"), (1.0, 3.0)
+            )
+        ]
+        self.train_ahead(runner)
+        taken = weakref.ref(runner._prepared[(units[0].wu_id, 1)].result[0])
+        train = runner._train
+        alive = []
+
+        def training(wu, base, shard):
+            alive.append(taken() is not None)
+            return train(wu, base, shard)
+
+        runner._train = training
+        runner._codec_plane.start_pricing()
+        try:
+            runner._execute_subtask(units[0], payloads[0])
+        finally:
+            runner._codec_plane.stop_pricing()
+        assert alive == [False]
+        assert held(runner) == [(units[1].wu_id, 1)]
 
     def test_a_taken_result_equals_training_at_compute_end(self):
         runner, units, shard_files = self.setup_runner()
@@ -292,9 +357,9 @@ class TestTrainingAhead:
             runner, wu, "client-000", published, shard_files[wu.wu_id]
         )
         expected = runner._train(
-            wu, "client-000", published.decode_params(), payloads[shard_files[wu.wu_id]]
+            wu, published.decode_params(), payloads[shard_files[wu.wu_id]]
         )[0]
-        runner._train_ahead()
+        self.train_ahead(runner)
         (noted,) = runner._prepared.values()
         np.testing.assert_array_equal(noted.result[0], expected)
 
