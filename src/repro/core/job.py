@@ -249,13 +249,15 @@ class TrainingJobConfig:
         "cohort pass (bit-identical to serial; 1 = inline legacy path)",
     )
     # Process fan-out: deferred step groups run on a fork pool, each group
-    # shipped with its base parameter vector by value.
+    # shipped with its base parameter vector by value.  0 = auto, resolved
+    # per process by repro.core.parallel.step_jobs_for.
     step_jobs: int = _flag(
-        1,
+        0,
         "--step-jobs",
         metavar="N",
         help="fan one run's client steps out over N worker processes "
-        "(bit-identical to serial; 1 = in-process)",
+        "(bit-identical to serial; 1 = in-process; 0 = auto: one per "
+        "usable CPU, but 1 with a codec, in a sweep or on one CPU)",
     )
 
     # -- dynamic parameter-server scaling (§III-D future design) ---------------
@@ -331,8 +333,8 @@ class TrainingJobConfig:
             raise ConfigurationError("server_planes must be >= 1")
         if self.cohort_size < 1:
             raise ConfigurationError("cohort_size must be >= 1")
-        if self.step_jobs < 1:
-            raise ConfigurationError("step_jobs must be >= 1")
+        if self.step_jobs < 0:
+            raise ConfigurationError("step_jobs must be >= 0 (0 = auto)")
         for name, kind in (
             ("update_rule", UpdateRule),
             ("congestion", CongestionSchedule),

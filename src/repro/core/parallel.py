@@ -17,7 +17,7 @@ import multiprocessing
 import os
 import pickle
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
@@ -28,6 +28,7 @@ from .results import RunResult
 __all__ = [
     "run_configs",
     "default_jobs",
+    "step_jobs_for",
     "picklable",
     "ParallelFallback",
     "ParallelFallbackWarning",
@@ -36,8 +37,27 @@ __all__ = [
 
 
 def default_jobs() -> int:
-    """A sensible worker count: one per CPU."""
-    return max(1, os.cpu_count() or 1)
+    """A sensible worker count: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return max(1, os.cpu_count() or 1)
+
+
+def step_jobs_for(config: TrainingJobConfig) -> int:
+    """The step-pool width a run of ``config`` uses in this process.
+
+    An explicit ``step_jobs >= 1`` is taken as given.  ``0`` (auto) is
+    :func:`default_jobs`, except 1 — no pool — for a run with a codec
+    (its uploads encode at compute end), inside a worker process (a
+    ``run_configs`` sweep never nests pools) and where only one CPU is
+    usable.
+    """
+    if config.step_jobs:
+        return config.step_jobs
+    if config.codec is not None or multiprocessing.parent_process() is not None:
+        return 1
+    return default_jobs()
 
 
 def picklable(payload: object) -> bool:
@@ -87,10 +107,13 @@ def record_fallback(fallback: ParallelFallback, message: str) -> None:
 
 
 def _run_one(config: TrainingJobConfig, collect_telemetry: bool):
-    """Worker body: one full run (top level so it pickles)."""
+    """Worker body: one full run (top level so it pickles).  A sweep spends
+    its CPUs on its points, so an auto step width runs in-process."""
     # Imported lazily: forked workers inherit it, spawned ones re-import.
     from .runner import DistributedRunner
 
+    if config.step_jobs == 0:
+        config = replace(config, step_jobs=1)
     runner = DistributedRunner(config)
     result = runner.run()
     telemetry = runner.telemetry() if collect_telemetry else None
@@ -128,6 +151,10 @@ def run_configs(
     and 1.19–1.21 s at ``jobs=2`` with OpenBLAS unpinned (≈1.0×), and
     1.09–1.17 s vs 0.67–0.69 s pinned (1.6–1.7×); the serial time is the
     same either way.
+
+    The CPUs go to the sweep points, not inside them: a config left at
+    ``step_jobs=0`` (auto) runs in-process at any ``jobs``, so a serial
+    sweep stays serial; an explicit ``step_jobs`` is kept.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")

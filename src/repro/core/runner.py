@@ -58,6 +58,7 @@ from .checkpoint import Checkpoint
 from .codec_plane import ParamCodecPlane, PendingPrice, VersionedParams
 from .job import TrainingJobConfig
 from .param_server import PARAM_KEY, ParameterServerPool
+from .parallel import step_jobs_for
 from .results import EpochRecord, RunResult
 from .rules import ClientUpdate
 from .steps import DeferredUpdate, StepDispatcher, _StepContext, draw_batch_orders
@@ -377,9 +378,11 @@ class DistributedRunner:
         self._republish_params(initial_vec)
 
         # ---- multi-core execution plane (DESIGN.md §8.5) ------------------------
-        # Built only when cohorts or step fan-out are requested: with the
-        # defaults (1/1) no dispatcher exists and every subtask computes
-        # at execute time, on the same step context.
+        # Built only when cohorts or step fan-out are in use: at cohort
+        # size 1 with one step job (a codec run, a sweep worker, one CPU
+        # or an explicit step_jobs=1) no dispatcher exists and every
+        # subtask computes at execute time, on the same step context.
+        self.step_jobs = step_jobs_for(config)
         self._dispatcher: StepDispatcher | None = None
         # What the compute-start hook noted, keyed by attempt: steps
         # pre-submitted to the dispatcher, or a codec run's attempts that
@@ -387,7 +390,7 @@ class DistributedRunner:
         # at compute end, pruned at epoch boundaries for attempts that
         # aborted mid-compute.
         self._prepared: dict[tuple[str, int], object] = {}
-        if config.cohort_size > 1 or config.step_jobs > 1:
+        if config.cohort_size > 1 or self.step_jobs > 1:
             wg = self.work_generator
             shards = (
                 wg.inner.shards
@@ -399,7 +402,7 @@ class DistributedRunner:
                 model_spec=config.model,
                 shards=shards,
                 cohort_size=config.cohort_size,
-                jobs=config.step_jobs,
+                jobs=self.step_jobs,
             )
 
         # ---- adversary fabric (Byzantine clients) -------------------------------
@@ -619,7 +622,8 @@ class DistributedRunner:
         In deferred mode this opens the batching window: it draws the
         step's batch orders and queues the RNG-free compute with the
         dispatcher, so every subtask training concurrently over this
-        simulated interval can fuse into one cohort.  In a codec run it
+        simulated interval can fuse into one cohort — or, on a step pool,
+        trains on a worker while the simulation runs on.  In a codec run it
         records the attempt's inputs and compute ``task``, so that an
         upload deflate can train it ahead (:meth:`_next_finisher`).  Batch
         orders are keyed per attempt (see :meth:`_draw_orders`), so
@@ -640,7 +644,7 @@ class DistributedRunner:
             return
         orders = self._draw_orders(wu, client_id, len(shard))
         self._prepared[_attempt_key(wu)] = self._dispatcher.submit(
-            published.decode_params(), wu.shard_index, orders
+            published.decode_params(), wu.shard_index, orders, wu.wu_id
         )
 
     def _execute_subtask(self, wu: Workunit, payloads: dict) -> tuple[object, int]:
@@ -688,6 +692,7 @@ class DistributedRunner:
                     param_vec,
                     wu.shard_index,
                     self._draw_orders(wu, client_id, len(shard)),
+                    wu.wu_id,
                 )
             deferred = DeferredUpdate(
                 dispatcher=self._dispatcher,
@@ -1060,7 +1065,8 @@ class DistributedRunner:
         """Execute the full training job; returns the per-epoch results.
 
         With a codec, publishes are priced on the plane's pricing thread
-        for the duration of this call only.
+        for the duration of this call only; a step pool's workers are
+        stopped before it returns or raises.
         """
         if self._codec_plane is not None:
             self._codec_plane.start_pricing()

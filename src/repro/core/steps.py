@@ -18,10 +18,13 @@ the *numbers* are kept bit-identical by two rules:
   :func:`draw_batch_orders` pre-draws one permutation per local epoch
   from the attempt's own batch stream, so deferring the (RNG-free)
   compute moves no draw;
-* deferred execution is *value-lazy, schedule-eager*: the dispatcher
-  batches submitted steps and computes the whole pending batch at the
-  first resolve, which the client triggers when its upload is accepted —
-  before any consumer reads the payload.
+* a deferred step reads only inputs fixed at compute start (its base
+  vector, shard and pre-drawn orders), so it may run any time between
+  submit and the first resolve, which the client triggers when its upload
+  is accepted — before any consumer reads the payload.  In-process the
+  dispatcher computes the whole pending batch at that resolve; with a
+  pool each step leaves for a worker as its compute starts and the
+  resolve waits on that step alone.
 
 Clients whose upload is perturbed by state that depends on the trained
 result (corrupt-designated clients, adversary-compromised clients) are
@@ -31,6 +34,11 @@ context.
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.connection
+import os
+import threading
+from concurrent.futures import Future
 from typing import Sequence
 
 import numpy as np
@@ -94,20 +102,30 @@ def run_local_step(
 
 
 class StepTask:
-    """One submitted-but-not-yet-computed client training step."""
+    """One submitted-but-not-yet-computed client training step.
 
-    __slots__ = ("base_vec", "shard_index", "orders", "result")
+    On a pool, ``future`` is the step's chunk once it has left for a
+    worker and ``slot`` the step's place in that chunk.
+    """
+
+    __slots__ = (
+        "base_vec", "shard_index", "orders", "wu_id", "result", "future", "slot"
+    )
 
     def __init__(
         self,
         base_vec: np.ndarray,
         shard_index: int,
         orders: list[np.ndarray],
+        wu_id: str | None = None,
     ) -> None:
         self.base_vec = base_vec
         self.shard_index = shard_index
         self.orders = orders
+        self.wu_id = wu_id
         self.result: tuple[np.ndarray, np.ndarray | None] | None = None
+        self.future: Future | None = None
+        self.slot = 0
 
 
 class DeferredUpdate:
@@ -236,8 +254,16 @@ def _pool_init(
     learning_rate,
     collect_gradient,
 ) -> None:
-    """Worker start-up: keep the shards, build the step context."""
+    """Worker start-up: keep the shards, build the step context, and
+    exit with the parent."""
     global _WORKER_CONTEXT, _WORKER_SHARDS
+    # A parent killed before its shutdown would leave the worker blocked
+    # on its call queue forever.
+    threading.Thread(
+        target=_exit_when_closed,
+        args=(multiprocessing.parent_process().sentinel,),
+        daemon=True,
+    ).start()
     _WORKER_SHARDS = shards
     template = build_model(model_spec, np.random.default_rng(0))
     _WORKER_CONTEXT = _StepContext(
@@ -247,6 +273,11 @@ def _pool_init(
         learning_rate=learning_rate,
         collect_gradient=collect_gradient,
     )
+
+
+def _exit_when_closed(sentinel) -> None:
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
 
 
 def _pool_run_group(
@@ -266,12 +297,28 @@ def _pool_run_group(
 class StepDispatcher:
     """Batches deferred client steps into cohorts and process fan-out.
 
-    Submitted tasks accumulate until the first :meth:`resolve` (the
-    simulation's first accepted upload whose payload is still pending) and
-    are then flushed together: grouped by (base parameter version, shard
-    length), chunked to ``cohort_size``, and executed either in-process or
-    across a fork pool of ``jobs`` workers, each chunk shipped with its
-    base vector by value.
+    Steps that share a base vector and shard length form chunks of up to
+    ``cohort_size``, each trained in one pass (:meth:`_StepContext.run_group`).
+
+    * In-process (``jobs == 1``) submitted tasks accumulate until the
+      first :meth:`resolve` of a pending one (the simulation's first
+      accepted upload whose payload is still pending), which computes
+      the whole pending batch, chunk by chunk.
+    * With a pool (``jobs > 1``) a chunk leaves for a fork pool of
+      ``jobs`` workers, with its base vector by value, as soon as it
+      holds ``cohort_size`` steps — at cohort size 1, when the step's
+      compute starts.  A resolve waits on its own chunk only; if that
+      chunk is still filling, every partial chunk leaves first.  A chunk
+      no worker has taken yet is cancelled and trained in-process
+      instead, so the simulation never waits behind steps it does not
+      need yet.
+
+    ``stats`` counts ``tasks`` submitted, ``cohort_members`` computed in
+    fused chunks of more than one, and ``flushes``: resolves that found
+    their task still waiting here (in-process: the batch computations;
+    on a pool: the sends of partial chunks, none at cohort size 1);
+    ``stolen_groups`` counts the chunks a pool's resolve trained
+    in-process.
 
     Everything here is wall-clock machinery; nothing touches simulated
     time, counters, traces or RNG — which is what keeps every enabled
@@ -295,7 +342,11 @@ class StepDispatcher:
         self.shards = list(shards)
         self.cohort_size = cohort_size
         self.jobs = jobs
-        self._pending: list[StepTask] = []
+        self._pending: list[StepTask] = []  # in-process: the next batch
+        # Pool: chunks still filling, by chunk key, and per sent chunk
+        # the members neither resolved nor discarded.
+        self._filling: dict[tuple[int, int], list[StepTask]] = {}
+        self._sent: dict[Future, list[StepTask]] = {}
         self._pool = None
         # Wall-clock-side stats, deliberately kept out of RunResult
         # counters and the trace (both are digest material).
@@ -308,6 +359,7 @@ class StepDispatcher:
             "singleton_members": 0,
             "unsupported_members": 0,
             "pool_groups": 0,
+            "stolen_groups": 0,
         }
         if cohort_size > 1 and not context.compiles:
             record_fallback(
@@ -325,18 +377,31 @@ class StepDispatcher:
         base_vec: np.ndarray,
         shard_index: int,
         orders: list[np.ndarray],
+        wu_id: str | None = None,
     ) -> StepTask:
-        """Queue one step; the task pins ``base_vec`` until computed."""
-        task = StepTask(base_vec, shard_index, orders)
-        self._pending.append(task)
+        """Queue one step (on a pool, send its chunk once full); the task
+        pins ``base_vec``.  ``wu_id`` names the step in a worker's error."""
+        task = StepTask(base_vec, shard_index, orders, wu_id)
         self.stats["tasks"] += 1
+        if self.jobs == 1:
+            self._pending.append(task)
+            return task
+        key = self._chunk_key(task)
+        chunk = self._filling.setdefault(key, [])
+        chunk.append(task)
+        if len(chunk) == self.cohort_size:
+            del self._filling[key]
+            self._send(chunk)
         return task
 
     def resolve(self, task: StepTask) -> tuple[np.ndarray, np.ndarray | None]:
-        """Return the task's result, flushing the whole pending batch if
-        it is still pending."""
+        """Return the task's result, computing (in-process) or waiting
+        for (pool) it if it is still pending."""
         if task.result is None:
-            self._flush()
+            if self.jobs == 1:
+                self._flush()
+            else:
+                self._await(task)
         if task.result is None:
             raise SimulationError(
                 "step task resolved without a result; it was not pending "
@@ -345,14 +410,37 @@ class StepDispatcher:
         return task.result
 
     def discard(self, task: StepTask) -> None:
-        """Forget a still-pending task (its attempt aborted mid-compute)."""
-        self._pending = [t for t in self._pending if t is not task]
+        """Forget a still-pending task (its attempt aborted mid-compute).
+        On a pool, its chunk is cancelled if no member is left and no
+        worker has taken it yet."""
+        if self.jobs == 1:
+            self._pending = [t for t in self._pending if t is not task]
+        elif task.future is not None:
+            if not self._release(task):
+                task.future.cancel()
+            task.future = None
+        else:
+            key = self._chunk_key(task)
+            chunk = [t for t in self._filling.get(key, ()) if t is not task]
+            if chunk:
+                self._filling[key] = chunk
+            else:
+                self._filling.pop(key, None)
 
     # -- execution ------------------------------------------------------
+    def _chunk_key(self, task: StepTask) -> tuple[int, int]:
+        # Cohort members must share the exact base vector and batch
+        # geometry.  A task pins its base array, so id() is
+        # collision-free while it waits.
+        return id(task.base_vec), len(self.shards[task.shard_index])
+
     def _ensure_pool(self):
         if self._pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
+            # Forked where possible: workers inherit the shards instead of
+            # unpickling them.  A pool run has no codec, so no pricing
+            # thread exists to be forked mid-operation.
             context = self._context
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
@@ -375,23 +463,27 @@ class StepDispatcher:
             return
         self.stats["flushes"] += 1
         self.stats["max_flush"] = max(self.stats["max_flush"], len(pending))
-        # Cohort members must share the exact base vector and batch
-        # geometry.  The tasks themselves pin the base arrays, so id() is
-        # collision-free while a task is pending.
         groups: dict[tuple[int, int], list[StepTask]] = {}
         for task in pending:
-            key = (id(task.base_vec), len(self.shards[task.shard_index]))
-            groups.setdefault(key, []).append(task)
+            groups.setdefault(self._chunk_key(task), []).append(task)
         chunks = [
             tasks[i : i + self.cohort_size]
             for tasks in groups.values()
             for i in range(0, len(tasks), self.cohort_size)
         ]
         self._count_chunks(chunks)
-        if self.jobs > 1 and len(chunks) > 1:
-            self._run_chunks_pool(chunks)
-        else:
-            self._run_chunks_inprocess(chunks)
+        for chunk in chunks:
+            self._run_here(chunk)
+
+    def _run_here(self, chunk: list[StepTask]) -> None:
+        """Train one chunk in this process."""
+        results = self._context.run_group(
+            chunk[0].base_vec,
+            [self.shards[t.shard_index] for t in chunk],
+            [t.orders for t in chunk],
+        )
+        for task, result in zip(chunk, results):
+            task.result, task.future = result, None
 
     def _count_chunks(self, chunks: list[list[StepTask]]) -> None:
         for chunk in chunks:
@@ -403,38 +495,61 @@ class StepDispatcher:
             else:
                 self.stats["unsupported_members"] += len(chunk)
 
-    def _run_chunks_inprocess(self, chunks: list[list[StepTask]]) -> None:
-        for chunk in chunks:
-            results = self._context.run_group(
-                chunk[0].base_vec,
-                [self.shards[t.shard_index] for t in chunk],
-                [t.orders for t in chunk],
-            )
-            for task, result in zip(chunk, results):
-                task.result = result
+    def _send(self, chunk: list[StepTask]) -> None:
+        """Ship one chunk to the pool with its base vector by value."""
+        future = self._ensure_pool().submit(
+            _pool_run_group,
+            chunk[0].base_vec,
+            [t.shard_index for t in chunk],
+            [t.orders for t in chunk],
+        )
+        self._sent[future] = list(chunk)
+        for slot, task in enumerate(chunk):
+            task.future, task.slot = future, slot
+        self._count_chunks([chunk])
+        self.stats["pool_groups"] += 1
 
-    def _run_chunks_pool(self, chunks: list[list[StepTask]]) -> None:
-        """Fan the chunks out across the pool, one future each, and collect
-        the results in submission order."""
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(
-                _pool_run_group,
-                chunk[0].base_vec,
-                [t.shard_index for t in chunk],
-                [t.orders for t in chunk],
+    def _await(self, task: StepTask) -> None:
+        if task.future is None and self._filling:
+            chunks = list(self._filling.values())
+            self._filling.clear()
+            self.stats["flushes"] += 1
+            self.stats["max_flush"] = max(
+                self.stats["max_flush"], sum(map(len, chunks))
             )
-            for chunk in chunks
-        ]
-        self.stats["pool_groups"] += len(chunks)
-        for chunk, future in zip(chunks, futures):
-            for task, result in zip(chunk, future.result()):
-                task.result = result
+            for chunk in chunks:
+                self._send(chunk)
+        future = task.future
+        if future is None:
+            return
+        if future.cancel():
+            # No worker has taken the chunk: train it here rather than
+            # wait behind the chunks sent before it.
+            self._run_here(self._sent.pop(future))
+            self.stats["stolen_groups"] += 1
+            return
+        try:
+            results = future.result()
+        except BaseException as exc:
+            exc.add_note(f"while training workunit {task.wu_id!r} on a step worker")
+            raise
+        task.result = results[task.slot]
+        self._release(task)
+        task.future = None
+
+    def _release(self, task: StepTask) -> bool:
+        """Drop ``task`` from its sent chunk; False if none is left."""
+        chunk = [t for t in self._sent.pop(task.future, ()) if t is not task]
+        if chunk:
+            self._sent[task.future] = chunk
+        return bool(chunk)
 
     # -- lifecycle ------------------------------------------------------
     def shutdown(self) -> None:
-        """Drop pending work and stop the workers."""
+        """Drop pending work, cancel unstarted chunks and stop the workers."""
         self._pending.clear()
+        self._filling.clear()
+        self._sent.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None

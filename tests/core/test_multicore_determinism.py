@@ -1,13 +1,13 @@
-"""Golden four-combo regression: the execution plane is invisible in the bits.
+"""Golden combo regression: the execution plane is invisible in the bits.
 
-One P1C3T2 run, four execution configurations — serial baseline, cohort
-fusion on, process pool on, both on.  All four must hash to the same
-golden digest over final parameters, counters, epoch records and the full
-trace-kind census.  Any drift means the multi-core plane leaked into the
+One P1C3T2 run, five execution configurations — serial baseline, cohort
+fusion on, process pool on, both on, and the default (auto) width.  All
+must hash to the same golden digest over final parameters, counters,
+epoch records and the full trace-kind census.  Any drift means the multi-core plane leaked into the
 simulation: an extra RNG draw, a reordered batch permutation, a stray
 trace record, or float ops reassociated by the stacked kernels.
 
-The same four combos then run composed with the planes that abort,
+The same combos then run composed with the planes that abort,
 duplicate or bypass deferred steps — preemption with timeouts, replicated
 work with a corrupt client, a Byzantine adversary, ping work fetch — and
 each must hash to its own scenario's serial digest.
@@ -34,10 +34,12 @@ GOLDEN_P1C3T2 = (
 )
 
 COMBOS = {
-    "serial": dict(),
-    "cohort": dict(cohort_size=4),
+    "serial": dict(step_jobs=1),
+    "cohort": dict(cohort_size=4, step_jobs=1),
     "pool": dict(step_jobs=2),
     "cohort+pool": dict(cohort_size=4, step_jobs=2),
+    # The default: one step worker per usable CPU (serial on one CPU).
+    "auto": dict(),
 }
 
 
@@ -70,8 +72,8 @@ def test_every_execution_combo_matches_the_golden(combo):
 
 # Each scenario reaches a dispatcher path the plain run never does:
 # preemptions and timeouts abort pre-submitted steps (pruned at epoch end
-# through ``discard``) after whole-batch flushes may already have computed
-# them; the corrupt client and the adversary train inline beside deferred
+# through ``discard``) after a flush or a step worker may already have
+# computed them; the corrupt client and the adversary train inline beside deferred
 # honest clients; replicas submit one logical step several times; ping
 # changes when clients ask for work and so which steps share a flush.
 SCENARIOS = {

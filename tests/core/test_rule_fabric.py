@@ -91,7 +91,8 @@ class TestDefaultPathParity:
 
 def _spy_on_uploads(runner: DistributedRunner) -> list:
     """Capture every ClientUpdate the fleet produces (clients bind the
-    executor at construction, so patch them, not the runner)."""
+    executor at construction, so patch them, not the runner).  Only an
+    in-process run (``step_jobs=1``) uploads them as such."""
     captured: list = []
     original = runner._execute_subtask
 
@@ -156,14 +157,16 @@ class TestGradientRulesOnSubstrate:
 
     def test_vcasgd_clients_skip_gradient_accumulation(self):
         """Parity guard: the default rule must not pay for gradients."""
-        runner = DistributedRunner(tiny_config(max_epochs=1))
+        runner = DistributedRunner(tiny_config(max_epochs=1, step_jobs=1))
         captured = _spy_on_uploads(runner)
         runner.run()
         assert captured and all(u.gradient is None for u in captured)
 
     def test_gradient_rule_clients_upload_gradients(self):
         runner = DistributedRunner(
-            tiny_config(max_epochs=1, update_rule=DownpourRule(server_lr=0.002))
+            tiny_config(
+                max_epochs=1, update_rule=DownpourRule(server_lr=0.002), step_jobs=1
+            )
         )
         captured = _spy_on_uploads(runner)
         runner.run()

@@ -364,7 +364,7 @@ class TestTrainingAhead:
         np.testing.assert_array_equal(noted.result[0], expected)
 
     def test_runs_without_a_codec_install_no_hook(self):
-        runner = DistributedRunner(tiny_config())
+        runner = DistributedRunner(tiny_config(step_jobs=1))
         assert all(c.on_train_start is None for c in runner.server.clients.values())
 
     def test_corrupt_clients_are_never_noted(self):
