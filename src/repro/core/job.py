@@ -248,16 +248,17 @@ class TrainingJobConfig:
         help="fuse up to N clients' training steps into one vectorized "
         "cohort pass (bit-identical to serial; 1 = inline legacy path)",
     )
-    # Process fan-out: deferred step groups run on a fork pool, each group
-    # shipped with its base parameter vector by value.  0 = auto, resolved
-    # per process by repro.core.parallel.step_jobs_for.
+    # Process fan-out: N processes train deferred step groups, this one
+    # and N - 1 forked workers, each group shipped with its base parameter
+    # vector by value.  0 = auto, resolved per process by
+    # repro.core.parallel.step_jobs_for.
     step_jobs: int = _flag(
         0,
         "--step-jobs",
         metavar="N",
-        help="fan one run's client steps out over N worker processes "
-        "(bit-identical to serial; 1 = in-process; 0 = auto: one per "
-        "usable CPU, but 1 with a codec, in a sweep or on one CPU)",
+        help="train one run's client steps in N processes, this one and "
+        "N-1 workers (bit-identical to serial; 1 = in-process; 0 = auto: "
+        "one per usable CPU, but 1 with a codec, in a sweep or on one CPU)",
     )
 
     # -- dynamic parameter-server scaling (§III-D future design) ---------------

@@ -7,8 +7,10 @@ closure-based alpha schedule) it degrades to the serial path, and that
 degradation is *loud*: :func:`record_fallback` emits a
 :class:`ParallelFallbackWarning` whose ``.fallback`` attribute carries the
 :class:`ParallelFallback` record.  The step pool of one run
-(:class:`repro.core.steps.StepDispatcher`) shares the pool start method
-(:func:`_pool_context`) and reports its own degradation the same way.
+(:class:`repro.core.steps.StepDispatcher`) is no executor: it forks its
+own pipe-fed workers, with the same start method (:func:`_pool_context`),
+trains on the run's process too, and reports its own degradation the
+same way.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ def default_jobs() -> int:
 
 
 def step_jobs_for(config: TrainingJobConfig) -> int:
-    """The step-pool width a run of ``config`` uses in this process.
+    """How many processes train a run of ``config``'s steps from this one.
 
-    An explicit ``step_jobs >= 1`` is taken as given.  ``0`` (auto) is
+    ``N`` means this process and ``N - 1`` forked step workers.  An
+    explicit ``step_jobs >= 1`` is taken as given.  ``0`` (auto) is
     :func:`default_jobs`, except 1 — no pool — for a run with a codec
     (its uploads encode at compute end), inside a worker process (a
     ``run_configs`` sweep never nests pools) and where only one CPU is

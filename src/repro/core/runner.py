@@ -623,7 +623,8 @@ class DistributedRunner:
         step's batch orders and queues the RNG-free compute with the
         dispatcher, so every subtask training concurrently over this
         simulated interval can fuse into one cohort — or, on a step pool,
-        trains on a worker while the simulation runs on.  In a codec run it
+        trains on a worker while the simulation runs on (or here, while a
+        resolve waits on a worker).  In a codec run it
         records the attempt's inputs and compute ``task``, so that an
         upload deflate can train it ahead (:meth:`_next_finisher`).  Batch
         orders are keyed per attempt (see :meth:`_draw_orders`), so

@@ -23,8 +23,8 @@ the *numbers* are kept bit-identical by two rules:
   submit and the first resolve, which the client triggers when its upload
   is accepted — before any consumer reads the payload.  In-process the
   dispatcher computes the whole pending batch at that resolve; with a
-  pool each step leaves for a worker as its compute starts and the
-  resolve waits on that step alone.
+  pool a step goes to a worker as its compute starts, if one is free,
+  and a resolve trains what no worker has taken while it waits.
 
 Clients whose upload is perturbed by state that depends on the trained
 result (corrupt-designated clients, adversary-compromised clients) are
@@ -34,11 +34,14 @@ context.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import os
+import pickle
+import queue
+import signal
 import threading
-from concurrent.futures import Future
+import traceback
+from collections import deque
+from concurrent.futures.process import BrokenProcessPool
 from typing import Sequence
 
 import numpy as np
@@ -104,13 +107,13 @@ def run_local_step(
 class StepTask:
     """One submitted-but-not-yet-computed client training step.
 
-    On a pool, ``future`` is the step's chunk once it has left for a
-    worker and ``slot`` the step's place in that chunk.
+    On a pool, ``worker`` is the worker holding the step's chunk while the
+    step waits for its result.  Nothing here points back at the chunk or
+    the backlog: a cycle would keep a finished step's vectors alive until
+    the next full garbage collection.
     """
 
-    __slots__ = (
-        "base_vec", "shard_index", "orders", "wu_id", "result", "future", "slot"
-    )
+    __slots__ = ("base_vec", "shard_index", "orders", "wu_id", "result", "worker")
 
     def __init__(
         self,
@@ -124,8 +127,7 @@ class StepTask:
         self.orders = orders
         self.wu_id = wu_id
         self.result: tuple[np.ndarray, np.ndarray | None] | None = None
-        self.future: Future | None = None
-        self.slot = 0
+        self.worker: _Worker | None = None
 
 
 class DeferredUpdate:
@@ -172,7 +174,7 @@ class _StepContext:
     arenas grow with G, so only one is kept).  When the architecture has
     no stacked kernels the single trainer runs on the ``Tensor`` tape and
     cohorts run one member at a time.  Lives once in the runner for
-    in-process execution and once per pool worker (:func:`_pool_init`).
+    in-process execution and once per pool worker (:func:`_worker_main`).
     """
 
     def __init__(
@@ -239,14 +241,18 @@ class _StepContext:
 
 
 # ---------------------------------------------------------------------------
-# Pool worker plumbing (module level so it pickles under any start method)
+# Pool worker plumbing
 # ---------------------------------------------------------------------------
 
-_WORKER_CONTEXT: _StepContext | None = None
-_WORKER_SHARDS: Sequence[Dataset] = ()
+# A worker holds at most this many steps (training and queued), counted
+# in steps, not chunks: a full cohort chunk fills it alone, so the
+# simulation still has chunks to train while it waits (DESIGN.md §8.5).
+_WORKER_STEPS = 2
 
 
-def _pool_init(
+def _worker_main(
+    conn,
+    stale,
     model_spec,
     shards,
     batch_size,
@@ -254,44 +260,77 @@ def _pool_init(
     learning_rate,
     collect_gradient,
 ) -> None:
-    """Worker start-up: keep the shards, build the step context, and
-    exit with the parent."""
-    global _WORKER_CONTEXT, _WORKER_SHARDS
-    # A parent killed before its shutdown would leave the worker blocked
-    # on its call queue forever.
-    threading.Thread(
-        target=_exit_when_closed,
-        args=(multiprocessing.parent_process().sentinel,),
-        daemon=True,
-    ).start()
-    _WORKER_SHARDS = shards
-    template = build_model(model_spec, np.random.default_rng(0))
-    _WORKER_CONTEXT = _StepContext(
-        template,
+    """A forked step worker: build a step context, then train each chunk
+    the pipe brings, in order, and reply ``(True, results)`` or
+    ``(False, exception)``.
+
+    ``stale`` are the parent's pipe ends this process inherited (its own
+    and its elder siblings'); closing them leaves the parent the only
+    holder, so the pipe reads EOF — and the worker exits — when the
+    parent closes it or dies.  A reader thread drains the pipe into a
+    local queue, so a parent sending a vector larger than the socket
+    buffer never waits on a worker that is itself sending a reply.
+    """
+    for end in stale:
+        end.close()
+    # Ctrl-C reaches the whole process group; the parent handles it and
+    # stops its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    inbox: queue.SimpleQueue = queue.SimpleQueue()
+    threading.Thread(target=_drain, args=(conn, inbox), daemon=True).start()
+    context = _StepContext(
+        build_model(model_spec, np.random.default_rng(0)),
         batch_size=batch_size,
         optimizer=optimizer,
         learning_rate=learning_rate,
         collect_gradient=collect_gradient,
     )
+    while True:
+        base_vec, shard_indexes, orders_list = inbox.get()
+        try:
+            results = context.run_group(
+                base_vec, [shards[i] for i in shard_indexes], orders_list
+            )
+            reply = (True, results)
+        except BaseException as exc:
+            reply = (False, _portable(exc))
+        try:
+            conn.send(reply)
+        except OSError:  # the parent closed the pipe or died
+            os._exit(0)
 
 
-def _exit_when_closed(sentinel) -> None:
-    multiprocessing.connection.wait([sentinel])
-    os._exit(1)
+def _drain(conn, inbox: queue.SimpleQueue) -> None:
+    try:
+        while True:
+            inbox.put(conn.recv())
+    except (EOFError, OSError):
+        os._exit(0)
 
 
-def _pool_run_group(
-    base_vec: np.ndarray,
-    shard_indexes: list[int],
-    orders_list: list[list[np.ndarray]],
-) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Worker body: run one group from a base vector shipped by value."""
-    assert _WORKER_CONTEXT is not None
-    return _WORKER_CONTEXT.run_group(
-        base_vec,
-        [_WORKER_SHARDS[i] for i in shard_indexes],
-        orders_list,
-    )
+def _portable(exc: BaseException) -> BaseException:
+    """``exc`` with the worker's traceback as a note, or its text in a
+    :class:`SimulationError` if it does not survive a pickle round trip."""
+    exc.add_note("worker traceback:\n" + "".join(traceback.format_exception(exc)))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return SimulationError("".join(traceback.format_exception_only(exc)).strip())
+    return exc
+
+
+class _Worker:
+    """One forked step worker as the parent sees it: the process, the
+    parent's end of its pipe, the chunks it holds in send order (replies
+    come back in that order) and how many steps they add up to."""
+
+    __slots__ = ("process", "conn", "chunks", "steps")
+
+    def __init__(self, process, conn) -> None:
+        self.process = process
+        self.conn = conn
+        self.chunks: deque[list[StepTask]] = deque()
+        self.steps = 0
 
 
 class StepDispatcher:
@@ -304,21 +343,27 @@ class StepDispatcher:
       first :meth:`resolve` of a pending one (the simulation's first
       accepted upload whose payload is still pending), which computes
       the whole pending batch, chunk by chunk.
-    * With a pool (``jobs > 1``) a chunk leaves for a fork pool of
-      ``jobs`` workers, with its base vector by value, as soon as it
-      holds ``cohort_size`` steps — at cohort size 1, when the step's
-      compute starts.  A resolve waits on its own chunk only; if that
-      chunk is still filling, every partial chunk leaves first.  A chunk
-      no worker has taken yet is cancelled and trained in-process
-      instead, so the simulation never waits behind steps it does not
-      need yet.
+    * With a pool (``jobs > 1``) ``jobs`` processes train steps: this one
+      and ``jobs - 1`` forked workers, each fed over its own pipe.  A
+      chunk joins a FIFO backlog as soon as it holds ``cohort_size``
+      steps — at cohort size 1, when the step's compute starts — and
+      every submit and resolve first collects the replies that are in,
+      then hands backlog chunks, base vector by value, to any worker
+      holding fewer than ``_WORKER_STEPS`` steps.  A resolve whose chunk
+      is still filling moves every partial chunk to the backlog; a
+      resolve whose chunk no worker has taken trains it here; a resolve
+      whose chunk a worker holds trains the backlog's head here while it
+      waits, and blocks on that worker's pipe only when the backlog is
+      empty.
 
     ``stats`` counts ``tasks`` submitted, ``cohort_members`` computed in
     fused chunks of more than one, and ``flushes``: resolves that found
     their task still waiting here (in-process: the batch computations;
-    on a pool: the sends of partial chunks, none at cohort size 1);
-    ``stolen_groups`` counts the chunks a pool's resolve trained
-    in-process.
+    on a pool: the moves of partial chunks to the backlog, none at
+    cohort size 1).  On a pool, ``pool_groups`` counts the chunks sent to
+    workers and ``stolen_groups`` the chunks trained here — the resolves'
+    own untaken chunks plus ``helped_groups``, the backlog heads trained
+    while waiting on a worker.
 
     Everything here is wall-clock machinery; nothing touches simulated
     time, counters, traces or RNG — which is what keeps every enabled
@@ -343,11 +388,11 @@ class StepDispatcher:
         self.cohort_size = cohort_size
         self.jobs = jobs
         self._pending: list[StepTask] = []  # in-process: the next batch
-        # Pool: chunks still filling, by chunk key, and per sent chunk
-        # the members neither resolved nor discarded.
+        # Pool: chunks still filling, by chunk key; full chunks no worker
+        # has taken, oldest first; the workers, forked at the first send.
         self._filling: dict[tuple[int, int], list[StepTask]] = {}
-        self._sent: dict[Future, list[StepTask]] = {}
-        self._pool = None
+        self._backlog: deque[list[StepTask]] = deque()
+        self._workers: list[_Worker] = []
         # Wall-clock-side stats, deliberately kept out of RunResult
         # counters and the trace (both are digest material).
         self.stats = {
@@ -360,6 +405,7 @@ class StepDispatcher:
             "unsupported_members": 0,
             "pool_groups": 0,
             "stolen_groups": 0,
+            "helped_groups": 0,
         }
         if cohort_size > 1 and not context.compiles:
             record_fallback(
@@ -379,8 +425,9 @@ class StepDispatcher:
         orders: list[np.ndarray],
         wu_id: str | None = None,
     ) -> StepTask:
-        """Queue one step (on a pool, send its chunk once full); the task
-        pins ``base_vec``.  ``wu_id`` names the step in a worker's error."""
+        """Queue one step (on a pool, its chunk joins the backlog once
+        full); the task pins ``base_vec``.  ``wu_id`` names the step in a
+        worker's error."""
         task = StepTask(base_vec, shard_index, orders, wu_id)
         self.stats["tasks"] += 1
         if self.jobs == 1:
@@ -391,12 +438,13 @@ class StepDispatcher:
         chunk.append(task)
         if len(chunk) == self.cohort_size:
             del self._filling[key]
-            self._send(chunk)
+            self._backlog.append(chunk)
+        self._pump()
         return task
 
     def resolve(self, task: StepTask) -> tuple[np.ndarray, np.ndarray | None]:
-        """Return the task's result, computing (in-process) or waiting
-        for (pool) it if it is still pending."""
+        """Return the task's result, computing it here or waiting for
+        (and helping) the worker that holds it if it is still pending."""
         if task.result is None:
             if self.jobs == 1:
                 self._flush()
@@ -411,21 +459,26 @@ class StepDispatcher:
 
     def discard(self, task: StepTask) -> None:
         """Forget a still-pending task (its attempt aborted mid-compute).
-        On a pool, its chunk is cancelled if no member is left and no
-        worker has taken it yet."""
+        On a pool, a chunk left with no member leaves the backlog; a
+        worker's result for it is dropped when it arrives."""
         if self.jobs == 1:
             self._pending = [t for t in self._pending if t is not task]
-        elif task.future is not None:
-            if not self._release(task):
-                task.future.cancel()
-            task.future = None
-        else:
-            key = self._chunk_key(task)
-            chunk = [t for t in self._filling.get(key, ()) if t is not task]
-            if chunk:
-                self._filling[key] = chunk
-            else:
-                self._filling.pop(key, None)
+            return
+        if task.worker is not None:
+            task.worker = None
+            return
+        key = self._chunk_key(task)
+        filling = self._filling.get(key)
+        if filling is not None and task in filling:
+            filling.remove(task)
+            if not filling:
+                del self._filling[key]
+            return
+        chunk = self._backlog_chunk(task)
+        if chunk is not None:
+            chunk.remove(task)
+            if not chunk:
+                self._backlog = deque(c for c in self._backlog if c is not chunk)
 
     # -- execution ------------------------------------------------------
     def _chunk_key(self, task: StepTask) -> tuple[int, int]:
@@ -433,29 +486,6 @@ class StepDispatcher:
         # geometry.  A task pins its base array, so id() is
         # collision-free while it waits.
         return id(task.base_vec), len(self.shards[task.shard_index])
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Forked where possible: workers inherit the shards instead of
-            # unpickling them.  A pool run has no codec, so no pricing
-            # thread exists to be forked mid-operation.
-            context = self._context
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=_pool_context(),
-                initializer=_pool_init,
-                initargs=(
-                    self.model_spec,
-                    self.shards,
-                    context.batch_size,
-                    context.optimizer,
-                    context.learning_rate,
-                    context.collect_gradient,
-                ),
-            )
-        return self._pool
 
     def _flush(self) -> None:
         pending, self._pending = self._pending, []
@@ -483,7 +513,7 @@ class StepDispatcher:
             [t.orders for t in chunk],
         )
         for task, result in zip(chunk, results):
-            task.result, task.future = result, None
+            task.result = result
 
     def _count_chunks(self, chunks: list[list[StepTask]]) -> None:
         for chunk in chunks:
@@ -495,61 +525,150 @@ class StepDispatcher:
             else:
                 self.stats["unsupported_members"] += len(chunk)
 
-    def _send(self, chunk: list[StepTask]) -> None:
-        """Ship one chunk to the pool with its base vector by value."""
-        future = self._ensure_pool().submit(
-            _pool_run_group,
-            chunk[0].base_vec,
-            [t.shard_index for t in chunk],
-            [t.orders for t in chunk],
+    def _backlog_chunk(self, task: StepTask) -> list[StepTask] | None:
+        return next((c for c in self._backlog if task in c), None)
+
+    def _await(self, task: StepTask) -> None:
+        if task.worker is None:
+            if task in self._filling.get(self._chunk_key(task), ()):
+                chunks = list(self._filling.values())
+                self._filling.clear()
+                self.stats["flushes"] += 1
+                self.stats["max_flush"] = max(
+                    self.stats["max_flush"], sum(map(len, chunks))
+                )
+                self._backlog.extend(chunks)
+            # No worker has taken the chunk: train it here rather than
+            # wait behind the chunks before it, once the workers have
+            # what else is waiting.
+            chunk = self._backlog_chunk(task)
+            self._backlog = deque(c for c in self._backlog if c is not chunk)
+            self._pump()
+            self._train_here(chunk)
+            return
+        worker = task.worker
+        while True:
+            self._pump()
+            if task.result is not None:
+                return
+            if self._backlog:
+                self._train_here(self._backlog.popleft())
+                self.stats["helped_groups"] += 1
+            else:
+                self._collect(worker)
+
+    def _train_here(self, chunk: list[StepTask]) -> None:
+        self._count_chunks([chunk])
+        self.stats["stolen_groups"] += 1
+        self._run_here(chunk)
+
+    def _pump(self) -> None:
+        """Collect every reply that is in, then feed the backlog, least
+        loaded worker first, to the workers holding fewer than
+        ``_WORKER_STEPS`` steps."""
+        for worker in self._workers:
+            while worker.conn.poll():
+                self._collect(worker)
+        if not self._backlog:
+            return
+        workers = self._workers or self._start_workers()
+        while self._backlog:
+            worker = min(workers, key=lambda w: w.steps)
+            if worker.steps >= _WORKER_STEPS:
+                return
+            self._send(worker, self._backlog.popleft())
+
+    def _start_workers(self) -> list[_Worker]:
+        # Forked where possible: workers inherit the shards instead of
+        # unpickling them.  A pool run has no codec, so no pricing
+        # thread exists to be forked mid-operation.
+        context = self._context
+        settings = (
+            self.model_spec,
+            self.shards,
+            context.batch_size,
+            context.optimizer,
+            context.learning_rate,
+            context.collect_gradient,
         )
-        self._sent[future] = list(chunk)
-        for slot, task in enumerate(chunk):
-            task.future, task.slot = future, slot
+        mp = _pool_context()
+        for _ in range(self.jobs - 1):
+            ours, theirs = mp.Pipe()
+            stale = [w.conn for w in self._workers] + [ours]
+            process = mp.Process(
+                target=_worker_main, args=(theirs, stale, *settings), daemon=True
+            )
+            process.start()
+            theirs.close()
+            self._workers.append(_Worker(process, ours))
+        return self._workers
+
+    def _send(self, worker: _Worker, chunk: list[StepTask]) -> None:
+        """Ship one chunk to ``worker`` with its base vector by value."""
+        try:
+            worker.conn.send(
+                (
+                    chunk[0].base_vec,
+                    [t.shard_index for t in chunk],
+                    [t.orders for t in chunk],
+                )
+            )
+        except ConnectionError as exc:
+            raise self._broken(worker, chunk[0]) from exc
+        worker.chunks.append(chunk)
+        worker.steps += len(chunk)
+        for task in chunk:
+            task.worker = worker
         self._count_chunks([chunk])
         self.stats["pool_groups"] += 1
 
-    def _await(self, task: StepTask) -> None:
-        if task.future is None and self._filling:
-            chunks = list(self._filling.values())
-            self._filling.clear()
-            self.stats["flushes"] += 1
-            self.stats["max_flush"] = max(
-                self.stats["max_flush"], sum(map(len, chunks))
-            )
-            for chunk in chunks:
-                self._send(chunk)
-        future = task.future
-        if future is None:
-            return
-        if future.cancel():
-            # No worker has taken the chunk: train it here rather than
-            # wait behind the chunks sent before it.
-            self._run_here(self._sent.pop(future))
-            self.stats["stolen_groups"] += 1
-            return
+    def _collect(self, worker: _Worker) -> None:
+        """Receive ``worker``'s next reply (blocking) and hand its results
+        to the tasks still waiting for them; re-raise its error if any
+        is."""
         try:
-            results = future.result()
-        except BaseException as exc:
-            exc.add_note(f"while training workunit {task.wu_id!r} on a step worker")
-            raise
-        task.result = results[task.slot]
-        self._release(task)
-        task.future = None
+            ok, payload = worker.conn.recv()
+        except (EOFError, ConnectionError) as exc:
+            held = [t for chunk in worker.chunks for t in chunk]
+            raise self._broken(worker, held[0] if held else None) from exc
+        chunk = worker.chunks.popleft()
+        worker.steps -= len(chunk)
+        waiting = [t for t in chunk if t.worker is worker]
+        if not ok:
+            if waiting:
+                payload.add_note(_worker_note(waiting[0]))
+                raise payload
+            return
+        for task, result in zip(chunk, payload):
+            if task.worker is worker:
+                task.result, task.worker = result, None
 
-    def _release(self, task: StepTask) -> bool:
-        """Drop ``task`` from its sent chunk; False if none is left."""
-        chunk = [t for t in self._sent.pop(task.future, ()) if t is not task]
-        if chunk:
-            self._sent[task.future] = chunk
-        return bool(chunk)
+    def _broken(self, worker: _Worker, task: StepTask | None) -> BrokenProcessPool:
+        error = BrokenProcessPool(
+            f"step worker (pid {worker.process.pid}) exited unexpectedly"
+        )
+        if task is not None:
+            error.add_note(_worker_note(task))
+        return error
 
     # -- lifecycle ------------------------------------------------------
     def shutdown(self) -> None:
-        """Drop pending work, cancel unstarted chunks and stop the workers."""
+        """Drop pending work and stop the workers: closing a worker's
+        pipe makes it exit; one that has not within a few seconds is
+        terminated."""
         self._pending.clear()
         self._filling.clear()
-        self._sent.clear()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        self._backlog.clear()
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            worker.conn.close()
+        for worker in workers:
+            worker.process.join(5)
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join()
+            worker.process.close()
+
+
+def _worker_note(task: StepTask) -> str:
+    return f"while training workunit {task.wu_id!r} on a step worker"

@@ -1,30 +1,38 @@
-"""The asynchronous step pool: lifecycle, failures and the auto width.
+"""The step pool: feeding, helping, lifecycle, failures and the auto width.
 
-With ``step_jobs > 1`` a deferred step leaves for a worker process when
-its simulated compute starts and the simulation blocks only when it
-needs that step's result (DESIGN.md §8.5).  Bit-identity with the serial
-run is pinned in ``test_multicore_determinism.py``; this file pins what
-the pool does with processes, futures and errors, and how ``step_jobs=0``
-(auto) resolves.
+With ``step_jobs = N > 1`` this process and ``N - 1`` forked workers
+train deferred steps.  A step's chunk joins a backlog when it is full
+(at cohort size 1, when its simulated compute starts) and goes to a
+worker that holds fewer than two steps; a resolve trains what no worker
+has taken and, while it waits on a worker, the backlog's head
+(DESIGN.md §8.5).  Bit-identity with the serial run is pinned in
+``test_multicore_determinism.py``; this file pins what the pool does
+with processes, pipes and errors, and how ``step_jobs=0`` (auto)
+resolves.
 """
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import multiprocessing
 import os
 import signal
+import threading
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from repro.core import DistributedRunner, run_configs
+from repro.core import DistributedRunner, LocalTrainingConfig, run_configs
 from repro.core import runner as runner_module
 from repro.core.parallel import step_jobs_for
 from repro.core.steps import StepDispatcher, _StepContext, draw_batch_orders
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.nn.models import ModelSpec
 
 from .test_multicore_determinism import _scenario_config
 from .test_runner import tiny_config
@@ -63,6 +71,11 @@ def _dispatcher(cohort_size=1, jobs=2):
     return runner, dispatcher, submit
 
 
+def _held(dispatcher) -> list[int]:
+    """Steps each worker holds (training and queued)."""
+    return [worker.steps for worker in dispatcher._workers]
+
+
 class TestDispatcher:
     def test_pool_results_equal_in_process_results(self):
         runner, pool, submit = _dispatcher(jobs=2)
@@ -71,8 +84,9 @@ class TestDispatcher:
             pooled = [pool.resolve(t) for t in tasks]
         finally:
             pool.shutdown()
+        assert pool.stats["pool_groups"] > 0
         for task, (vec, gradient) in zip(tasks, pooled):
-            assert task.future is None
+            assert task.worker is None
             want, _ = runner._steps.run_group(
                 runner._layout.pack(runner._eval_arena),
                 [pool.shards[task.shard_index]],
@@ -80,44 +94,68 @@ class TestDispatcher:
             )[0]
             assert gradient is None and np.array_equal(vec, want)
 
-    def test_a_step_leaves_at_submit(self):
+    def test_a_step_leaves_at_submit(self, slow_workers):
         _, pool, submit = _dispatcher(jobs=2)
         try:
-            task = submit()
-            assert task.future is not None and not pool._filling
-            pool.resolve(task)
+            first, second, third = submit(), submit(1), submit(2)
+            # The worker takes steps until it holds two; the third waits.
+            assert first.worker is second.worker is pool._workers[0]
+            assert _held(pool) == [2]
+            assert third.worker is None and list(pool._backlog) == [[third]]
+            for task in (first, second, third):
+                pool.resolve(task)
         finally:
             pool.shutdown()
-        assert pool.stats["flushes"] == 0 and pool.stats["tasks"] == 1
+        assert pool.stats["flushes"] == 0 and pool.stats["tasks"] == 3
 
-    def test_cohort_chunks_leave_full_or_when_a_resolve_needs_them(self):
+    def test_cohort_chunks_leave_full_or_when_a_resolve_needs_them(
+        self, slow_workers
+    ):
         _, pool, submit = _dispatcher(cohort_size=3, jobs=2)
         try:
             full = [submit(0) for _ in range(3)]
+            # A full chunk of three fills the worker: the next full chunk
+            # waits in the backlog, the partial one keeps filling.
+            waiting = [submit(0) for _ in range(3)]
             partial = [submit(0) for _ in range(2)]
-            assert all(t.future is full[0].future for t in full)
-            assert all(t.future is None for t in partial)
+            assert all(t.worker is pool._workers[0] for t in full)
+            assert _held(pool) == [3] and list(pool._backlog) == [waiting]
+            assert all(t.worker is None and t.result is None for t in partial)
             pool.resolve(partial[0])
-            assert partial[1].result is not None or partial[1].future is not None
-            for task in full + partial:
+            assert partial[1].result is not None
+            for task in full + waiting + partial:
                 pool.resolve(task)
         finally:
             pool.shutdown()
         assert pool.stats["flushes"] == 1
-        assert pool.stats["cohort_members"] == 5 and pool.stats["tasks"] == 5
+        assert pool.stats["cohort_groups"] == 3
+        assert pool.stats["cohort_members"] == 8 and pool.stats["tasks"] == 8
 
     def test_discard_cancels_a_step_no_worker_took(self, slow_workers):
         _, pool, submit = _dispatcher(jobs=2)
         try:
-            # Two chunks run and at most three wait in the call queue; the
-            # eighth cannot have been taken within 0.2 s.
-            tasks = [submit(i % 6) for i in range(8)]
-            future = tasks[-1].future
-            pool.discard(tasks[-1])
-            assert future.cancelled()
-            assert tasks[-1].future is None and future not in pool._sent
+            tasks = [submit(i % 6) for i in range(4)]
+            assert list(pool._backlog) == [[tasks[2]], [tasks[3]]]
+            pool.discard(tasks[3])
+            assert list(pool._backlog) == [[tasks[2]]]
+            pool.resolve(tasks[2])
         finally:
             pool.shutdown()
+        assert tasks[3].result is None
+        assert pool.stats["pool_groups"] + pool.stats["stolen_groups"] == 3
+
+    def test_discard_drops_a_sent_steps_result(self, slow_workers):
+        _, pool, submit = _dispatcher(jobs=2)
+        try:
+            dropped, kept = submit(0), submit(1)
+            pool.discard(dropped)
+            assert dropped.worker is None
+            pool.resolve(kept)
+            # Replies come in send order: the dropped step's was in first.
+            assert not pool._workers[0].chunks and _held(pool) == [0]
+        finally:
+            pool.shutdown()
+        assert dropped.result is None and kept.result is not None
 
     def test_a_resolve_trains_a_step_no_worker_took_in_process(self, slow_workers):
         _, pool, submit = _dispatcher(jobs=2)
@@ -126,25 +164,76 @@ class TestDispatcher:
             started = time.perf_counter()
             pool.resolve(tasks[-1])
             assert time.perf_counter() - started < 0.2
+            assert tasks[-1].worker is None
         finally:
             pool.shutdown()
         assert pool.stats["stolen_groups"] == 1
+        assert pool.stats["helped_groups"] == 0
 
-    def test_shutdown_settles_every_future(self, slow_workers):
+    def test_a_resolve_helps_while_it_waits_on_a_worker(self, slow_workers):
         _, pool, submit = _dispatcher(jobs=2)
-        tasks = [submit(i % 6) for i in range(8)]
-        futures = [t.future for t in tasks]
+        try:
+            tasks = [submit(i % 6) for i in range(8)]
+            # The worker holds the first two; the resolve of the first
+            # trains backlog heads here until the worker's reply is in.
+            pool.resolve(tasks[0])
+            helped = pool.stats["helped_groups"]
+            assert helped >= 1
+            assert all(t.result is not None for t in tasks[2 : 2 + helped])
+            for task in tasks:
+                pool.resolve(task)
+        finally:
+            pool.shutdown()
+        stats = pool.stats
+        assert stats["stolen_groups"] >= stats["helped_groups"] == helped
+        assert stats["pool_groups"] + stats["stolen_groups"] == 8
+
+    def test_a_finished_step_is_freed_without_the_garbage_collector(self):
+        """A cycle through a finished step would pin its vectors until the
+        next full collection, which a run may never reach: the parent's
+        peak RSS on chaos_p3c3t4 grew by 14 MiB that way."""
+        _, pool, submit = _dispatcher(jobs=2)
+        gc.disable()
+        try:
+            tasks = [submit(i % 6) for i in range(4)]
+            vectors = [weakref.ref(pool.resolve(t)[0]) for t in tasks]
+            del tasks
+            assert all(ref() is None for ref in vectors)
+        finally:
+            gc.enable()
+            pool.shutdown()
+
+    def test_shutdown_settles_every_chunk(self, slow_workers):
+        _, pool, submit = _dispatcher(jobs=3)
+        for i in range(8):
+            submit(i % 6)
+        # Both workers are fed, two steps each; the rest wait.
+        assert _held(pool) == [2, 2] and len(pool._backlog) == 4
         pool.shutdown()
-        assert all(f.done() for f in futures)
-        assert any(f.cancelled() for f in futures)
+        assert not pool._workers and not pool._backlog and not pool._filling
         assert not multiprocessing.active_children()
+
+    def test_two_step_jobs_fork_one_worker_and_no_thread(self):
+        threads = threading.active_count()
+        _, pool, submit = _dispatcher(jobs=2)
+        try:
+            tasks = [submit(i % 6) for i in range(4)]
+            assert len(multiprocessing.active_children()) == 1
+            assert len(pool._workers) == 1
+            assert threading.active_count() == threads
+            for task in tasks:
+                pool.resolve(task)
+        finally:
+            pool.shutdown()
+        assert threading.active_count() == threads
 
 
 def _orphan_a_pool(conn) -> None:
     """Start a pool, report its worker pids, die without a shutdown."""
-    _, pool, submit = _dispatcher(jobs=2)
-    pool.resolve(submit())
-    conn.send(sorted(pool._pool._processes))
+    _, pool, submit = _dispatcher(jobs=3)
+    for task in [submit(i) for i in range(4)]:
+        pool.resolve(task)
+    conn.send(sorted(worker.process.pid for worker in pool._workers))
     os._exit(0)
 
 
@@ -176,27 +265,40 @@ def test_workers_exit_with_a_parent_that_died_without_shutdown():
     assert len(pids) == 2 and not survivors
 
 
-def _record_futures(monkeypatch) -> list:
-    futures = []
-    submit = ProcessPoolExecutor.submit
+def _record_sends(monkeypatch) -> list:
+    chunks = []
+    send = StepDispatcher._send
 
-    def recording(self, *args, **kwargs):
-        future = submit(self, *args, **kwargs)
-        futures.append(future)
-        return future
+    def recording(self, worker, chunk):
+        chunks.append(chunk)
+        return send(self, worker, chunk)
 
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
-    return futures
+    monkeypatch.setattr(StepDispatcher, "_send", recording)
+    return chunks
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle this error")
+
+
+class _Hung(Exception):
+    pass
+
+
+def _digest(runner) -> str:
+    return hashlib.sha256(runner.pool.current_params().tobytes()).hexdigest()
 
 
 class TestRunLifecycle:
-    def test_no_future_outlives_run_under_preemption(self, monkeypatch):
-        futures = _record_futures(monkeypatch)
+    def test_no_chunk_outlives_run_under_preemption(self, monkeypatch):
+        chunks = _record_sends(monkeypatch)
         runner = DistributedRunner(_scenario_config("preemption", "pool"))
         result = runner.run()
         assert result.counters["preemptions"] > 0
-        assert futures and all(f.done() for f in futures)
-        assert not runner._dispatcher._sent and not runner._prepared
+        # Every sent step came back or was discarded with its attempt.
+        assert chunks and all(t.worker is None for c in chunks for t in c)
+        assert not runner._dispatcher._workers and not runner._prepared
         assert not multiprocessing.active_children()
 
     def test_no_worker_outlives_a_clean_run(self):
@@ -205,8 +307,8 @@ class TestRunLifecycle:
         stats = runner._dispatcher.stats
         # The bench reads these three keys off every dispatcher.
         assert {"tasks", "cohort_members", "flushes"} <= set(stats)
-        assert stats["tasks"] == stats["pool_groups"] == 6
-        assert stats["flushes"] == 0
+        assert stats["tasks"] == stats["pool_groups"] + stats["stolen_groups"] == 6
+        assert stats["pool_groups"] > 0 and stats["flushes"] == 0
         assert not multiprocessing.active_children()
 
     def test_a_step_that_raises_in_a_worker_surfaces_with_its_workunit(
@@ -225,6 +327,23 @@ class TestRunLifecycle:
             runner.run()
         notes = getattr(failure.value, "__notes__", [])
         assert any("while training workunit 'job:e000:s" in n for n in notes)
+        assert any("worker traceback" in n for n in notes)
+        assert not multiprocessing.active_children()
+
+    def test_an_unpicklable_worker_error_arrives_as_its_text(self, monkeypatch):
+        run_group = _StepContext.run_group
+
+        def failing(self, *args):
+            if _in_worker():
+                raise _Unpicklable("diverged in a worker")
+            return run_group(self, *args)
+
+        monkeypatch.setattr(_StepContext, "run_group", failing)
+        runner = DistributedRunner(tiny_config(step_jobs=2, max_epochs=1))
+        with pytest.raises(SimulationError, match="_Unpicklable: diverged") as failure:
+            runner.run()
+        notes = getattr(failure.value, "__notes__", [])
+        assert any("while training workunit 'job:e000:s" in n for n in notes)
         assert not multiprocessing.active_children()
 
     def test_a_dead_worker_surfaces_as_a_broken_pool(self, monkeypatch):
@@ -237,8 +356,39 @@ class TestRunLifecycle:
 
         monkeypatch.setattr(_StepContext, "run_group", dying)
         runner = DistributedRunner(tiny_config(step_jobs=2, max_epochs=1))
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(BrokenProcessPool) as failure:
             runner.run()
+        notes = getattr(failure.value, "__notes__", [])
+        assert any("while training workunit 'job:e000:s" in n for n in notes)
+        assert not multiprocessing.active_children()
+
+    def test_a_vector_larger_than_the_pipe_buffer_does_not_deadlock(self):
+        """1.1M float64 parameters (8.8 MB) each way: a worker that could
+        not read while it replies would block the parent's send forever."""
+        config = dict(
+            model=ModelSpec(
+                "mlp", {"in_features": 48, "hidden": [1024, 1024], "num_classes": 4}
+            ),
+            local_training=LocalTrainingConfig(local_epochs=1, learning_rate=0.01),
+            max_epochs=1,
+        )
+        serial = DistributedRunner(tiny_config(step_jobs=1, **config))
+        serial.run()
+        pooled = DistributedRunner(tiny_config(step_jobs=2, **config))
+        assert pooled._layout.total_size >= 1_000_000
+
+        def hung(signum, frame):
+            raise _Hung("the step pool deadlocked on a large vector")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            pooled.run()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert pooled._dispatcher.stats["pool_groups"] > 0
+        assert _digest(pooled) == _digest(serial)
         assert not multiprocessing.active_children()
 
 
