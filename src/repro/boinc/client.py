@@ -254,11 +254,10 @@ class ClientDaemon:
                 self.sim.now, "client.train_start", wu=wu.wu_id, client=self.client_id
             )
         if self.on_train_start is not None:
-            # Deferred-execution runs (core.steps) open their batching
-            # window here: the runner pre-draws the step's RNG and queues
-            # the compute so it can fuse with every other subtask training
-            # concurrently over this simulated interval.  Codec runs note
-            # the attempt so it can be trained ahead of its compute end.
+            # The runner submits the step here (core.steps): it pre-draws
+            # the step's RNG and queues the compute so it can fuse with
+            # every other subtask training concurrently over this
+            # simulated interval, or train ahead of its compute end.
             self.on_train_start(wu, payloads, task)
         if self.scheduler.config.heartbeats_enabled:
             self._schedule_heartbeat(wu.wu_id)
@@ -367,8 +366,7 @@ class ClientDaemon:
 
     # Optional hook fired when a subtask's compute begins (see
     # _start_compute), with the compute task; the runner uses it to
-    # pre-submit the step to its dispatcher or to train it ahead.  None
-    # keeps the legacy path untouched.
+    # submit the step to its dispatcher.  None fires nothing.
     on_train_start: (
         "Callable[[Workunit, dict[str, object], ComputeTask], None] | None"
     ) = None

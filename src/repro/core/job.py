@@ -246,18 +246,18 @@ class TrainingJobConfig:
         "--cohort-size",
         metavar="N",
         help="fuse up to N clients' training steps into one vectorized "
-        "cohort pass (bit-identical to serial; 1 = inline legacy path)",
+        "cohort pass (bit-identical to serial; 1 = one step per pass)",
     )
-    # Process fan-out: N processes train deferred step groups, this one
-    # and N - 1 forked workers, each group shipped with its base parameter
-    # vector by value.  0 = auto, resolved per process by
+    # Process fan-out: N processes train step groups, this one and N - 1
+    # forked workers, each group shipped with its base parameter vector
+    # by value.  0 = auto, resolved per process by
     # repro.core.parallel.step_jobs_for.
     step_jobs: int = _flag(
         0,
         "--step-jobs",
         metavar="N",
         help="train one run's client steps in N processes, this one and "
-        "N-1 workers (bit-identical to serial; 1 = in-process; 0 = auto: "
+        "N-1 workers (bit-identical to serial; 1 = no workers; 0 = auto: "
         "one per usable CPU, but 1 with a codec, in a sweep or on one CPU)",
     )
 

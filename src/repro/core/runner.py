@@ -61,7 +61,7 @@ from .param_server import PARAM_KEY, ParameterServerPool
 from .parallel import step_jobs_for
 from .results import EpochRecord, RunResult
 from .rules import ClientUpdate
-from .steps import DeferredUpdate, StepDispatcher, _StepContext, draw_batch_orders
+from .steps import DeferredUpdate, StepDispatcher, StepTask, _StepContext, draw_batch_orders
 
 __all__ = ["DistributedRunner", "VersionedParams", "run_experiment"]
 
@@ -83,20 +83,6 @@ def _attempt_key(wu: Workunit) -> tuple[str, int]:
     """Key of a workunit's current attempt: a unit reissued to the same
     client is a new attempt, with a new base and a new key."""
     return wu.wu_id, wu.num_attempts
-
-
-class _InFlightAttempt:
-    """A codec run's deferrable attempt, noted at compute start: its
-    inputs, its compute task and, once trained ahead, its result."""
-
-    __slots__ = ("wu", "published", "shard", "task", "result")
-
-    def __init__(self, wu, published, shard, task) -> None:
-        self.wu = wu
-        self.published = published
-        self.shard = shard
-        self.task = task
-        self.result: tuple[np.ndarray, np.ndarray | None] | None = None
 
 
 class DistributedRunner:
@@ -167,9 +153,8 @@ class DistributedRunner:
         # for this model shape, so evaluating a vector is a single copy.
         self._eval_arena = self._eval_model.to_arena()
         self._layout = self._eval_arena.layout
-        # The one place client training runs in this process (DESIGN.md
-        # §8.5): inline subtasks, corrupt/compromised clients, the
-        # dispatcher's in-process chunks and the warm start.  Every step
+        # The one place training runs in this process (DESIGN.md §8.5):
+        # the dispatcher's own chunks and the warm start.  Every step
         # overwrites the whole state from its base vector, so the
         # template's own initial weights are immaterial.
         local = config.local_training
@@ -378,32 +363,25 @@ class DistributedRunner:
         self._republish_params(initial_vec)
 
         # ---- multi-core execution plane (DESIGN.md §8.5) ------------------------
-        # Built only when cohorts or step fan-out are in use: at cohort
-        # size 1 with one step job (a codec run, a sweep worker, one CPU
-        # or an explicit step_jobs=1) no dispatcher exists and every
-        # subtask computes at execute time, on the same step context.
+        # Every client step trains on the dispatcher: submitted at compute
+        # start, resolved where its result is first needed.  At step_jobs=1
+        # (a codec run, a sweep worker, one CPU) it forks no worker.
         self.step_jobs = step_jobs_for(config)
-        self._dispatcher: StepDispatcher | None = None
-        # What the compute-start hook noted, keyed by attempt: steps
-        # pre-submitted to the dispatcher, or a codec run's attempts that
-        # an upload deflate may train ahead.  Popped when the executor runs
+        wg = self.work_generator
+        if isinstance(wg, ShardedWorkGenerator):
+            wg = wg.inner
+        self._dispatcher = StepDispatcher(
+            self._steps,
+            model_spec=config.model,
+            shards=wg.shards,
+            cohort_size=config.cohort_size,
+            jobs=self.step_jobs,
+        )
+        # What the compute-start hook noted, keyed by attempt: the step,
+        # the compute task and the client.  Popped when the executor runs
         # at compute end, pruned at epoch boundaries for attempts that
         # aborted mid-compute.
-        self._prepared: dict[tuple[str, int], object] = {}
-        if config.cohort_size > 1 or self.step_jobs > 1:
-            wg = self.work_generator
-            shards = (
-                wg.inner.shards
-                if isinstance(wg, ShardedWorkGenerator)
-                else wg.shards
-            )
-            self._dispatcher = StepDispatcher(
-                self._steps,
-                model_spec=config.model,
-                shards=shards,
-                cohort_size=config.cohort_size,
-                jobs=self.step_jobs,
-            )
+        self._prepared: dict[tuple[str, int], tuple[StepTask, object, str]] = {}
 
         # ---- adversary fabric (Byzantine clients) -------------------------------
         # Built before the fleet so behaviour assignments resolve against
@@ -520,8 +498,7 @@ class DistributedRunner:
             cache_capacity_bytes=cache_cap,
             trace=self.trace,
         )
-        if self._dispatcher is not None or self._codec_plane is not None:
-            client.on_train_start = self._prepare_subtask
+        client.on_train_start = self._prepare_subtask
         self.server.attach_client(client)
         if self.config.faults.preemption_hourly_p > 0:
             lifetime = ExponentialLifetime(self.config.faults.preemption_hourly_p)
@@ -575,12 +552,12 @@ class DistributedRunner:
     # Client-side subtask execution (real training)
     # ------------------------------------------------------------------
     def _deferrable(self, client_id: str) -> bool:
-        """Whether this client's step may run after submit time.
+        """Whether this client's upload may carry its step unresolved.
 
         Corrupt-designated clients scale their upload noise by the trained
         vector, and compromised clients draw tamper RNG per call — both
-        must compute inline, in the serial schedule's RNG order.  Everyone
-        else's step is RNG-free once the batch orders are drawn.
+        resolve the step at compute end and draw there, in the serial
+        schedule's RNG order.  Everyone else's upload needs no draw.
         """
         if self._adversary is not None and self._adversary.compromised(client_id):
             return False
@@ -602,10 +579,10 @@ class DistributedRunner:
 
         Both branches key the generator by the *attempt*, never by draw
         order, so the permutations are independent of when in simulated
-        time the draw happens.  That invariance is what lets the deferred
-        execution plane (DESIGN.md §8.5) draw at compute start while the
-        inline path draws at compute end, with bit-identical results —
-        including runs with preemptions, timeouts and reissues.
+        time the draw happens.  That invariance is what lets every step
+        draw at compute start (DESIGN.md §8.5) with the results of a draw
+        at compute end — including runs with preemptions, timeouts and
+        reissues.
         """
         cfg = self.config.local_training
         if self.config.replicas > 1:
@@ -617,96 +594,88 @@ class DistributedRunner:
         return draw_batch_orders(batch_rng, n, cfg.local_epochs)
 
     def _prepare_subtask(self, wu: Workunit, payloads: dict, task) -> None:
-        """Compute-start hook: note a deferrable attempt under its key.
+        """Compute-start hook: submit the attempt's step and note it.
 
-        In deferred mode this opens the batching window: it draws the
-        step's batch orders and queues the RNG-free compute with the
-        dispatcher, so every subtask training concurrently over this
-        simulated interval can fuse into one cohort — or, on a step pool,
-        trains on a worker while the simulation runs on (or here, while a
-        resolve waits on a worker).  In a codec run it
-        records the attempt's inputs and compute ``task``, so that an
-        upload deflate can train it ahead (:meth:`_next_finisher`).  Batch
-        orders are keyed per attempt (see :meth:`_draw_orders`), so
-        training from them before compute end — rather than at compute
-        end like the inline path — cannot shift any other attempt's
+        Draws the step's batch orders and queues its RNG-free compute
+        with the dispatcher, so every subtask training concurrently over
+        this simulated interval can fuse into one cohort, train on a
+        worker while the simulation runs on, or train ahead while an
+        upload deflates (:meth:`_next_finisher`).  The note keeps the step,
+        the compute ``task`` and the client under the attempt's key.
+        Batch orders are keyed per attempt (see :meth:`_draw_orders`), so
+        training before compute end cannot shift any other attempt's
         permutations; the run stays bit-identical to serial even across
         preemptions and timeouts (DESIGN.md §8.5).
         """
         client_id = wu.current_attempt.client_id
-        if not self._deferrable(client_id):
-            return
+        self._prepared[_attempt_key(wu)] = self._submit(wu, payloads), task, client_id
+
+    def _submit(self, wu: Workunit, payloads: dict) -> StepTask:
+        """The current attempt's step, from the files it downloaded."""
         published: VersionedParams = payloads[wu.input_files[1]]
         shard: Dataset = payloads[self.work_generator.shard_file_name(wu.shard_index)]
-        if self._dispatcher is None:
-            self._prepared[_attempt_key(wu)] = _InFlightAttempt(
-                wu, published, shard, task
-            )
-            return
-        orders = self._draw_orders(wu, client_id, len(shard))
-        self._prepared[_attempt_key(wu)] = self._dispatcher.submit(
-            published.decode_params(), wu.shard_index, orders, wu.wu_id
-        )
+        orders = self._draw_orders(wu, wu.current_attempt.client_id, len(shard))
+        return self._dispatcher.submit(published, wu.shard_index, orders, wu.wu_id)
 
     def _execute_subtask(self, wu: Workunit, payloads: dict) -> tuple[object, int]:
-        """Train on the shard starting from the downloaded server params.
+        """Compute end: the upload of the step noted at compute start.
 
         Returns a :class:`ClientUpdate` carrying the new parameter copy,
         the base publish version it trained from and — only when the job's
-        rule consumes gradients — the accumulated local gradient.  With
-        the multi-core execution plane enabled the return value is a
-        :class:`DeferredUpdate` instead, wrapping the step pre-submitted
-        at compute start; the compute materializes when the upload is
-        accepted.  In a codec run with a noted attempt free to train
-        ahead, the upload is deflated on the pricing thread while that
-        attempt trains, and its size resolves before this returns.
+        rule consumes gradients — the accumulated local gradient.  In a
+        codec-free run a deferrable attempt returns a
+        :class:`DeferredUpdate` instead, which resolves the step when the
+        upload is accepted.  In a codec run with a noted attempt free to
+        train ahead, the upload is deflated on the pricing thread while
+        that attempt's step trains, and its size resolves before this
+        returns.
         """
-        noted = self._prepared.pop(_attempt_key(wu), None)
+        step = self._take_step(wu, payloads)
         ahead = self._next_finisher() if self._codec_plane is not None else None
-        payload, wire = self._compute_subtask(wu, payloads, noted, ahead is not None)
+        payload, wire = self._compute_subtask(wu, payloads, step, ahead is not None)
         if isinstance(wire, PendingPrice):
             # Train while the pricing thread deflates the upload.  Every
             # vector of this subtask but its payload is dead by now: it
-            # died with _compute_subtask's frame, or with ``noted`` here.
-            del noted
-            ahead.result = self._train(
-                ahead.wu, ahead.published.decode_params(), ahead.shard
-            )
+            # died with _compute_subtask's frame, or with ``step`` here.
+            del step
+            self._dispatcher.resolve(ahead)
             wire = wire.resolve()
         return payload, wire
 
+    def _take_step(self, wu: Workunit, payloads: dict) -> StepTask:
+        """The step noted for this compute at its start.
+
+        A client that got a unit back can compute one attempt twice (a
+        stale download retry starts a second compute, whose hook replaced
+        the note): each compute then trains what it downloaded.
+        """
+        note = self._prepared.pop(_attempt_key(wu), None)
+        if note is not None and note[0].published is payloads[wu.input_files[1]]:
+            return note[0]
+        if note is not None:
+            self._dispatcher.discard(note[0])
+        return self._submit(wu, payloads)
+
     def _compute_subtask(
-        self, wu: Workunit, payloads: dict, noted, defer_price: bool
+        self, wu: Workunit, payloads: dict, step: StepTask, defer_price: bool
     ) -> tuple[object, "int | PendingPrice"]:
-        """One compute end's training and upload encode.  ``noted`` is what
-        the compute-start hook noted for this attempt (a dispatcher step,
-        or an attempt that may hold a trained-ahead result);
-        ``defer_price`` goes to the codec plane's upload encode."""
+        """One compute end's upload: the attempt's ``step`` resolved (or
+        deferred), perturbed and encoded; ``defer_price`` goes to the codec
+        plane's upload encode."""
         client_id = wu.current_attempt.client_id
         published: VersionedParams = payloads[wu.input_files[1]]  # the parameter file
-        param_vec = published.decode_params()
         self._wu_base_version[wu.wu_id] = published.version
-        shard: Dataset = payloads[self.work_generator.shard_file_name(wu.shard_index)]
-        if self._dispatcher is not None and self._deferrable(client_id):
-            if noted is None:  # pragma: no cover - hook installed with dispatcher
-                noted = self._dispatcher.submit(
-                    param_vec,
-                    wu.shard_index,
-                    self._draw_orders(wu, client_id, len(shard)),
-                    wu.wu_id,
-                )
+        if self._codec_plane is None and self._deferrable(client_id):
             deferred = DeferredUpdate(
                 dispatcher=self._dispatcher,
-                task=noted,
+                task=step,
                 client_id=client_id,
                 base_version=published.version,
             )
             return deferred, self._param_wire_bytes
-        if noted is not None and noted.result is not None:
-            new_vec, gradient = noted.result
-        else:
-            new_vec, gradient = self._train(wu, param_vec, shard)
+        new_vec, gradient = self._dispatcher.resolve(step)
         new_vec = self._maybe_corrupt(client_id, new_vec)
+        param_vec = published.decode_params()
         claimed: float | None = None
         if self._adversary is not None and self._adversary.compromised(client_id):
             tampered = self._adversary.tamper(
@@ -735,39 +704,32 @@ class DistributedRunner:
             )
         return update, self._param_wire_bytes
 
-    def _train(
-        self, wu: Workunit, base: np.ndarray, shard: Dataset
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The current attempt's local step from its base vector."""
-        orders = self._draw_orders(wu, wu.current_attempt.client_id, len(shard))
-        return self._steps.run_group(base, [shard], [orders])[0]
-
-    def _next_finisher(self) -> "_InFlightAttempt | None":
-        """The noted attempt whose compute ends next, to train ahead while
+    def _next_finisher(self) -> StepTask | None:
+        """The noted step whose compute ends next, to train ahead while
         the pricing thread deflates an upload; None when none is noted or
         one already holds a result (at most one is held).
 
         Noted attempts whose compute was cancelled (timeout, cancellation,
-        preemption) are dropped first, their result with them, so every
-        one left is its unit's current attempt.  The next finisher is read
-        off each client's compute resource without advancing it.  A step
-        trained ahead reads only inputs fixed at compute start — the
-        downloaded base (decoded again rather than kept), the shard and
-        the per-attempt batch orders — and only deferrable attempts are
-        noted, so its result is the one the attempt's compute end would
-        compute (DESIGN.md §8.6, invariant 4).
+        preemption) are dropped first, their step discarded, so every one
+        left is its unit's current attempt.  The next finisher is read off
+        each client's compute resource without advancing it.  A step
+        reads only inputs fixed at compute start, so its result is the one
+        the attempt's compute end would compute (DESIGN.md §8.6,
+        invariant 4).
         """
-        for key in [k for k, a in self._prepared.items() if a.task.cancelled]:
-            del self._prepared[key]
+        for key, (step, task, _) in list(self._prepared.items()):
+            if task.cancelled:
+                del self._prepared[key]
+                self._dispatcher.discard(step)
         noted = self._prepared.values()
-        if not noted or any(a.result is not None for a in noted):
+        if not noted or any(step.result is not None for step, _, _ in noted):
             return None
 
-        def seconds_left(attempt: _InFlightAttempt) -> float:
-            client = self.server.clients[attempt.wu.current_attempt.client_id]
-            return client.resource.seconds_to_finish(attempt.task)
+        def seconds_left(note) -> float:
+            _, task, client_id = note
+            return self.server.clients[client_id].resource.seconds_to_finish(task)
 
-        return min(noted, key=seconds_left)
+        return min(noted, key=seconds_left)[0]
 
     def _maybe_corrupt(self, client_id: str, vec: np.ndarray) -> np.ndarray:
         """Fault injection: designated clients upload perturbed parameters.
@@ -1034,16 +996,15 @@ class DistributedRunner:
         # whole run.
         for wu in self._epoch_workunits:
             self._wu_base_version.pop(wu.wu_id, None)
-        if self._prepared:
-            # Noted attempts that aborted mid-compute never reached the
-            # executor; drop them so the dispatcher stops holding their
-            # base parameter copies and no trained-ahead result outlives
-            # its epoch.
-            epoch_ids = {wu.wu_id for wu in self._epoch_workunits}
-            for key in [k for k in self._prepared if k[0] in epoch_ids]:
-                noted = self._prepared.pop(key)
-                if self._dispatcher is not None:
-                    self._dispatcher.discard(noted)
+        # Every unit of the epoch is terminal, so none of its steps will
+        # be resolved: drop the notes of attempts that aborted mid-compute
+        # and every step still pending (those, and uploads that were never
+        # accepted), so the dispatcher stops holding their parameter files
+        # and no trained-ahead result outlives its epoch.
+        epoch_ids = {wu.wu_id for wu in self._epoch_workunits}
+        for key in [k for k in self._prepared if k[0] in epoch_ids]:
+            del self._prepared[key]
+        self._dispatcher.discard_workunits(epoch_ids)
         record = EpochRecord(
             epoch=epoch + 1,
             end_time_s=self.sim.now + self._time_offset,
@@ -1066,7 +1027,7 @@ class DistributedRunner:
         """Execute the full training job; returns the per-epoch results.
 
         With a codec, publishes are priced on the plane's pricing thread
-        for the duration of this call only; a step pool's workers are
+        for the duration of this call only; the dispatcher's workers are
         stopped before it returns or raises.
         """
         if self._codec_plane is not None:
@@ -1074,8 +1035,7 @@ class DistributedRunner:
         try:
             return self._run()
         finally:
-            if self._dispatcher is not None:
-                self._dispatcher.shutdown()
+            self._dispatcher.shutdown()
             if self._codec_plane is not None:
                 self._codec_plane.stop_pricing()
 

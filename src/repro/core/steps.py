@@ -2,13 +2,16 @@
 
 One function trains a client subtask — :func:`run_local_step`, the
 compiled step program of :mod:`repro.nn.cohort` at cohort size 1 — and one
-:class:`_StepContext` per process owns the programs it runs on.  The same
-numerics can run three ways: inline at compute end, fused across a cohort
-of clients (the same program at G > 1), or fanned out across worker
-processes that receive each group's base vector by value, as a volunteer
-host downloads its parameter file.  Architectures with
-no stacked kernels train on the ``Tensor`` tape instead, one member at a
-time; which path runs is decided by whether the architecture compiles.
+:class:`_StepContext` per process owns the programs it runs on.  Every
+client step takes one route: the runner submits it to the
+:class:`StepDispatcher` as its simulated compute starts and takes the
+result where it is first needed.  Steps that share a parameter file fuse
+into cohorts (the same program at G > 1), and ``step_jobs - 1`` worker
+processes train beside this one, each receiving a chunk's base vector by
+value, as a volunteer host downloads its parameter file; at
+``step_jobs=1`` there are no workers.  Architectures with no stacked
+kernels train on the ``Tensor`` tape instead, one member at a time;
+which path runs is decided by whether the architecture compiles.
 
 Determinism is the load-bearing wall.  Simulated *time* never depends on
 where compute runs (durations come from work units, not wall clock), and
@@ -16,20 +19,15 @@ the *numbers* are kept bit-identical by two rules:
 
 * every RNG draw happens at submit time, in the serial schedule's order —
   :func:`draw_batch_orders` pre-draws one permutation per local epoch
-  from the attempt's own batch stream, so deferring the (RNG-free)
-  compute moves no draw;
-* a deferred step reads only inputs fixed at compute start (its base
-  vector, shard and pre-drawn orders), so it may run any time between
-  submit and the first resolve, which the client triggers when its upload
-  is accepted — before any consumer reads the payload.  In-process the
-  dispatcher computes the whole pending batch at that resolve; with a
-  pool a step goes to a worker as its compute starts, if one is free,
-  and a resolve trains what no worker has taken while it waits.
-
-Clients whose upload is perturbed by state that depends on the trained
-result (corrupt-designated clients, adversary-compromised clients) are
-never deferred; the runner computes them at execute time through the same
-context.
+  from the attempt's own batch stream, so where the (RNG-free) compute
+  runs moves no draw;
+* a step reads only inputs fixed at compute start (its parameter file,
+  shard and pre-drawn orders), so it may run any time between submit and
+  its first resolve — at compute end for an upload perturbed by the
+  trained result (a codec encode, corruption noise, adversary tamper,
+  each drawn there), else when the upload is accepted, before any
+  consumer reads the payload.  A step goes to a worker, if one is free,
+  as its chunk fills, and a resolve trains what no worker has taken.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ import threading
 import traceback
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -53,6 +51,9 @@ from ..nn.layers import Module
 from ..nn.models import build_model
 from .parallel import ParallelFallback, _pool_context, record_fallback
 from .rules import ClientUpdate
+
+if TYPE_CHECKING:
+    from .codec_plane import VersionedParams
 
 __all__ = [
     "draw_batch_orders",
@@ -107,22 +108,24 @@ def run_local_step(
 class StepTask:
     """One submitted-but-not-yet-computed client training step.
 
-    On a pool, ``worker`` is the worker holding the step's chunk while the
+    It pins the downloaded parameter file, not a decoded vector: a lossy
+    file decodes to a fresh model-sized vector, only where the step
+    trains.  ``worker`` is the worker holding the step's chunk while the
     step waits for its result.  Nothing here points back at the chunk or
     the backlog: a cycle would keep a finished step's vectors alive until
     the next full garbage collection.
     """
 
-    __slots__ = ("base_vec", "shard_index", "orders", "wu_id", "result", "worker")
+    __slots__ = ("published", "shard_index", "orders", "wu_id", "result", "worker")
 
     def __init__(
         self,
-        base_vec: np.ndarray,
+        published: "VersionedParams",
         shard_index: int,
         orders: list[np.ndarray],
         wu_id: str | None = None,
     ) -> None:
-        self.base_vec = base_vec
+        self.published = published
         self.shard_index = shard_index
         self.orders = orders
         self.wu_id = wu_id
@@ -169,12 +172,13 @@ class _StepContext:
 
     Owns a template model (only its architecture matters: every step
     starts from a downloaded base vector) and the trainers compiled from
-    it — the single-member one every inline, singleton or warm-start step
-    runs on, and the stacked one of the most recent cohort size (cohort
-    arenas grow with G, so only one is kept).  When the architecture has
+    it — the single-member one every singleton or warm-start step runs
+    on, and the stacked one of the most recent cohort size (cohort arenas
+    grow with G, so only one is kept).  When the architecture has
     no stacked kernels the single trainer runs on the ``Tensor`` tape and
-    cohorts run one member at a time.  Lives once in the runner for
-    in-process execution and once per pool worker (:func:`_worker_main`).
+    cohorts run one member at a time.  Lives once in the runner (the
+    dispatcher's own steps and the warm start) and once per worker
+    (:func:`_worker_main`).
     """
 
     def __init__(
@@ -334,36 +338,29 @@ class _Worker:
 
 
 class StepDispatcher:
-    """Batches deferred client steps into cohorts and process fan-out.
+    """Trains every client step: cohorts, worker fan-out, and here.
 
-    Steps that share a base vector and shard length form chunks of up to
-    ``cohort_size``, each trained in one pass (:meth:`_StepContext.run_group`).
-
-    * In-process (``jobs == 1``) submitted tasks accumulate until the
-      first :meth:`resolve` of a pending one (the simulation's first
-      accepted upload whose payload is still pending), which computes
-      the whole pending batch, chunk by chunk.
-    * With a pool (``jobs > 1``) ``jobs`` processes train steps: this one
-      and ``jobs - 1`` forked workers, each fed over its own pipe.  A
-      chunk joins a FIFO backlog as soon as it holds ``cohort_size``
-      steps — at cohort size 1, when the step's compute starts — and
-      every submit and resolve first collects the replies that are in,
-      then hands backlog chunks, base vector by value, to any worker
-      holding fewer than ``_WORKER_STEPS`` steps.  A resolve whose chunk
-      is still filling moves every partial chunk to the backlog; a
-      resolve whose chunk no worker has taken trains it here; a resolve
-      whose chunk a worker holds trains the backlog's head here while it
-      waits, and blocks on that worker's pipe only when the backlog is
-      empty.
+    Steps that share a parameter file and shard length form chunks of up
+    to ``cohort_size``, each trained in one pass
+    (:meth:`_StepContext.run_group`).  ``jobs`` processes train chunks:
+    this one and ``jobs - 1`` forked workers, each fed over its own pipe
+    (none at ``jobs == 1``).  A chunk joins a FIFO backlog as soon as it
+    holds ``cohort_size`` steps — at cohort size 1, when the step's
+    compute starts — and every submit and resolve first collects the
+    replies that are in, then hands backlog chunks, base vector by value,
+    to any worker holding fewer than ``_WORKER_STEPS`` steps.  A resolve
+    whose chunk is still filling moves every filling chunk to the backlog
+    (the whole-batch rule that lets concurrent steps fuse); a resolve
+    whose chunk no worker has taken trains it here; a resolve whose chunk
+    a worker holds trains the backlog's head here while it waits, and
+    blocks on that worker's pipe only when the backlog is empty.
 
     ``stats`` counts ``tasks`` submitted, ``cohort_members`` computed in
-    fused chunks of more than one, and ``flushes``: resolves that found
-    their task still waiting here (in-process: the batch computations;
-    on a pool: the moves of partial chunks to the backlog, none at
-    cohort size 1).  On a pool, ``pool_groups`` counts the chunks sent to
-    workers and ``stolen_groups`` the chunks trained here — the resolves'
-    own untaken chunks plus ``helped_groups``, the backlog heads trained
-    while waiting on a worker.
+    fused chunks of more than one, ``flushes`` (resolves that moved the
+    filling chunks to the backlog; none at cohort size 1), and where
+    steps trained: ``worker_steps`` on workers, ``here_steps`` in this
+    process, of which ``helped_steps`` while a resolve waited on a
+    worker.
 
     Everything here is wall-clock machinery; nothing touches simulated
     time, counters, traces or RNG — which is what keeps every enabled
@@ -382,14 +379,13 @@ class StepDispatcher:
             raise ConfigurationError(f"cohort_size must be >= 1, got {cohort_size}")
         if jobs < 1:
             raise ConfigurationError(f"step_jobs must be >= 1, got {jobs}")
-        self._context = context  # in-process execution; workers build their own
+        self._context = context  # this process's steps; workers build their own
         self.model_spec = model_spec
         self.shards = list(shards)
         self.cohort_size = cohort_size
         self.jobs = jobs
-        self._pending: list[StepTask] = []  # in-process: the next batch
-        # Pool: chunks still filling, by chunk key; full chunks no worker
-        # has taken, oldest first; the workers, forked at the first send.
+        # Chunks still filling, by chunk key; full chunks no worker has
+        # taken, oldest first; the workers, forked at the first send.
         self._filling: dict[tuple[int, int], list[StepTask]] = {}
         self._backlog: deque[list[StepTask]] = deque()
         self._workers: list[_Worker] = []
@@ -398,14 +394,13 @@ class StepDispatcher:
         self.stats = {
             "tasks": 0,
             "flushes": 0,
-            "max_flush": 0,
             "cohort_groups": 0,
             "cohort_members": 0,
             "singleton_members": 0,
             "unsupported_members": 0,
-            "pool_groups": 0,
-            "stolen_groups": 0,
-            "helped_groups": 0,
+            "worker_steps": 0,
+            "here_steps": 0,
+            "helped_steps": 0,
         }
         if cohort_size > 1 and not context.compiles:
             record_fallback(
@@ -420,19 +415,16 @@ class StepDispatcher:
     # -- submit / resolve ----------------------------------------------
     def submit(
         self,
-        base_vec: np.ndarray,
+        published: "VersionedParams",
         shard_index: int,
         orders: list[np.ndarray],
         wu_id: str | None = None,
     ) -> StepTask:
-        """Queue one step (on a pool, its chunk joins the backlog once
-        full); the task pins ``base_vec``.  ``wu_id`` names the step in a
+        """Queue one step from the parameter file ``published``; its chunk
+        joins the backlog once full.  ``wu_id`` names the step in a
         worker's error."""
-        task = StepTask(base_vec, shard_index, orders, wu_id)
+        task = StepTask(published, shard_index, orders, wu_id)
         self.stats["tasks"] += 1
-        if self.jobs == 1:
-            self._pending.append(task)
-            return task
         key = self._chunk_key(task)
         chunk = self._filling.setdefault(key, [])
         chunk.append(task)
@@ -446,10 +438,7 @@ class StepDispatcher:
         """Return the task's result, computing it here or waiting for
         (and helping) the worker that holds it if it is still pending."""
         if task.result is None:
-            if self.jobs == 1:
-                self._flush()
-            else:
-                self._await(task)
+            self._await(task)
         if task.result is None:
             raise SimulationError(
                 "step task resolved without a result; it was not pending "
@@ -459,11 +448,8 @@ class StepDispatcher:
 
     def discard(self, task: StepTask) -> None:
         """Forget a still-pending task (its attempt aborted mid-compute).
-        On a pool, a chunk left with no member leaves the backlog; a
-        worker's result for it is dropped when it arrives."""
-        if self.jobs == 1:
-            self._pending = [t for t in self._pending if t is not task]
-            return
+        A chunk left with no member leaves the backlog; a worker's result
+        for it is dropped when it arrives."""
         if task.worker is not None:
             task.worker = None
             return
@@ -480,87 +466,71 @@ class StepDispatcher:
             if not chunk:
                 self._backlog = deque(c for c in self._backlog if c is not chunk)
 
+    def discard_workunits(self, wu_ids: set[str]) -> None:
+        """Forget every still-pending task of these workunits: once they
+        are all terminal, no compute end or accepted upload resolves one."""
+        chunks = [*self._filling.values(), *self._backlog]
+        chunks += [c for worker in self._workers for c in worker.chunks]
+        for task in [t for c in chunks for t in c if t.wu_id in wu_ids]:
+            self.discard(task)
+
     # -- execution ------------------------------------------------------
     def _chunk_key(self, task: StepTask) -> tuple[int, int]:
         # Cohort members must share the exact base vector and batch
-        # geometry.  A task pins its base array, so id() is
+        # geometry.  A task pins its file's content, so id() is
         # collision-free while it waits.
-        return id(task.base_vec), len(self.shards[task.shard_index])
+        return id(task.published.content), len(self.shards[task.shard_index])
 
-    def _flush(self) -> None:
-        pending, self._pending = self._pending, []
-        if not pending:
+    def _backlog_chunk(self, task: StepTask) -> list[StepTask] | None:
+        return next((c for c in self._backlog if task in c), None)
+
+    def _await(self, task: StepTask) -> None:
+        worker = task.worker
+        if worker is None:
+            if task in self._filling.get(self._chunk_key(task), ()):
+                self._backlog.extend(self._filling.values())
+                self._filling.clear()
+                self.stats["flushes"] += 1
+            # No worker has taken the chunk: train it here rather than
+            # wait behind the chunks before it, once the workers have
+            # what else is waiting.
+            chunk = self._backlog_chunk(task)
+            if chunk is not None:
+                self._backlog = deque(c for c in self._backlog if c is not chunk)
+                self._pump()
+                self._train_here(chunk)
             return
-        self.stats["flushes"] += 1
-        self.stats["max_flush"] = max(self.stats["max_flush"], len(pending))
-        groups: dict[tuple[int, int], list[StepTask]] = {}
-        for task in pending:
-            groups.setdefault(self._chunk_key(task), []).append(task)
-        chunks = [
-            tasks[i : i + self.cohort_size]
-            for tasks in groups.values()
-            for i in range(0, len(tasks), self.cohort_size)
-        ]
-        self._count_chunks(chunks)
-        for chunk in chunks:
-            self._run_here(chunk)
+        while True:
+            self._pump()
+            if task.result is not None:
+                return
+            if self._backlog:
+                chunk = self._backlog.popleft()
+                self.stats["helped_steps"] += len(chunk)
+                self._train_here(chunk)
+            else:
+                self._collect(worker)
 
-    def _run_here(self, chunk: list[StepTask]) -> None:
+    def _train_here(self, chunk: list[StepTask]) -> None:
         """Train one chunk in this process."""
+        self._count(chunk)
+        self.stats["here_steps"] += len(chunk)
         results = self._context.run_group(
-            chunk[0].base_vec,
+            chunk[0].published.decode_params(),
             [self.shards[t.shard_index] for t in chunk],
             [t.orders for t in chunk],
         )
         for task, result in zip(chunk, results):
             task.result = result
 
-    def _count_chunks(self, chunks: list[list[StepTask]]) -> None:
-        for chunk in chunks:
-            if len(chunk) == 1:
-                self.stats["singleton_members"] += 1
-            elif self._context.compiles:
-                self.stats["cohort_groups"] += 1
-                self.stats["cohort_members"] += len(chunk)
-            else:
-                self.stats["unsupported_members"] += len(chunk)
-
-    def _backlog_chunk(self, task: StepTask) -> list[StepTask] | None:
-        return next((c for c in self._backlog if task in c), None)
-
-    def _await(self, task: StepTask) -> None:
-        if task.worker is None:
-            if task in self._filling.get(self._chunk_key(task), ()):
-                chunks = list(self._filling.values())
-                self._filling.clear()
-                self.stats["flushes"] += 1
-                self.stats["max_flush"] = max(
-                    self.stats["max_flush"], sum(map(len, chunks))
-                )
-                self._backlog.extend(chunks)
-            # No worker has taken the chunk: train it here rather than
-            # wait behind the chunks before it, once the workers have
-            # what else is waiting.
-            chunk = self._backlog_chunk(task)
-            self._backlog = deque(c for c in self._backlog if c is not chunk)
-            self._pump()
-            self._train_here(chunk)
-            return
-        worker = task.worker
-        while True:
-            self._pump()
-            if task.result is not None:
-                return
-            if self._backlog:
-                self._train_here(self._backlog.popleft())
-                self.stats["helped_groups"] += 1
-            else:
-                self._collect(worker)
-
-    def _train_here(self, chunk: list[StepTask]) -> None:
-        self._count_chunks([chunk])
-        self.stats["stolen_groups"] += 1
-        self._run_here(chunk)
+    def _count(self, chunk: list[StepTask]) -> None:
+        if len(chunk) == 1:
+            self.stats["singleton_members"] += 1
+        elif self._context.compiles:
+            self.stats["cohort_groups"] += 1
+            self.stats["cohort_members"] += len(chunk)
+        else:
+            self.stats["unsupported_members"] += len(chunk)
 
     def _pump(self) -> None:
         """Collect every reply that is in, then feed the backlog, least
@@ -569,7 +539,7 @@ class StepDispatcher:
         for worker in self._workers:
             while worker.conn.poll():
                 self._collect(worker)
-        if not self._backlog:
+        if not self._backlog or self.jobs == 1:
             return
         workers = self._workers or self._start_workers()
         while self._backlog:
@@ -580,7 +550,7 @@ class StepDispatcher:
 
     def _start_workers(self) -> list[_Worker]:
         # Forked where possible: workers inherit the shards instead of
-        # unpickling them.  A pool run has no codec, so no pricing
+        # unpickling them.  A run with workers has no codec, so no pricing
         # thread exists to be forked mid-operation.
         context = self._context
         settings = (
@@ -608,7 +578,7 @@ class StepDispatcher:
         try:
             worker.conn.send(
                 (
-                    chunk[0].base_vec,
+                    chunk[0].published.decode_params(),
                     [t.shard_index for t in chunk],
                     [t.orders for t in chunk],
                 )
@@ -619,8 +589,8 @@ class StepDispatcher:
         worker.steps += len(chunk)
         for task in chunk:
             task.worker = worker
-        self._count_chunks([chunk])
-        self.stats["pool_groups"] += 1
+        self._count(chunk)
+        self.stats["worker_steps"] += len(chunk)
 
     def _collect(self, worker: _Worker) -> None:
         """Receive ``worker``'s next reply (blocking) and hand its results
@@ -656,7 +626,6 @@ class StepDispatcher:
         """Drop pending work and stop the workers: closing a worker's
         pipe makes it exit; one that has not within a few seconds is
         terminated."""
-        self._pending.clear()
         self._filling.clear()
         self._backlog.clear()
         workers, self._workers = self._workers, []

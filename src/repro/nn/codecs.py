@@ -210,7 +210,8 @@ class Int8Codec(Codec):
     Per-tensor scaling (via the StateLayout's offsets) keeps small-valued
     tensors — biases, batch-norm shifts — from being crushed by a single
     global scale.  Each tensor quantizes to ``round(x / (maxabs/127))``;
-    an all-zero tensor encodes with scale 0.  The wire charges the zlib'd
+    an all-zero tensor (or one whose scale underflows) encodes with scale
+    0 and all-zero codes.  The wire charges the zlib'd
     codes plus one float32 scale per tensor.
     """
 
@@ -230,9 +231,11 @@ class Int8Codec(Codec):
         for i, (offset, size) in enumerate(segments):
             chunk = vec[offset : offset + size]
             maxabs = float(max(chunk.max(), -chunk.min())) if size else 0.0
-            if maxabs == 0.0:
-                continue
             scale = maxabs / 127.0
+            # A subnormal maxabs underflows the scale to 0: such a tensor
+            # encodes as all-zero, within half a step of itself.
+            if scale == 0.0:
+                continue
             scales[i] = scale
             for lo in range(offset, offset + size, BLOCK_SIZE):
                 hi = min(lo + BLOCK_SIZE, offset + size)

@@ -106,6 +106,35 @@ def test_downloads_report_raw_bytes_without_decoding(codec):
     assert decodes
     assert {rec["raw"] for rec in decodes} == {runner.param_size * 8}
 
+def test_a_waiting_step_pins_the_file_not_a_decoded_vector():
+    """Each of a codec run's in-flight steps would pin a fresh model-sized
+    vector if it were decoded at submit; it is decoded where it trains."""
+    runner = DistributedRunner(tiny_config(codec="int8", model=MODEL, max_epochs=1))
+    submitted = []
+    submit = runner._dispatcher.submit
+
+    def recording(published, *args):
+        task = submit(published, *args)
+        held = [getattr(task, slot) for slot in type(task).__slots__]
+        submitted.append((task.published, held))
+        return task
+
+    runner._dispatcher.submit = recording
+    runner.run()
+    assert submitted
+    for published, held in submitted:
+        assert isinstance(published.content, Encoded)
+        arrays = [
+            a
+            for value in held
+            for a in (value if isinstance(value, list) else [value])
+            if isinstance(a, np.ndarray)
+        ]
+        # Only the pre-drawn batch orders, a shard's length each.
+        assert arrays and all(a.dtype.kind == "i" for a in arrays)
+        assert all(a.size < runner.param_size for a in arrays)
+
+
 
 @pytest.mark.parametrize("codec", sorted(STORED_FRACTION))
 def test_traced_peak_scales_with_parameter_bytes(codec):

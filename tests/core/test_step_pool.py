@@ -27,14 +27,17 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from repro.core import DistributedRunner, LocalTrainingConfig, run_configs
+from repro.core import DistributedRunner, FaultConfig, LocalTrainingConfig, run_configs
 from repro.core import runner as runner_module
+from repro.core.codec_plane import VersionedParams
 from repro.core.parallel import step_jobs_for
 from repro.core.steps import StepDispatcher, _StepContext, draw_batch_orders
 from repro.errors import ConfigurationError, SimulationError
 from repro.nn.models import ModelSpec
 
-from .test_multicore_determinism import _scenario_config
+from repro.simulation.chaos import ChaosPlan, TransferFaultPlan
+
+from .test_multicore_determinism import _scenario_config, run_digest
 from .test_runner import tiny_config
 
 
@@ -61,12 +64,12 @@ def _dispatcher(cohort_size=1, jobs=2):
     dispatcher = StepDispatcher(
         runner._steps, runner.config.model, shards, cohort_size, jobs
     )
-    base = runner._layout.pack(runner._eval_arena)
+    published = VersionedParams(runner._layout.pack(runner._eval_arena), 0)
     rng = np.random.default_rng(0)
 
-    def submit(shard_index=0, vec=base):
+    def submit(shard_index=0):
         orders = draw_batch_orders(rng, len(shards[shard_index]), 2)
-        return dispatcher.submit(vec, shard_index, orders, f"wu{shard_index}")
+        return dispatcher.submit(published, shard_index, orders, f"wu{shard_index}")
 
     return runner, dispatcher, submit
 
@@ -84,7 +87,7 @@ class TestDispatcher:
             pooled = [pool.resolve(t) for t in tasks]
         finally:
             pool.shutdown()
-        assert pool.stats["pool_groups"] > 0
+        assert pool.stats["worker_steps"] > 0
         for task, (vec, gradient) in zip(tasks, pooled):
             assert task.worker is None
             want, _ = runner._steps.run_group(
@@ -142,7 +145,7 @@ class TestDispatcher:
         finally:
             pool.shutdown()
         assert tasks[3].result is None
-        assert pool.stats["pool_groups"] + pool.stats["stolen_groups"] == 3
+        assert pool.stats["worker_steps"] + pool.stats["here_steps"] == 3
 
     def test_discard_drops_a_sent_steps_result(self, slow_workers):
         _, pool, submit = _dispatcher(jobs=2)
@@ -167,8 +170,8 @@ class TestDispatcher:
             assert tasks[-1].worker is None
         finally:
             pool.shutdown()
-        assert pool.stats["stolen_groups"] == 1
-        assert pool.stats["helped_groups"] == 0
+        assert pool.stats["here_steps"] == 1
+        assert pool.stats["helped_steps"] == 0
 
     def test_a_resolve_helps_while_it_waits_on_a_worker(self, slow_workers):
         _, pool, submit = _dispatcher(jobs=2)
@@ -177,7 +180,7 @@ class TestDispatcher:
             # The worker holds the first two; the resolve of the first
             # trains backlog heads here until the worker's reply is in.
             pool.resolve(tasks[0])
-            helped = pool.stats["helped_groups"]
+            helped = pool.stats["helped_steps"]
             assert helped >= 1
             assert all(t.result is not None for t in tasks[2 : 2 + helped])
             for task in tasks:
@@ -185,8 +188,8 @@ class TestDispatcher:
         finally:
             pool.shutdown()
         stats = pool.stats
-        assert stats["stolen_groups"] >= stats["helped_groups"] == helped
-        assert stats["pool_groups"] + stats["stolen_groups"] == 8
+        assert stats["here_steps"] >= stats["helped_steps"] == helped
+        assert stats["worker_steps"] + stats["here_steps"] == 8
 
     def test_a_finished_step_is_freed_without_the_garbage_collector(self):
         """A cycle through a finished step would pin its vectors until the
@@ -307,8 +310,8 @@ class TestRunLifecycle:
         stats = runner._dispatcher.stats
         # The bench reads these three keys off every dispatcher.
         assert {"tasks", "cohort_members", "flushes"} <= set(stats)
-        assert stats["tasks"] == stats["pool_groups"] + stats["stolen_groups"] == 6
-        assert stats["pool_groups"] > 0 and stats["flushes"] == 0
+        assert stats["tasks"] == stats["worker_steps"] + stats["here_steps"] == 6
+        assert stats["worker_steps"] > 0 and stats["flushes"] == 0
         assert not multiprocessing.active_children()
 
     def test_a_step_that_raises_in_a_worker_surfaces_with_its_workunit(
@@ -387,9 +390,129 @@ class TestRunLifecycle:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert pooled._dispatcher.stats["pool_groups"] > 0
+        assert pooled._dispatcher.stats["worker_steps"] > 0
         assert _digest(pooled) == _digest(serial)
         assert not multiprocessing.active_children()
+
+
+class TestOneRoute:
+    """Every attempt's step goes to the dispatcher at compute start, at
+    every width, whoever the client is."""
+
+    def test_one_step_job_forks_nothing_and_trains_every_step_here(
+        self, monkeypatch
+    ):
+        _forbid_forks(monkeypatch)
+        runner = DistributedRunner(tiny_config(step_jobs=1, cohort_size=3))
+        runner.run()
+        stats = runner._dispatcher.stats
+        assert stats["tasks"] == stats["here_steps"] == 12
+        assert stats["worker_steps"] == stats["helped_steps"] == 0
+        assert stats["cohort_members"] > 0
+        assert not multiprocessing.active_children()
+
+    def test_a_corrupt_clients_step_starts_at_compute_start_on_the_pool(
+        self, monkeypatch
+    ):
+        chunks = _record_sends(monkeypatch)
+        runner = DistributedRunner(
+            tiny_config(step_jobs=2, faults=FaultConfig(corrupt_clients=1))
+        )
+        starts, submitted = {}, {}
+        for client in runner.server.clients.values():
+            prepare = client.on_train_start
+
+            def noting(wu, payloads, task, prepare=prepare):
+                prepare(wu, payloads, task)
+                key = (wu.wu_id, wu.num_attempts)
+                starts[key] = runner.sim.now
+                submitted[key] = runner._prepared[key][0]
+
+            client.on_train_start = noting
+        runner.run()
+        corrupt = {
+            key: step
+            for key, step in submitted.items()
+            if runner.server.scheduler.get_workunit(key[0])
+            .attempts[key[1] - 1]
+            .client_id
+            == "client-000"
+        }
+        sent = {id(t) for chunk in chunks for t in chunk}
+        assert corrupt and any(id(step) in sent for step in corrupt.values())
+        # Its noise is still drawn at its compute end, never at the start.
+        noise = [r.time for r in runner.trace if r.kind == "fault.corrupt_upload"]
+        done = {
+            r.time
+            for r in runner.trace
+            if r.kind == "client.train_done" and r["client"] == "client-000"
+        }
+        assert noise and set(noise) <= done
+        assert not set(noise) & {starts[key] for key in corrupt}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_repeated_compute_trains_what_it_downloaded(self, jobs):
+        """A download retry left over from a timed-out attempt can start a
+        second compute of the attempt that replaced it on the same client;
+        the later compute end finds no note and submits its own step.
+        The digest was captured before every step took the dispatcher."""
+        faults = FaultConfig(
+            chaos=ChaosPlan(transfer=TransferFaultPlan(failure_p=0.85))
+        )
+        config = tiny_config(
+            num_clients=3,
+            max_epochs=4,
+            subtask_timeout_s=200,
+            faults=faults,
+            step_jobs=jobs,
+        )
+        runner = DistributedRunner(config)
+        runner.run()
+        started = sum(1 for r in runner.trace if r.kind == "client.train_start")
+        assert runner._dispatcher.stats["tasks"] > started
+        assert run_digest(config) == (
+            "dd727e9ccbc8f77fc70957f9c66cf2ba166a453caf903b517aa663ea1d685f6e"
+        )
+
+    def test_no_step_outlives_its_epoch(self):
+        """Steps whose upload was never accepted (it timed out or was
+        abandoned) are dropped at the epoch's end, with the notes of
+        attempts that aborted mid-compute."""
+        faults = FaultConfig(
+            chaos=ChaosPlan(transfer=TransferFaultPlan(failure_p=0.85))
+        )
+        runner = DistributedRunner(
+            tiny_config(num_clients=3, max_epochs=4, faults=faults, step_jobs=1)
+        )
+        dispatcher = runner._dispatcher
+        record_epoch = runner._record_epoch
+        pending = []
+
+        def recording():
+            record = record_epoch()
+            pending.append(len(dispatcher._backlog) + len(dispatcher._filling))
+            return record
+
+        runner._record_epoch = recording
+        result = runner.run()
+        stats = dispatcher.stats
+        assert result.counters["timeouts"] > 0
+        assert stats["here_steps"] < stats["tasks"]
+        assert pending == [0] * 4
+
+    def test_tasks_count_the_attempts_started(self):
+        runner = DistributedRunner(_scenario_config("preemption", "pool"))
+        result = runner.run()
+        started = sum(1 for r in runner.trace if r.kind == "client.train_start")
+        assert result.counters["preemptions"] > 0
+        assert runner._dispatcher.stats["tasks"] == started
+
+
+def _forbid_forks(monkeypatch) -> None:
+    def fork(self):
+        raise AssertionError("a step worker was forked")
+
+    monkeypatch.setattr(StepDispatcher, "_start_workers", fork)
 
 
 class _ReportingRunner(DistributedRunner):
@@ -411,13 +534,19 @@ class TestAutoWidth:
     def test_one_usable_cpu_resolves_to_one(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert step_jobs_for(tiny_config()) == 1
-        runner = DistributedRunner(tiny_config())
-        assert runner.step_jobs == 1 and runner._dispatcher is None
+        _forbid_forks(monkeypatch)
+        runner = DistributedRunner(tiny_config(max_epochs=1))
+        runner.run()
+        assert runner.step_jobs == runner._dispatcher.jobs == 1
+        assert runner._dispatcher.stats["worker_steps"] == 0
 
     def test_codec_runs_resolve_to_one(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        runner = DistributedRunner(tiny_config(codec="int8"))
-        assert runner.step_jobs == 1 and runner._dispatcher is None
+        _forbid_forks(monkeypatch)
+        runner = DistributedRunner(tiny_config(codec="int8", max_epochs=1))
+        runner.run()
+        assert runner.step_jobs == runner._dispatcher.jobs == 1
+        assert runner._dispatcher.stats["worker_steps"] == 0
 
     def test_an_explicit_codec_pool_is_still_rejected(self):
         with pytest.raises(ConfigurationError, match="deferred execution"):

@@ -2,10 +2,10 @@
 
 Inside ``DistributedRunner.run()``, when a noted attempt is free to train
 ahead, a result upload's zlib pass runs on the codec plane's pricing
-thread while the runner trains the in-flight attempt whose compute ends
-next; the size resolves before the executor returns, inside the same
-compute-end event, and that attempt's compute end takes a finished
-result.  Otherwise the upload is priced inline, as outside ``run()``.
+thread while the dispatcher trains the step of the in-flight attempt
+whose compute ends next; the size resolves before the executor returns,
+inside the same compute-end event, and that attempt's compute end takes
+a finished result.  Otherwise the upload is priced inline, as outside ``run()``.
 Neither may show in the bits: the pins below
 were captured on the tree that priced every upload inline and trained
 every subtask at its compute end.  If one moves, find the leak — do not
@@ -163,7 +163,8 @@ class TestTraceOrder:
 
 
 def held(runner) -> list:
-    return [key for key, a in runner._prepared.items() if a.result is not None]
+    notes = runner._prepared.items()
+    return [key for key, (step, _, _) in notes if step.result is not None]
 
 
 class TestThreads:
@@ -232,9 +233,16 @@ class TestThreads:
         assert (last.kind, last["direction"], last["wire"]) == ("net.encode", "up", wire)
 
 
+def train(runner, wu, published, shard):
+    """The attempt's step trained from ``published`` outside the dispatcher."""
+    orders = runner._draw_orders(wu, wu.current_attempt.client_id, len(shard))
+    return runner._steps.run_group(published.decode_params(), [shard], [orders])[0]
+
+
 class TestTrainingAhead:
-    """The compute-start hook notes each deferrable attempt under its
-    attempt key; an upload deflate trains the next finisher ahead."""
+    """The compute-start hook submits every attempt's step and notes it
+    under the attempt key; an upload deflate trains the next finisher's
+    step ahead."""
 
     def setup_runner(self):
         runner = DistributedRunner(tiny_config(codec="int8"))
@@ -263,9 +271,7 @@ class TestTrainingAhead:
         """What an upload's deferred deflate does in the executor."""
         ahead = runner._next_finisher()
         if ahead is not None:
-            ahead.result = runner._train(
-                ahead.wu, ahead.published.decode_params(), ahead.shard
-            )
+            runner._dispatcher.resolve(ahead)
 
     def test_a_reissued_attempt_never_takes_its_predecessors_result(self):
         runner, units, shard_files = self.setup_runner()
@@ -282,8 +288,7 @@ class TestTrainingAhead:
         # result under its own key, so it trains from its own base.
         wu.mark_timeout(runner.sim.now)
         client.resource.cancel(task)
-        wu.mark_sent(client.client_id, runner.sim.now)
-        payloads = {**payloads, PARAM_FILE: second}
+        _, payloads = self.start(runner, wu, client.client_id, second, shard_file)
         uploaded = []
         encode_upload = runner._codec_plane.encode_upload
 
@@ -295,10 +300,41 @@ class TestTrainingAhead:
         runner._execute_subtask(wu, payloads)
 
         def trained(published):
-            return runner._train(wu, published.decode_params(), payloads[shard_file])[0]
+            return train(runner, wu, published, payloads[shard_file])[0]
 
         assert not np.array_equal(trained(first), trained(second))
         np.testing.assert_array_equal(uploaded[0], trained(second))
+
+    def test_each_compute_of_one_attempt_trains_what_it_downloaded(self):
+        runner, units, shard_files = self.setup_runner()
+        wu, shard_file = units[0], shard_files[units[0].wu_id]
+        first = runner.server.catalog.get(PARAM_FILE).payload
+        runner._republish_params(first.decode_params() * 0.5)
+        second = runner.server.catalog.get(PARAM_FILE).payload
+        # Two computes of attempt 1 on one client, from two downloads: the
+        # second compute start replaces the note.
+        _, early = self.start(runner, wu, "client-000", first, shard_file)
+        client = runner.server.clients["client-000"]
+        client.resource.submit(wu.work_units, lambda: None, label=wu.wu_id)
+        late = {**early, PARAM_FILE: second}
+        client.on_train_start(wu, late, None)
+        uploaded = []
+        encode_upload = runner._codec_plane.encode_upload
+
+        def spying(update, *args):
+            uploaded.append(update.params)
+            return encode_upload(update, *args)
+
+        runner._codec_plane.encode_upload = spying
+        runner._execute_subtask(wu, early)
+        runner._execute_subtask(wu, late)
+        shard = early[shard_file]
+        np.testing.assert_array_equal(uploaded[0], train(runner, wu, first, shard)[0])
+        np.testing.assert_array_equal(uploaded[1], train(runner, wu, second, shard)[0])
+        # The replaced note's step waits for the epoch-end sweep.
+        assert not runner._prepared and len(runner._dispatcher._backlog) == 1
+        runner._dispatcher.discard_workunits({wu.wu_id})
+        assert not runner._dispatcher._backlog
 
     def test_the_next_finisher_trains_and_one_result_is_held(self):
         runner, units, shard_files = self.setup_runner()
@@ -332,15 +368,15 @@ class TestTrainingAhead:
             )
         ]
         self.train_ahead(runner)
-        taken = weakref.ref(runner._prepared[(units[0].wu_id, 1)].result[0])
-        train = runner._train
+        taken = weakref.ref(runner._prepared[(units[0].wu_id, 1)][0].result[0])
+        train_here = runner._dispatcher._train_here
         alive = []
 
-        def training(wu, base, shard):
+        def training(chunk):
             alive.append(taken() is not None)
-            return train(wu, base, shard)
+            return train_here(chunk)
 
-        runner._train = training
+        runner._dispatcher._train_here = training
         runner._codec_plane.start_pricing()
         try:
             runner._execute_subtask(units[0], payloads[0])
@@ -356,18 +392,19 @@ class TestTrainingAhead:
         _, payloads = self.start(
             runner, wu, "client-000", published, shard_files[wu.wu_id]
         )
-        expected = runner._train(
-            wu, published.decode_params(), payloads[shard_files[wu.wu_id]]
-        )[0]
+        expected = train(runner, wu, published, payloads[shard_files[wu.wu_id]])[0]
         self.train_ahead(runner)
-        (noted,) = runner._prepared.values()
-        np.testing.assert_array_equal(noted.result[0], expected)
+        ((step, _, _),) = runner._prepared.values()
+        np.testing.assert_array_equal(step.result[0], expected)
 
-    def test_runs_without_a_codec_install_no_hook(self):
-        runner = DistributedRunner(tiny_config(step_jobs=1))
-        assert all(c.on_train_start is None for c in runner.server.clients.values())
+    def test_codec_free_runs_submit_every_attempt(self):
+        runner = DistributedRunner(tiny_config(step_jobs=1, max_epochs=1))
+        runner.run()
+        started = sum(1 for r in runner.trace if r.kind == "client.train_start")
+        assert runner._dispatcher.stats["tasks"] == started > 0
+        assert not runner._prepared
 
-    def test_corrupt_clients_are_never_noted(self):
+    def test_corrupt_clients_draw_noise_at_compute_end(self):
         runner = DistributedRunner(
             tiny_config(codec="int8", faults=FaultConfig(corrupt_clients=1))
         )
@@ -385,4 +422,11 @@ class TestTrainingAhead:
             runner.server.scheduler.get_workunit(wu_id).attempts[n - 1].client_id
             for wu_id, n in noted
         }
-        assert noted and "client-000" not in clients
+        assert "client-000" in clients
+        noise = [r.time for r in runner.trace if r.kind == "fault.corrupt_upload"]
+        done = {
+            r.time
+            for r in runner.trace
+            if r.kind == "client.train_done" and r["client"] == "client-000"
+        }
+        assert noise and set(noise) <= done

@@ -108,6 +108,16 @@ class TestLossyRoundtrip:
         flat = codec.decode(codec.encode(vec))
         assert np.all(flat[:3] == 0.0)
 
+    @pytest.mark.parametrize("value", [5e-324, -2e-322])
+    def test_int8_subnormal_tensor_decodes_to_zero(self, value):
+        # maxabs / 127 underflows to 0 for a subnormal maximum: the tensor
+        # must encode as zeros, not as clipped ±127 codes with no scale.
+        codec = Int8Codec()
+        vec = np.array([value, 0.0])
+        decoded = codec.decode(codec.encode(vec))
+        np.testing.assert_array_equal(decoded, np.zeros(2))
+        assert np.all(np.abs(decoded - vec) <= codec.tolerance(vec))
+
     def test_topk_keeps_largest(self):
         # Values chosen exactly representable in float32 so the fp32
         # value pass-through is bit-exact; ceil(0.33 * 6) keeps k=2.

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.codec_plane import VersionedParams
 from repro.core.parallel import ParallelFallbackWarning
 from repro.core.steps import (
     StepDispatcher,
@@ -315,8 +316,9 @@ def test_cohort_request_on_uncompilable_model_is_loud():
     assert len(caught) == 1
     fallback = caught[0].message.fallback
     assert fallback.reason == "cohort_unsupported" and fallback.requested_jobs == 3
-    base = base_vecs[0]  # cohort mates share the base vector *object*
-    tasks = [dispatcher.submit(base, g, orders[g]) for g in range(3)]
+    base = base_vecs[0]  # cohort mates share the parameter file *object*
+    published = VersionedParams(base, 0)
+    tasks = [dispatcher.submit(published, g, orders[g]) for g in range(3)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # once per run: nothing more at flush time
         results = [dispatcher.resolve(task) for task in tasks]
