@@ -181,14 +181,19 @@ class ClientDaemon:
             delay *= 1.0 + 0.25 * float(self.rng.random())
         return delay
 
-    def _start_download(self, wu: Workunit, retry: int = 0) -> None:
+    def _start_download(
+        self, wu: Workunit, retry: int = 0, attempt: int | None = None
+    ) -> None:
+        if attempt is None:
+            attempt = wu.num_attempts
+
         def on_downloaded(payloads: dict[str, object]) -> None:
-            if not self.alive or wu.wu_id not in self._in_flight:
+            if not self._holds(wu, attempt):
                 return  # preempted or aborted while downloading
             self._start_compute(wu, payloads)
 
         def on_error(error) -> None:
-            if not self.alive or wu.wu_id not in self._in_flight:
+            if not self._holds(wu, attempt):
                 return  # deadline fired (or preemption) during the transfer
             if retry >= MAX_TRANSFER_RETRIES:
                 # Give up: free the slot; the scheduler deadline reclaims
@@ -219,7 +224,7 @@ class ClientDaemon:
                 )
             self.sim.schedule(
                 delay,
-                lambda: self._start_download(wu, retry + 1),
+                lambda: self._start_download(wu, retry + 1, attempt),
                 label=f"{self.client_id}:dl-retry",
             )
 
@@ -232,6 +237,15 @@ class ClientDaemon:
             on_error=on_error,
             client_id=self.client_id,
             wu_id=wu.wu_id,
+        )
+
+    def _holds(self, wu: Workunit, attempt: int) -> bool:
+        """Whether this client is alive and still holds ``attempt`` of
+        ``wu``.  A transfer belongs to one attempt and dies with it: one
+        left over from an attempt that timed out must not start a compute
+        of the attempt that replaced it here."""
+        return (
+            self.alive and wu.wu_id in self._in_flight and wu.num_attempts == attempt
         )
 
     def _start_compute(self, wu: Workunit, payloads: dict[str, object]) -> None:
@@ -303,10 +317,10 @@ class ClientDaemon:
                         client=self.client_id,
                         seconds=self.sim.now - wu.current_attempt.sent_at,
                     )
-                # Deferred-execution payloads (core.steps.DeferredUpdate)
-                # materialize here, at the last moment before any server
-                # component reads inside them.  Upload retries reuse the
-                # same payload object, so the lazy handle survives them.
+                # An encoded upload (core.codec_plane.EncodedUpdate) is
+                # decoded here, on receipt, before any server component
+                # reads inside it.  Upload retries reuse the same payload
+                # object, so the lazy handle survives them.
                 payload = result
                 resolve = getattr(payload, "resolve_update", None)
                 if resolve is not None:

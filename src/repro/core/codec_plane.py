@@ -145,10 +145,9 @@ class EncodedUpdate:
     """Lazy wrapper for an encoded upload payload.
 
     The client uploads this object; when the scheduler accepts the result
-    the client resolves it (the same ``resolve_update`` hook
-    :class:`~repro.core.steps.DeferredUpdate` uses), which is the moment
-    the *server* pays the decode — so the ``net.decode`` record lands at
-    server-receipt time.  Upload retries reuse the payload object;
+    the client resolves it through the ``resolve_update`` hook, which is
+    the moment the *server* pays the decode — so the ``net.decode`` record
+    lands at server-receipt time.  Upload retries reuse the payload object;
     resolution happens at most once.
     """
 

@@ -239,8 +239,9 @@ class TrainingJobConfig:
     )
 
     # -- multi-core execution plane (DESIGN.md §8.5) ----------------------------
-    # Vectorized client cohorts: deferred client steps that share a base
-    # parameter version train in one stacked-NumPy pass (repro.nn.cohort).
+    # Vectorized client cohorts: client steps submitted at compute start
+    # that share a base parameter version train in one stacked-NumPy pass
+    # (repro.nn.cohort).
     cohort_size: int = _flag(
         1,
         "--cohort-size",
@@ -380,9 +381,9 @@ class TrainingJobConfig:
                 )
             if self.cohort_size > 1 or self.step_jobs > 1:
                 raise ConfigurationError(
-                    "codecs are incompatible with the deferred execution "
-                    "plane (cohort_size/step_jobs > 1): uploads must encode "
-                    "inline at compute end"
+                    "codecs run with cohort_size=1 and step_jobs=1: step "
+                    "workers must not fork while the codec plane's pricing "
+                    "thread runs, and codec uploads do not fuse into cohorts"
                 )
 
     # -- conveniences -----------------------------------------------------------

@@ -61,7 +61,7 @@ from .param_server import PARAM_KEY, ParameterServerPool
 from .parallel import step_jobs_for
 from .results import EpochRecord, RunResult
 from .rules import ClientUpdate
-from .steps import DeferredUpdate, StepDispatcher, StepTask, _StepContext, draw_batch_orders
+from .steps import StepDispatcher, StepTask, _StepContext, draw_batch_orders
 
 __all__ = ["DistributedRunner", "VersionedParams", "run_experiment"]
 
@@ -551,18 +551,6 @@ class DistributedRunner:
     # ------------------------------------------------------------------
     # Client-side subtask execution (real training)
     # ------------------------------------------------------------------
-    def _deferrable(self, client_id: str) -> bool:
-        """Whether this client's upload may carry its step unresolved.
-
-        Corrupt-designated clients scale their upload noise by the trained
-        vector, and compromised clients draw tamper RNG per call — both
-        resolve the step at compute end and draw there, in the serial
-        schedule's RNG order.  Everyone else's upload needs no draw.
-        """
-        if self._adversary is not None and self._adversary.compromised(client_id):
-            return False
-        return not self._corrupt_designated(client_id)
-
     def _corrupt_designated(self, client_id: str) -> bool:
         """Whether fault injection perturbs this client's uploads: the
         first ``faults.corrupt_clients`` of the ``client-<i>`` fleet (sybils
@@ -608,14 +596,11 @@ class DistributedRunner:
         preemptions and timeouts (DESIGN.md §8.5).
         """
         client_id = wu.current_attempt.client_id
-        self._prepared[_attempt_key(wu)] = self._submit(wu, payloads), task, client_id
-
-    def _submit(self, wu: Workunit, payloads: dict) -> StepTask:
-        """The current attempt's step, from the files it downloaded."""
         published: VersionedParams = payloads[wu.input_files[1]]
         shard: Dataset = payloads[self.work_generator.shard_file_name(wu.shard_index)]
-        orders = self._draw_orders(wu, wu.current_attempt.client_id, len(shard))
-        return self._dispatcher.submit(published, wu.shard_index, orders, wu.wu_id)
+        orders = self._draw_orders(wu, client_id, len(shard))
+        step = self._dispatcher.submit(published, wu.shard_index, orders, wu.wu_id)
+        self._prepared[_attempt_key(wu)] = step, task, client_id
 
     def _execute_subtask(self, wu: Workunit, payloads: dict) -> tuple[object, int]:
         """Compute end: the upload of the step noted at compute start.
@@ -623,14 +608,11 @@ class DistributedRunner:
         Returns a :class:`ClientUpdate` carrying the new parameter copy,
         the base publish version it trained from and — only when the job's
         rule consumes gradients — the accumulated local gradient.  In a
-        codec-free run a deferrable attempt returns a
-        :class:`DeferredUpdate` instead, which resolves the step when the
-        upload is accepted.  In a codec run with a noted attempt free to
-        train ahead, the upload is deflated on the pricing thread while
-        that attempt's step trains, and its size resolves before this
-        returns.
+        codec run with a noted attempt free to train ahead, the upload is
+        deflated on the pricing thread while that attempt's step trains,
+        and its size resolves before this returns.
         """
-        step = self._take_step(wu, payloads)
+        step = self._prepared.pop(_attempt_key(wu))[0]
         ahead = self._next_finisher() if self._codec_plane is not None else None
         payload, wire = self._compute_subtask(wu, payloads, step, ahead is not None)
         if isinstance(wire, PendingPrice):
@@ -642,37 +624,15 @@ class DistributedRunner:
             wire = wire.resolve()
         return payload, wire
 
-    def _take_step(self, wu: Workunit, payloads: dict) -> StepTask:
-        """The step noted for this compute at its start.
-
-        A client that got a unit back can compute one attempt twice (a
-        stale download retry starts a second compute, whose hook replaced
-        the note): each compute then trains what it downloaded.
-        """
-        note = self._prepared.pop(_attempt_key(wu), None)
-        if note is not None and note[0].published is payloads[wu.input_files[1]]:
-            return note[0]
-        if note is not None:
-            self._dispatcher.discard(note[0])
-        return self._submit(wu, payloads)
-
     def _compute_subtask(
         self, wu: Workunit, payloads: dict, step: StepTask, defer_price: bool
     ) -> tuple[object, "int | PendingPrice"]:
-        """One compute end's upload: the attempt's ``step`` resolved (or
-        deferred), perturbed and encoded; ``defer_price`` goes to the codec
-        plane's upload encode."""
+        """One compute end's upload: the attempt's ``step`` resolved,
+        perturbed and encoded; ``defer_price`` goes to the codec plane's
+        upload encode."""
         client_id = wu.current_attempt.client_id
         published: VersionedParams = payloads[wu.input_files[1]]  # the parameter file
         self._wu_base_version[wu.wu_id] = published.version
-        if self._codec_plane is None and self._deferrable(client_id):
-            deferred = DeferredUpdate(
-                dispatcher=self._dispatcher,
-                task=step,
-                client_id=client_id,
-                base_version=published.version,
-            )
-            return deferred, self._param_wire_bytes
         new_vec, gradient = self._dispatcher.resolve(step)
         new_vec = self._maybe_corrupt(client_id, new_vec)
         param_vec = published.decode_params()

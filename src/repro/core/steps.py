@@ -4,8 +4,8 @@ One function trains a client subtask — :func:`run_local_step`, the
 compiled step program of :mod:`repro.nn.cohort` at cohort size 1 — and one
 :class:`_StepContext` per process owns the programs it runs on.  Every
 client step takes one route: the runner submits it to the
-:class:`StepDispatcher` as its simulated compute starts and takes the
-result where it is first needed.  Steps that share a parameter file fuse
+:class:`StepDispatcher` as its simulated compute starts and resolves it
+when that compute ends.  Steps that share a parameter file fuse
 into cohorts (the same program at G > 1), and ``step_jobs - 1`` worker
 processes train beside this one, each receiving a chunk's base vector by
 value, as a volunteer host downloads its parameter file; at
@@ -23,11 +23,10 @@ the *numbers* are kept bit-identical by two rules:
   runs moves no draw;
 * a step reads only inputs fixed at compute start (its parameter file,
   shard and pre-drawn orders), so it may run any time between submit and
-  its first resolve — at compute end for an upload perturbed by the
-  trained result (a codec encode, corruption noise, adversary tamper,
-  each drawn there), else when the upload is accepted, before any
-  consumer reads the payload.  A step goes to a worker, if one is free,
-  as its chunk fills, and a resolve trains what no worker has taken.
+  its one resolve, at its attempt's compute end, where whatever perturbs
+  the trained result (a codec encode, corruption noise, adversary tamper)
+  draws in the serial order.  A step goes to a worker, if one is free, as
+  its chunk fills, and a resolve trains what no worker has taken.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from ..nn.cohort import CohortTrainer, StepProgram, compile_program, train_steps
 from ..nn.layers import Module
 from ..nn.models import build_model
 from .parallel import ParallelFallback, _pool_context, record_fallback
-from .rules import ClientUpdate
 
 if TYPE_CHECKING:
     from .codec_plane import VersionedParams
@@ -59,7 +57,6 @@ __all__ = [
     "draw_batch_orders",
     "run_local_step",
     "StepTask",
-    "DeferredUpdate",
     "StepDispatcher",
 ]
 
@@ -131,40 +128,6 @@ class StepTask:
         self.wu_id = wu_id
         self.result: tuple[np.ndarray, np.ndarray | None] | None = None
         self.worker: _Worker | None = None
-
-
-class DeferredUpdate:
-    """Lazy stand-in for a :class:`ClientUpdate` travelling as upload payload.
-
-    The client daemon duck-types on ``resolve_update`` right after the
-    scheduler accepts the upload — before validation or assimilation ever
-    look inside — and swaps in the real :class:`ClientUpdate`.  Upload
-    retries reuse the same payload object, so the handle survives them.
-    """
-
-    __slots__ = ("_dispatcher", "_task", "client_id", "base_version")
-
-    def __init__(
-        self,
-        dispatcher: "StepDispatcher",
-        task: StepTask,
-        client_id: str,
-        base_version: int,
-    ) -> None:
-        self._dispatcher = dispatcher
-        self._task = task
-        self.client_id = client_id
-        self.base_version = base_version
-
-    def resolve_update(self) -> ClientUpdate:
-        new_vec, gradient = self._dispatcher.resolve(self._task)
-        return ClientUpdate(
-            client_id=self.client_id,
-            params=new_vec,
-            gradient=gradient,
-            base_version=self.base_version,
-            claimed_credit=None,
-        )
 
 
 class _StepContext:
@@ -468,7 +431,7 @@ class StepDispatcher:
 
     def discard_workunits(self, wu_ids: set[str]) -> None:
         """Forget every still-pending task of these workunits: once they
-        are all terminal, no compute end or accepted upload resolves one."""
+        are all terminal, no compute end resolves one."""
         chunks = [*self._filling.values(), *self._backlog]
         chunks += [c for worker in self._workers for c in worker.chunks]
         for task in [t for c in chunks for t in c if t.wu_id in wu_ids]:

@@ -6,6 +6,10 @@ and maintains just enough state to assert the system's conservation laws:
 * **Lifecycle** — a workunit is created exactly once, is only assigned
   while live, and every created unit reaches exactly one terminal fate
   (validated-DONE, exhausted-ERROR, or cancelled).
+* **One compute per assignment** — a client starts computing a unit only
+  after the scheduler assigned it that unit, and at most once per
+  assignment: a transfer left over from an attempt that timed out never
+  starts a compute of the one that replaced it.
 * **Exactly-once assimilation** — each validated result is granted credit
   once and assimilated once, even across parameter-server crashes,
   adoptions and restarts; pool merges never exceed server assimilations.
@@ -69,6 +73,7 @@ class InvariantAuditor:
         self.kind_counts: Counter[str] = Counter()
         # Lifecycle state, keyed by workunit id.
         self._created: dict[str, tuple[int, int]] = {}  # wu -> (epoch, shard)
+        self._assigned: dict[str, str] = {}  # wu -> client, compute not started
         self._valid: set[str] = set()  # server.result_valid seen
         self._granted: dict[str, float] = {}  # wu -> credit amount
         self._assimilated: set[str] = set()  # server.assimilated seen
@@ -93,6 +98,7 @@ class InvariantAuditor:
         self._handlers: dict[str, Callable[[TraceRecord], None]] = {
             "sched.created": self._audit_sched_created,
             "sched.assign": self._audit_sched_assign,
+            "client.train_start": self._audit_client_train_start,
             "sched.exhausted": self._audit_sched_exhausted,
             "sched.cancelled": self._audit_sched_cancelled,
             "server.result_valid": self._audit_server_result_valid,
@@ -162,6 +168,20 @@ class InvariantAuditor:
         self.checks += 1
         if client in self._quarantined_hosts:
             self._violation(f"workunit {wu} assigned to quarantined host {client}")
+        # A unit has one live assignment at a time: a reissue replaces it.
+        self._assigned[wu] = client
+
+    def _audit_client_train_start(self, r: TraceRecord) -> None:
+        fields = r.fields
+        wu, client = fields["wu"], fields["client"]
+        self.checks += 1
+        if self._assigned.get(wu) == client:
+            del self._assigned[wu]
+        else:
+            self._violation(
+                f"workunit {wu} started computing on {client} without an "
+                "assignment of its own"
+            )
 
     def _audit_sched_exhausted(self, r: TraceRecord) -> None:
         wu = r["wu"]

@@ -39,7 +39,9 @@ MAX_RECORDS = 1_000  # bounded buffer: the run also pins trace.dropped
 GOLDEN_NOW = "297.1267488343171"
 GOLDEN_EVENTS = 2723
 GOLDEN_PINGS = 1123
-GOLDEN_CHECKS = 8808
+# 8808 at 911f6e6; +800 when the auditor began to check that each
+# assignment starts at most one compute, once per client.train_start.
+GOLDEN_CHECKS = 9608
 GOLDEN_DROPPED = 9446
 GOLDEN_KIND_COUNTS = {
     "client.train_done": 800,

@@ -1,7 +1,7 @@
 """Bit-exactness guard: the Byzantine fabric is invisible when disabled.
 
-The golden digests below were captured on the commit *preceding* the
-adversary fabric (same configs, same seed).  A run with
+The golden digests (``tests/goldens.py``) were captured on the commit
+*preceding* the adversary fabric (same configs, same seed).  A run with
 ``adversary=None`` — and with every defense at its default — must still
 produce byte-identical parameters, counters, epoch records and (for the
 unreplicated config) the exact trace-kind census.  Any drift means the
@@ -11,77 +11,30 @@ trace record, or a scheduling perturbation.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from collections import Counter
-
-from repro.core import DistributedRunner, FaultConfig
+from repro.core import FaultConfig
 from repro.simulation.adversary import AdversaryPlan
 
+from ..goldens import GOLDENS, run_digest
 from .test_runner import tiny_config
-
-# Captured pre-fabric (see module docstring).  If one of these moves, the
-# change is NOT backward compatible for default runs — do not just update
-# the constant; find the leak.
-#
-# GOLDEN_PLAIN_CORRUPT was re-captured once, when the multi-core execution
-# plane (DESIGN.md §8.5) re-keyed unreplicated batch-order draws from a
-# sequential per-client stream to per-attempt generators so that draw
-# *timing* can never shift another attempt's permutations.  The replicated
-# golden did not move: replicas already drew per logical workunit.
-GOLDEN_PLAIN_CORRUPT = (
-    "6fd2cd9994ca81ebaf2dbf567c26d3e739f2f3b257bf47087b09384c63509f2b"
-)
-GOLDEN_REPLICATED = (
-    "c3b55332130b2798eda77c314e150bd87611bd4305f8e2d936a0f78641a22240"
-)
-
-
-def run_digest(config, include_trace: bool = True) -> str:
-    runner = DistributedRunner(config)
-    result = runner.run()
-    h = hashlib.sha256()
-    h.update(runner.pool.current_params().tobytes())
-    h.update(json.dumps(result.counters, sort_keys=True).encode())
-    h.update(
-        json.dumps(
-            [
-                [e.end_time_s, e.val_accuracy_mean, e.test_accuracy]
-                for e in result.epochs
-            ]
-        ).encode()
-    )
-    if include_trace:
-        kinds = Counter(rec.kind for rec in runner.trace)
-        h.update(json.dumps(sorted(kinds.items())).encode())
-    return h.hexdigest()
 
 
 def test_unreplicated_run_matches_pre_fabric_golden():
     """Corrupt-client faults but no adversary: params + counters + epochs
     + full trace-kind census, byte-for-byte."""
-    config = tiny_config(
-        num_clients=3,
-        faults=FaultConfig(corrupt_clients=1, corruption_scale=0.5),
-    )
-    assert run_digest(config, include_trace=True) == GOLDEN_PLAIN_CORRUPT
+    golden = GOLDENS["byzantine/plain_corrupt"]
+    assert golden.recompute() == golden.hex
 
 
 def test_replicated_run_matches_pre_fabric_golden():
     """Replicated with quorum credit now deferred: the decision-time median
     of identical honest claims equals the historical at-validation grant,
     so physics and counters stay byte-identical."""
-    config = tiny_config(num_clients=4, replicas=2, quorum=2)
-    assert run_digest(config, include_trace=False) == GOLDEN_REPLICATED
+    golden = GOLDENS["byzantine/replicated"]
+    assert golden.recompute() == golden.hex
 
 
 def test_empty_plan_equals_no_plan():
     """FaultConfig(adversary=AdversaryPlan()) (inactive) == adversary=None."""
-    with_none = run_digest(
-        tiny_config(faults=FaultConfig(adversary=None)), include_trace=True
-    )
-    with_empty = run_digest(
-        tiny_config(faults=FaultConfig(adversary=AdversaryPlan())),
-        include_trace=True,
-    )
+    with_none = run_digest(tiny_config(faults=FaultConfig(adversary=None)))
+    with_empty = run_digest(tiny_config(faults=FaultConfig(adversary=AdversaryPlan())))
     assert with_none == with_empty

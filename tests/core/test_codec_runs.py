@@ -4,16 +4,15 @@ checkpointable residuals, and the delta download chain.
 The most important contract is the first one: with ``codec=None`` the
 whole plane is dormant and runs are byte-identical to the pre-codec tree
 (parameters, counters, epoch records, trace-kind census).  The goldens
-below were captured on the commit preceding the codec plane; if one
-moves, the plane leaked into the default path — find the leak, do not
-re-pin.
+(``tests/goldens.py``) were captured on the commit preceding the codec
+plane; if one moves, the plane leaked into the default path — find the
+leak, do not re-pin.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,43 +20,11 @@ import pytest
 from repro.core import DistributedRunner, make_rule
 from repro.core.checkpoint import Checkpoint
 from repro.errors import ConfigurationError
-from repro.nn.models import ModelSpec
 
+from ..goldens import GOLDENS, family, run_digest
 from .test_runner import tiny_config
 
-GOLDEN_NONE_VCASGD = (
-    "5b8acddfaa6e9e020419fc346fe18c16d4fc5899bcc8c116964d7ac9e4af40b5"
-)
-GOLDEN_NONE_DOWNPOUR = (
-    "3a96ad63bad955afecd268e2a05a0f1b279c9759151c0a062a7ce07e33050c89"
-)
-# Lossy-codec pins, captured before parameter files were kept in their
-# encoded form and before the optimizer/merge/encoder scratch became
-# block-sized.  The int8 model (74 k scalars) is wider than one block, so
-# it drives the blocked Adam, merge and quantizer loops end to end.
-WIDE_MLP = ModelSpec("mlp", {"in_features": 48, "hidden": [1400], "num_classes": 4})
-GOLDEN_LOSSY = {
-    "int8_wide": (
-        dict(codec="int8", model=WIDE_MLP),
-        "c26df9a86ae89b875184e42d92b40a7cd8b2c77924b46f2c1d79496d062fa940",
-    ),
-    "fp16": (
-        dict(codec="fp16"),
-        "9ee43626211d540e94dab34d3131c3afa91d21f10d9fd78458baaa7a733fe8a8",
-    ),
-    "topk_int8_downpour": (
-        dict(
-            codec="topk",
-            codec_quant="int8",
-            update_rule=make_rule("downpour", server_lr=0.05),
-        ),
-        "6c6e75642f5652c2c128a06382da4e8c7dbfcbd639fe448b56166bb8ec713281",
-    ),
-    "fp16_replicated": (
-        dict(num_clients=3, codec="fp16", replicas=2, quorum=2),
-        "a9c50364860069afd8acfcf94c97dd56fae3883bb11563ffe8a39a8db77fdc6f",
-    ),
-}
+GOLDEN_LOSSY = family("codec_lossy")
 
 CODEC_COUNTERS = (
     "codec_publishes",
@@ -70,35 +37,14 @@ CODEC_COUNTERS = (
 )
 
 
-def run_digest(config, include_trace: bool = True) -> str:
-    runner = DistributedRunner(config)
-    result = runner.run()
-    h = hashlib.sha256()
-    h.update(runner.pool.current_params().tobytes())
-    h.update(json.dumps(result.counters, sort_keys=True).encode())
-    h.update(
-        json.dumps(
-            [
-                [e.end_time_s, e.val_accuracy_mean, e.test_accuracy]
-                for e in result.epochs
-            ]
-        ).encode()
-    )
-    if include_trace:
-        kinds = Counter(rec.kind for rec in runner.trace)
-        h.update(json.dumps(sorted(kinds.items())).encode())
-    return h.hexdigest()
-
-
 class TestCodecNoneBitExact:
     def test_vcasgd_matches_pre_codec_golden(self):
-        assert run_digest(tiny_config()) == GOLDEN_NONE_VCASGD
+        golden = GOLDENS["codec_none/vcasgd"]
+        assert golden.recompute() == golden.hex
 
     def test_downpour_matches_pre_codec_golden(self):
-        config = tiny_config(
-            num_clients=3, update_rule=make_rule("downpour", server_lr=0.05)
-        )
-        assert run_digest(config) == GOLDEN_NONE_DOWNPOUR
+        golden = GOLDENS["codec_none/downpour"]
+        assert golden.recompute() == golden.hex
 
 
 class TestLossyCodecGolden:
@@ -107,8 +53,8 @@ class TestLossyCodecGolden:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_LOSSY))
     def test_matches_golden(self, name):
-        overrides, golden = GOLDEN_LOSSY[name]
-        assert run_digest(tiny_config(**overrides)) == golden
+        golden = GOLDEN_LOSSY[name]
+        assert golden.recompute() == golden.hex
 
 
 class TestCodecRuns:

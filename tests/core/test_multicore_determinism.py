@@ -7,31 +7,24 @@ epoch records and the full trace-kind census.  Any drift means the multi-core pl
 simulation: an extra RNG draw, a reordered batch permutation, a stray
 trace record, or float ops reassociated by the stacked kernels.
 
-The same combos then run composed with the planes that abort,
-duplicate or bypass deferred steps — preemption with timeouts, replicated
-work with a corrupt client, a Byzantine adversary, ping work fetch — and
-each must hash to its own scenario's serial digest.
+The same combos then run composed with the planes that abort, duplicate
+or perturb submitted steps — preemption with timeouts, replicated work
+with a corrupt client, a Byzantine adversary, ping work fetch — and each
+must hash to its own scenario's serial digest.  The golden lives in
+``tests/goldens.py``.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
-from collections import Counter
 
 import pytest
 
 from repro.core import DistributedRunner, FaultConfig
 from repro.simulation.adversary import AdversaryBehavior, AdversaryPlan
 
+from ..goldens import GOLDENS, run_digest
 from .test_runner import tiny_config
-
-# Captured on the serial path when the plane landed (DESIGN.md §8.5).
-# This is the *default-path* digest: if it moves, default runs changed.
-GOLDEN_P1C3T2 = (
-    "7d17db9b18a335a4326d274d051597c804f488c740f1ccb114cf97060a691be4"
-)
 
 COMBOS = {
     "serial": dict(step_jobs=1),
@@ -43,29 +36,10 @@ COMBOS = {
 }
 
 
-def run_digest(config) -> str:
-    runner = DistributedRunner(config)
-    result = runner.run()
-    h = hashlib.sha256()
-    h.update(runner.pool.current_params().tobytes())
-    h.update(json.dumps(result.counters, sort_keys=True).encode())
-    h.update(
-        json.dumps(
-            [
-                [e.end_time_s, e.val_accuracy_mean, e.test_accuracy]
-                for e in result.epochs
-            ]
-        ).encode()
-    )
-    kinds = Counter(rec.kind for rec in runner.trace)
-    h.update(json.dumps(sorted(kinds.items())).encode())
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize("combo", sorted(COMBOS))
 def test_every_execution_combo_matches_the_golden(combo):
     config = tiny_config(num_clients=3, **COMBOS[combo])
-    assert run_digest(config) == GOLDEN_P1C3T2, (
+    assert run_digest(config) == GOLDENS["multicore/p1c3t2"].hex, (
         f"execution combo {combo!r} drifted from the serial golden"
     )
 
@@ -73,9 +47,10 @@ def test_every_execution_combo_matches_the_golden(combo):
 # Each scenario reaches a dispatcher path the plain run never does:
 # preemptions and timeouts abort pre-submitted steps (pruned at epoch end
 # through ``discard``) after a flush or a step worker may already have
-# computed them; the corrupt client and the adversary train inline beside deferred
-# honest clients; replicas submit one logical step several times; ping
-# changes when clients ask for work and so which steps share a flush.
+# computed them; the corrupt client and the adversary draw noise or tamper
+# at compute end on a step trained anywhere; replicas submit one logical
+# step several times; ping changes when clients ask for work and so which
+# steps share a flush.
 SCENARIOS = {
     "preemption": dict(
         faults=FaultConfig(preemption_hourly_p=0.6, relaunch_delay_s=30),

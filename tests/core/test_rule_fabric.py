@@ -91,16 +91,13 @@ class TestDefaultPathParity:
 
 def _spy_on_uploads(runner: DistributedRunner) -> list:
     """Capture every ClientUpdate the fleet produces (clients bind the
-    executor at construction, so patch them, not the runner).  A deferred
-    upload is resolved here, at compute end; the client's own resolve on
-    acceptance then returns the same update's step."""
+    executor at construction, so patch them, not the runner)."""
     captured: list = []
     original = runner._execute_subtask
 
     def spy(wu, payloads):
         update, nbytes = original(wu, payloads)
-        resolve = getattr(update, "resolve_update", None)
-        captured.append(update if resolve is None else resolve())
+        captured.append(update)
         return update, nbytes
 
     for client in runner.server.clients.values():

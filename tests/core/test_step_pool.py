@@ -1,7 +1,7 @@
 """The step pool: feeding, helping, lifecycle, failures and the auto width.
 
 With ``step_jobs = N > 1`` this process and ``N - 1`` forked workers
-train deferred steps.  A step's chunk joins a backlog when it is full
+train client steps.  A step's chunk joins a backlog when it is full
 (at cohort size 1, when its simulated compute starts) and goes to a
 worker that holds fewer than two steps; a resolve trains what no worker
 has taken and, while it waits on a worker, the backlog's head
@@ -21,6 +21,7 @@ import signal
 import threading
 import time
 import weakref
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -36,8 +37,10 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.nn.models import ModelSpec
 
 from repro.simulation.chaos import ChaosPlan, TransferFaultPlan
+from repro.simulation.resources import TABLE1_CLIENTS
 
-from .test_multicore_determinism import _scenario_config, run_digest
+from ..goldens import GOLDENS, digest_of
+from .test_multicore_determinism import _scenario_config
 from .test_runner import tiny_config
 
 
@@ -451,28 +454,28 @@ class TestOneRoute:
         assert not set(noise) & {starts[key] for key in corrupt}
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_a_repeated_compute_trains_what_it_downloaded(self, jobs):
-        """A download retry left over from a timed-out attempt can start a
-        second compute of the attempt that replaced it on the same client;
-        the later compute end finds no note and submits its own step.
-        The digest was captured before every step took the dispatcher."""
-        faults = FaultConfig(
-            chaos=ChaosPlan(transfer=TransferFaultPlan(failure_p=0.85))
-        )
-        config = tiny_config(
-            num_clients=3,
-            max_epochs=4,
-            subtask_timeout_s=200,
-            faults=faults,
-            step_jobs=jobs,
-        )
-        runner = DistributedRunner(config)
-        runner.run()
-        started = sum(1 for r in runner.trace if r.kind == "client.train_start")
-        assert runner._dispatcher.stats["tasks"] > started
-        assert run_digest(config) == (
-            "dd727e9ccbc8f77fc70957f9c66cf2ba166a453caf903b517aa663ea1d685f6e"
-        )
+    def test_an_attempt_computes_once(self, jobs):
+        """A download retry left over from an attempt that timed out dies
+        with it: when the unit is reissued to the same client, only the new
+        attempt's own download starts a compute, and every compute start
+        submits the one step its compute end resolves."""
+        golden = GOLDENS["attempts/reissued_downloads"]
+        runner = DistributedRunner(golden.config(step_jobs=jobs))
+        computes = Counter()
+        for client in runner.server.clients.values():
+            prepare = client.on_train_start
+
+            def counting(wu, payloads, task, prepare=prepare):
+                computes[wu.wu_id, wu.num_attempts] += 1
+                prepare(wu, payloads, task)
+
+            client.on_train_start = counting
+        result = runner.run()
+        assert result.counters["timeouts"] > 0
+        started = runner.trace.count("client.train_start")
+        assert runner._dispatcher.stats["tasks"] == started
+        assert max(computes.values()) == 1
+        assert digest_of(runner, result) == golden.hex
 
     def test_no_step_outlives_its_epoch(self):
         """Steps whose upload was never accepted (it timed out or was
@@ -506,6 +509,36 @@ class TestOneRoute:
         started = sum(1 for r in runner.trace if r.kind == "client.train_start")
         assert result.counters["preemptions"] > 0
         assert runner._dispatcher.stats["tasks"] == started
+
+
+class TestCohortFusion:
+    def test_a_homogeneous_fleet_fuses_as_pinned(self):
+        """``cohort8_homog`` in miniature: eight identical T2 clients start
+        their computes in waves, and every compute end resolves its step.
+        The counts were captured when honest uploads still resolved at
+        acceptance; resolving at compute end fuses exactly as that did."""
+        runner = DistributedRunner(
+            tiny_config(
+                num_clients=8,
+                num_train=480,
+                num_shards=24,
+                max_epochs=3,
+                local_training=LocalTrainingConfig(local_epochs=2, learning_rate=0.01),
+                client_specs=(TABLE1_CLIENTS[0],),
+                cohort_size=8,
+                step_jobs=1,
+            )
+        )
+        runner.run()
+        pinned = {
+            "tasks": 72,
+            "cohort_groups": 13,
+            "cohort_members": 68,
+            "singleton_members": 4,
+            "flushes": 3,
+        }
+        stats = runner._dispatcher.stats
+        assert {key: stats[key] for key in pinned} == pinned
 
 
 def _forbid_forks(monkeypatch) -> None:
@@ -549,7 +582,7 @@ class TestAutoWidth:
         assert runner._dispatcher.stats["worker_steps"] == 0
 
     def test_an_explicit_codec_pool_is_still_rejected(self):
-        with pytest.raises(ConfigurationError, match="deferred execution"):
+        with pytest.raises(ConfigurationError, match="pricing thread"):
             tiny_config(codec="int8", step_jobs=2)
 
     def test_explicit_widths_are_taken_as_given(self, monkeypatch):

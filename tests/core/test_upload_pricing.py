@@ -5,8 +5,8 @@ ahead, a result upload's zlib pass runs on the codec plane's pricing
 thread while the dispatcher trains the step of the in-flight attempt
 whose compute ends next; the size resolves before the executor returns,
 inside the same compute-end event, and that attempt's compute end takes
-a finished result.  Otherwise the upload is priced inline, as outside ``run()``.
-Neither may show in the bits: the pins below
+a finished result.  Otherwise the upload is priced inline, as outside
+``run()``.  Neither may show in the bits: the pins (``tests/goldens.py``)
 were captured on the tree that priced every upload inline and trained
 every subtask at its compute end.  If one moves, find the leak — do not
 re-pin.
@@ -14,8 +14,6 @@ re-pin.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 import time
 import weakref
@@ -25,113 +23,19 @@ import pytest
 
 import repro.core.codec_plane as codec_plane
 import repro.nn.serialization as serialization
-from repro.core import DistributedRunner, FaultConfig, make_rule
+from repro.core import DistributedRunner, FaultConfig
 from repro.core.rules import ClientUpdate
 from repro.core.runner import PARAM_FILE
-from repro.simulation.chaos import ChaosPlan, ServerCrash, TransferFaultPlan
 
+from ..goldens import family
 from .test_runner import tiny_config
 
-# Compositions the benchmark does not cover.  Each digest hashes the final
+# Compositions the benchmark does not cover; each digest hashes the final
 # parameters, the counters, the epoch records and every trace record in
-# order, with its time and fields.
-GOLDEN = {
-    # 13 timeouts, 3 of them reissued to the client that timed out.
-    "int8_timeouts": (
-        dict(codec="int8", subtask_timeout_s=150),
-        "036300099700196682e11b8f8d9b129c57aee5f745f921bcdd2591729bbbdb80",
-    ),
-    # One preemption mid-compute; its two attempts are reissued.
-    "int8_preemption": (
-        dict(
-            codec="int8",
-            num_clients=3,
-            max_epochs=3,
-            faults=FaultConfig(preemption_hourly_p=0.9, relaunch_delay_s=30),
-        ),
-        "8e2e43e93f7a56ddf44311f233d98ab22b364d22bdd845216ddedcf89df1cbfc",
-    ),
-    # A sole parameter server crashes and restores from its checkpoint,
-    # and failed uploads retry with the size resolved the first time.
-    "int8_chaos": (
-        dict(
-            codec="int8",
-            max_epochs=3,
-            faults=FaultConfig(
-                chaos=ChaosPlan(
-                    transfer=TransferFaultPlan(failure_p=0.2),
-                    ps_crashes=(ServerCrash(at_s=300.0, restart_delay_s=60.0),),
-                )
-            ),
-        ),
-        "8b081088bf4657168f7eb77af4e2342571fa0b257f29584cc6eb1087ea0a9c74",
-    ),
-    # The gradient stream.
-    "fp16_downpour": (
-        dict(
-            codec="fp16",
-            num_clients=3,
-            update_rule=make_rule("downpour", server_lr=0.05),
-        ),
-        "c60b553491cefa81828ec6994e5957b357114cac6bf3e2e31289417eab0cee01",
-    ),
-    "zlib": (
-        dict(codec="zlib"),
-        "30de0f46ff39c6089fbe6f42a477283116ab31a47e39b2650ead41b17e38d3a9",
-    ),
-    "delta": (
-        dict(codec="delta"),
-        "ae61dbf891974c6ac66923d130e8680ff03c2271fe57314fc9d81049699ea2cb",
-    ),
-    "topk": (
-        dict(codec="topk"),
-        "4b57f2cda9af4b2ecf77d7fd241d08dda5c5d053996b5a5b22cb302d3bc6a264",
-    ),
-}
-
-# sha256 of the ordered ``[time, kind, sorted fields]`` records of a tiny
-# run, captured on the same tree as the goldens.
-TRACE_ORDER = {
-    "int8": (
-        dict(codec="int8"),
-        "3a0fcc1b0c530b5530416ea09290f95e528e15701642611215226aa61dc2a3a7",
-    ),
-    "zlib": (
-        dict(codec="zlib"),
-        "638284997393838af13da99b5d912a451d65e34cecd340ad5fbce8903f5ddc1d",
-    ),
-}
-
-
-def ordered_records(trace) -> bytes:
-    return json.dumps(
-        [[rec.time, rec.kind, sorted(rec.fields.items())] for rec in trace],
-        default=repr,
-    ).encode()
-
-
-def run_digest(config) -> str:
-    runner = DistributedRunner(config)
-    result = runner.run()
-    h = hashlib.sha256()
-    h.update(runner.pool.current_params().tobytes())
-    h.update(json.dumps(result.counters, sort_keys=True).encode())
-    h.update(
-        json.dumps(
-            [
-                [e.end_time_s, e.val_accuracy_mean, e.test_accuracy]
-                for e in result.epochs
-            ]
-        ).encode()
-    )
-    h.update(ordered_records(runner.trace))
-    return h.hexdigest()
-
-
-def trace_digest(config) -> str:
-    runner = DistributedRunner(config)
-    runner.run()
-    return hashlib.sha256(ordered_records(runner.trace)).hexdigest()
+# order, with its time and fields.  TRACE_ORDER hashes the ordered records
+# alone.
+GOLDEN = family("upload")
+TRACE_ORDER = family("trace_order")
 
 
 def pricing_threads() -> list[threading.Thread]:
@@ -140,15 +44,15 @@ def pricing_threads() -> list[threading.Thread]:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_composition_matches_its_golden(name):
-    overrides, golden = GOLDEN[name]
-    assert run_digest(tiny_config(**overrides)) == golden
+    golden = GOLDEN[name]
+    assert golden.recompute() == golden.hex
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_ORDER))
 class TestTraceOrder:
     def test_records_keep_their_order(self, name):
-        overrides, golden = TRACE_ORDER[name]
-        assert trace_digest(tiny_config(**overrides)) == golden
+        golden = TRACE_ORDER[name]
+        assert golden.recompute() == golden.hex
 
     def test_a_slow_pricing_thread_moves_nothing(self, name, monkeypatch):
         deflate = codec_plane._deflated_size
@@ -158,8 +62,8 @@ class TestTraceOrder:
             return deflate(body)
 
         monkeypatch.setattr(codec_plane, "_deflated_size", slow)
-        overrides, golden = TRACE_ORDER[name]
-        assert trace_digest(tiny_config(**overrides)) == golden
+        golden = TRACE_ORDER[name]
+        assert golden.recompute() == golden.hex
 
 
 def held(runner) -> list:
@@ -304,37 +208,6 @@ class TestTrainingAhead:
 
         assert not np.array_equal(trained(first), trained(second))
         np.testing.assert_array_equal(uploaded[0], trained(second))
-
-    def test_each_compute_of_one_attempt_trains_what_it_downloaded(self):
-        runner, units, shard_files = self.setup_runner()
-        wu, shard_file = units[0], shard_files[units[0].wu_id]
-        first = runner.server.catalog.get(PARAM_FILE).payload
-        runner._republish_params(first.decode_params() * 0.5)
-        second = runner.server.catalog.get(PARAM_FILE).payload
-        # Two computes of attempt 1 on one client, from two downloads: the
-        # second compute start replaces the note.
-        _, early = self.start(runner, wu, "client-000", first, shard_file)
-        client = runner.server.clients["client-000"]
-        client.resource.submit(wu.work_units, lambda: None, label=wu.wu_id)
-        late = {**early, PARAM_FILE: second}
-        client.on_train_start(wu, late, None)
-        uploaded = []
-        encode_upload = runner._codec_plane.encode_upload
-
-        def spying(update, *args):
-            uploaded.append(update.params)
-            return encode_upload(update, *args)
-
-        runner._codec_plane.encode_upload = spying
-        runner._execute_subtask(wu, early)
-        runner._execute_subtask(wu, late)
-        shard = early[shard_file]
-        np.testing.assert_array_equal(uploaded[0], train(runner, wu, first, shard)[0])
-        np.testing.assert_array_equal(uploaded[1], train(runner, wu, second, shard)[0])
-        # The replaced note's step waits for the epoch-end sweep.
-        assert not runner._prepared and len(runner._dispatcher._backlog) == 1
-        runner._dispatcher.discard_workunits({wu.wu_id})
-        assert not runner._dispatcher._backlog
 
     def test_the_next_finisher_trains_and_one_result_is_held(self):
         runner, units, shard_files = self.setup_runner()

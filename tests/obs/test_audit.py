@@ -10,6 +10,7 @@ from repro.obs import InvariantAuditor, ObservabilityConfig
 from repro.simulation.tracing import Trace
 
 from ..core.test_runner import tiny_config
+from ..goldens import GOLDENS
 
 
 def clean_trace() -> Trace:
@@ -127,6 +128,22 @@ class TestCorruptedStreams:
         with pytest.raises(InvariantViolation):
             auditor.verify()
 
+    def test_each_assignment_starts_at_most_one_compute(self):
+        t = Trace()
+        t.emit(0.0, "sched.created", wu="wu-a", epoch=1, shard=0)
+        for at in (1.0, 4.0):  # assigned, started, timed out, reissued
+            t.emit(at, "sched.assign", wu="wu-a", client="c1")
+            t.emit(at + 1, "client.train_start", wu="wu-a", client="c1")
+            t.emit(at + 2, "sched.timeout", wu="wu-a", client="c1")
+        assert replayed(t).violations == []
+        t.emit(8.0, "sched.assign", wu="wu-a", client="c1")
+        t.emit(9.0, "client.train_start", wu="wu-a", client="c2")
+        t.emit(9.0, "client.train_start", wu="wu-a", client="c1")
+        t.emit(9.5, "client.train_start", wu="wu-a", client="c1")
+        violations = replayed(t).violations
+        assert len(violations) == 2
+        assert all("without an assignment of its own" in v for v in violations)
+
     def test_strict_mode_raises_at_the_record(self):
         t = Trace()
         auditor = InvariantAuditor(strict=True)
@@ -181,6 +198,15 @@ class TestLiveRun:
         assert report is not None and report.ok
         assert report.records_seen == len(runner.trace)
         assert report.checks > 100  # the auditor actually looked at things
+
+    def test_a_unit_reissued_to_its_client_computes_once(self):
+        """Transfer failures and timeouts reissue units to the client that
+        timed out while a download retry of the old attempt is pending;
+        the retry must not start a second compute of the new one."""
+        runner = DistributedRunner(GOLDENS["attempts/reissued_downloads"].config())
+        result = runner.run()
+        assert result.counters["timeouts"] > 0
+        assert runner.obs.report.ok
 
     def test_replay_matches_live_observation(self):
         runner = DistributedRunner(tiny_config())
