@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError, SchedulerError, SimulationError
-from ..nn.serialization import compressed_size
+from ..errors import ConfigurationError, SchedulerError
 from ..simulation.chaos import PartitionSchedule, TransferFaultPlan
 from ..simulation.engine import Simulator
 from ..simulation.network import NetworkLink
@@ -27,7 +26,6 @@ __all__ = [
     "ServerFile",
     "FileCatalog",
     "StickyCache",
-    "FileTransferModel",
     "WebServer",
     "TransferError",
 ]
@@ -50,16 +48,11 @@ class ServerFile:
     model; ``sticky`` marks it cacheable on clients; ``compressible``
     says whether the server serves the compressed representation.
 
-    ``compressed_size`` may be :data:`ServerFile.AUTO`, in which case the
-    catalogue measures the payload's real zlib size exactly once at
-    registration (memoised by content, so republishing an identical
-    payload never re-compresses).  It may also be a pending size — an
-    object whose ``resolve()`` returns the int (the codec plane prices
-    published parameter files on a pricing thread): the first
-    :meth:`wire_size` read resolves it and keeps the int.
+    The publisher prices the file: ``compressed_size`` is an int, or a
+    pending size — an object whose ``resolve()`` returns the int (the
+    codec plane prices published parameter files on a pricing thread):
+    the first :meth:`wire_size` read resolves it and keeps the int.
     """
-
-    AUTO = "auto"
 
     name: str
     payload: object
@@ -77,11 +70,6 @@ class ServerFile:
     def wire_size(self, compression_enabled: bool) -> int:
         """Bytes actually sent over the network for one download."""
         if compression_enabled and self.compressible:
-            if self.compressed_size == self.AUTO:
-                raise SimulationError(
-                    f"file {self.name!r} has an unresolved AUTO compressed "
-                    "size; publish it through a FileCatalog first"
-                )
             if hasattr(self.compressed_size, "resolve"):
                 self.compressed_size = self.compressed_size.resolve()
             return int(self.compressed_size)
@@ -95,27 +83,8 @@ class FileCatalog:
         self._files: dict[str, ServerFile] = {}
 
     def publish(self, file: ServerFile) -> None:
-        """Add or replace a file (parameter files are republished every update).
-
-        AUTO compressed sizes are resolved here, once per registration —
-        the catalogue is the single place every served file passes
-        through, so later ``wire_size`` queries are pure lookups.
-        """
-        if file.compressed_size == ServerFile.AUTO:
-            file.compressed_size = self._measure_compressed(file)
+        """Add or replace a file (parameter files are republished every update)."""
         self._files[file.name] = file
-
-    @staticmethod
-    def _measure_compressed(file: ServerFile) -> int:
-        """Real (memoised) zlib size of a measurable payload, capped at
-        ``raw_size`` — an incompressible payload never costs more on the
-        wire than its raw form (the server would skip compression)."""
-        payload = file.payload
-        if isinstance(payload, str):
-            payload = payload.encode()
-        if isinstance(payload, (bytes, np.ndarray)):
-            return min(compressed_size(payload), file.raw_size)
-        return file.raw_size
 
     def get(self, name: str) -> ServerFile:
         """Look up a published file; raises SchedulerError if absent."""
@@ -150,7 +119,7 @@ class StickyCache:
         # Publish version of the parameter file this client last fetched
         # (parameter files are not sticky, but the client's working copy
         # *is* a cache a delta codec can encode against).  Maintained by
-        # the codec plane's FileTransferModel hook; None until the first
+        # the codec plane's ``on_downloaded``; None until the first
         # completed parameter download.
         self.param_version: int | None = None
 
@@ -182,43 +151,17 @@ class StickyCache:
         return set(self._entries)
 
 
-class FileTransferModel:
-    """Decides what one file download costs on the wire.
-
-    The default model is the historical one: the file's published
-    compressed (or raw) size.  A codec plane
-    (:class:`repro.core.codec_plane.ParamCodecPlane`) hooks in here to
-    price parameter files per client — e.g. the delta codec charges only
-    the XOR chain between the client's cached version and the published
-    one — and to observe completed downloads (version bookkeeping,
-    ``net.decode`` tracing).  With no plane attached, behaviour is
-    byte-identical to the pre-codec transfer path.
-    """
-
-    def __init__(self) -> None:
-        self.codec_plane = None
-
-    def wire_size(self, file: ServerFile, cache, compression_enabled: bool) -> int:
-        """Bytes charged for one client's download of ``file``."""
-        if self.codec_plane is not None:
-            override = self.codec_plane.download_wire_size(file, cache)
-            if override is not None:
-                return override
-        return file.wire_size(compression_enabled)
-
-    def downloaded(self, file: ServerFile, cache, client_id: str, wu_id: str) -> None:
-        """Hook: one file of a completed (non-faulted) transfer."""
-        if self.codec_plane is not None:
-            self.codec_plane.on_downloaded(file, cache, client_id, wu_id)
-
-
 class WebServer:
     """Transfer engine: moves catalogue files over client links.
 
     Download/upload durations come from the client's
     :class:`~repro.simulation.network.NetworkLink`; completion is signalled
     via callback on the shared simulator — the *only* way to obtain a
-    payload on the simulated path (use :meth:`peek_payloads` in tests).
+    payload.  A codec plane (:class:`repro.core.codec_plane.ParamCodecPlane`)
+    set as ``codec_plane`` prices parameter files per client — the delta
+    codec charges only the XOR chain between the client's cached version
+    and the published one — and observes completed downloads (version
+    bookkeeping, ``net.decode``); None charges each file's published size.
 
     The chaos fabric hooks in here: ``faults`` injects per-transfer
     failures/stalls and ``partitions`` cuts clients off for timed windows.
@@ -235,14 +178,11 @@ class WebServer:
         trace: Trace | None = None,
         faults: TransferFaultPlan | None = None,
         partitions: PartitionSchedule | None = None,
-        transfer_model: FileTransferModel | None = None,
     ) -> None:
         self.sim = sim
         self.catalog = catalog
         self.compression_enabled = compression_enabled
-        self.transfer_model = (
-            transfer_model if transfer_model is not None else FileTransferModel()
-        )
+        self.codec_plane = None
         self.trace = trace
         self.faults = faults if faults is not None else TransferFaultPlan()
         self.partitions = partitions if partitions is not None else PartitionSchedule()
@@ -250,10 +190,6 @@ class WebServer:
         self.bytes_up = 0
         self.bytes_wasted = 0  # partial transfers that failed mid-flight
         self.transfers_failed = 0
-        # Test-only escape hatch: peek_payloads bypasses the simulated
-        # transfer path entirely, so production code must never reach it.
-        # Tests that need it opt in explicitly.
-        self.peek_enabled = False
 
     # -- fault model -------------------------------------------------------
     def _fault_delay(
@@ -287,19 +223,6 @@ class WebServer:
     def _resolve(self, names: list[str]) -> dict[str, object]:
         return {name: self.catalog.get(name).payload for name in names}
 
-    def peek_payloads(self, names: list[str]) -> dict[str, object]:
-        """Test-only accessor: catalogue payloads with **no** simulated
-        transfer, no caching side effects, and no fault injection.  The
-        simulation-correct path is :meth:`download`'s callback.  Guarded
-        behind ``peek_enabled`` (default off) so production paths cannot
-        grow a dependency on the un-simulated shortcut."""
-        if not self.peek_enabled:
-            raise SimulationError(
-                "peek_payloads is a test-only accessor; set "
-                "web.peek_enabled = True in the test to use it"
-            )
-        return self._resolve(names)
-
     def download(
         self,
         names: list[str],
@@ -330,7 +253,11 @@ class WebServer:
             if cache is not None and file.sticky and cache.has(name):
                 cache_hits.append(name)
                 continue
-            wire = self.transfer_model.wire_size(file, cache, self.compression_enabled)
+            wire = None
+            if self.codec_plane is not None:
+                wire = self.codec_plane.download_wire_size(file, cache)
+            if wire is None:
+                wire = file.wire_size(self.compression_enabled)
             total_time += link.transfer_time(wire, rng, now=self.sim.now)
             total_wire += wire
             transferred.append(file)
@@ -365,8 +292,9 @@ class WebServer:
             cache.misses += 1
             if sticky:
                 cache.add(name, wire)
-        for file in transferred:
-            self.transfer_model.downloaded(file, cache, client_id, wu_id)
+        if self.codec_plane is not None:
+            for file in transferred:
+                self.codec_plane.on_downloaded(file, cache, client_id, wu_id)
         self.bytes_down += total_wire
         if self.trace is not None:
             self.trace.emit(

@@ -17,6 +17,7 @@ import numpy as np
 from ..data.dataset import Dataset
 from ..data.sharding import split_dataset
 from ..errors import ConfigurationError
+from ..nn.serialization import compressed_size
 from .files import FileCatalog, ServerFile
 from .replication import replica_id
 from .workunit import Workunit
@@ -89,14 +90,15 @@ class WorkGenerator:
         self._publish_static(model_spec_json, compress_shards)
 
     def _publish_static(self, model_spec_json: str, compress_shards: bool) -> None:
-        """Publish the architecture file and all data shards (sticky)."""
+        """Publish the architecture file and all data shards (sticky), each
+        priced here (the spec at its zlib size, never above its raw size)."""
         spec_bytes = model_spec_json.encode()
         self.catalog.publish(
             ServerFile(
                 name=self.model_file_name,
                 payload=model_spec_json,
                 raw_size=len(spec_bytes),
-                compressed_size=ServerFile.AUTO,
+                compressed_size=min(compressed_size(spec_bytes), len(spec_bytes)),
                 sticky=True,
             )
         )

@@ -33,8 +33,7 @@ from ..kvstore.base import TXN_ABORT, KVStore
 from ..simulation.engine import Simulator
 from ..simulation.resources import ComputeResource
 from ..simulation.tracing import Trace
-from .rules import ClientUpdate, UpdateRule, VCASGDRule
-from .vcasgd import AlphaSchedule
+from .rules import ClientUpdate, UpdateRule
 
 __all__ = ["AssimilationStats", "ParameterServerPool", "PARAM_KEY"]
 
@@ -95,8 +94,7 @@ class ParameterServerPool:
     """P-worker assimilation pipeline applying a pluggable update rule.
 
     Implements the :class:`repro.boinc.assimilator.Assimilator` protocol.
-    ``rule`` is the server-side merge; passing ``alpha_schedule`` instead
-    builds the default :class:`VCASGDRule` (backward-compatible shorthand).
+    ``rule`` is the server-side merge.
     """
 
     def __init__(
@@ -106,8 +104,7 @@ class ParameterServerPool:
         store: KVStore,
         server_cpu: ComputeResource,
         evaluate_fn: Callable[[np.ndarray], tuple[float, float]],
-        rule: UpdateRule | None = None,
-        alpha_schedule: AlphaSchedule | None = None,
+        rule: UpdateRule,
         republish_fn: Callable[[np.ndarray], None] | None = None,
         validation_work_units: float = 8.0,
         param_nbytes: int | None = None,
@@ -117,13 +114,6 @@ class ParameterServerPool:
             raise ConfigurationError(f"num_servers (Pn) must be positive, got {num_servers}")
         if validation_work_units <= 0:
             raise ConfigurationError("validation_work_units must be positive")
-        if rule is None:
-            if alpha_schedule is None:
-                raise ConfigurationError(
-                    "pass an UpdateRule (rule=...) or an AlphaSchedule "
-                    "(alpha_schedule=...) for the default VC-ASGD rule"
-                )
-            rule = VCASGDRule(alpha_schedule)
         self.sim = sim
         self.num_servers = num_servers
         self.store = store
@@ -161,22 +151,13 @@ class ParameterServerPool:
     ) -> None:
         """Queue one validated client result for processing.
 
-        ``payload`` is a :class:`ClientUpdate`; a bare parameter vector is
-        accepted and wrapped (legacy callers and parameter-only tests).
+        ``payload`` is a :class:`ClientUpdate`.
         """
-        if isinstance(payload, ClientUpdate):
-            update = payload
-        elif isinstance(payload, np.ndarray):
-            client_id = (
-                workunit.attempts[-1].client_id if workunit.attempts else ""
-            )
-            update = ClientUpdate(client_id=client_id, params=payload)
-        else:
+        if not isinstance(payload, ClientUpdate):
             raise TrainingError(
-                f"assimilator expected a ClientUpdate or parameter vector, "
-                f"got {type(payload).__name__}"
+                f"assimilator expected a ClientUpdate, got {type(payload).__name__}"
             )
-        self._queue.append(_Inflight(workunit, update, on_done, self.sim.now))
+        self._queue.append(_Inflight(workunit, payload, on_done, self.sim.now))
         self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(self._queue))
         self._dispatch()
 

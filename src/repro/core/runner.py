@@ -310,7 +310,7 @@ class DistributedRunner:
         if self._codec_plane is not None:
             # Per-client download pricing + completed-download hooks
             # (delta chains, sticky parameter versions, net.decode).
-            self.server.web.transfer_model.codec_plane = self._codec_plane
+            self.server.web.codec_plane = self._codec_plane
         self.server.on_assimilated = self._on_assimilated
         # Ping-mode sleep hints fold in assimilation backpressure: an idle
         # fleet slows its polling while the merge pipeline is saturated.
@@ -379,8 +379,8 @@ class DistributedRunner:
         )
         # What the compute-start hook noted, keyed by attempt: the step,
         # the compute task and the client.  Popped when the executor runs
-        # at compute end, pruned at epoch boundaries for attempts that
-        # aborted mid-compute.
+        # at compute end, or by the task's cancel hook when the compute
+        # dies first (timeout, cancellation, preemption).
         self._prepared: dict[tuple[str, int], tuple[StepTask, object, str]] = {}
 
         # ---- adversary fabric (Byzantine clients) -------------------------------
@@ -589,7 +589,8 @@ class DistributedRunner:
         this simulated interval can fuse into one cohort, train on a
         worker while the simulation runs on, or train ahead while an
         upload deflates (:meth:`_next_finisher`).  The note keeps the step,
-        the compute ``task`` and the client under the attempt's key.
+        the compute ``task`` and the client under the attempt's key; the
+        task's cancel hook drops it (:meth:`_drop_note`).
         Batch orders are keyed per attempt (see :meth:`_draw_orders`), so
         training before compute end cannot shift any other attempt's
         permutations; the run stays bit-identical to serial even across
@@ -600,7 +601,16 @@ class DistributedRunner:
         shard: Dataset = payloads[self.work_generator.shard_file_name(wu.shard_index)]
         orders = self._draw_orders(wu, client_id, len(shard))
         step = self._dispatcher.submit(published, wu.shard_index, orders, wu.wu_id)
-        self._prepared[_attempt_key(wu)] = step, task, client_id
+        key = _attempt_key(wu)
+        self._prepared[key] = step, task, client_id
+        task.on_cancel = partial(self._drop_note, key)
+
+    def _drop_note(self, key: tuple[str, int]) -> None:
+        """Cancel hook of a noted compute: the attempt never reaches its
+        compute end, so its note goes and the dispatcher forgets its step.
+        Bound to the key, not the step, so a finished step is never kept
+        alive by its task."""
+        self._dispatcher.discard(self._prepared.pop(key)[0])
 
     def _execute_subtask(self, wu: Workunit, payloads: dict) -> tuple[object, int]:
         """Compute end: the upload of the step noted at compute start.
@@ -669,18 +679,12 @@ class DistributedRunner:
         the pricing thread deflates an upload; None when none is noted or
         one already holds a result (at most one is held).
 
-        Noted attempts whose compute was cancelled (timeout, cancellation,
-        preemption) are dropped first, their step discarded, so every one
-        left is its unit's current attempt.  The next finisher is read off
-        each client's compute resource without advancing it.  A step
-        reads only inputs fixed at compute start, so its result is the one
-        the attempt's compute end would compute (DESIGN.md §8.6,
-        invariant 4).
+        A cancelled compute drops its own note, so every noted attempt is
+        still computing.  The next finisher is read off each client's
+        compute resource without advancing it.  A step reads only inputs
+        fixed at compute start, so its result is the one the attempt's
+        compute end would compute (DESIGN.md §8.6, invariant 4).
         """
-        for key, (step, task, _) in list(self._prepared.items()):
-            if task.cancelled:
-                del self._prepared[key]
-                self._dispatcher.discard(step)
         noted = self._prepared.values()
         if not noted or any(step.result is not None for step, _, _ in noted):
             return None
@@ -951,20 +955,11 @@ class DistributedRunner:
             )
         mean, lo, hi = self.pool.epoch_accuracy_summary(epoch)
         current = self.pool.current_params()
-        # Prune staleness tags for terminal workunits that never assimilated
-        # (errored, cancelled replicas): without this the map grows for the
-        # whole run.
+        # Prune staleness tags of units that reached a compute end but never
+        # assimilated (upload lost or rejected, replica cancelled): without
+        # this the map grows for the whole run.
         for wu in self._epoch_workunits:
             self._wu_base_version.pop(wu.wu_id, None)
-        # Every unit of the epoch is terminal, so none of its steps will
-        # be resolved: drop the notes of attempts that aborted mid-compute
-        # and every step still pending (those, and uploads that were never
-        # accepted), so the dispatcher stops holding their parameter files
-        # and no trained-ahead result outlives its epoch.
-        epoch_ids = {wu.wu_id for wu in self._epoch_workunits}
-        for key in [k for k in self._prepared if k[0] in epoch_ids]:
-            del self._prepared[key]
-        self._dispatcher.discard_workunits(epoch_ids)
         record = EpochRecord(
             epoch=epoch + 1,
             end_time_s=self.sim.now + self._time_offset,

@@ -429,14 +429,6 @@ class StepDispatcher:
             if not chunk:
                 self._backlog = deque(c for c in self._backlog if c is not chunk)
 
-    def discard_workunits(self, wu_ids: set[str]) -> None:
-        """Forget every still-pending task of these workunits: once they
-        are all terminal, no compute end resolves one."""
-        chunks = [*self._filling.values(), *self._backlog]
-        chunks += [c for worker in self._workers for c in worker.chunks]
-        for task in [t for c in chunks for t in c if t.wu_id in wu_ids]:
-            self.discard(task)
-
     # -- execution ------------------------------------------------------
     def _chunk_key(self, task: StepTask) -> tuple[int, int]:
         # Cohort members must share the exact base vector and batch

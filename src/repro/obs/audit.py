@@ -124,9 +124,6 @@ class InvariantAuditor:
         if handler is not None:
             handler(record)
 
-    def on_counter(self, kind: str, amount: int) -> None:
-        self.kind_counts[kind] += amount
-
     def replay(self, trace: Trace) -> None:
         """Feed an already-recorded trace through the online checks."""
         for record in trace:

@@ -62,9 +62,6 @@ class MetricsCollector:
         if handler is not None:
             handler(record)
 
-    def on_counter(self, kind: str, amount: int) -> None:
-        pass  # bare counter bumps already live in Trace.counters
-
     # -- handlers -------------------------------------------------------
     def _count(self, name: str) -> Callable[[TraceRecord], None]:
         counter = self.registry.counter(name)

@@ -85,6 +85,7 @@ class ComputeTask:
     work_remaining: float
     on_complete: object  # Callable[[], None]; dataclass keeps repr simple
     label: str = ""
+    on_cancel: object = None  # Callable[[], None] | None, fired on cancel/terminate
     done: bool = False
     cancelled: bool = False
     _order: int = field(default=0, repr=False)
@@ -157,19 +158,23 @@ class ComputeResource:
         return task
 
     def cancel(self, task: ComputeTask) -> None:
-        """Remove a task before completion (e.g. its workunit was aborted)."""
+        """Remove a task before completion (e.g. its workunit was aborted);
+        its ``on_cancel`` fires once."""
         if task.done or task.cancelled:
             return
         self._advance()
         task.cancelled = True
         self._active.remove(task)
         self._reschedule()
+        if task.on_cancel is not None:
+            task.on_cancel()
 
     def terminate(self) -> list[ComputeTask]:
         """Kill the machine (preemption): all in-flight tasks are lost.
 
-        Returns the dropped tasks so the caller (client daemon) can report
-        or simply let the scheduler's timeout machinery recover them.
+        Each dropped task's ``on_cancel`` fires.  Returns the dropped tasks
+        so the caller (client daemon) can report or simply let the
+        scheduler's timeout machinery recover them.
         """
         self._advance()
         dropped = list(self._active)
@@ -180,6 +185,9 @@ class ComputeResource:
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
+        for task in dropped:
+            if task.on_cancel is not None:
+                task.on_cancel()
         return dropped
 
     def seconds_to_finish(self, task: ComputeTask) -> float:

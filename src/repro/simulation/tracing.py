@@ -59,10 +59,10 @@ class TraceRecord:
 class Trace:
     """Append-only event log with query helpers.
 
-    Observers attached via :meth:`attach` see every record (and counter
-    bump) as it happens — the hook behind ``repro.obs``'s metrics
-    collector and invariant auditor.  The hot path stays allocation-free
-    when nobody is listening: a single truthiness check on an empty list.
+    Observers attached via :meth:`attach` see every record as it happens —
+    the hook behind ``repro.obs``'s metrics collector and invariant
+    auditor.  The hot path stays allocation-free when nobody is
+    listening: a single truthiness check on an empty list.
     Observers must be pure readers; mutating a record, simulation state
     or drawing randomness from inside one would break bit-exact
     reproducibility.
@@ -87,7 +87,7 @@ class Trace:
         self._room: int | None = max_records
 
     def attach(self, observer: Any) -> None:
-        """Subscribe ``observer`` (``on_record(rec)`` / ``on_counter(kind, n)``)."""
+        """Subscribe ``observer`` (its ``on_record(rec)`` sees every record)."""
         if observer not in self._observers:
             self._observers.append(observer)
 
@@ -113,13 +113,6 @@ class Trace:
         counters[kind] = counters.get(kind, 0) + 1
         for observer in self._observers:
             observer.on_record(record)
-
-    def incr(self, counter: str, amount: int = 1) -> None:
-        """Bump a counter without storing a record (cheap hot-path stats)."""
-        self.counters[counter] += amount
-        if self._observers:
-            for observer in self._observers:
-                observer.on_counter(counter, amount)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -157,9 +150,7 @@ class Trace:
         ``prefix`` restricts the snapshot to one subsystem's kinds, e.g.
         ``summary("ps.")`` or ``summary("net.")`` for the chaos layers; a
         tuple selects several subsystems at once.  The filter covers
-        *every* counter — records emitted via :meth:`emit` and bare
-        :meth:`incr` bumps alike (the chaos layers lean on the latter),
-        since both live in the same ``counters`` table.
+        *every* counter, ``trace.dropped`` included.
         """
         items = sorted(self.counters.items())
         if prefix is not None:

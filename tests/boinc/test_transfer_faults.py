@@ -1,9 +1,8 @@
 """Transfer-layer fault injection and BOINC-style persistent transfers.
 
 Covers the chaos fabric's web-server hooks (per-transfer failures, stalls,
-partitions), the split download API (simulation-correct callback vs the
-test-only ``peek_payloads`` accessor), and the client daemon's retry loop
-with capped exponential backoff.
+partitions), the callback-only download API, and the client daemon's retry
+loop with capped exponential backoff.
 """
 
 from __future__ import annotations
@@ -66,21 +65,6 @@ class TestDownloadApiSplit:
         assert got == {}  # nothing before the simulated transfer completes
         sim.run()
         assert got == {"model": "spec", "params": b"p"}
-
-    def test_peek_payloads_charges_nothing(self, sim, catalog, link):
-        web = make_web(sim, catalog)
-        web.peek_enabled = True  # test-only flag
-        payloads = web.peek_payloads(["model", "shard-00"])
-        assert payloads["model"] == "spec"
-        assert web.bytes_down == 0
-        assert sim.pending() == 0  # no simulated transfer scheduled
-
-    def test_peek_payloads_guarded_by_default(self, sim, catalog, link):
-        from repro.errors import SimulationError
-
-        web = make_web(sim, catalog)
-        with pytest.raises(SimulationError):
-            web.peek_payloads(["model"])
 
 
 class TestFaultInjection:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,22 @@ class TestStaticPublication:
         model_file = catalog.get(gen.model_file_name)
         assert model_file.sticky
         assert model_file.payload == '{"kind": "mlp"}'
+
+    @pytest.mark.parametrize(
+        "spec, capped",
+        [('{"kind": "mlp"}', True), (json.dumps({"hidden": [128] * 64}), False)],
+    )
+    def test_model_file_priced_at_its_zlib_size_capped_at_raw(
+        self, train_set, spec, capped
+    ):
+        gen, catalog = make_generator(train_set, model_spec_json=spec)
+        raw = spec.encode()
+        deflated = len(zlib.compress(raw, 6))
+        model_file = catalog.get(gen.model_file_name)
+        assert (deflated >= len(raw)) is capped
+        assert model_file.raw_size == len(raw)
+        assert model_file.wire_size(compression_enabled=True) == min(deflated, len(raw))
+        assert model_file.wire_size(compression_enabled=False) == len(raw)
 
     def test_all_shards_published(self, train_set):
         gen, catalog = make_generator(train_set)

@@ -16,10 +16,12 @@ from repro.core import (
 from repro.core.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from repro.core.param_server import PARAM_KEY
 from repro.core.results import EpochRecord, RunResult
+from repro.core.rules import VCASGDRule
 from repro.errors import ConfigurationError, SerializationError, TrainingError
 from repro.kvstore import EventualStore, StoreLatency
 from repro.simulation import ComputeResource, InstanceSpec
 
+from .test_param_server import update
 from .test_runner import tiny_config
 
 
@@ -42,7 +44,7 @@ def build_autoscaling_pool(sim, policy: AutoscalePolicy) -> AutoscalingPool:
     return AutoscalingPool(
         sim=sim,
         store=store,
-        alpha_schedule=ConstantAlpha(0.5),
+        rule=VCASGDRule(ConstantAlpha(0.5)),
         server_cpu=ComputeResource(sim, spec),
         evaluate_fn=lambda vec: (0.0, 0.5),
         validation_work_units=1.0,
@@ -70,7 +72,7 @@ class TestAutoscalingPool:
         policy = AutoscalePolicy(min_servers=1, max_servers=4, cooldown_s=0.0)
         pool = build_autoscaling_pool(sim, policy)
         for i in range(12):
-            pool.assimilate(make_wu(i), np.ones(4), lambda: None)
+            pool.assimilate(make_wu(i), update(np.ones(4)), lambda: None)
         sim.run()
         assert pool.scale_ups >= 1
         assert pool.num_servers > policy.min_servers
@@ -80,7 +82,7 @@ class TestAutoscalingPool:
         policy = AutoscalePolicy(min_servers=1, max_servers=2, cooldown_s=0.0)
         pool = build_autoscaling_pool(sim, policy)
         for i in range(20):
-            pool.assimilate(make_wu(i), np.ones(4), lambda: None)
+            pool.assimilate(make_wu(i), update(np.ones(4)), lambda: None)
         sim.run()
         assert pool.num_servers <= 2
 
@@ -90,14 +92,14 @@ class TestAutoscalingPool:
         )
         pool = build_autoscaling_pool(sim, policy)
         for i in range(12):
-            pool.assimilate(make_wu(i), np.ones(4), lambda: None)
+            pool.assimilate(make_wu(i), update(np.ones(4)), lambda: None)
         sim.run()
         grown = pool.num_servers
         # Idle trickle: single occasional updates, well spaced out.
         for i in range(5):
             sim.schedule(
                 100.0 + 50.0 * i,
-                lambda i=i: pool.assimilate(make_wu(100 + i), np.ones(4), lambda: None),
+                lambda i=i: pool.assimilate(make_wu(100 + i), update(np.ones(4)), lambda: None),
             )
         sim.run()
         assert pool.scale_downs >= 1
@@ -107,7 +109,7 @@ class TestAutoscalingPool:
         policy = AutoscalePolicy(min_servers=1, max_servers=8, cooldown_s=1e9)
         pool = build_autoscaling_pool(sim, policy)
         for i in range(20):
-            pool.assimilate(make_wu(i), np.ones(4), lambda: None)
+            pool.assimilate(make_wu(i), update(np.ones(4)), lambda: None)
         sim.run()
         assert pool.scale_ups <= 1
 

@@ -45,8 +45,8 @@ def test_every_execution_combo_matches_the_golden(combo):
 
 
 # Each scenario reaches a dispatcher path the plain run never does:
-# preemptions and timeouts abort pre-submitted steps (pruned at epoch end
-# through ``discard``) after a flush or a step worker may already have
+# preemptions and timeouts abort pre-submitted steps (discarded by their
+# compute's cancel hook) after a flush or a step worker may already have
 # computed them; the corrupt client and the adversary draw noise or tamper
 # at compute end on a step trained anywhere; replicas submit one logical
 # step several times; ping changes when clients ask for work and so which

@@ -7,6 +7,7 @@ import pytest
 
 from repro.boinc import Workunit
 from repro.core.param_server import PARAM_KEY, ParameterServerPool
+from repro.core.rules import ClientUpdate, VCASGDRule
 from repro.core.vcasgd import ConstantAlpha
 from repro.errors import ConfigurationError, TrainingError
 from repro.kvstore import EventualStore, StoreLatency, StrongStore
@@ -23,6 +24,10 @@ def make_wu(i: int = 0, epoch: int = 0) -> Workunit:
         work_units=1.0,
         timeout_s=100.0,
     )
+
+
+def update(vec: np.ndarray) -> ClientUpdate:
+    return ClientUpdate(client_id="", params=vec)
 
 
 def build_pool(
@@ -47,7 +52,7 @@ def build_pool(
         sim=sim,
         num_servers=num_servers,
         store=store,
-        alpha_schedule=ConstantAlpha(0.5),
+        rule=VCASGDRule(ConstantAlpha(0.5)),
         server_cpu=ComputeResource(sim, spec),
         evaluate_fn=evaluate,
         validation_work_units=validation_work,
@@ -58,7 +63,7 @@ class TestAssimilation:
     def test_single_update_merges(self, sim):
         pool = build_pool(sim)
         done = []
-        pool.assimilate(make_wu(), np.ones(4), lambda: done.append(sim.now))
+        pool.assimilate(make_wu(), update(np.ones(4)), lambda: done.append(sim.now))
         sim.run()
         # α=0.5: 0.5*0 + 0.5*1 = 0.5; service = 1 s store + 1 s validation.
         np.testing.assert_allclose(pool.current_params(), 0.5 * np.ones(4))
@@ -76,9 +81,9 @@ class TestAssimilation:
 
     def test_sequential_merges_compose(self, sim):
         pool = build_pool(sim)
-        pool.assimilate(make_wu(0), np.ones(4), lambda: None)
+        pool.assimilate(make_wu(0), update(np.ones(4)), lambda: None)
         sim.run()
-        pool.assimilate(make_wu(1), np.ones(4), lambda: None)
+        pool.assimilate(make_wu(1), update(np.ones(4)), lambda: None)
         sim.run()
         np.testing.assert_allclose(pool.current_params(), 0.75 * np.ones(4))
 
@@ -89,7 +94,7 @@ class TestQueueing:
         pool = build_pool(sim, num_servers=1)
         done: list[float] = []
         for i in range(3):
-            pool.assimilate(make_wu(i), np.ones(4), lambda: done.append(sim.now))
+            pool.assimilate(make_wu(i), update(np.ones(4)), lambda: done.append(sim.now))
         assert pool.queue_depth() == 2
         sim.run()
         assert done == pytest.approx([2.0, 4.0, 6.0])
@@ -100,15 +105,15 @@ class TestQueueing:
         pool = build_pool(sim, num_servers=3)
         done: list[float] = []
         for i in range(3):
-            pool.assimilate(make_wu(i), np.ones(4), lambda: done.append(sim.now))
+            pool.assimilate(make_wu(i), update(np.ones(4)), lambda: done.append(sim.now))
         sim.run()
         assert done == pytest.approx([2.0, 2.0, 2.0])
         assert pool.stats.total_queue_wait == 0.0
 
     def test_busy_workers_tracked(self, sim):
         pool = build_pool(sim, num_servers=2)
-        pool.assimilate(make_wu(0), np.ones(4), lambda: None)
-        pool.assimilate(make_wu(1), np.ones(4), lambda: None)
+        pool.assimilate(make_wu(0), update(np.ones(4)), lambda: None)
+        pool.assimilate(make_wu(1), update(np.ones(4)), lambda: None)
         assert pool.busy_workers == 2
         sim.run()
         assert pool.busy_workers == 0
@@ -119,7 +124,7 @@ class TestQueueing:
         pool = build_pool(sim, num_servers=2, store_cls=StrongStore)
         done: list[float] = []
         for i in range(2):
-            pool.assimilate(make_wu(i), np.ones(4), lambda: done.append(sim.now))
+            pool.assimilate(make_wu(i), update(np.ones(4)), lambda: done.append(sim.now))
         sim.run()
         # Store commits at t=1 and t=2; validations end at t=2 and t=3.
         assert done == pytest.approx([2.0, 3.0])
@@ -129,7 +134,7 @@ class TestQueueing:
     def test_eventual_store_concurrent_merges_lose_updates(self, sim):
         pool = build_pool(sim, num_servers=2, store_cls=EventualStore)
         for i in range(2):
-            pool.assimilate(make_wu(i), np.ones(4), lambda: None)
+            pool.assimilate(make_wu(i), update(np.ones(4)), lambda: None)
         sim.run()
         # Both merged from the same 0-snapshot: one update clobbered.
         np.testing.assert_allclose(pool.current_params(), 0.5 * np.ones(4))
@@ -140,7 +145,7 @@ class TestEpochAccounting:
     def test_epoch_accuracy_summary(self, sim):
         pool = build_pool(sim, accuracies=[0.3, 0.5, 0.4])
         for i in range(3):
-            pool.assimilate(make_wu(i, epoch=0), np.ones(4), lambda: None)
+            pool.assimilate(make_wu(i, epoch=0), update(np.ones(4)), lambda: None)
         sim.run()
         mean, lo, hi = pool.epoch_accuracy_summary(0)
         assert mean == pytest.approx(0.4)
@@ -148,9 +153,9 @@ class TestEpochAccounting:
 
     def test_epochs_tracked_separately(self, sim):
         pool = build_pool(sim, accuracies=[0.1, 0.9])
-        pool.assimilate(make_wu(0, epoch=0), np.ones(4), lambda: None)
+        pool.assimilate(make_wu(0, epoch=0), update(np.ones(4)), lambda: None)
         sim.run()
-        pool.assimilate(make_wu(1, epoch=1), np.ones(4), lambda: None)
+        pool.assimilate(make_wu(1, epoch=1), update(np.ones(4)), lambda: None)
         sim.run()
         assert pool.epoch_accuracy_summary(0)[0] == pytest.approx(0.1)
         assert pool.epoch_accuracy_summary(1)[0] == pytest.approx(0.9)
@@ -171,11 +176,11 @@ class TestEpochAccounting:
             sim=sim,
             num_servers=1,
             store=store,
-            alpha_schedule=VarAlpha(),
+            rule=VCASGDRule(VarAlpha()),
             server_cpu=ComputeResource(sim, spec),
             evaluate_fn=lambda vec: (0.0, 0.5),
         )
-        pool.assimilate(make_wu(0, epoch=0), np.ones(2), lambda: None)
+        pool.assimilate(make_wu(0, epoch=0), update(np.ones(2)), lambda: None)
         sim.run()
         # α(1) = 0.5 -> merged value 0.5.
         np.testing.assert_allclose(pool.current_params(), [0.5, 0.5])

@@ -22,12 +22,14 @@ import pytest
 from repro.boinc import Workunit
 from repro.core import FaultConfig
 from repro.core.param_server import PARAM_KEY, ParameterServerPool
+from repro.core.rules import VCASGDRule
 from repro.core.runner import DistributedRunner
 from repro.core.vcasgd import ConstantAlpha
 from repro.kvstore import EventualStore, StoreLatency, StrongStore
 from repro.simulation import ComputeResource, InstanceSpec, Simulator
 from repro.simulation.chaos import ChaosPlan, ServerCrash
 
+from .test_param_server import update
 from .test_runner import tiny_config
 
 
@@ -51,7 +53,7 @@ def build_pool(sim, num_servers=1, store_cls=EventualStore, trace=None):
         sim=sim,
         num_servers=num_servers,
         store=store,
-        alpha_schedule=ConstantAlpha(0.5),
+        rule=VCASGDRule(ConstantAlpha(0.5)),
         server_cpu=ComputeResource(sim, spec),
         evaluate_fn=lambda vec: (0.0, float(vec.mean())),
         validation_work_units=1.0,
@@ -67,7 +69,7 @@ class TestCrashBeforeCommit:
     def test_aborts_and_requeues(self, sim, trace):
         pool = build_pool(sim, trace=trace)
         done: list[float] = []
-        pool.assimilate(make_wu(), np.ones(4), lambda: done.append(sim.now))
+        pool.assimilate(make_wu(), update(np.ones(4)), lambda: done.append(sim.now))
         sim.schedule(0.5, pool.crash_server)  # before the t=1 commit
         sim.schedule(10.0, pool.restart_server)
         sim.run()
@@ -82,7 +84,7 @@ class TestCrashBeforeCommit:
     def test_survivor_reruns_immediately(self, sim, trace):
         pool = build_pool(sim, num_servers=2, trace=trace)
         done: list[float] = []
-        pool.assimilate(make_wu(), np.ones(4), lambda: done.append(sim.now))
+        pool.assimilate(make_wu(), update(np.ones(4)), lambda: done.append(sim.now))
         sim.schedule(0.5, pool.crash_server)
         sim.run()
         # The second worker picked the requeued item up without a restart.
@@ -95,7 +97,7 @@ class TestCrashAfterCommitWithSurvivors:
     def test_survivor_adopts_pipeline(self, sim, trace):
         pool = build_pool(sim, num_servers=2, trace=trace)
         done: list[float] = []
-        pool.assimilate(make_wu(), np.ones(4), lambda: done.append(sim.now))
+        pool.assimilate(make_wu(), update(np.ones(4)), lambda: done.append(sim.now))
         sim.schedule(1.5, pool.crash_server)  # committed at t=1, validating
         sim.run()
         np.testing.assert_allclose(pool.current_params(), 0.5 * np.ones(4))
@@ -109,7 +111,7 @@ class TestSoleServerCrash:
     def test_stranded_item_resumes_on_restart(self, sim, trace):
         pool = build_pool(sim, num_servers=1, trace=trace)
         done: list[float] = []
-        pool.assimilate(make_wu(), np.ones(4), lambda: done.append(sim.now))
+        pool.assimilate(make_wu(), update(np.ones(4)), lambda: done.append(sim.now))
         sim.schedule(1.5, pool.crash_server)  # committed, mid-validation
         sim.schedule(5.0, pool.restart_server)
         sim.run()
@@ -143,7 +145,7 @@ class TestSoleServerCrash:
         pool = build_pool(sim, num_servers=1)
         done: list[float] = []
         sim.schedule(0.0, pool.crash_server)  # idle worker dies immediately
-        pool.assimilate(make_wu(), np.ones(4), lambda: done.append(sim.now))
+        pool.assimilate(make_wu(), update(np.ones(4)), lambda: done.append(sim.now))
         sim.schedule(20.0, pool.restart_server)
         sim.run()
         assert done and done[0] >= 20.0
@@ -165,7 +167,7 @@ class TestStrongStoreFailover:
         # requeued item deadlocks forever.
         pool = build_pool(sim, store_cls=StrongStore, trace=trace)
         done: list[float] = []
-        pool.assimilate(make_wu(), np.ones(4), lambda: done.append(sim.now))
+        pool.assimilate(make_wu(), update(np.ones(4)), lambda: done.append(sim.now))
         sim.schedule(0.5, pool.crash_server)
         sim.schedule(10.0, pool.restart_server)
         sim.run()

@@ -37,7 +37,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.nn.models import ModelSpec
 
 from repro.simulation.chaos import ChaosPlan, TransferFaultPlan
-from repro.simulation.resources import TABLE1_CLIENTS
+from repro.simulation.resources import TABLE1_CLIENTS, ComputeResource
 
 from ..goldens import GOLDENS, digest_of
 from .test_multicore_determinism import _scenario_config
@@ -477,10 +477,69 @@ class TestOneRoute:
         assert max(computes.values()) == 1
         assert digest_of(runner, result) == golden.hex
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GOLDENS["attempts/reissued_downloads"].config(),
+            tiny_config(
+                num_clients=3,
+                faults=FaultConfig(preemption_hourly_p=0.9, relaunch_delay_s=30),
+                subtask_timeout_s=120,
+                step_jobs=1,
+            ),
+        ],
+        ids=["timeout", "preemption"],
+    )
+    def test_a_cancelled_compute_drops_its_step_at_once(self, config, monkeypatch):
+        """A compute cancelled by a timeout, or lost with its machine to a
+        preemption, drops its attempt's note and its pending step at the
+        cancel's sim time, not at a later compute end or epoch end."""
+        noted = {}  # id(compute task) -> (task, attempt key, step)
+        prepare = DistributedRunner._prepare_subtask
+
+        def noting(self, wu, payloads, task):
+            prepare(self, wu, payloads, task)
+            key = (wu.wu_id, wu.num_attempts)
+            noted[id(task)] = task, key, self._prepared[key][0]
+
+        monkeypatch.setattr(DistributedRunner, "_prepare_subtask", noting)
+        runner = DistributedRunner(config)
+        dispatcher = runner._dispatcher
+        dropped = Counter()
+
+        def check(how, tasks):
+            for task in tasks:
+                entry = noted.get(id(task))  # noted tasks stay alive: ids are unique
+                if entry is None or not task.cancelled:
+                    continue
+                _, key, step = entry
+                pending = [*dispatcher._filling.values(), *dispatcher._backlog]
+                assert key not in runner._prepared
+                assert not any(step in chunk for chunk in pending)
+                dropped[how] += 1
+
+        cancel, terminate = ComputeResource.cancel, ComputeResource.terminate
+
+        def cancelling(resource, task):
+            cancel(resource, task)
+            check("cancel", [task])
+
+        def terminating(resource):
+            tasks = terminate(resource)
+            check("terminate", tasks)
+            return tasks
+
+        monkeypatch.setattr(ComputeResource, "cancel", cancelling)
+        monkeypatch.setattr(ComputeResource, "terminate", terminating)
+        runner.run()
+        how = "terminate" if config.faults.preemption_hourly_p else "cancel"
+        assert dropped[how] > 0
+
     def test_no_step_outlives_its_epoch(self):
-        """Steps whose upload was never accepted (it timed out or was
-        abandoned) are dropped at the epoch's end, with the notes of
-        attempts that aborted mid-compute."""
+        """Under heavy transfer faults attempts time out mid-download and
+        mid-compute.  A cancelled compute drops its step and every other
+        step resolves at its compute end, so none is pending when an epoch
+        ends."""
         faults = FaultConfig(
             chaos=ChaosPlan(transfer=TransferFaultPlan(failure_p=0.85))
         )

@@ -13,24 +13,19 @@ from ..core.test_runner import tiny_config
 class Recorder:
     def __init__(self):
         self.records = []
-        self.counters = []
 
     def on_record(self, record):
         self.records.append(record)
 
-    def on_counter(self, kind, amount):
-        self.counters.append((kind, amount))
-
 
 class TestTraceObservers:
-    def test_attach_sees_emits_and_incrs(self):
+    def test_attach_sees_every_emit(self):
         trace = Trace()
         rec = Recorder()
         trace.attach(rec)
         trace.emit(1.0, "a.x", foo=1)
-        trace.incr("b.y", 3)
-        assert [r.kind for r in rec.records] == ["a.x"]
-        assert rec.counters == [("b.y", 3)]
+        trace.emit(2.0, "b.y")
+        assert [r.kind for r in rec.records] == ["a.x", "b.y"]
 
     def test_detach_stops_delivery(self):
         trace = Trace()
@@ -38,8 +33,7 @@ class TestTraceObservers:
         trace.attach(rec)
         trace.detach(rec)
         trace.emit(1.0, "a.x")
-        trace.incr("b.y")
-        assert rec.records == [] and rec.counters == []
+        assert rec.records == []
 
     def test_attach_is_idempotent(self):
         trace = Trace()
@@ -50,19 +44,21 @@ class TestTraceObservers:
         assert len(rec.records) == 1
 
     def test_summary_prefix_covers_bare_counters(self):
-        """The chaos layers bump counters via incr() without emitting a
-        record; summary(prefix) must filter those the same way."""
-        trace = Trace()
+        """``trace.dropped`` is bumped without a record of its own;
+        summary(prefix) filters it like every emitted kind."""
+        trace = Trace(max_records=1)
         trace.emit(1.0, "ps.crash")
-        trace.incr("ps.adoptions", 2)
-        trace.incr("net.retry")
-        assert trace.summary("ps.") == {"ps.adoptions": 2, "ps.crash": 1}
+        trace.emit(2.0, "ps.adoption")
+        trace.emit(3.0, "ps.adoption")
+        trace.emit(4.0, "net.retry")
+        assert trace.summary("ps.") == {"ps.adoption": 2, "ps.crash": 1}
+        assert trace.summary("trace.") == {"trace.dropped": 3}
 
     def test_summary_tuple_prefix(self):
         trace = Trace()
         trace.emit(1.0, "ps.crash")
-        trace.incr("net.retry")
-        trace.incr("kv.outage")
+        trace.emit(2.0, "net.retry")
+        trace.emit(3.0, "kv.outage")
         assert trace.summary(("ps.", "net.")) == {"net.retry": 1, "ps.crash": 1}
         assert trace.summary() == {"kv.outage": 1, "net.retry": 1, "ps.crash": 1}
 

@@ -198,11 +198,6 @@ class TestTrace:
         np.testing.assert_array_equal(times, np.arange(5.0))
         np.testing.assert_array_equal(values, np.arange(5) * 2)
 
-    def test_incr_counter_without_record(self, trace):
-        trace.incr("fast_path", 3)
-        assert trace.count("fast_path") == 3
-        assert len(trace) == 0
-
     def test_summary_sorted(self, trace):
         trace.emit(0.0, "b")
         trace.emit(0.0, "a")
@@ -232,9 +227,6 @@ class TestTrace:
         class Observer:
             def on_record(self, record):
                 seen.append(record.kind)
-
-            def on_counter(self, kind, amount):
-                seen.append((kind, amount))
 
         trace = Trace(max_records=3)
         trace.attach(Observer())
