@@ -317,15 +317,7 @@ class ClientDaemon:
                         client=self.client_id,
                         seconds=self.sim.now - wu.current_attempt.sent_at,
                     )
-                # An encoded upload (core.codec_plane.EncodedUpdate) is
-                # decoded here, on receipt, before any server component
-                # reads inside it.  Upload retries reuse the same payload
-                # object, so the lazy handle survives them.
-                payload = result
-                resolve = getattr(payload, "resolve_update", None)
-                if resolve is not None:
-                    payload = resolve()
-                self._on_result_accepted(wu, payload)
+                self._on_result_accepted(wu, result)
             self.poll_for_work()
 
         def on_error(error) -> None:

@@ -56,9 +56,10 @@ class BoincServer:
         self.credit = credit_ledger if credit_ledger is not None else CreditLedger()
         self.clients: dict[str, ClientDaemon] = {}
         self.scheduler.on_timeout = self._notify_timeout
-        # Invoked after every assimilation completes; the job runner uses it
-        # to detect epoch boundaries.
-        self.on_assimilated: Callable[[Workunit], None] | None = None
+        # Invoked with the unit and its merged payload after every
+        # assimilation completes; the job runner uses it to detect epoch
+        # boundaries and to read each merge's staleness.
+        self.on_assimilated: Callable[[Workunit, object], None] | None = None
         # Byzantine defenses.  ``invalid_feedback`` routes every invalidated
         # result (validator reject or quorum loss) into the scheduler's
         # reliability EWMA and quarantine counter — off by default, so
@@ -118,6 +119,10 @@ class BoincServer:
     # -- result path -----------------------------------------------------------
     def _handle_accepted_result(self, wu: Workunit, payload: object) -> None:
         host = wu.current_attempt.client_id
+        if self.web.codec_plane is not None:
+            # A lossy upload is decoded on receipt, before any server
+            # component reads inside it.
+            self.web.codec_plane.on_accepted(payload, wu.wu_id)
         verdict = self.validator.validate(payload, now=self.sim.now, wu_id=wu.wu_id)
         if not verdict.ok:
             self.trace.emit(
@@ -161,7 +166,7 @@ class BoincServer:
         def assimilation_done() -> None:
             self.trace.emit(self.sim.now, "server.assimilated", wu=wu.wu_id, epoch=wu.epoch)
             if self.on_assimilated is not None:
-                self.on_assimilated(wu)
+                self.on_assimilated(wu, payload)
 
         self.assimilator.assimilate(wu, payload, assimilation_done)
 

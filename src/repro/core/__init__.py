@@ -3,6 +3,7 @@
 from . import baselines
 from .autoscale import AutoscalePolicy, AutoscalingPool
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .codec_plane import VersionedParams
 from .job import FaultConfig, LocalTrainingConfig, TrainingJobConfig
 from .parallel import default_jobs, run_configs
 from .param_server import PARAM_KEY, AssimilationStats, ParameterServerPool
@@ -19,7 +20,7 @@ from .rules import (
     VCASGDRule,
     make_rule,
 )
-from .runner import DistributedRunner, VersionedParams, run_experiment
+from .runner import DistributedRunner, run_experiment
 from .sweep import Sweep, SweepPoint
 from .vcasgd import (
     AlphaSchedule,

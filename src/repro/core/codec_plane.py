@@ -27,7 +27,11 @@ one run:
   base for averaging rules.  Inside ``DistributedRunner.run()`` its zlib
   pass runs on the same pricing thread when the runner has a subtask to
   train meanwhile; the size resolves before the runner hands it to the
-  client's upload, in the same compute-end event.  Lossy codecs apply
+  client's upload, in the same compute-end event.  A lossy upload is a
+  plain :class:`~repro.core.rules.ClientUpdate` holding the *decoded*
+  vector (the client needs that decode for its residual); the server's
+  accept path counts and traces the decode (:meth:`ParamCodecPlane.on_accepted`),
+  so its ``net.decode`` record lands at receipt.  Lossy codecs apply
   **error feedback**: the encode error is carried client-side as a
   residual and added to the next upload from the same client, so
   dropped/rounded mass is delayed, never lost.  Residuals are
@@ -51,7 +55,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -61,7 +65,7 @@ from ..nn.codecs import Encoded, TopKCodec, ZlibCodec, make_codec, wire_nbytes
 from ..nn.serialization import _deflated_size, compressed_size
 from .rules import ClientUpdate
 
-__all__ = ["ParamCodecPlane", "EncodedUpdate", "PendingPrice", "VersionedParams"]
+__all__ = ["ParamCodecPlane", "PendingPrice", "VersionedParams"]
 
 # Versions retained in the delta-size window; older chains fall back to
 # the full transfer.  One entry per publish: an int (or a pending price
@@ -139,35 +143,6 @@ class PendingPrice:
             self.value = self._finish(*self._future.result())
             self._future = self._finish = None
         return self.value
-
-
-class EncodedUpdate:
-    """Lazy wrapper for an encoded upload payload.
-
-    The client uploads this object; when the scheduler accepts the result
-    the client resolves it through the ``resolve_update`` hook, which is
-    the moment the *server* pays the decode — so the ``net.decode`` record
-    lands at server-receipt time.  Upload retries reuse the payload object;
-    resolution happens at most once.
-    """
-
-    __slots__ = ("_plane", "_resolved", "client_id", "wu_id")
-
-    def __init__(
-        self,
-        plane: "ParamCodecPlane",
-        resolved: ClientUpdate,
-        client_id: str,
-        wu_id: str,
-    ) -> None:
-        self._plane = plane
-        self._resolved = resolved
-        self.client_id = client_id
-        self.wu_id = wu_id
-
-    def resolve_update(self) -> ClientUpdate:
-        self._plane._on_upload_decoded(self)
-        return self._resolved
 
 
 class ParamCodecPlane:
@@ -360,7 +335,7 @@ class ParamCodecPlane:
         if version is None:
             return None  # shards, model specs: not parameter files
         full = file.wire_size(compression_enabled=True)
-        base = getattr(cache, "param_version", None) if cache is not None else None
+        base = cache.param_version if cache is not None else None
         if base is None:
             self.delta_full_downloads += 1
             return full
@@ -384,7 +359,7 @@ class ParamCodecPlane:
         if version is None:
             return
         if cache is not None:
-            prev = getattr(cache, "param_version", None)
+            prev = cache.param_version
             cache.param_version = version if prev is None else max(prev, version)
         self.decodes += 1
         if self.trace is not None:
@@ -406,15 +381,15 @@ class ParamCodecPlane:
         base_vec: np.ndarray,
         wu_id: str,
         defer_price: bool = False,
-    ) -> tuple[object, "int | PendingPrice"]:
-        """Encode one result upload; returns ``(payload, wire_bytes)``.
+    ) -> tuple[ClientUpdate, "int | PendingPrice"]:
+        """Encode one result upload; returns ``(update, wire_bytes)``.
 
         Exactly one vector is charged to the wire, matching the
         historical accounting: the accumulated gradient when the rule
         consumes gradients, else the parameter delta against the base the
-        client trained from.  Lossy codecs return an
-        :class:`EncodedUpdate` whose resolution yields the *decoded*
-        update — what the server actually receives.
+        client trained from.  A lossy codec returns the *decoded* update —
+        what the server actually receives; the server counts and traces
+        that decode when it accepts the result (:meth:`on_accepted`).
 
         ``defer_price`` says the caller has work to do before it reads
         the size.  Then, while the pricing thread runs, the body is
@@ -447,7 +422,6 @@ class ParamCodecPlane:
                 # itself (gradient or full parameter copy), not a delta.
                 uploaded = update.gradient if gradient_stream else update.params
                 enc, body = encode(self._zlib, np.ascontiguousarray(uploaded))
-            payload: object = update
         else:
             # ``params - base`` is the one fresh vector: the residual is
             # added into it, and error feedback turns it into the next
@@ -478,22 +452,11 @@ class ParamCodecPlane:
                 # The gradient is what crossed the wire; the parameter
                 # copy rides along as bookkeeping (today's payloads carry
                 # both while the wire charges one vector).
-                resolved = ClientUpdate(
-                    client_id=update.client_id,
-                    params=update.params,
-                    gradient=decoded,
-                    base_version=update.base_version,
-                    claimed_credit=update.claimed_credit,
-                )
+                update = replace(update, gradient=decoded)
             else:
-                resolved = ClientUpdate(
-                    client_id=update.client_id,
-                    params=np.add(base_vec, decoded, out=decoded),
-                    gradient=None,
-                    base_version=update.base_version,
-                    claimed_credit=update.claimed_credit,
+                update = replace(
+                    update, params=np.add(base_vec, decoded, out=decoded)
                 )
-            payload = EncodedUpdate(self, resolved, update.client_id, wu_id)
         self.uploads += 1
         self.upload_raw_bytes += raw_nbytes
         wire = self._price(
@@ -508,9 +471,13 @@ class ParamCodecPlane:
             ),
         )
         self.encode_cpu_s += time.perf_counter() - t0
-        return payload, wire
+        return update, wire
 
-    def _on_upload_decoded(self, encoded: EncodedUpdate) -> None:
+    def on_accepted(self, update: ClientUpdate, wu_id: str) -> None:
+        """The server accepted a result: a lossy upload is decoded on
+        receipt, so its decode is counted and traced here."""
+        if not self.up_codec.lossy:
+            return
         self.decodes += 1
         if self.trace is not None:
             self.trace.emit(
@@ -518,9 +485,9 @@ class ParamCodecPlane:
                 "net.decode",
                 direction="up",
                 codec=self.name,
-                client=encoded.client_id,
-                wu=encoded.wu_id,
-                raw=int(encoded._resolved.params.nbytes),
+                client=update.client_id,
+                wu=wu_id,
+                raw=int(update.params.nbytes),
             )
 
     # -- checkpointing -----------------------------------------------------

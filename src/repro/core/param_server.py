@@ -94,7 +94,8 @@ class ParameterServerPool:
     """P-worker assimilation pipeline applying a pluggable update rule.
 
     Implements the :class:`repro.boinc.assimilator.Assimilator` protocol.
-    ``rule`` is the server-side merge.
+    ``rule`` is the server-side merge.  ``republish_fn(vec, wu_id)`` is
+    called with each merged copy and the unit whose result it merged.
     """
 
     def __init__(
@@ -105,7 +106,7 @@ class ParameterServerPool:
         server_cpu: ComputeResource,
         evaluate_fn: Callable[[np.ndarray], tuple[float, float]],
         rule: UpdateRule,
-        republish_fn: Callable[[np.ndarray], None] | None = None,
+        republish_fn: Callable[[np.ndarray, str], None] | None = None,
         validation_work_units: float = 8.0,
         param_nbytes: int | None = None,
         trace: Trace | None = None,
@@ -137,10 +138,6 @@ class ParameterServerPool:
         # zero live servers; the runner uses it to restore the server
         # parameter copy from the latest epoch checkpoint.
         self.on_total_outage_restart: Callable[[], None] | None = None
-        # Causality handshake for span tracing: while ``republish_fn`` runs
-        # this holds the workunit whose merge produced the republished copy,
-        # so the publish site can stamp ``params.publish`` with its source.
-        self.publishing_wu: str | None = None
         self.stats = AssimilationStats()
         # epoch -> list of per-assimilation validation accuracies
         self.epoch_accuracies: dict[int, list[float]] = {}
@@ -240,11 +237,7 @@ class ParameterServerPool:
         _, accuracy = self.evaluate_fn(item.merged_vec)
         self.epoch_accuracies.setdefault(wu.epoch, []).append(accuracy)
         if self.republish_fn is not None:
-            self.publishing_wu = wu.wu_id
-            try:
-                self.republish_fn(item.merged_vec)
-            finally:
-                self.publishing_wu = None
+            self.republish_fn(item.merged_vec, wu.wu_id)
         self.stats.processed += 1
         self.stats.total_service_time += self.sim.now - item.started_at
         if self.trace is not None:

@@ -63,7 +63,7 @@ from .results import EpochRecord, RunResult
 from .rules import ClientUpdate
 from .steps import StepDispatcher, StepTask, _StepContext, draw_batch_orders
 
-__all__ = ["DistributedRunner", "VersionedParams", "run_experiment"]
+__all__ = ["DistributedRunner", "run_experiment"]
 
 PARAM_FILE = "job:params"
 # Compressed/raw ratio for float64 weight vectors; measured once from the
@@ -112,12 +112,11 @@ class DistributedRunner:
         # sweep points sharing one config object.
         self.rule = copy.deepcopy(config.resolved_update_rule())
         # Staleness instrumentation (see _republish_params / _on_assimilated):
-        # publish counter for the parameter file, the publish version each
-        # in-flight subtask trained from (read off the VersionedParams
-        # payload at download time), and the collected per-update staleness
-        # samples.  Initialized before any publish happens.
+        # publish counter for the parameter file and the per-merge
+        # staleness samples, each the publish count at assimilation minus
+        # the merged update's base version.  Initialized before any
+        # publish happens.
         self._param_publish_count = 0
-        self._wu_base_version: dict[str, int] = {}
         self.staleness_samples: list[int] = []
         # Barrier bookkeeping for fault-intolerant rules (see run()).
         self.barrier_stalls = 0
@@ -597,7 +596,7 @@ class DistributedRunner:
         preemptions and timeouts (DESIGN.md §8.5).
         """
         client_id = wu.current_attempt.client_id
-        published: VersionedParams = payloads[wu.input_files[1]]
+        published = payloads[wu.input_files[1]]
         shard: Dataset = payloads[self.work_generator.shard_file_name(wu.shard_index)]
         orders = self._draw_orders(wu, client_id, len(shard))
         step = self._dispatcher.submit(published, wu.shard_index, orders, wu.wu_id)
@@ -641,8 +640,7 @@ class DistributedRunner:
         perturbed and encoded; ``defer_price`` goes to the codec plane's
         upload encode."""
         client_id = wu.current_attempt.client_id
-        published: VersionedParams = payloads[wu.input_files[1]]  # the parameter file
-        self._wu_base_version[wu.wu_id] = published.version
+        published = payloads[wu.input_files[1]]  # the parameter file
         new_vec, gradient = self._dispatcher.resolve(step)
         new_vec = self._maybe_corrupt(client_id, new_vec)
         param_vec = published.decode_params()
@@ -722,40 +720,50 @@ class DistributedRunner:
         _, acc = evaluate_classifier(self._eval_model, self.test_set.x, self.test_set.y)
         return acc
 
-    def _republish_params(self, vec: np.ndarray) -> None:
-        """Expose the merged server copy as the downloadable parameter file."""
+    def _republish_params(self, vec: np.ndarray, source_wu: str | None = None) -> None:
+        """Expose the merged server copy as the downloadable parameter file.
+
+        ``source_wu`` is the unit whose merge produced ``vec`` (the pool's
+        ``republish_fn``); initial and restore publishes have none.
+        """
         self._param_publish_count += 1
-        # The pool flags which workunit's merge is being republished while
-        # its republish_fn runs; initial/restore publishes carry no source.
-        source_wu = getattr(getattr(self, "pool", None), "publishing_wu", None)
         fields: dict = {"version": self._param_publish_count}
         if source_wu is not None:
             fields["wu"] = source_wu
         self.trace.emit(self.sim.now, "params.publish", **fields)
-        if self._codec_plane is None:
-            payload = VersionedParams(vec, self._param_publish_count)
-            wire = self._param_wire_bytes
-        else:
-            # A lossy file rests encoded and decodes on every use, so a
-            # kept snapshot and every client see exactly the downloaded
-            # bytes.
-            payload, wire = self._codec_plane.encode_publish(
-                vec, self._param_publish_count
-            )
+        payload = self._publish_param_file(PARAM_FILE, vec)
         # Only a rule that keeps the snapshot pays for decoding it.
         self.rule.snapshot_sent(
             self._param_publish_count,
             payload.decode_params() if self.rule.keeps_snapshots else vec,
         )
+
+    def _publish_param_file(
+        self, name: str, vec: np.ndarray, frozen: bool = False
+    ) -> VersionedParams:
+        """Publish ``vec`` as parameter file ``name``, tagged with the
+        current publish version; returns the file's payload.
+
+        A lossy file rests encoded and decodes on every use, so a kept
+        snapshot and every client see exactly the downloaded bytes.  A
+        ``frozen`` replica copy encodes like any publish but does not
+        advance the delta chain: it aliases the current version.
+        """
+        version = self._param_publish_count
+        if self._codec_plane is None:
+            payload, wire = VersionedParams(vec, version), self._param_wire_bytes
+        else:
+            payload, wire = self._codec_plane.encode_publish(vec, version, frozen)
         self.server.catalog.publish(
             ServerFile(
-                name=PARAM_FILE,
+                name=name,
                 payload=payload,
                 raw_size=self._param_raw_bytes,
                 compressed_size=wire,
                 sticky=False,
             )
         )
+        return payload
 
     def _schedule_ps_chaos(self, plan: ChaosPlan) -> None:
         """Install the plan's parameter-server crash/restart schedule.
@@ -819,12 +827,10 @@ class DistributedRunner:
                     client.abort_workunit(wu_id)
         self.server.poke_clients()
 
-    def _on_assimilated(self, wu: Workunit) -> None:
+    def _on_assimilated(self, wu: Workunit, update: ClientUpdate) -> None:
         if wu.epoch == self._current_epoch:
             self._epoch_assimilated += 1
-        base = self._wu_base_version.pop(wu.wu_id, None)
-        if base is not None:
-            self.staleness_samples.append(self._param_publish_count - base)
+        self.staleness_samples.append(self._param_publish_count - update.base_version)
 
     # ------------------------------------------------------------------
     # Epoch loop
@@ -836,24 +842,8 @@ class DistributedRunner:
             # epoch's subtasks reference a *frozen* parameter copy so that
             # sibling replicas are bit-reproducible and can reach quorum.
             param_file = f"{PARAM_FILE}:e{self._current_epoch:03d}"
-            frozen = self.pool.current_params().copy()
-            if self._codec_plane is None:
-                frozen_payload = VersionedParams(frozen, self._param_publish_count)
-                frozen_wire = self._param_wire_bytes
-            else:
-                # Frozen copies encode like any publish but do not advance
-                # the delta chain: they alias the current publish version.
-                frozen_payload, frozen_wire = self._codec_plane.encode_publish(
-                    frozen, self._param_publish_count, frozen=True
-                )
-            self.server.catalog.publish(
-                ServerFile(
-                    name=param_file,
-                    payload=frozen_payload,
-                    raw_size=self._param_raw_bytes,
-                    compressed_size=frozen_wire,
-                    sticky=False,
-                )
+            self._publish_param_file(
+                param_file, self.pool.current_params().copy(), frozen=True
             )
         self._epoch_param_file = param_file
         self._barrier_round = 0
@@ -955,11 +945,6 @@ class DistributedRunner:
             )
         mean, lo, hi = self.pool.epoch_accuracy_summary(epoch)
         current = self.pool.current_params()
-        # Prune staleness tags of units that reached a compute end but never
-        # assimilated (upload lost or rejected, replica cancelled): without
-        # this the map grows for the whole run.
-        for wu in self._epoch_workunits:
-            self._wu_base_version.pop(wu.wu_id, None)
         record = EpochRecord(
             epoch=epoch + 1,
             end_time_s=self.sim.now + self._time_offset,

@@ -93,12 +93,16 @@ class TestResultPath:
         assert host.results_granted == 1
 
     def test_on_assimilated_hook_fires(self, sim):
-        server, _, _ = build(sim)
-        seen: list[str] = []
-        server.on_assimilated = lambda wu: seen.append(wu.wu_id)
+        # The hook is handed the unit and the payload that was merged.
+        uploaded = np.ones(4)
+        server, _, _ = build(sim, executor=lambda wu, payloads: (uploaded, 10))
+        seen: list[tuple[str, bool]] = []
+        server.on_assimilated = lambda wu, payload: seen.append(
+            (wu.wu_id, payload is uploaded)
+        )
         server.publish_workunits([make_wu()])
         sim.run()
-        assert seen == ["wu00"]
+        assert seen == [("wu00", True)]
 
     def test_trace_records_assimilation(self, sim):
         server, _, _ = build(sim)

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core import DistributedRunner, FaultConfig
 from repro.simulation.adversary import AdversaryBehavior, AdversaryPlan
+from repro.simulation.resources import ComputeResource
 
 from ..goldens import GOLDENS, run_digest
 from .test_runner import tiny_config
@@ -53,7 +54,7 @@ def test_every_execution_combo_matches_the_golden(combo):
 # steps share a flush.
 SCENARIOS = {
     "preemption": dict(
-        faults=FaultConfig(preemption_hourly_p=0.6, relaunch_delay_s=30),
+        faults=FaultConfig(preemption_hourly_p=0.9, relaunch_delay_s=30),
         subtask_timeout_s=120,
     ),
     "corrupt+replicas": dict(
@@ -92,12 +93,29 @@ def test_composed_scenario_matches_its_serial_digest(scenario, combo):
     )
 
 
-def test_preemption_scenario_discards_pre_submitted_steps():
-    """The preemption scenario really exercises the abort path: some
-    pre-submitted steps are never computed, and none stay pinned."""
+def test_preemption_scenario_discards_pre_submitted_steps(monkeypatch):
+    """The preemption scenario really exercises the abort path: a
+    preemption drops a compute mid-flight (its cancel hook fires from
+    ``terminate``), some pre-submitted steps are never computed, and none
+    stay pinned."""
+    fired: list[str] = []
+    terminate = ComputeResource.terminate
+
+    def counted(hook, label):
+        fired.append(label)
+        hook()
+
+    def spy(resource):
+        for task in resource._active:
+            if task.on_cancel is not None:
+                task.on_cancel = functools.partial(counted, task.on_cancel, task.label)
+        return terminate(resource)
+
+    monkeypatch.setattr(ComputeResource, "terminate", spy)
     runner = DistributedRunner(_scenario_config("preemption", "cohort"))
     result = runner.run()
     assert result.counters["preemptions"] > 0 and result.counters["timeouts"] > 0
+    assert fired, "no preemption dropped a compute with a cancel hook"
     stats = runner._dispatcher.stats
     computed = (
         stats["cohort_members"]

@@ -29,8 +29,9 @@ from repro.core import (
     VCASGDRule,
     make_rule,
 )
+from repro.core.codec_plane import VersionedParams
 from repro.core.rules import RULE_NAMES, ClientUpdate
-from repro.core.runner import MAX_BARRIER_RETRIES, VersionedParams
+from repro.core.runner import MAX_BARRIER_RETRIES
 from repro.data import SyntheticImageConfig
 from repro.errors import ConfigurationError, TrainingError
 from repro.nn.models import ModelSpec
@@ -246,11 +247,6 @@ class TestVersionTagging:
     def test_no_id_keyed_side_table(self):
         runner = DistributedRunner(tiny_config())
         assert not hasattr(runner, "_payload_versions")
-
-    def test_base_versions_pruned_at_epoch_end(self):
-        runner = DistributedRunner(tiny_config())
-        runner.run()
-        assert runner._wu_base_version == {}
 
     def test_staleness_samples_survive_refactor(self):
         result = DistributedRunner(tiny_config()).run()

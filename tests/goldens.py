@@ -238,7 +238,11 @@ GOLDENS: dict[str, Golden] = {
     # that timed out.  Re-captured when a download retry began to die
     # with its attempt (it was
     # dd727e9ccbc8f77fc70957f9c66cf2ba166a453caf903b517aa663ea1d685f6e,
-    # with one attempt computed twice on a client).
+    # with one attempt computed twice on a client), and again when the
+    # runner began to read each merge's staleness off the merged update
+    # (it was
+    # 2af5dd3fbfade2ca511bd8b69d5c2323bdc850eda0e2654e18db6160cde013f6,
+    # with one sample taken from a later compute of the same unit).
     "attempts/reissued_downloads": Golden(
         dict(
             num_clients=3,
@@ -249,7 +253,7 @@ GOLDENS: dict[str, Golden] = {
             ),
             step_jobs=1,
         ),
-        "2af5dd3fbfade2ca511bd8b69d5c2323bdc850eda0e2654e18db6160cde013f6",
+        "ec30f8f49fc8282f9dd02ca8037706b36ab9d15fff9aa6dd5b92b59562fda121",
     ),
 }
 

@@ -18,6 +18,7 @@ from repro.obs.spans import CLIENT_HOPS, SpanStore, span_summary
 
 from ..core.test_runner import tiny_config
 from ..chaos._invariants import seeded_plan
+from ..goldens import GOLDENS
 
 
 def rec(time, kind, **fields):
@@ -291,6 +292,16 @@ class TestRealRuns:
         store = SpanStore.from_trace(clean_runner.trace)
         lags = [m["staleness"] for m in store.merges()]
         assert lags == list(clean_runner.staleness_samples)
+
+    def test_staleness_of_a_reissued_unit_is_the_merged_attempts(self):
+        # Units reissued to the client that timed out on them: the runner
+        # reads each sample off the update the pool merged, so the lags
+        # are the ones its ps.assimilated records give.
+        runner = DistributedRunner(GOLDENS["attempts/reissued_downloads"].config())
+        runner.run()
+        lags = [m["staleness"] for m in SpanStore.from_trace(runner.trace).merges()]
+        assert runner.server.scheduler.timeouts > 0
+        assert sorted(runner.staleness_samples) == sorted(lags)
 
     def test_span_summary_payload_shape(self, chaos_runner):
         summary = span_summary(chaos_runner.trace)
