@@ -422,6 +422,9 @@ class DistributedRunner:
         # ---- epoch bookkeeping ---------------------------------------------------
         self._current_epoch = 0  # 0-based internally; reported 1-based
         self._epoch_workunits: list[Workunit] = []
+        # Scheduler terminal count when the epoch published (every earlier
+        # unit is terminal by then), so the count beyond it is this epoch's.
+        self._epoch_terminal_base = 0
         self._epoch_assimilated = 0
         if config.update_rule is None:
             # Legacy label: default VC-ASGD runs keep the paper's
@@ -847,6 +850,7 @@ class DistributedRunner:
             )
         self._epoch_param_file = param_file
         self._barrier_round = 0
+        self._epoch_terminal_base = self.server.scheduler.terminal_count()
         self._epoch_assimilated = 0
         self.obs.timer("run.epoch").start()
         if isinstance(self.work_generator, ShardedWorkGenerator):
@@ -866,7 +870,10 @@ class DistributedRunner:
         self.trace.emit(self.sim.now, "epoch.start", epoch=self._current_epoch)
 
     def _epoch_complete(self) -> bool:
-        if not all(wu.is_terminal for wu in self._epoch_workunits):
+        # O(1) on every simulated event: barrier retries and replicas are
+        # in both the scheduler's count and ``_epoch_workunits``.
+        terminal = self.server.scheduler.terminal_count() - self._epoch_terminal_base
+        if terminal < len(self._epoch_workunits):
             return False
         done = sum(
             1 for wu in self._epoch_workunits if wu.state is WorkunitState.DONE

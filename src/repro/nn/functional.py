@@ -56,8 +56,14 @@ def apply_kernel(x: Tensor, kernel: Kernel) -> Tensor:
 
 
 def relu_kernel(x: np.ndarray):
+    # Bitwise equal to ``np.where(x > 0, x, 0.0)`` at a fraction of the
+    # cost of a data-dependent masked select: ``fmax`` maps NaN and every
+    # non-positive value to 0.0, and the ``+ 0.0`` turns the -0.0 that
+    # ``fmax(-0.0, 0.0)`` may return into +0.0 (DESIGN.md §8.2).
     mask = x > 0
-    return np.where(mask, x, 0.0), lambda g: g * mask
+    out = np.fmax(x, 0.0)
+    out += 0.0
+    return out, lambda g: g * mask
 
 
 def leaky_relu_kernel(x: np.ndarray, negative_slope: float = 0.01):

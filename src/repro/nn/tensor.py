@@ -18,6 +18,7 @@ Design notes (following the HPC guides):
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,26 +28,33 @@ from ..errors import GradientError
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "unbroadcast"]
 
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    """Per-thread grad switch: a ``no_grad`` block on one thread (say, a
+    validation pass) must not strip the tape from another's training."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager disabling graph construction (inference mode)."""
+    """Context manager disabling graph construction (inference mode) on the
+    calling thread."""
 
     def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc: object) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _grad_mode.enabled = self._prev
 
 
 def is_grad_enabled() -> bool:
-    """Return whether new ops record themselves on the autograd tape."""
-    return _GRAD_ENABLED
+    """Return whether new ops on this thread record themselves on the
+    autograd tape."""
+    return _grad_mode.enabled
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -95,7 +103,7 @@ class Tensor:
         if arr.dtype.kind != "f":  # anything but a real floating dtype
             arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
-        self.requires_grad: bool = bool(requires_grad) and is_grad_enabled()
+        self.requires_grad: bool = bool(requires_grad) and _grad_mode.enabled
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -151,7 +159,7 @@ class Tensor:
         """Create a result node, recording the tape edge when grad is on."""
         parents = tuple(parents)
         out = Tensor(data)
-        if is_grad_enabled() and any(p.requires_grad for p in parents):
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward

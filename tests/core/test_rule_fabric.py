@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.boinc.workunit import WorkunitState
 from repro.core import (
     Checkpoint,
     ConstantAlpha,
@@ -233,6 +234,51 @@ class TestBarrierSemantics:
         ).run()
         assert len(result.epochs) == 2
         assert result.counters["barrier_stalls"] == 0
+
+
+class TestEpochCompletion:
+    """The scheduler's O(1) terminal count closes each epoch exactly when a
+    scan of the epoch's units would, through barrier retries, replicas and
+    sharded server planes."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(
+                update_rule=EASGDRule(moving_rate=0.2),
+                faults=FaultConfig(preemption_hourly_p=0.99, relaunch_delay_s=30.0),
+                max_attempts=1,
+            ),
+            dict(num_clients=3, replicas=2, quorum=1),
+            dict(num_param_servers=2, server_planes=2),
+        ],
+        ids=["barrier_retries", "replicas", "server_planes"],
+    )
+    def test_terminal_count_agrees_with_a_scan(self, overrides):
+        runner = DistributedRunner(tiny_config(**overrides))
+        counted = runner._epoch_complete
+        closed: list[int] = []
+
+        def checked() -> bool:
+            units = runner._epoch_workunits
+            done = sum(1 for wu in units if wu.state is WorkunitState.DONE)
+            scanned = (
+                all(wu.is_terminal for wu in units)
+                and runner._epoch_assimilated >= done
+            )
+            assert counted() == scanned
+            if scanned:
+                closed.append(len(units))
+            return scanned
+
+        runner._epoch_complete = checked
+        result = runner.run()
+        assert len(result.epochs) == 2
+        assert closed
+        if "update_rule" in overrides:
+            # Retries joined the epoch's units and its count alike.
+            assert result.counters["barrier_stalls"] >= 1
+            assert max(closed) > runner.config.num_shards
 
 
 class TestVersionTagging:

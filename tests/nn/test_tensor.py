@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GradientError
-from repro.nn.tensor import Tensor, no_grad, unbroadcast
+from repro.nn.tensor import Tensor, is_grad_enabled, no_grad, unbroadcast
 
 from ..conftest import numerical_gradient
 
@@ -163,6 +165,42 @@ class TestGraphMechanics:
             pass
         x = Tensor(np.ones(1), requires_grad=True)
         assert (x * 2).requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        # A validation pass under no_grad on one thread must not strip the
+        # tape from a training step another thread builds meanwhile.
+        entered, release = threading.Event(), threading.Event()
+        inside: list[bool] = []
+
+        def validate() -> None:
+            with no_grad():
+                inside.append(is_grad_enabled())
+                entered.set()
+                release.wait(timeout=30)
+
+        validator = threading.Thread(target=validate)
+        validator.start()
+        try:
+            assert entered.wait(timeout=30)
+            assert is_grad_enabled()
+            x = Tensor(np.ones(3), requires_grad=True)
+            (x * 2.0).sum().backward()
+            np.testing.assert_allclose(x.grad, [2.0, 2.0, 2.0])
+        finally:
+            release.set()
+            validator.join(timeout=30)
+        assert not validator.is_alive()
+        assert inside == [False]
+        assert is_grad_enabled()
+
+    def test_new_thread_starts_with_grad_enabled(self):
+        seen: list[bool] = []
+        with no_grad():
+            worker = threading.Thread(target=lambda: seen.append(is_grad_enabled()))
+            worker.start()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert seen == [True]
 
     def test_detach(self):
         x = Tensor(np.ones(3), requires_grad=True)
