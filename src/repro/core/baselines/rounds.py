@@ -112,7 +112,7 @@ class RoundHarness:
         # The evaluated model lives in one arena, as the runner's does.
         self.model = build_model(config.model, self.rngs.stream("init"))
         self._arena = self.model.to_arena()
-        self.initial_vec = self._arena.data[0].copy()
+        self.initial_vec = self._arena.layout.pack(self._arena)
         self.trainer = CohortTrainer(
             compile_program(build_model(config.model, np.random.default_rng(0))),
             "sgd",

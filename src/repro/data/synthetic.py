@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..nn.serialization import STEP_DTYPE
 from .dataset import Dataset
 
 __all__ = ["SyntheticImageConfig", "make_synthetic_images", "make_classification_splits"]
@@ -107,13 +108,18 @@ def make_synthetic_images(
     # the same class: within-class variation beyond additive noise.
     second_idx = rng.integers(cfg.prototypes_per_class, size=num_samples)
     mix = rng.uniform(0.55, 1.0, size=num_samples)[:, None, None, None]
-    first = protos[labels, proto_idx]
+    # mix * first + (1 - mix) * second, in place: the same products and
+    # sum as the expression, with two sample-sized arrays alive, not five.
+    x = protos[labels, proto_idx]
+    x *= mix
     second = protos[labels, second_idx]
-    x = mix * first + (1.0 - mix) * second
+    second *= 1.0 - mix
+    x += second
+    del second
     x += rng.normal(scale=cfg.noise_std, size=x.shape)
     if flat:
         x = x.reshape(num_samples, -1)
-    return x.astype(np.float64), labels.astype(np.int64)
+    return x.astype(STEP_DTYPE), labels.astype(np.int64)
 
 
 def make_classification_splits(

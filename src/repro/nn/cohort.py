@@ -392,7 +392,7 @@ def train_steps(
     included, so an order cut short ends its epoch early.  ``optimizer``
     must be over ``program.arena.trainable``; its state carries on from
     the previous call (callers that start a fresh subtask reset it).
-    Returns the ``(G, total_size)`` sum of every step's gradients when
+    Returns the float64 ``(G, total_size)`` sum of every step's gradients when
     ``collect_gradient`` (rules like Downpour), else None; the trained
     state is left in the arena.
     """
@@ -408,7 +408,7 @@ def train_steps(
     xs, ys = [shard.x for shard in shards], [shard.y for shard in shards]
     if min(int(y.min()) for y in ys) < 0:
         raise ShapeError("negative class label")
-    totals = np.zeros_like(arena.grad) if collect_gradient else None
+    totals = arena.layout.zeros(arena.group) if collect_gradient else None
     for epoch, n in enumerate(lengths):
         for start in range(0, n, batch_size):
             idxs = [member[epoch][start : start + batch_size] for member in orders]
@@ -451,9 +451,9 @@ class CohortTrainer:
         vector or one row per member — and return the stacked new parameter
         vectors and, when collected, the stacked accumulated gradients."""
         arena = self.program.arena
-        np.copyto(arena.data, base_vecs)
+        arena.layout.unpack_into(base_vecs, arena)
         self.optimizer.reset()
         totals = train_steps(
             self.program, self.optimizer, shards, orders, batch_size, collect_gradient
         )
-        return arena.data.copy(), totals
+        return arena.layout.pack(arena, out=arena.layout.zeros(arena.group)), totals

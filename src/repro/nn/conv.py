@@ -154,7 +154,11 @@ def conv2d(
 
     cols, oh, ow = im2col(x.data, kh, kw, stride, pad, workspace, tag="fwd")
     w2d = weight.data.reshape(co, ci * kh * kw)
-    out = np.matmul(cols, w2d.T, out=workspace.buffer("fwd:gemm", (n * oh * ow, co)))
+    # The GEMMs' own result dtype: wider input data widens the products.
+    dtype = np.result_type(cols, w2d)
+    out = np.matmul(
+        cols, w2d.T, out=workspace.buffer("fwd:gemm", (n * oh * ow, co), dtype)
+    )
     if bias is not None:
         out += bias.data
     out = out.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
@@ -165,17 +169,19 @@ def conv2d(
         # Materialized: for a batch of one sample a bare reshape is a
         # transposed view and the GEMMs would run with the other operand
         # order (different rounding).
-        g2d = workspace.buffer("bwd:g2d", (n * oh * ow, co))
+        g2d = workspace.buffer("bwd:g2d", (n * oh * ow, co), dtype)
         np.copyto(g2d.reshape(n, oh, ow, co), g.transpose(0, 2, 3, 1))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g2d.sum(axis=0))
         if weight.requires_grad:
             gw = np.matmul(
-                g2d.T, cols, out=workspace.buffer("bwd:gw", (co, ci * kh * kw))
+                g2d.T, cols, out=workspace.buffer("bwd:gw", (co, ci * kh * kw), dtype)
             )
             weight._accumulate(gw.reshape(weight.shape))
         if x.requires_grad:
-            gcols = np.matmul(g2d, w2d, out=workspace.buffer("bwd:gcols", cols.shape))
+            gcols = np.matmul(
+                g2d, w2d, out=workspace.buffer("bwd:gcols", cols.shape, dtype)
+            )
             x._accumulate(
                 col2im(gcols, (n, c, h, w), kh, kw, stride, pad, workspace, tag="bwd")
             )

@@ -67,7 +67,8 @@ def relu_kernel(x: np.ndarray):
 
 
 def leaky_relu_kernel(x: np.ndarray, negative_slope: float = 0.01):
-    scale = np.where(x > 0, 1.0, negative_slope)
+    one, slope = x.dtype.type(1.0), x.dtype.type(negative_slope)
+    scale = np.where(x > 0, one, slope)
     return x * scale, lambda g: g * scale
 
 

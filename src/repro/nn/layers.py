@@ -17,7 +17,7 @@ from ..errors import ConfigurationError, ShapeError
 from . import functional as F
 from .conv import avg_pool2d, conv2d, global_avg_pool2d, max_pool2d
 from .initializers import Initializer, get_initializer, he_normal
-from .serialization import BUFFER_PREFIX, ParameterArena, StateLayout
+from .serialization import BUFFER_PREFIX, STEP_DTYPE, ParameterArena, StateLayout
 from .tensor import Tensor
 from .workspace import Workspace
 
@@ -43,10 +43,12 @@ __all__ = [
 
 
 class Parameter(Tensor):
-    """A trainable tensor; always requires grad."""
+    """A trainable tensor of the step dtype; always requires grad."""
 
     def __init__(self, data: np.ndarray, name: str | None = None) -> None:
-        super().__init__(data, requires_grad=True, name=name)
+        super().__init__(
+            np.asarray(data, dtype=STEP_DTYPE), requires_grad=True, name=name
+        )
 
 
 class Module:
@@ -281,8 +283,8 @@ class BatchNorm(Module):
         self.eps = eps
         self.gamma = Parameter(np.ones(num_features))
         self.beta = Parameter(np.zeros(num_features))
-        self.register_buffer("running_mean", np.zeros(num_features))
-        self.register_buffer("running_var", np.ones(num_features))
+        self.register_buffer("running_mean", np.zeros(num_features, STEP_DTYPE))
+        self.register_buffer("running_var", np.ones(num_features, STEP_DTYPE))
 
     def _axes_and_shape(self, x: Tensor) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if x.ndim == 2:

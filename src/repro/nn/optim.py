@@ -156,7 +156,10 @@ class Optimizer:
 
     @property
     def lr(self) -> float:
-        return self.schedule.lr_at(self.step_count)
+        # A Python float multiplies in the parameters' own dtype under both
+        # NumPy 1.x and 2.x promotion; a NumPy scalar (a schedule's
+        # ``np.cos``) would widen a float32 update under NumPy 2 only.
+        return float(self.schedule.lr_at(self.step_count))
 
     def zero_grad(self) -> None:
         """Clear gradients on every managed parameter."""

@@ -16,6 +16,7 @@ from ..errors import ConfigurationError, ShapeError
 from . import functional as F
 from .initializers import Initializer, glorot_uniform
 from .layers import Module, Parameter
+from .serialization import STEP_DTYPE
 from .tensor import Tensor
 
 __all__ = ["RNNCell", "GRUCell", "LSTMCell", "RNN", "Embedding"]
@@ -71,7 +72,7 @@ class RNNCell(Module):
         return F.tanh(x @ self.w_xh + h @ self.w_hh + self.bias)
 
     def initial_state(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, self.hidden_size)))
+        return Tensor(np.zeros((batch, self.hidden_size), STEP_DTYPE))
 
 
 class GRUCell(Module):
@@ -105,7 +106,7 @@ class GRUCell(Module):
         return (1.0 - z) * h + z * n
 
     def initial_state(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, self.hidden_size)))
+        return Tensor(np.zeros((batch, self.hidden_size), STEP_DTYPE))
 
 
 class LSTMCell(Module):
@@ -152,7 +153,7 @@ class LSTMCell(Module):
         return h_next, c_next
 
     def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        zeros = np.zeros((batch, self.hidden_size))
+        zeros = np.zeros((batch, self.hidden_size), STEP_DTYPE)
         return Tensor(zeros.copy()), Tensor(zeros.copy())
 
 

@@ -9,6 +9,8 @@ representations are provided:
 * **flat vector** — all parameters packed into one contiguous ``float64``
   vector, used by the parameter-update rules so that Eq. (1) is a pair of
   vectorized in-place BLAS-1 operations rather than a per-layer Python loop.
+  The parameter servers, rules, codecs, validator, wire pricing and
+  checkpoints all work on these vectors.
 
 The flat codec is driven by :class:`StateLayout` — per-key offsets, shapes
 and sizes precomputed once per state-dict *signature* and cached, so the
@@ -19,6 +21,15 @@ asks for.
 A :class:`ParameterArena` is the storage counterpart of a layout: the
 whole state already *lives* in layout order, so packing and unpacking are
 one ``copyto`` and a step's gradients are one contiguous vector.
+
+Two number formats meet here.  A client step trains in :data:`STEP_DTYPE`
+(float32, the format the paper's TensorFlow/Keras clients train and ship
+parameters in): the arena, the optimizer state, the kernels' arrays, the
+tape's leaves and the data all have it.  The flat vectors stay float64.
+They meet at exactly two casts, both in :class:`StateLayout`:
+:meth:`~StateLayout.unpack_into` rounds a vector into an arena, and
+:meth:`~StateLayout.pack` (with :meth:`~StateLayout.accumulate` for a
+step's gradients) widens an arena back, exactly.
 """
 
 from __future__ import annotations
@@ -29,13 +40,17 @@ import threading
 import zlib
 from collections import OrderedDict
 from itertools import groupby
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import SerializationError
-from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .tensor import Tensor
 
 __all__ = [
+    "STEP_DTYPE",
     "BUFFER_PREFIX",
     "BLOCK_SIZE",
     "StateLayout",
@@ -61,14 +76,19 @@ __all__ = [
 ]
 
 
+# The number format of a client step: every array a step allocates (the
+# parameter arena, optimizer moments and scratch, kernel intermediates,
+# tape leaves, the synthetic data) has it.  One value, not an option.
+STEP_DTYPE = np.dtype(np.float32)
+
 # State-dict keys of non-trainable buffers (batch-norm running statistics)
 # carry this prefix; they occupy layout slots but never receive gradients.
 BUFFER_PREFIX = "buffer:"
 
 # Columns per block of the blocked elementwise passes over parameter
 # vectors (optimizer updates, the VC-ASGD merge, int8 quantization): their
-# scratch holds one block, not one model.  2**16 float64 scalars are
-# 512 KiB.
+# scratch holds one block, not one model.  2**16 scalars are 256 KiB in
+# the step dtype and 512 KiB in a float64 vector.
 BLOCK_SIZE = 1 << 16
 
 
@@ -153,24 +173,36 @@ class StateLayout:
 
         With ``out`` given, writes into it (no allocation) and returns it;
         otherwise allocates a fresh vector.  Only per-key *sizes* must
-        match the layout: each entry is ravelled.  A single-member
-        :class:`ParameterArena` is already in layout order: one copy.
+        match the layout: each entry is ravelled.  A
+        :class:`ParameterArena` is already in layout order: one copy,
+        which widens its step dtype to float64 exactly.  A single member
+        packs to one vector; a larger arena packs one row per member into
+        an ``out`` shaped like its ``data``.
         """
+        if isinstance(state, ParameterArena):
+            self._check_arena(state)
+            rows = state.data
+            if out is None or out.ndim == 1:
+                if state.group != 1:
+                    raise SerializationError(
+                        f"cannot pack a {state.group}-member arena into one vector"
+                    )
+                rows = rows[0]
+            if out is None:
+                out = np.empty(self.total_size, dtype=np.float64)
+            elif out.shape != rows.shape:
+                raise SerializationError(
+                    f"pack out buffer has shape {out.shape}, expected {rows.shape}"
+                )
+            np.copyto(out, rows)
+            return out
         if out is None:
-            out = np.empty(self.total_size)
+            out = np.empty(self.total_size, dtype=np.float64)
         elif out.shape != (self.total_size,):
             raise SerializationError(
                 f"pack out buffer has shape {out.shape}, "
                 f"expected ({self.total_size},)"
             )
-        if isinstance(state, ParameterArena):
-            self._check_arena(state)
-            if state.group != 1:
-                raise SerializationError(
-                    f"cannot pack a {state.group}-member arena into one vector"
-                )
-            np.copyto(out, state.data[0])
-            return out
         for key, offset, size in zip(self.keys, self.offsets, self.sizes):
             try:
                 value = state[key]
@@ -178,7 +210,7 @@ class StateLayout:
                 raise SerializationError(
                     f"state dict is missing key {key!r} required by layout"
                 ) from None
-            flat = np.asarray(value, dtype=np.float64).ravel()
+            flat = np.asarray(value).ravel()
             if flat.size != size:
                 raise SerializationError(
                     f"entry {key!r} has {flat.size} scalars, layout expects {size}"
@@ -191,7 +223,11 @@ class StateLayout:
             raise SerializationError("arena was built for a different state layout")
 
     def _check_vector(self, vector: np.ndarray) -> np.ndarray:
-        vector = np.asarray(vector, dtype=np.float64)
+        # A floating vector is taken as it is: an arena row stays a view of
+        # its arena (a copy here would bind a model to a detached copy).
+        vector = np.asarray(vector)
+        if vector.dtype.kind != "f":
+            vector = vector.astype(np.float64)
         if vector.ndim != 1 or vector.size != self.total_size:
             raise SerializationError(
                 f"vector of size {vector.size} does not match template "
@@ -216,18 +252,27 @@ class StateLayout:
     def unpack_into(
         self, vector: np.ndarray, arena: "ParameterArena"
     ) -> "ParameterArena":
-        """Copy ``vector`` into ``arena`` in one copy, broadcast to every
-        member."""
-        vector = self._check_vector(vector)
+        """Copy ``vector`` into ``arena`` in one copy, rounding it to the
+        step dtype: one ``(total_size,)`` vector broadcast to every member,
+        or one ``(group, total_size)`` row per member."""
         self._check_arena(arena)
-        np.copyto(arena.data, vector)
+        if np.ndim(vector) == 2 and np.shape(vector) == arena.data.shape:
+            np.copyto(arena.data, vector)
+        else:
+            np.copyto(arena.data, self._check_vector(vector))
         return arena
 
     # -- gradients -----------------------------------------------------------
 
+    def zeros(self, rows: int) -> np.ndarray:
+        """``(rows, total_size)`` zeroed float64 vectors, e.g. the
+        accumulator :meth:`accumulate` adds a run of steps' gradients into."""
+        return np.zeros((rows, self.total_size), dtype=np.float64)
+
     def accumulate(self, arena: "ParameterArena", out: np.ndarray) -> np.ndarray:
         """Add one step's gradients into ``out`` in place: one add, ``out``
-        shaped like ``arena.grad`` or, for one member, like its row.
+        shaped like ``arena.grad`` or, for one member, like its row.  A
+        float64 ``out`` receives the step-dtype gradients widened exactly.
         Buffer slots of ``arena.grad`` are never written, so they add zero.
         """
         self._check_arena(arena)
@@ -237,7 +282,8 @@ class StateLayout:
 class ParameterArena:
     """``group`` copies of one model state, each flat in layout order.
 
-    ``data`` and ``grad`` are ``(group, total_size)`` arrays; every
+    ``data`` and ``grad`` are ``(group, total_size)`` arrays of
+    :data:`STEP_DTYPE`; every
     parameter, buffer and gradient of a member is a view into its row, so
     loading a parameter file, packing the trained state and summing a
     step's gradients are single whole-arena operations.  ``trainable``
@@ -255,8 +301,10 @@ class ParameterArena:
             raise SerializationError(f"arena group must be >= 1, got {group}")
         self.layout = layout
         self.group = group
-        self.data = np.zeros((group, layout.total_size))
-        self.grad = np.zeros((group, layout.total_size))
+        from .tensor import Tensor  # tensor.py reads STEP_DTYPE from here
+
+        self.data = np.zeros((group, layout.total_size), dtype=STEP_DTYPE)
+        self.grad = np.zeros((group, layout.total_size), dtype=STEP_DTYPE)
         self.trainable: list[Tensor] = []
         slots = zip(layout.keys, layout.offsets, layout.sizes)
         for is_buffer, run in groupby(

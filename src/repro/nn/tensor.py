@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..errors import GradientError
+from .serialization import STEP_DTYPE
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "unbroadcast"]
 
@@ -83,8 +84,11 @@ class Tensor:
     Parameters
     ----------
     data:
-        Anything convertible to a float64/float32 array.  Arrays are used
-        as-is (no copy) when their dtype is already floating.
+        Anything convertible to a floating array.  A floating NumPy array
+        or scalar is used as-is (no copy), in its own dtype; anything
+        else — a Python scalar, a list, an integer array — becomes an
+        array of the step dtype
+        (:data:`~repro.nn.serialization.STEP_DTYPE`).
     requires_grad:
         Whether to allocate a ``.grad`` buffer and participate in backward.
     """
@@ -99,9 +103,10 @@ class Tensor:
     ) -> None:
         if isinstance(data, Tensor):  # pragma: no cover - defensive
             data = data.data
-        arr = np.asarray(data)
-        if arr.dtype.kind != "f":  # anything but a real floating dtype
-            arr = arr.astype(np.float64)
+        if isinstance(data, (np.ndarray, np.generic)) and data.dtype.kind == "f":
+            arr = np.asarray(data)
+        else:
+            arr = np.asarray(data, dtype=STEP_DTYPE)
         self.data: np.ndarray = arr
         self.requires_grad: bool = bool(requires_grad) and _grad_mode.enabled
         self.grad: np.ndarray | None = None
@@ -205,7 +210,13 @@ class Tensor:
     # Arithmetic — each op closes over its inputs and defines its adjoint.
     # ------------------------------------------------------------------
     def _coerce(self, other: "Tensor | float | int | np.ndarray") -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, (int, float)):
+            # A Python scalar takes this tensor's dtype, as NumPy 2 treats
+            # it: a constant never widens or narrows the arithmetic.
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return Tensor(other)
 
     def __add__(self, other: "Tensor | float | int | np.ndarray") -> "Tensor":
         other = self._coerce(other)

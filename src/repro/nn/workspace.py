@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .serialization import STEP_DTYPE
+
 __all__ = ["Workspace"]
 
 
@@ -47,7 +49,7 @@ class Workspace:
         self._buffers: dict[tuple, np.ndarray] = {}
 
     def buffer(
-        self, tag: str, shape: tuple[int, ...], dtype: np.dtype | type = np.float64
+        self, tag: str, shape: tuple[int, ...], dtype: np.dtype | type = STEP_DTYPE
     ) -> np.ndarray:
         key = (tag, shape, np.dtype(dtype))
         buf = self._buffers.get(key)
@@ -57,7 +59,7 @@ class Workspace:
         return buf
 
     def zeros(
-        self, tag: str, shape: tuple[int, ...], dtype: np.dtype | type = np.float64
+        self, tag: str, shape: tuple[int, ...], dtype: np.dtype | type = STEP_DTYPE
     ) -> np.ndarray:
         buf = self.buffer(tag, shape, dtype)
         buf.fill(0)

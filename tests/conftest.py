@@ -33,6 +33,22 @@ def tiny_splits(rng) -> tuple[Dataset, Dataset, Dataset]:
     )
 
 
+def in_float64(module):
+    """``module`` with every parameter and buffer re-homed in a float64 copy.
+
+    Layers build their state in the float32 step dtype; a central difference
+    at ``eps=1e-6`` is below float32 resolution, so gradient checks widen the
+    model first and then compare at float64 precision.
+    """
+    for p in module._parameters.values():
+        p.data, p.grad = p.data.astype(np.float64), None
+    for name, buffer in module._buffers.items():
+        module.register_buffer(name, buffer.astype(np.float64))
+    for child in module._modules.values():
+        in_float64(child)
+    return module
+
+
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of scalar-valued ``f`` at ``x``."""
     grad = np.zeros_like(x, dtype=np.float64)

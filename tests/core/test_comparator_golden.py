@@ -5,7 +5,9 @@ trajectories bit-for-bit — epoch/round records plus (single instance)
 final parameters — across any refactor of the training loop.  The round
 cases run with dropouts and a ``local_steps`` cap that stops mid-pass, so
 the truncated last batch order and the barrier rule's redraws are pinned
-too.  A moved digest means the comparators' numbers changed.
+too.  A moved digest means the comparators' numbers changed.  Every
+digest here was re-captured when client steps moved to the float32 step
+dtype (DESIGN.md §8.7).
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ def single_instance_digest(config) -> str:
 
 
 SINGLE_INSTANCE = {
-    "adam": (dict(max_epochs=3), "6f40d4d455d061e046ff5f6e0b75f2cb"),
+    "adam": (dict(max_epochs=3), "54495d569646b35b654a7950b8743804"),
     "sgd": (
         dict(
             max_epochs=3,
             local_training=LocalTrainingConfig(optimizer="sgd", learning_rate=0.05),
         ),
-        "297016ef5143246db3a60664540d5e3f",
+        "d810992a86f40d02f512e12b56efac23",
     ),
     "batchnorm": (
         dict(
@@ -56,7 +58,7 @@ SINGLE_INSTANCE = {
                 {"in_features": 48, "hidden": [8], "num_classes": 4, "batch_norm": True},
             ),
         ),
-        "2c9849d65e86cd5de7cd42f04784ffbf",
+        "ca2545c4d7df089a24f0b9fdec0062e8",
     ),
 }
 
@@ -73,13 +75,13 @@ ROUND_CONFIG = dict(num_rounds=5, dropout_p=0.3, local_steps=6)
 
 ROUND_RULES = {
     "vcasgd": (
-        lambda: VCASGDRule(ConstantAlpha(0.7)), "150be55b2a10f6b5c33a394c8622d5ee"
+        lambda: VCASGDRule(ConstantAlpha(0.7)), "7ca1f2a4f5657b8f723ad28b867bde04"
     ),
     "downpour": (
-        lambda: DownpourRule(server_lr=0.02), "0f21c85a58f91fb861d540cc42d52aa8"
+        lambda: DownpourRule(server_lr=0.02), "99b2ad1a6cd8798721b18db040c81781"
     ),
     "easgd": (
-        lambda: EASGDRule(moving_rate=0.2), "d9253632c3a07ae2b5d7077176062f16"
+        lambda: EASGDRule(moving_rate=0.2), "b785e771c4334312373f80f0d4c7bc88"
     ),
 }
 

@@ -105,23 +105,25 @@ _ORDERED = partial(run_digest, trace="ordered")
 # block, so it drives the blocked loops end to end.
 WIDE_MLP = ModelSpec("mlp", {"in_features": 48, "hidden": [1400], "num_classes": 4})
 
+# Every hex below was re-captured, the captions' histories aside, when
+# client steps moved to the float32 step dtype (DESIGN.md §8.7).
 GOLDENS: dict[str, Golden] = {
     # Captured on the serial path when the multi-core plane landed
     # (DESIGN.md §8.5).  The default-path digest: if it moves, default
     # runs changed.  Every execution combo must hash to it.
     "multicore/p1c3t2": Golden(
         dict(num_clients=3, step_jobs=1),
-        "7d17db9b18a335a4326d274d051597c804f488c740f1ccb114cf97060a691be4",
+        "431d71e0e591a2968919e2ce5b236b170a3a49ec69c12310e763d55d0315ee6c",
     ),
     # Captured on the commit preceding the codec plane: with codec=None
     # the plane is dormant.
     "codec_none/vcasgd": Golden(
         dict(),
-        "5b8acddfaa6e9e020419fc346fe18c16d4fc5899bcc8c116964d7ac9e4af40b5",
+        "4ce96710afc5b4f6ba6b190dbfcd350b50b4d9c7ae9908f175274b4ee6a61ea3",
     ),
     "codec_none/downpour": Golden(
         dict(num_clients=3, update_rule=make_rule("downpour", server_lr=0.05)),
-        "3a96ad63bad955afecd268e2a05a0f1b279c9759151c0a062a7ce07e33050c89",
+        "475d10c00ca6253d4ffd9d87aa232b56c1b87f34de7447b161b48a7a7ec02966",
     ),
     # Lossy-codec pins, captured before parameter files were kept in their
     # encoded form and before the optimizer/merge/encoder scratch became
@@ -129,11 +131,11 @@ GOLDENS: dict[str, Golden] = {
     # replicated run, where the plane turns it off.
     "codec_lossy/int8_wide": Golden(
         dict(codec="int8", model=WIDE_MLP),
-        "c26df9a86ae89b875184e42d92b40a7cd8b2c77924b46f2c1d79496d062fa940",
+        "263129464ccee92c5b6bfbe01feaf27dcfe1782a0dd8fee02ddf9892cc2260cf",
     ),
     "codec_lossy/fp16": Golden(
         dict(codec="fp16"),
-        "9ee43626211d540e94dab34d3131c3afa91d21f10d9fd78458baaa7a733fe8a8",
+        "bdae141dee7a27cf4419d3355c311778d2275e826eed42713be4758607e6ba2f",
     ),
     "codec_lossy/topk_int8_downpour": Golden(
         dict(
@@ -141,11 +143,11 @@ GOLDENS: dict[str, Golden] = {
             codec_quant="int8",
             update_rule=make_rule("downpour", server_lr=0.05),
         ),
-        "6c6e75642f5652c2c128a06382da4e8c7dbfcbd639fe448b56166bb8ec713281",
+        "a391d16e2a736eec0c8bb868d2254aa99d9a39bb04c2e2f410ea17823bcdb738",
     ),
     "codec_lossy/fp16_replicated": Golden(
         dict(num_clients=3, codec="fp16", replicas=2, quorum=2),
-        "a9c50364860069afd8acfcf94c97dd56fae3883bb11563ffe8a39a8db77fdc6f",
+        "b94da7ef2301e5afc044259ada65d8bdf3289e6b7b4325682d28fc43c15b84d7",
     ),
     # Captured on the commit preceding the adversary fabric: with no
     # adversary the fabric is invisible.  plain_corrupt was re-captured
@@ -154,11 +156,11 @@ GOLDENS: dict[str, Golden] = {
     # (replicas already drew per logical workunit).
     "byzantine/plain_corrupt": Golden(
         dict(num_clients=3, faults=FaultConfig(corrupt_clients=1, corruption_scale=0.5)),
-        "6fd2cd9994ca81ebaf2dbf567c26d3e739f2f3b257bf47087b09384c63509f2b",
+        "6e01b1bcad9d5c4297db2270eba57b002804a7131a57a2fbf4a2a6f041644181",
     ),
     "byzantine/replicated": Golden(
         dict(num_clients=4, replicas=2, quorum=2),
-        "c3b55332130b2798eda77c314e150bd87611bd4305f8e2d936a0f78641a22240",
+        "76c2bea9e9b95919516f43788308ec675cadc932613b2c2084c7ec8944a8dd24",
         _NO_TRACE,
     ),
     # Codec compositions the benchmark does not cover, captured on the
@@ -167,7 +169,7 @@ GOLDENS: dict[str, Golden] = {
     # 13 timeouts, 3 of them reissued to the client that timed out.
     "upload/int8_timeouts": Golden(
         dict(codec="int8", subtask_timeout_s=150),
-        "036300099700196682e11b8f8d9b129c57aee5f745f921bcdd2591729bbbdb80",
+        "7bf44fbef772cf1871fac4fdb47e3909d84ccea72ee37419d7b6c8095089201b",
         _ORDERED,
     ),
     # One preemption mid-compute; its two attempts are reissued.
@@ -178,7 +180,7 @@ GOLDENS: dict[str, Golden] = {
             max_epochs=3,
             faults=FaultConfig(preemption_hourly_p=0.9, relaunch_delay_s=30),
         ),
-        "8e2e43e93f7a56ddf44311f233d98ab22b364d22bdd845216ddedcf89df1cbfc",
+        "70b881da94fc3c919b7d3aa334d433db6f9bf8dc15f1f1b90683d377a0b571be",
         _ORDERED,
     ),
     # A sole parameter server crashes and restores from its checkpoint,
@@ -194,7 +196,7 @@ GOLDENS: dict[str, Golden] = {
                 )
             ),
         ),
-        "8b081088bf4657168f7eb77af4e2342571fa0b257f29584cc6eb1087ea0a9c74",
+        "0d135df02b34983777b232e06ff33fa82586575e4b684df47ef0f43aa10fe4fe",
         _ORDERED,
     ),
     # The gradient stream.
@@ -204,34 +206,34 @@ GOLDENS: dict[str, Golden] = {
             num_clients=3,
             update_rule=make_rule("downpour", server_lr=0.05),
         ),
-        "c60b553491cefa81828ec6994e5957b357114cac6bf3e2e31289417eab0cee01",
+        "d819230e601c56c44815fd28cca5530dd7e46a1deb6e46c9e0a71deced02186f",
         _ORDERED,
     ),
     "upload/zlib": Golden(
         dict(codec="zlib"),
-        "30de0f46ff39c6089fbe6f42a477283116ab31a47e39b2650ead41b17e38d3a9",
+        "800158ec86663b36f3e36a705766b74e2d60cf53e9c6ff799ae47f5f6ea43258",
         _ORDERED,
     ),
     "upload/delta": Golden(
         dict(codec="delta"),
-        "ae61dbf891974c6ac66923d130e8680ff03c2271fe57314fc9d81049699ea2cb",
+        "04f7634c602ebd639ddfaad4ec77f566c5a8504eca4e91c4a70661133ff9e702",
         _ORDERED,
     ),
     "upload/topk": Golden(
         dict(codec="topk"),
-        "4b57f2cda9af4b2ecf77d7fd241d08dda5c5d053996b5a5b22cb302d3bc6a264",
+        "fa42089994d4cf8041929f84d160af93fa61936372770e3051d15a7d1e397288",
         _ORDERED,
     ),
     # The ordered records alone, captured on the same tree as the upload
     # compositions.
     "trace_order/int8": Golden(
         dict(codec="int8"),
-        "3a0fcc1b0c530b5530416ea09290f95e528e15701642611215226aa61dc2a3a7",
+        "8db492bbd4373fc9ab498fcd59666f63d423c2eb9534f054371653b61d01c8cc",
         trace_digest,
     ),
     "trace_order/zlib": Golden(
         dict(codec="zlib"),
-        "638284997393838af13da99b5d912a451d65e34cecd340ad5fbce8903f5ddc1d",
+        "2b221efdf9cf0f94f26f31922d36a667b410ebd366c3cbf22eefbefaa368802b",
         trace_digest,
     ),
     # Transfer failures with timeouts that reissue units to the client
@@ -253,7 +255,7 @@ GOLDENS: dict[str, Golden] = {
             ),
             step_jobs=1,
         ),
-        "ec30f8f49fc8282f9dd02ca8037706b36ab9d15fff9aa6dd5b92b59562fda121",
+        "0407c06f5a9d85dcad382a00e4d072ef27206d05c5a603c54f5178ce48de0d18",
     ),
 }
 

@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError
 from repro.nn import Adam, Dense, Tensor, cross_entropy
 from repro.nn.rnn import RNN, Embedding, LSTMCell
 
-from ..conftest import numerical_gradient
+from ..conftest import in_float64, numerical_gradient
 
 
 class TestLSTMCell:
@@ -48,7 +48,7 @@ class TestLSTMCell:
         np.testing.assert_allclose(out.data[:, -1, :], h.data)
 
     def test_bptt_gradient_matches_numeric(self, rng):
-        cell = LSTMCell(3, 4, rng)
+        cell = in_float64(LSTMCell(3, 4, rng))
         rnn = RNN(cell)
         x = rng.normal(size=(2, 3, 3))
 

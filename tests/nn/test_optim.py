@@ -206,7 +206,8 @@ class TestArenaOptimizers:
             for (_, pa), (_, pb) in zip(
                 per_param.named_parameters(), fused.named_parameters()
             ):
-                grad = rng.normal(size=pa.data.shape)
+                # A gradient always has its parameter's (step) dtype.
+                grad = rng.normal(size=pa.data.shape).astype(pa.data.dtype)
                 pa.grad = grad.copy()
                 pb.grad[...] = grad  # a view into arena.grad: write through
             opt_a.step()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.nn import Tensor, cross_entropy, make_mlp
 from repro.nn.layers import ReLU
 
-from ..conftest import numerical_gradient
+from ..conftest import in_float64, numerical_gradient
 
 
 @settings(max_examples=20, deadline=None)
@@ -30,12 +30,14 @@ def test_property_random_mlp_gradients_match_numeric(
 ):
     rng = np.random.default_rng(seed)
     in_features, classes = 5, 3
-    model = make_mlp(
-        rng,
-        in_features=in_features,
-        hidden=tuple([width] * depth),
-        num_classes=classes,
-        activation=activation,
+    model = in_float64(
+        make_mlp(
+            rng,
+            in_features=in_features,
+            hidden=tuple([width] * depth),
+            num_classes=classes,
+            activation=activation,
+        )
     )
     x = rng.normal(size=(batch, in_features))
     # Keep ReLU inputs away from the kink for a clean numeric comparison.
@@ -71,7 +73,7 @@ def test_property_gradients_zero_for_uninvolved_classes(seed):
     """Bias gradient of the logit layer sums to zero across classes
     (softmax cross-entropy's probability conservation)."""
     rng = np.random.default_rng(seed)
-    model = make_mlp(rng, in_features=4, hidden=(5,), num_classes=4)
+    model = in_float64(make_mlp(rng, in_features=4, hidden=(5,), num_classes=4))
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 4, size=6)
     model.zero_grad()

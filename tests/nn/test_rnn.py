@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.nn import Adam, Dense, Tensor, cross_entropy
 from repro.nn.rnn import RNN, Embedding, GRUCell, RNNCell
 
-from ..conftest import numerical_gradient
+from ..conftest import in_float64, numerical_gradient
 
 
 class TestEmbedding:
@@ -104,7 +104,7 @@ class TestRNNUnroll:
         assert not np.allclose(out1.data, out2.data)
 
     def test_bptt_gradient_matches_numeric(self, rng):
-        cell = RNNCell(3, 4, rng)
+        cell = in_float64(RNNCell(3, 4, rng))
         rnn = RNN(cell)
         x = rng.normal(size=(2, 4, 3))
 
@@ -118,7 +118,7 @@ class TestRNNUnroll:
         np.testing.assert_allclose(cell.w_hh.grad, numeric, rtol=1e-4, atol=1e-6)
 
     def test_gru_bptt_gradient_matches_numeric(self, rng):
-        cell = GRUCell(3, 4, rng)
+        cell = in_float64(GRUCell(3, 4, rng))
         rnn = RNN(cell)
         x = rng.normal(size=(2, 3, 3))
 

@@ -13,7 +13,12 @@ from repro.core import DistributedRunner, TrainingJobConfig
 from repro.errors import SerializationError
 from repro.nn.losses import cross_entropy
 from repro.nn.models import make_mlp
-from repro.nn.serialization import BUFFER_PREFIX, ParameterArena, StateLayout
+from repro.nn.serialization import (
+    BUFFER_PREFIX,
+    STEP_DTYPE,
+    ParameterArena,
+    StateLayout,
+)
 from repro.nn.tensor import Tensor
 
 
@@ -98,7 +103,9 @@ class TestViewsAndAliasing:
         arena.layout.unpack_into(vec, arena)  # writes through, never rebinds
         for key, array in model.state_arrays().items():
             assert array is bindings[key]
-        assert arena.layout.pack(model.state_arrays()).tobytes() == vec.tobytes()
+        # Unpacking rounds to the step dtype; packing widens back exactly.
+        rounded = vec.astype(STEP_DTYPE).astype(np.float64)
+        assert arena.layout.pack(model.state_arrays()).tobytes() == rounded.tobytes()
 
     def test_pack_size_mismatch_raises(self, rng):
         state = {"w": rng.normal(size=(4, 3))}
@@ -167,7 +174,7 @@ class TestArena:
         model.load_state_dict(fresh)
         for key, array in model.state_arrays().items():
             assert array is bindings[key]  # identity preserved, as documented
-        assert arena.data[0].tobytes() == legacy_pack(fresh).tobytes()
+        assert arena.data[0].tobytes() == legacy_pack(fresh).astype(STEP_DTYPE).tobytes()
 
     def test_unpack_into_arena_is_one_broadcast_copy(self, rng):
         model = self._model(rng)
@@ -175,7 +182,8 @@ class TestArena:
         stacked = ParameterArena(layout, group=3)
         vec = rng.normal(size=layout.total_size)
         assert layout.unpack_into(vec, stacked) is stacked
-        assert all(stacked.data[g].tobytes() == vec.tobytes() for g in range(3))
+        rounded = vec.astype(STEP_DTYPE)
+        assert all(stacked.data[g].tobytes() == rounded.tobytes() for g in range(3))
         with pytest.raises(SerializationError):
             layout.pack(stacked)  # three members do not fit one vector
         other = StateLayout.for_state({"w": np.zeros(layout.total_size)})
@@ -209,5 +217,6 @@ class TestArena:
         for key, array in resumed._eval_model.state_arrays().items():
             assert array is bindings[key] and array.base is resumed._eval_arena.data
         assert (
-            resumed._eval_arena.data[0].tobytes() == first.checkpoint().params.tobytes()
+            resumed._eval_arena.data[0].tobytes()
+            == first.checkpoint().params.astype(STEP_DTYPE).tobytes()
         )
