@@ -21,7 +21,7 @@ Usage::
         [--quick] [--full] [--out FILE] \
         [--baseline FILE] [--max-regression 2.0]
     PYTHONPATH=src python benchmarks/perf/bench_fleet.py \
-        --watcher LABEL [--out FILE]
+        --watcher LABEL [--quick] [--out FILE] [--max-watcher-share X]
 
 ``--quick`` runs the 1k fleet only (the CI fleet-smoke job);
 ``--full`` adds a 100k fleet on top of the default 1k + 10k.
@@ -31,10 +31,13 @@ non-zero if any shared fleet size got slower than ``--max-regression``×
 regression).
 
 ``--watcher LABEL`` prices the watcher instead (ROADMAP 5b): the 1k and
-10k fleets are timed three ways — auditor attached, auditor detached
-(records still buffered and counted), ``Trace.emit`` stubbed out — and
-the split is stored under ``watcher[LABEL]``; with ``--out`` it is merged
-into the existing report, so a before/after pair lives in one file.
+10k fleets (the 1k fleet alone with ``--quick``) are timed three ways —
+auditor attached, auditor detached (records still buffered and counted),
+``Trace.emit`` stubbed out — and the split is stored under
+``watcher[LABEL]``; with ``--out`` it is merged into the existing report,
+so a before/after pair lives in one file.  ``--max-watcher-share X``
+exits non-zero if any timed fleet's watcher share exceeds ``X`` (a ratio
+of same-machine runs, so the gate holds across hardware).
 """
 
 from __future__ import annotations
@@ -315,7 +318,8 @@ def check_regression(report: dict, baseline: dict, max_ratio: float) -> list[str
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--quick", action="store_true", help="1k fleet only (CI fleet-smoke)"
+        "--quick", action="store_true",
+        help="1k fleet only (CI fleet-smoke; also with --watcher)"
     )
     parser.add_argument(
         "--full", action="store_true", help="add the 100k fleet"
@@ -328,13 +332,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-regression", type=float, default=2.0, metavar="X")
     parser.add_argument(
         "--watcher", default=None, metavar="LABEL",
-        help="time 1k + 10k attached/detached/emit-stubbed; store the split "
-        "under watcher[LABEL] (merged into --out if it exists)",
+        help="time 1k + 10k (1k with --quick) attached/detached/emit-stubbed; "
+        "store the split under watcher[LABEL] (merged into --out if it exists)",
+    )
+    parser.add_argument(
+        "--max-watcher-share", type=float, default=None, metavar="X",
+        help="with --watcher: fail if a fleet's watcher share exceeds X",
     )
     args = parser.parse_args(argv)
+    if args.max_watcher_share is not None and not args.watcher:
+        parser.error("--max-watcher-share needs --watcher")
 
     if args.watcher:
-        split = run_watcher_split(GATED_SIZES)
+        split = run_watcher_split(GATED_SIZES[:1] if args.quick else GATED_SIZES)
         report = {"schema": SCHEMA}
         if args.out and os.path.exists(args.out):
             with open(args.out) as fh:
@@ -346,6 +356,23 @@ def main(argv: list[str] | None = None) -> int:
                 json.dump(report, fh, indent=1)
                 fh.write("\n")
             print(f"watcher split merged into {args.out}", file=sys.stderr)
+        if args.max_watcher_share is not None:
+            over = [
+                f"{label}: watcher share {fleet['watcher_share']:.3f} > "
+                f"{args.max_watcher_share:.3f}"
+                for label, fleet in split["fleets"].items()
+                if fleet["watcher_share"] > args.max_watcher_share
+            ]
+            if over:
+                print("WATCHER TOO DEAR:", file=sys.stderr)
+                for line in over:
+                    print(f"  {line}", file=sys.stderr)
+                return 1
+            print(
+                "watcher gate: share within "
+                f"{args.max_watcher_share:.2f} of the run",
+                file=sys.stderr,
+            )
         return 0
 
     if args.quick:

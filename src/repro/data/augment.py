@@ -70,7 +70,7 @@ def random_crop(padding: int = 1) -> Augmentation:
 
 
 def gaussian_noise(std: float = 0.1) -> Augmentation:
-    """Additive white noise."""
+    """Additive white noise, added in the batch's (floating) dtype."""
     if std < 0:
         raise ConfigurationError("std must be non-negative")
 
@@ -78,7 +78,7 @@ def gaussian_noise(std: float = 0.1) -> Augmentation:
         _check_nchw(x)
         if std == 0.0:
             return x.copy()
-        return x + rng.normal(scale=std, size=x.shape)
+        return np.add(x, rng.normal(scale=std, size=x.shape), dtype=x.dtype)
 
     return apply
 

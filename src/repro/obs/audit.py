@@ -32,13 +32,21 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from ..boinc.replication import logical_id
 from ..errors import InvariantViolation
 from ..simulation.tracing import Trace, TraceRecord
 
 __all__ = ["AuditReport", "InvariantAuditor"]
+
+# The per-workunit flags word: which lifecycle records a unit has seen.
+_VALID = 1  # server.result_valid
+_ASSIMILATED = 2  # server.assimilated
+_POOL_MERGED = 4  # ps.assimilated
+_EXHAUSTED = 8  # sched.exhausted (-> ERROR)
+_CANCELLED = 16  # sched.cancelled
+_TERMINAL = _VALID | _EXHAUSTED | _CANCELLED
 
 
 @dataclass
@@ -69,17 +77,18 @@ class InvariantAuditor:
         self.strict = strict
         self.violations: list[str] = []
         self.checks = 0
-        self.records_seen = 0
-        self.kind_counts: Counter[str] = Counter()
+        # Record counts are the trace's: while attached, the auditor
+        # reads them off its trace (relative to the counts at attach);
+        # ``_counted`` holds what replay counted and what earlier
+        # attachments saw.
+        self._trace: Trace | None = None
+        self._base: Counter[str] = Counter()
+        self._counted: Counter[str] = Counter()
         # Lifecycle state, keyed by workunit id.
         self._created: dict[str, tuple[int, int]] = {}  # wu -> (epoch, shard)
         self._assigned: dict[str, str] = {}  # wu -> client, compute not started
-        self._valid: set[str] = set()  # server.result_valid seen
+        self._flags: dict[str, int] = {}  # wu -> _VALID | _ASSIMILATED | ...
         self._granted: dict[str, float] = {}  # wu -> credit amount
-        self._assimilated: set[str] = set()  # server.assimilated seen
-        self._pool_merged: set[str] = set()  # ps.assimilated seen
-        self._exhausted: set[str] = set()  # sched.exhausted (-> ERROR)
-        self._cancelled: set[str] = set()  # sched.cancelled
         self._denials = 0
         # Quorum-deferred credit bookkeeping: valid replicas denied by
         # their quorum (loser/failed), and logical units whose quorum
@@ -92,10 +101,11 @@ class InvariantAuditor:
         self._open_epoch: int | None = None
         self._epochs_ended = 0
         # kind -> bound handler, spelled out: a kind reaches exactly the
-        # handler listed here and nothing else on the instance.  Every key
-        # is catalogued in docs/TRACE_KINDS.md (pinned by the drift-guard
-        # test).
-        self._handlers: dict[str, Callable[[TraceRecord], None]] = {
+        # handler listed here and nothing else on the instance.  It is
+        # also the subscription: the trace routes only these kinds here.
+        # Every key is catalogued in docs/TRACE_KINDS.md (pinned by the
+        # drift-guard test).
+        self._handlers: dict[str, Callable[[float, dict[str, Any]], None]] = {
             "sched.created": self._audit_sched_created,
             "sched.assign": self._audit_sched_assign,
             "client.train_start": self._audit_client_train_start,
@@ -115,19 +125,59 @@ class InvariantAuditor:
         }
 
     # -- Trace observer protocol ---------------------------------------
-    def on_record(self, record: TraceRecord) -> None:
-        self.records_seen += 1
-        kind = record.kind
-        counts = self.kind_counts
-        counts[kind] = counts.get(kind, 0) + 1
-        handler = self._handlers.get(kind)
-        if handler is not None:
-            handler(record)
+    def on_record(self, time: float, kind: str, fields: dict[str, Any]) -> None:
+        """Audit one record of a kind in ``_handlers`` (the trace routes
+        no other kind here)."""
+        self._handlers[kind](time, fields)
 
-    def replay(self, trace: Trace) -> None:
-        """Feed an already-recorded trace through the online checks."""
-        for record in trace:
-            self.on_record(record)
+    def on_attach(self, trace: Trace) -> None:
+        """Start reading record counts off ``trace`` (from this point on)."""
+        self._unbind()
+        self._trace = trace
+        self._base = self._trace_counts()
+
+    def on_detach(self, trace: Trace) -> None:
+        """Keep the counts seen so far; later records are not counted."""
+        if trace is self._trace:
+            self._unbind()
+
+    def _unbind(self) -> None:
+        if self._trace is not None:
+            self._counted.update(self._since_attach())
+            self._trace = None
+
+    def _trace_counts(self) -> Counter[str]:
+        counts = self._trace.counters
+        del counts["trace.dropped"]  # a count of records, not a kind
+        return counts
+
+    def _since_attach(self) -> Counter[str]:
+        counts = self._trace_counts()
+        counts.subtract(self._base)
+        return +counts
+
+    @property
+    def kind_counts(self) -> Counter[str]:
+        """Records seen per kind: replayed, or emitted while attached."""
+        counts = Counter(self._counted)
+        if self._trace is not None:
+            counts.update(self._since_attach())
+        return counts
+
+    @property
+    def records_seen(self) -> int:
+        return sum(self.kind_counts.values())
+
+    def replay(self, records: Iterable[TraceRecord]) -> None:
+        """Feed an already-recorded trace (or any records) through the
+        online checks, counting each record."""
+        counted, handlers = self._counted, self._handlers
+        for record in records:
+            kind = record.kind
+            counted[kind] += 1
+            handler = handlers.get(kind)
+            if handler is not None:
+                handler(record.time, record.fields)
 
     # -- online checks --------------------------------------------------
     def _violation(self, message: str) -> None:
@@ -144,22 +194,20 @@ class InvariantAuditor:
     # ``_check`` out (count, test, report): a fleet pays them hundreds of
     # thousands of times, and the message is only worth formatting for a
     # violation.
-    def _audit_sched_created(self, r: TraceRecord) -> None:
-        fields = r.fields
+    def _audit_sched_created(self, time: float, fields: dict[str, Any]) -> None:
         wu = fields["wu"]
         self.checks += 1
         if wu in self._created:
             self._violation(f"workunit {wu} created twice")
         self._created[wu] = (fields["epoch"], fields["shard"])
 
-    def _audit_sched_assign(self, r: TraceRecord) -> None:
-        fields = r.fields
+    def _audit_sched_assign(self, time: float, fields: dict[str, Any]) -> None:
         wu = fields["wu"]
         self.checks += 1
         if wu not in self._created:
             self._violation(f"assignment of unknown workunit {wu}")
         self.checks += 1
-        if wu in self._valid or wu in self._exhausted or wu in self._cancelled:
+        if self._flags.get(wu, 0) & _TERMINAL:
             self._violation(f"workunit {wu} assigned after reaching a terminal state")
         client = fields.get("client")
         self.checks += 1
@@ -168,8 +216,7 @@ class InvariantAuditor:
         # A unit has one live assignment at a time: a reissue replaces it.
         self._assigned[wu] = client
 
-    def _audit_client_train_start(self, r: TraceRecord) -> None:
-        fields = r.fields
+    def _audit_client_train_start(self, time: float, fields: dict[str, Any]) -> None:
         wu, client = fields["wu"], fields["client"]
         self.checks += 1
         if self._assigned.get(wu) == client:
@@ -180,99 +227,107 @@ class InvariantAuditor:
                 "assignment of its own"
             )
 
-    def _audit_sched_exhausted(self, r: TraceRecord) -> None:
-        wu = r["wu"]
+    def _audit_sched_exhausted(self, time: float, fields: dict[str, Any]) -> None:
+        wu = fields["wu"]
+        flags = self._flags.get(wu, 0)
         self._check(
-            wu not in self._valid, f"workunit {wu} exhausted after validation"
+            not flags & _VALID, f"workunit {wu} exhausted after validation"
         )
-        self._exhausted.add(wu)
+        self._flags[wu] = flags | _EXHAUSTED
 
-    def _audit_sched_cancelled(self, r: TraceRecord) -> None:
-        wu = r["wu"]
+    def _audit_sched_cancelled(self, time: float, fields: dict[str, Any]) -> None:
+        wu = fields["wu"]
+        flags = self._flags.get(wu, 0)
         self._check(
-            wu not in self._valid, f"workunit {wu} cancelled after validation"
+            not flags & _VALID, f"workunit {wu} cancelled after validation"
         )
-        self._cancelled.add(wu)
+        self._flags[wu] = flags | _CANCELLED
 
-    def _audit_server_result_valid(self, r: TraceRecord) -> None:
-        wu = r.fields["wu"]
+    def _audit_server_result_valid(
+        self, time: float, fields: dict[str, Any]
+    ) -> None:
+        wu = fields["wu"]
+        flags = self._flags.get(wu, 0)
         self.checks += 1
         if wu not in self._created:
             self._violation(f"validated result for unknown workunit {wu}")
         self.checks += 1
-        if wu in self._valid:
+        if flags & _VALID:
             self._violation(f"workunit {wu} validated twice")
         self.checks += 1
-        if wu in self._exhausted or wu in self._cancelled:
+        if flags & (_EXHAUSTED | _CANCELLED):
             self._violation(f"terminal workunit {wu} validated")
-        self._valid.add(wu)
+        self._flags[wu] = flags | _VALID
 
-    def _audit_credit_grant(self, r: TraceRecord) -> None:
-        fields = r.fields
+    def _audit_credit_grant(self, time: float, fields: dict[str, Any]) -> None:
         wu = fields["wu"]
         self.checks += 1
-        if wu not in self._valid:
+        if not self._flags.get(wu, 0) & _VALID:
             self._violation(f"credit granted for unvalidated workunit {wu}")
         self.checks += 1
         if wu in self._granted:
             self._violation(f"credit granted twice for workunit {wu}")
         self._granted[wu] = float(fields["amount"])
 
-    def _audit_credit_deny(self, r: TraceRecord) -> None:
+    def _audit_credit_deny(self, time: float, fields: dict[str, Any]) -> None:
         self._denials += 1
-        wu = r.get("wu")
-        if wu in self._valid:
+        wu = fields.get("wu")
+        if self._flags.get(wu, 0) & _VALID:
             # Denial of an already-valid result can only come from the
             # quorum (loser clique or failed unit) — partition it out of
             # the must-be-paid set checked at verify().
             self._quorum_denied.add(wu)
 
-    def _audit_quorum_decided(self, r: TraceRecord) -> None:
-        self._decided_logicals.add(r["logical"])
+    def _audit_quorum_decided(self, time: float, fields: dict[str, Any]) -> None:
+        self._decided_logicals.add(fields["logical"])
 
-    def _audit_credit_quarantine(self, r: TraceRecord) -> None:
-        host = r["host"]
+    def _audit_credit_quarantine(self, time: float, fields: dict[str, Any]) -> None:
+        host = fields["host"]
         self._check(
             host not in self._quarantined_hosts, f"host {host} quarantined twice"
         )
         self._quarantined_hosts.add(host)
 
-    def _audit_server_assimilated(self, r: TraceRecord) -> None:
-        wu = r.fields["wu"]
+    def _audit_server_assimilated(
+        self, time: float, fields: dict[str, Any]
+    ) -> None:
+        wu = fields["wu"]
+        flags = self._flags.get(wu, 0)
         self.checks += 1
-        if wu not in self._valid:
+        if not flags & _VALID:
             self._violation(f"unvalidated workunit {wu} assimilated")
         self.checks += 1
-        if wu in self._assimilated:
+        if flags & _ASSIMILATED:
             self._violation(f"workunit {wu} assimilated twice")
-        self._assimilated.add(wu)
+        self._flags[wu] = flags | _ASSIMILATED
 
-    def _audit_ps_assimilated(self, r: TraceRecord) -> None:
-        wu = r.fields["wu"]
+    def _audit_ps_assimilated(self, time: float, fields: dict[str, Any]) -> None:
+        wu = fields["wu"]
+        flags = self._flags.get(wu, 0)
         self.checks += 1
-        if wu in self._pool_merged:
+        if flags & _POOL_MERGED:
             self._violation(f"pool merged workunit {wu} twice")
-        self._pool_merged.add(wu)
+        self._flags[wu] = flags | _POOL_MERGED
 
-    def _audit_params_publish(self, r: TraceRecord) -> None:
-        version = r["version"]
+    def _audit_params_publish(self, time: float, fields: dict[str, Any]) -> None:
+        version = fields["version"]
         self._check(
             self._last_version is None or version > self._last_version,
             f"publish version not monotone: {self._last_version} -> {version}",
         )
         self._last_version = version
 
-    def _audit_epoch_start(self, r: TraceRecord) -> None:
+    def _audit_epoch_start(self, time: float, fields: dict[str, Any]) -> None:
         self._check(
             self._open_epoch is None,
-            f"epoch {r['epoch']} started while epoch {self._open_epoch} is open",
+            f"epoch {fields['epoch']} started while epoch {self._open_epoch} is open",
         )
-        self._open_epoch = r["epoch"]
+        self._open_epoch = fields["epoch"]
 
-    def _audit_epoch_end(self, r: TraceRecord) -> None:
+    def _audit_epoch_end(self, time: float, fields: dict[str, Any]) -> None:
         self._check(
-            self._open_epoch == r["epoch"],
-            f"epoch {r['epoch']} ended but open epoch is {self._open_epoch}",
+            self._open_epoch == fields["epoch"],
+            f"epoch {fields['epoch']} ended but open epoch is {self._open_epoch}",
         )
         self._open_epoch = None
         self._epochs_ended += 1
@@ -291,56 +346,69 @@ class InvariantAuditor:
         invariant of fault-tolerant rules in general, which may finish an
         epoch with permanently failed shards.
         """
+        # One pass over the flags words collects each law's offenders.
+        flags_of, granted = self._flags, self._granted
+        quorum_denied, decided = self._quorum_denied, self._decided_logicals
+        unassimilated: list[str] = []
+        phantom: list[str] = []
+        unpaid: list[str] = []
+        unmerged: list[str] = []
+        two_fates: list[str] = []
+        for wu, flags in flags_of.items():
+            if flags & _VALID:
+                if not flags & _ASSIMILATED:
+                    unassimilated.append(wu)
+                if flags & (_EXHAUSTED | _CANCELLED):
+                    two_fates.append(wu)
+                if wu not in granted and wu not in quorum_denied:
+                    # Replicas of logical units the quorum never decided
+                    # (still pending at shutdown, or permanently
+                    # disagreeing without a collusion guard) are excused.
+                    logical = logical_id(wu)
+                    if logical == wu or logical in decided:
+                        unpaid.append(wu)
+            elif flags & _ASSIMILATED:
+                phantom.append(wu)
+            if flags & _POOL_MERGED and not flags & _ASSIMILATED:
+                unmerged.append(wu)
         # Every validated result assimilated exactly once, and vice versa.
         self._check(
-            self._valid == self._assimilated,
+            not unassimilated and not phantom,
             "validated/assimilated mismatch: "
-            f"unassimilated={sorted(self._valid - self._assimilated)} "
-            f"phantom={sorted(self._assimilated - self._valid)}",
+            f"unassimilated={sorted(unassimilated)} phantom={sorted(phantom)}",
         )
         # Credit: every validated result is either granted once or denied
-        # by its quorum verdict; replicas of logical units the quorum never
-        # decided (still pending at shutdown, or permanently disagreeing
-        # without a collusion guard) are excused as unpaid.
+        # by its quorum verdict.
+        overpaid = [wu for wu in granted if not flags_of.get(wu, 0) & _VALID]
         self._check(
-            set(self._granted) <= self._valid,
-            "credit/validation mismatch: "
-            f"overpaid={sorted(set(self._granted) - self._valid)}",
+            not overpaid,
+            f"credit/validation mismatch: overpaid={sorted(overpaid)}",
         )
+        paid_and_denied = [wu for wu in quorum_denied if wu in granted]
         self._check(
-            not (set(self._granted) & self._quorum_denied),
+            not paid_and_denied,
             "workunits both granted and quorum-denied: "
-            f"{sorted(set(self._granted) & self._quorum_denied)}",
+            f"{sorted(paid_and_denied)}",
         )
-        unpaid = self._valid - set(self._granted) - self._quorum_denied
-        undecided = {
-            wu
-            for wu in unpaid
-            if logical_id(wu) != wu and logical_id(wu) not in self._decided_logicals
-        }
         self._check(
-            unpaid == undecided,
-            "credit/validation mismatch: "
-            f"unpaid={sorted(unpaid - undecided)}",
+            not unpaid, f"credit/validation mismatch: unpaid={sorted(unpaid)}"
         )
         # Pool merges are a subset of assimilations (equal without
         # replication; with a quorum only the canonical replica merges).
         self._check(
-            self._pool_merged <= self._assimilated,
-            "pool merged workunits never assimilated: "
-            f"{sorted(self._pool_merged - self._assimilated)}",
+            not unmerged,
+            f"pool merged workunits never assimilated: {sorted(unmerged)}",
         )
         # Every created workunit reached exactly one terminal fate.
-        terminal = self._valid | self._exhausted | self._cancelled
+        nonterminal = [
+            wu for wu in self._created if not flags_of.get(wu, 0) & _TERMINAL
+        ]
         self._check(
-            set(self._created) <= terminal,
-            f"non-terminal workunits: {sorted(set(self._created) - terminal)}",
+            not nonterminal, f"non-terminal workunits: {sorted(nonterminal)}"
         )
         self._check(
-            not (self._valid & self._exhausted)
-            and not (self._valid & self._cancelled),
-            "workunits with two terminal fates: "
-            f"{sorted((self._valid & self._exhausted) | (self._valid & self._cancelled))}",
+            not two_fates,
+            f"workunits with two terminal fates: {sorted(two_fates)}",
         )
         # Epoch spans all closed.
         self._check(
@@ -365,19 +433,20 @@ class InvariantAuditor:
         from ..boinc.workunit import WorkunitState
 
         # Trace-derived fates agree with the scheduler's ground truth.
+        fate = {
+            WorkunitState.DONE: _VALID,
+            WorkunitState.ERROR: _EXHAUSTED,
+            WorkunitState.CANCELLED: _CANCELLED,
+        }
         for wu_id, wu in sorted(runner.server.scheduler._workunits.items()):
-            expected = {
-                WorkunitState.DONE: self._valid,
-                WorkunitState.ERROR: self._exhausted,
-                WorkunitState.CANCELLED: self._cancelled,
-            }.get(wu.state)
+            expected = fate.get(wu.state)
             self._check(
                 expected is not None,
                 f"workunit {wu_id} left non-terminal ({wu.state.name})",
             )
             if expected is not None:
                 self._check(
-                    wu_id in expected,
+                    self._flags.get(wu_id, 0) & expected,
                     f"workunit {wu_id} is {wu.state.name} in the scheduler "
                     "but the trace disagrees",
                 )
@@ -391,15 +460,17 @@ class InvariantAuditor:
         # RunResult counters agree with the trace record-for-record.
         counters = runner.result.counters
         if counters:
+            merges = sum(1 for flags in self._flags.values() if flags & _POOL_MERGED)
+            kinds = self.kind_counts
             self._check(
-                counters["assimilations"] == len(self._pool_merged),
+                counters["assimilations"] == merges,
                 f"counters[assimilations]={counters['assimilations']} != "
-                f"{len(self._pool_merged)} pool merges in trace",
+                f"{merges} pool merges in trace",
             )
             self._check(
-                counters["timeouts"] == self.kind_counts["sched.timeout"],
+                counters["timeouts"] == kinds["sched.timeout"],
                 f"counters[timeouts]={counters['timeouts']} != "
-                f"{self.kind_counts['sched.timeout']} in trace",
+                f"{kinds['sched.timeout']} in trace",
             )
             for counter, kind in (
                 ("transfer_failures", "web.xfer_fail"),
@@ -416,9 +487,9 @@ class InvariantAuditor:
             ):
                 if counter in counters:
                     self._check(
-                        counters[counter] == self.kind_counts[kind],
+                        counters[counter] == kinds[kind],
                         f"counters[{counter}]={counters[counter]} != "
-                        f"{self.kind_counts[kind]} {kind} records in trace",
+                        f"{kinds[kind]} {kind} records in trace",
                     )
             if "transfer_retries" in counters:
                 # Every retried or abandoned transfer started as a failure.
@@ -428,9 +499,10 @@ class InvariantAuditor:
                 )
         if require_full_coverage:
             done_by_epoch: dict[int, set[int]] = {}
-            for wu_id in self._valid:
-                epoch, shard = self._created[wu_id]
-                done_by_epoch.setdefault(epoch, set()).add(shard)
+            for wu_id, flags in self._flags.items():
+                if flags & _VALID:
+                    epoch, shard = self._created[wu_id]
+                    done_by_epoch.setdefault(epoch, set()).add(shard)
             shards = set(range(runner.config.num_shards))
             for epoch, got in sorted(done_by_epoch.items()):
                 self._check(

@@ -13,9 +13,8 @@ DESIGN.md §"Observability".
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
-from ..simulation.tracing import TraceRecord
 from .metrics import MetricsRegistry
 
 __all__ = ["MetricsCollector"]
@@ -27,7 +26,9 @@ class MetricsCollector:
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
         self._epoch_started: dict[int, float] = {}
-        self._handlers: dict[str, Callable[[TraceRecord], None]] = {
+        # kind -> handler; also the subscription: the trace routes only
+        # these kinds here.
+        self._handlers: dict[str, Callable[[float, dict[str, Any]], None]] = {
             "web.download": self._on_download,
             "web.upload": self._on_upload,
             "web.xfer_fail": self._count("transfer.failures"),
@@ -57,57 +58,57 @@ class MetricsCollector:
         }
 
     # -- Trace observer protocol ---------------------------------------
-    def on_record(self, record: TraceRecord) -> None:
-        handler = self._handlers.get(record.kind)
-        if handler is not None:
-            handler(record)
+    def on_record(self, time: float, kind: str, fields: dict[str, Any]) -> None:
+        """Map one record of a kind in ``_handlers`` (the trace routes no
+        other kind here)."""
+        self._handlers[kind](time, fields)
 
     # -- handlers -------------------------------------------------------
-    def _count(self, name: str) -> Callable[[TraceRecord], None]:
+    def _count(self, name: str) -> Callable[[float, dict[str, Any]], None]:
         counter = self.registry.counter(name)
-        return lambda record: counter.incr()
+        return lambda time, fields: counter.incr()
 
-    def _on_download(self, r: TraceRecord) -> None:
-        self.registry.histogram("transfer.download_s").observe(r["seconds"])
+    def _on_download(self, time: float, fields: dict[str, Any]) -> None:
+        self.registry.histogram("transfer.download_s").observe(fields["seconds"])
 
-    def _on_upload(self, r: TraceRecord) -> None:
-        self.registry.histogram("transfer.upload_s").observe(r["seconds"])
+    def _on_upload(self, time: float, fields: dict[str, Any]) -> None:
+        self.registry.histogram("transfer.upload_s").observe(fields["seconds"])
 
-    def _on_turnaround(self, r: TraceRecord) -> None:
-        self.registry.histogram("client.turnaround_s").observe(r["seconds"])
+    def _on_turnaround(self, time: float, fields: dict[str, Any]) -> None:
+        self.registry.histogram("client.turnaround_s").observe(fields["seconds"])
 
-    def _on_ps_assimilated(self, r: TraceRecord) -> None:
+    def _on_ps_assimilated(self, time: float, fields: dict[str, Any]) -> None:
         self.registry.counter("ps.assimilations").incr()
-        self.registry.histogram("ps.queue_wait_s").observe(r["queue_wait"])
-        service = r.get("service")
+        self.registry.histogram("ps.queue_wait_s").observe(fields["queue_wait"])
+        service = fields.get("service")
         if service is not None:
             self.registry.histogram("ps.service_s").observe(service)
 
-    def _on_kv_read(self, r: TraceRecord) -> None:
+    def _on_kv_read(self, time: float, fields: dict[str, Any]) -> None:
         self.registry.counter("kv.reads").incr()
-        self.registry.histogram("kv.read_latency_s").observe(r["latency"])
+        self.registry.histogram("kv.read_latency_s").observe(fields["latency"])
 
-    def _on_kv_write(self, r: TraceRecord) -> None:
+    def _on_kv_write(self, time: float, fields: dict[str, Any]) -> None:
         self.registry.counter("kv.writes").incr()
-        self.registry.histogram("kv.write_latency_s").observe(r["latency"])
+        self.registry.histogram("kv.write_latency_s").observe(fields["latency"])
 
-    def _on_kv_update(self, r: TraceRecord) -> None:
+    def _on_kv_update(self, time: float, fields: dict[str, Any]) -> None:
         self.registry.counter("kv.updates").incr()
-        self.registry.histogram("kv.update_latency_s").observe(r["latency"])
+        self.registry.histogram("kv.update_latency_s").observe(fields["latency"])
 
-    def _on_epoch_start(self, r: TraceRecord) -> None:
-        self._epoch_started[r["epoch"]] = r.time
+    def _on_epoch_start(self, time: float, fields: dict[str, Any]) -> None:
+        self._epoch_started[fields["epoch"]] = time
 
-    def _on_epoch_end(self, r: TraceRecord) -> None:
-        started = self._epoch_started.pop(r["epoch"], None)
+    def _on_epoch_end(self, time: float, fields: dict[str, Any]) -> None:
+        started = self._epoch_started.pop(fields["epoch"], None)
         if started is not None:
-            self.registry.histogram("epoch.duration_s").observe(r.time - started)
-        self.registry.gauge("epoch.accuracy").set(r["accuracy"])
+            self.registry.histogram("epoch.duration_s").observe(time - started)
+        self.registry.gauge("epoch.accuracy").set(fields["accuracy"])
 
-    def _on_publish(self, r: TraceRecord) -> None:
-        self.registry.gauge("params.version").set(r["version"])
+    def _on_publish(self, time: float, fields: dict[str, Any]) -> None:
+        self.registry.gauge("params.version").set(fields["version"])
 
-    def _on_credit_grant(self, r: TraceRecord) -> None:
+    def _on_credit_grant(self, time: float, fields: dict[str, Any]) -> None:
         self.registry.counter("credit.grants").incr()
         gauge = self.registry.gauge("credit.granted_total")
-        gauge.set((gauge.value or 0.0) + r["amount"])
+        gauge.set((gauge.value or 0.0) + fields["amount"])

@@ -163,9 +163,7 @@ class SpanStore:
     # -- construction -----------------------------------------------------
     @classmethod
     def from_trace(cls, trace: Trace) -> "SpanStore":
-        return cls.from_records(
-            trace, dropped=trace.counters.get("trace.dropped", 0)
-        )
+        return cls.from_records(trace, dropped=trace.dropped)
 
     @classmethod
     def from_records(

@@ -80,6 +80,19 @@ class TestNoise:
         assert not np.array_equal(out, batch)
         assert abs((out - batch).std() - 0.5) < 0.05
 
+    def test_keeps_float32(self, batch):
+        x = batch.astype(np.float32)
+        out = gaussian_noise(std=0.5)(x, np.random.default_rng(3))
+        assert out.dtype == np.float32
+        noise = np.random.default_rng(3).normal(scale=0.5, size=x.shape)
+        np.testing.assert_array_equal(out, x + noise.astype(np.float32))
+
+    def test_float64_values_unchanged(self, batch):
+        out = gaussian_noise(std=0.5)(batch, np.random.default_rng(3))
+        noise = np.random.default_rng(3).normal(scale=0.5, size=batch.shape)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, batch + noise)
+
     def test_zero_std_identity_copy(self, batch, rng):
         out = gaussian_noise(std=0.0)(batch, rng)
         np.testing.assert_array_equal(out, batch)

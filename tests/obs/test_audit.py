@@ -146,6 +146,91 @@ class TestCorruptedStreams:
             t.emit(1.0, "sched.created", wu="wu-a", epoch=1, shard=0)
 
 
+def verified_violations(auditor: InvariantAuditor) -> list[str]:
+    with pytest.raises(InvariantViolation):
+        auditor.verify()
+    return auditor.violations
+
+
+class TestEndOfRunLaws:
+    """Each conservation law checked at verify() names its offenders."""
+
+    def unit(self, t: Trace, wu: str, shard: int, *kinds: str) -> None:
+        t.emit(0.0, "sched.created", wu=wu, epoch=1, shard=shard)
+        for kind in kinds:
+            fields = {"amount": 1.0} if kind == "credit.grant" else {}
+            t.emit(1.0, kind, wu=wu, **fields)
+
+    def test_one_pass_names_every_offender_sorted(self):
+        t = Trace()
+        self.unit(t, "ok", 0, "server.result_valid", "credit.grant", "server.assimilated")
+        self.unit(t, "unassim-b", 1, "server.result_valid", "credit.grant")
+        self.unit(t, "unassim-a", 2, "server.result_valid", "credit.grant")
+        self.unit(t, "phantom", 3, "server.assimilated", "sched.exhausted")
+        self.unit(t, "overpaid", 4, "credit.grant", "sched.cancelled")
+        self.unit(t, "unpaid", 5, "server.result_valid", "server.assimilated")
+        self.unit(t, "merged", 6, "ps.assimilated", "sched.exhausted")
+        self.unit(t, "open", 7)
+        self.unit(
+            t, "twice", 8, "server.result_valid", "credit.grant",
+            "server.assimilated", "sched.cancelled",
+        )
+        t.emit(2.0, "epoch.start", epoch=3)
+        auditor = replayed(t)
+        online = list(auditor.violations)
+        checks = auditor.checks
+        assert verified_violations(auditor)[len(online):] == [
+            "validated/assimilated mismatch: unassimilated=['unassim-a', "
+            "'unassim-b'] phantom=['phantom']",
+            "credit/validation mismatch: overpaid=['overpaid']",
+            "credit/validation mismatch: unpaid=['unpaid']",
+            "pool merged workunits never assimilated: ['merged']",
+            "non-terminal workunits: ['open']",
+            "workunits with two terminal fates: ['twice']",
+            "epoch 3 never ended",
+        ]
+        assert auditor.checks == checks + 8
+
+    def test_quorum_denied_and_undecided_replicas(self):
+        t = Trace()
+        # Paid and then denied by its quorum: a double outcome.
+        self.unit(t, "both", 0, "server.result_valid", "credit.grant", "server.assimilated")
+        t.emit(2.0, "credit.deny", wu="both", host="h")
+        # Replicas of an undecided logical unit may end the run unpaid;
+        # once the quorum decides, the same replica must be paid.
+        self.unit(t, "lu#r0", 1, "server.result_valid", "server.assimilated")
+        auditor = replayed(t)
+        assert verified_violations(auditor) == [
+            "workunits both granted and quorum-denied: ['both']",
+        ]
+        t.emit(3.0, "quorum.reached", logical="lu")
+        assert verified_violations(replayed(t)) == [
+            "workunits both granted and quorum-denied: ['both']",
+            "credit/validation mismatch: unpaid=['lu#r0']",
+        ]
+
+
+class TestReplayMatchesLive:
+    def test_same_report_on_a_broken_stream(self):
+        live = InvariantAuditor()
+        t = clean_trace()
+        t.attach(live)
+        t.emit(9.0, "sched.created", wu="wu-a", epoch=1, shard=0)
+        t.emit(9.0, "server.assimilated", wu="wu-z")
+        t.emit(9.0, "sched.ping", client="c1")
+        t.detach(live)
+        # The live auditor attached after clean_trace(); replay the same
+        # records only.
+        fresh = InvariantAuditor()
+        fresh.replay(list(t)[-3:])
+        assert verified_violations(live) == verified_violations(fresh)
+        assert (live.checks, live.records_seen, live.kind_counts) == (
+            fresh.checks,
+            fresh.records_seen,
+            fresh.kind_counts,
+        )
+
+
 class TestDispatchTable:
     """Kinds reach handlers through an explicit table, not by name-munging."""
 
@@ -159,8 +244,13 @@ class TestDispatchTable:
         t.emit(0.0, "server_result.valid", wu="wu-b", host="h1")  # no handler
         t.emit(0.0, "server.result.valid", wu="wu-c", host="h1")  # no handler
         assert auditor.checks == 3  # only the real kind was audited
-        assert auditor._valid == {"wu-a"}
+        assert auditor.violations == ["validated result for unknown workunit wu-a"]
         assert auditor.kind_counts["server_result.valid"] == 1
+        # Only wu-a became valid: it is the one left unassimilated.
+        with pytest.raises(
+            InvariantViolation, match=r"unassimilated=\['wu-a'\] phantom=\[\]"
+        ):
+            auditor.verify()
 
     def test_crafted_kind_cannot_reach_other_attributes(self):
         # getattr dispatch would have called auditor._audit_boom(record).
@@ -206,9 +296,10 @@ class TestLiveRun:
         runner.run()
         fresh = InvariantAuditor()
         fresh.replay(runner.trace)
-        report = fresh.verify(runner, require_full_coverage=True)
-        assert report.ok
-        assert report.records_seen == runner.obs.report.records_seen
+        # Same checks, records and (no) violations as the live auditor.
+        assert fresh.verify(runner).to_dict() == runner.obs.report.to_dict()
+        assert fresh.kind_counts == runner.obs.auditor.kind_counts
+        assert fresh.verify(runner, require_full_coverage=True).ok
 
     def test_strict_live_auditor_stays_silent_on_a_healthy_run(self):
         runner = DistributedRunner(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.core.runner import DistributedRunner
 from repro.obs import MetricsCollector, MetricsRegistry, SimProfiler
 from repro.simulation.engine import Simulator
-from repro.simulation.tracing import Trace
+from repro.simulation.tracing import Trace, TraceRecord
 
 from ..core.test_runner import tiny_config
 
@@ -14,8 +14,8 @@ class Recorder:
     def __init__(self):
         self.records = []
 
-    def on_record(self, record):
-        self.records.append(record)
+    def on_record(self, time, kind, fields):
+        self.records.append(TraceRecord(time, kind, fields))
 
 
 class TestTraceObservers:

@@ -225,8 +225,8 @@ class TestTrace:
         seen = []
 
         class Observer:
-            def on_record(self, record):
-                seen.append(record.kind)
+            def on_record(self, time, kind, fields):
+                seen.append(kind)
 
         trace = Trace(max_records=3)
         trace.attach(Observer())
@@ -237,7 +237,13 @@ class TestTrace:
             trace.emit(float(i), "spill", i=i)
         assert trace.count("trace.dropped") == 5
         assert [r["i"] for r in trace] == [5, 6, 7]
-        assert list(trace.counters) == ["fill", "trace.dropped", "spill"]
+        assert trace.dropped == 5  # emitted minus retained
+        # Emitted kinds in first-emit order, the derived drop count last.
+        assert list(trace.counters.items()) == [
+            ("fill", 3),
+            ("spill", 5),
+            ("trace.dropped", 5),
+        ]
         assert seen == ["fill"] * 3 + ["spill"] * 5  # drops are not events
 
 
