@@ -10,10 +10,12 @@ one run:
   decodes its own copy when it trains, so quantization error affects
   real training (simulation honesty) while the server holds one encoded
   record per live version, not one float64 vector.  Inside
-  ``DistributedRunner.run()`` the zlib pass that prices a publish runs
-  on one pricing thread, overlapping the simulation thread's NumPy
-  work; the size is a :class:`PendingPrice` until something first
-  reads it (see :meth:`ParamCodecPlane.start_pricing`);
+  ``DistributedRunner.run()`` the zlib pass that prices a publish is
+  queued for one pricing thread, overlapping the simulation thread's
+  NumPy work; the size is a :class:`PendingPrice` until something first
+  reads it (see :meth:`ParamCodecPlane.start_pricing`).  A read that
+  finds its deflate still queued takes it off the queue and runs it on
+  the simulation thread rather than wait behind older ones;
 * **download path** — the delta codec keeps a bounded window of
   version-to-version XOR sizes; a client whose sticky cache records the
   last parameter version it fetched is charged only the chain of deltas
@@ -27,7 +29,15 @@ one run:
   base for averaging rules.  Inside ``DistributedRunner.run()`` its zlib
   pass runs on the same pricing thread when the runner has a subtask to
   train meanwhile; the size resolves before the runner hands it to the
-  client's upload, in the same compute-end event.  A lossy upload is a
+  client's upload, in the same compute-end event.  A lossy
+  parameter-stream upload is priced one compute end ahead: when the
+  runner trains the next finisher's step early (and another attempt is
+  still computing), it also encodes that step's upload and queues its
+  deflate, keeping only the encoded record.
+  The attempt's own compute end commits it if the client's residual
+  generation is unchanged, writing the residual and counting, tracing
+  and pricing it where an inline encode would; otherwise it encodes the
+  upload again (:meth:`ParamCodecPlane.encode_upload`).  A lossy upload is a
   plain :class:`~repro.core.rules.ClientUpdate` holding the *decoded*
   vector (the client needs that decode for its residual); the server's
   accept path counts and traces the decode (:meth:`ParamCodecPlane.on_accepted`),
@@ -45,16 +55,19 @@ simulation fixes (a file's first size read, the runner's executor
 returning an upload, an epoch boundary, :meth:`ParamCodecPlane.counters`),
 never when the thread happens to finish, so its counter increment and
 its ``net.encode`` record land at the same place on every run.  The
-``encode_cpu_s``/``decode_cpu_s`` attributes are host wall-clock
-attributions for benchmarks and obs metrics only — they must never
-reach ``RunResult.counters``, trace fields, or any digested artifact.
+``encode_cpu_s``/``decode_cpu_s`` attributes and the ``stats`` dict
+(prepared, stale and helped counts, seconds blocked on the thread) are
+host wall-clock attributions for benchmarks and obs metrics only — they
+must never reach ``RunResult.counters``, trace fields, or any digested
+artifact.
 """
 
 from __future__ import annotations
 
 import time
+import zlib
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -62,7 +75,7 @@ from typing import Callable
 import numpy as np
 
 from ..nn.codecs import Encoded, TopKCodec, ZlibCodec, make_codec, wire_nbytes
-from ..nn.serialization import _deflated_size, compressed_size
+from ..nn.serialization import _ZLIB_LEVEL, compressed_size
 from .rules import ClientUpdate
 
 __all__ = ["ParamCodecPlane", "PendingPrice", "VersionedParams"]
@@ -115,34 +128,100 @@ class VersionedParams:
         return int(self.content.raw_nbytes)
 
 
-def _timed_deflate(body: np.ndarray) -> tuple[int, float]:
-    """Pricing-thread task: the body's zlib size and the CPU seconds it
-    took on this thread (time spent waiting for the GIL excluded)."""
-    t0 = time.thread_time()
-    return _deflated_size(body), time.thread_time() - t0
+def _deflate(body: np.ndarray) -> int:
+    """The zlib size of one body: the pricing path's only deflate.
+
+    No memo: every body the plane prices is fresh content (the memo
+    behind ``compressed_size`` hits 0 times on every benchmark workload),
+    so hashing it first is pure cost.  The pricing thread and a helping
+    resolve both call this name, never a public codec or serialization
+    callable."""
+    return len(zlib.compress(body, _ZLIB_LEVEL))
+
+
+class _Deflate:
+    """One body's zlib pass, queued on the pricing thread.
+
+    The body is held only until it is deflated: on the pricing thread,
+    or on the simulation thread when a reader takes the job off the
+    queue first (:meth:`result`).
+    """
+
+    __slots__ = ("body", "future", "stats")
+
+    def __init__(self, body: np.ndarray, pricing: ThreadPoolExecutor, stats: dict):
+        self.body = body
+        self.stats = stats
+        self.future = pricing.submit(self.run)
+
+    def run(self) -> tuple[int, float]:
+        """The body's zlib size and the CPU seconds it took on this
+        thread (time spent waiting for the GIL excluded)."""
+        body, self.body = self.body, None
+        t0 = time.thread_time()
+        try:
+            return _deflate(body), time.thread_time() - t0
+        finally:
+            del body
+
+    def result(self) -> tuple[int, float]:
+        """``run()``'s result.  Still queued, the job is deflated here
+        rather than behind older jobs (``helped_deflates``); otherwise
+        the thread's is waited for (``pricing_wait_s``)."""
+        if self.future.cancel():
+            self.stats["helped_deflates"] += 1
+            return self.run()
+        t0 = time.perf_counter()
+        try:
+            return self.future.result()
+        finally:
+            self.stats["pricing_wait_s"] += time.perf_counter() - t0
+
+    def cancel(self) -> None:
+        """Drop a job nobody will read; one still queued never runs."""
+        if self.future.cancel():
+            self.body = None
 
 
 class PendingPrice:
-    """Wire size of a file while the pricing thread deflates it.
+    """Wire size of a file while its deflate is queued or running.
 
-    :meth:`resolve` waits for the deflate once and hands it to ``finish``
-    (the plane's bookkeeping), which returns the wire size; later calls
-    return the same int.  ``ServerFile`` sizes, the delta window and a
-    result upload's size hold these until they are read.
+    :meth:`resolve` takes the deflate once (running it here if it is
+    still queued) and hands it to ``finish`` (the plane's bookkeeping),
+    which returns the wire size; later calls return the same int.
+    ``ServerFile`` sizes, the delta window and a result upload's size
+    hold these until they are read.
     """
 
-    __slots__ = ("_future", "_finish", "value")
+    __slots__ = ("_job", "_finish", "value")
 
-    def __init__(self, future: Future, finish: Callable[[int, float], int]) -> None:
-        self._future = future
+    def __init__(self, job: _Deflate, finish: Callable[[int, float], int]) -> None:
+        self._job = job
         self._finish = finish
         self.value: int | None = None
 
     def resolve(self) -> int:
         if self.value is None:
-            self.value = self._finish(*self._future.result())
-            self._future = self._finish = None
+            self.value = self._finish(*self._job.result())
+            self._job = self._finish = None
         return self.value
+
+
+@dataclass(frozen=True)
+class _PreparedUpload:
+    """An upload encoded one compute end early, its deflate queued.
+
+    Keeps the encoded record (1 byte per scalar for int8), never a
+    float64 vector: the residual and the decoded update are recomputed
+    from the same inputs when the attempt's compute end commits it.
+    ``generation`` is the client's residual generation the encode read.
+    """
+
+    attempt: object
+    generation: int
+    encoded: Encoded
+    body_nbytes: int
+    job: _Deflate
 
 
 class ParamCodecPlane:
@@ -185,8 +264,17 @@ class ParamCodecPlane:
         # and the prices it has not had read yet, oldest first.
         self._pricing: ThreadPoolExecutor | None = None
         self._pending: list[PendingPrice] = []
-        # Per-client error-feedback residuals (flat vectors).
+        # Per-client error-feedback residuals (flat vectors), and how many
+        # times each has been written: a prepared upload commits only if
+        # its client's generation is the one its encode read.
         self._residuals: dict[str, np.ndarray] = {}
+        self._generations: dict[str, int] = {}
+        # The one upload priced a compute end ahead, if any.  Only lossy
+        # codecs with a body to deflate price ahead (top-k has none).
+        self._prepared_upload: _PreparedUpload | None = None
+        self._prices_ahead = self.up_codec.lossy and not isinstance(
+            self.up_codec, TopKCodec
+        )
         # Integer counters — deterministic, safe for RunResult.counters.
         self.publishes = 0
         self.publish_raw_bytes = 0
@@ -200,6 +288,16 @@ class ParamCodecPlane:
         # Host CPU attribution (benchmark/obs only; never digested).
         self.encode_cpu_s = 0.0
         self.decode_cpu_s = 0.0
+        # Host-side pricing stats, kept out of counters and the trace like
+        # encode_cpu_s: uploads prepared a compute end ahead, prepared
+        # uploads re-encoded or dropped instead of committed, deflates the
+        # simulation thread ran itself, and seconds it blocked on one.
+        self.stats = {
+            "prepared_uploads": 0,
+            "prepared_stale": 0,
+            "helped_deflates": 0,
+            "pricing_wait_s": 0.0,
+        }
 
     # -- publish / download paths -----------------------------------------
 
@@ -260,10 +358,19 @@ class ParamCodecPlane:
         traced with once priced."""
         if body is None:  # already priced, or a fixed-size format (top-k)
             return self._priced(unpriced.nbytes, 0, record, 0, 0.0)
-        finish = partial(self._priced, unpriced.nbytes, body.nbytes, record)
         if self._pricing is None:
-            return finish(compressed_size(body), 0.0)
-        price = PendingPrice(self._pricing.submit(_timed_deflate, body), finish)
+            return self._priced(
+                unpriced.nbytes, body.nbytes, record, compressed_size(body), 0.0
+            )
+        job = _Deflate(body, self._pricing, self.stats)
+        return self._pend(job, unpriced.nbytes, body.nbytes, record)
+
+    def _pend(
+        self, job: _Deflate, unpriced_nbytes: int, body_nbytes: int, record
+    ) -> PendingPrice:
+        price = PendingPrice(
+            job, partial(self._priced, unpriced_nbytes, body_nbytes, record)
+        )
         self._pending.append(price)
         return price
 
@@ -291,9 +398,8 @@ class ParamCodecPlane:
 
         ``DistributedRunner.run`` brackets itself with this and
         :meth:`stop_pricing`, so the thread never outlives a run (sweeps
-        fork between runs).  The thread calls only the private memo
-        function behind ``compressed_size``, never a public codec or
-        serialization callable.
+        fork between runs).  The thread calls only :func:`_deflate`,
+        never a public codec or serialization callable.
         """
         self._pricing = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-pricing"
@@ -307,11 +413,14 @@ class ParamCodecPlane:
             price.resolve()
 
     def stop_pricing(self) -> None:
-        """Join the pricing thread and settle what it priced; publishes
-        and uploads price inline again."""
+        """Join the pricing thread once its current job is done, drop the
+        prepared upload and settle what is pending (deflating here what
+        the thread left queued); publishes and uploads price inline
+        again."""
+        self.discard_prepared()
         pricing, self._pricing = self._pricing, None
         if pricing is not None:
-            pricing.shutdown(wait=True)
+            pricing.shutdown(wait=True, cancel_futures=True)
         self.settle()
 
     def _decode_download(self, enc: Encoded) -> np.ndarray:
@@ -378,10 +487,12 @@ class ParamCodecPlane:
     def encode_upload(
         self,
         update: ClientUpdate,
-        base_vec: np.ndarray,
+        base_vec: np.ndarray | VersionedParams,
         wu_id: str,
         defer_price: bool = False,
-    ) -> tuple[ClientUpdate, "int | PendingPrice"]:
+        attempt=None,
+        ahead: bool = False,
+    ) -> "tuple[ClientUpdate, int | PendingPrice] | None":
         """Encode one result upload; returns ``(update, wire_bytes)``.
 
         Exactly one vector is charged to the wire, matching the
@@ -397,7 +508,23 @@ class ParamCodecPlane:
         (top-k's fixed-size format excepted); the upload's wire-byte
         counter and ``net.encode`` record wait for its resolution.
         Otherwise the codec's own ``encode`` prices it here.
+
+        ``attempt`` names the attempt the upload belongs to.  With
+        ``ahead`` the call comes one compute end early, from the
+        attempt's finished step, and ``base_vec`` is the published file
+        that step trained from (decoded only if it is used): while the
+        pricing thread runs, a lossy parameter-stream upload is encoded,
+        its deflate queued, and the record kept as the one prepared
+        upload; nothing is counted, traced or written, and the call
+        returns None.  The call naming
+        the same ``attempt`` at its compute end commits it — residual,
+        counters, a :class:`PendingPrice` on the queued deflate — if the
+        client's residual has not been written since; otherwise the
+        upload is encoded again, as if never prepared.
         """
+        if ahead:
+            self._prepare_upload(update, base_vec, attempt)
+            return None
         deferred = defer_price and self._pricing is not None
 
         def encode(codec, vec, layout=None, **options):
@@ -410,6 +537,7 @@ class ParamCodecPlane:
         raw_nbytes = int(
             (update.gradient if gradient_stream else update.params).nbytes
         )
+        prepared = None
         if not self.up_codec.lossy:
             if self._delta and not gradient_stream:
                 # Both sides hold the base (the server published it), so
@@ -423,23 +551,14 @@ class ParamCodecPlane:
                 uploaded = update.gradient if gradient_stream else update.params
                 enc, body = encode(self._zlib, np.ascontiguousarray(uploaded))
         else:
-            # ``params - base`` is the one fresh vector: the residual is
-            # added into it, and error feedback turns it into the next
-            # residual in place.  ``gradient + residual`` lands in the old
-            # residual instead, so ``update.gradient`` is never written.
-            vector = (
-                update.gradient
-                if gradient_stream
-                else np.subtract(update.params, base_vec)
-            )
-            residual = (
-                self._residuals.get(update.client_id) if self.error_feedback else None
-            )
-            if residual is not None:
-                vector = np.add(
-                    vector, residual, out=residual if gradient_stream else vector
-                )
-            enc, body = encode(self.up_codec, vector, self.layout)
+            # Error feedback turns the encoded vector into the next
+            # residual, in place when it is the fresh ``params - base``.
+            vector = self._feedback_vector(update, base_vec)
+            prepared = self._take_prepared(attempt, update.client_id)
+            if prepared is None:
+                enc, body = encode(self.up_codec, vector, self.layout)
+            else:
+                enc = prepared.encoded
             t1 = time.perf_counter()
             decoded = self.up_codec.decode(enc)
             self.decode_cpu_s += time.perf_counter() - t1
@@ -447,6 +566,9 @@ class ParamCodecPlane:
                 owned = vector is not update.gradient
                 self._residuals[update.client_id] = np.subtract(
                     vector, decoded, out=vector if owned else None
+                )
+                self._generations[update.client_id] = (
+                    self._generations.get(update.client_id, 0) + 1
                 )
             if gradient_stream:
                 # The gradient is what crossed the wire; the parameter
@@ -459,19 +581,91 @@ class ParamCodecPlane:
                 )
         self.uploads += 1
         self.upload_raw_bytes += raw_nbytes
-        wire = self._price(
-            enc,
-            body,
-            dict(
-                direction="up",
-                codec=self.name,
-                client=update.client_id,
-                wu=wu_id,
-                raw=raw_nbytes,
-            ),
+        record = dict(
+            direction="up",
+            codec=self.name,
+            client=update.client_id,
+            wu=wu_id,
+            raw=raw_nbytes,
         )
+        if prepared is None:
+            wire = self._price(enc, body, record)
+        else:
+            wire = self._pend(prepared.job, enc.nbytes, prepared.body_nbytes, record)
         self.encode_cpu_s += time.perf_counter() - t0
         return update, wire
+
+    def _feedback_vector(self, update: ClientUpdate, base_vec: np.ndarray):
+        """What a lossy upload encodes: the gradient or ``params - base``,
+        plus the client's residual under error feedback.
+
+        ``params - base`` is the one fresh vector, and the residual is
+        added into it.  ``gradient + residual`` lands in the old residual
+        instead, so ``update.gradient`` is never written."""
+        gradient_stream = update.gradient is not None
+        if gradient_stream:
+            vector = update.gradient
+        else:
+            vector = np.subtract(update.params, base_vec)
+        if self.error_feedback:
+            residual = self._residuals.get(update.client_id)
+            if residual is not None:
+                out = residual if gradient_stream else vector
+                vector = np.add(vector, residual, out=out)
+        return vector
+
+    def _prepare_upload(
+        self, update: ClientUpdate, published: VersionedParams, attempt
+    ) -> None:
+        """Encode a lossy parameter-stream upload a compute end ahead and
+        queue its deflate (see :meth:`encode_upload`).  The plane alone
+        decides which codecs and streams price ahead; the base is decoded
+        only for an upload it prepares."""
+        if (
+            self._pricing is None
+            or not self._prices_ahead
+            or self._prepared_upload is not None
+            or attempt is None
+            or update.gradient is not None
+        ):
+            return
+        t0 = time.perf_counter()
+        enc, body = self.up_codec.encode_unpriced(
+            self._feedback_vector(update, published.decode_params()), self.layout
+        )
+        self._prepared_upload = _PreparedUpload(
+            attempt,
+            self._generations.get(update.client_id, 0),
+            enc,
+            body.nbytes,
+            _Deflate(body, self._pricing, self.stats),
+        )
+        self.stats["prepared_uploads"] += 1
+        self.encode_cpu_s += time.perf_counter() - t0
+
+    def _take_prepared(self, attempt, client_id: str) -> _PreparedUpload | None:
+        """The upload prepared for ``attempt``, if its client's residual
+        is still the one it read; a stale one is dropped."""
+        prepared = self._prepared_upload
+        if prepared is None or attempt is None or prepared.attempt != attempt:
+            return None
+        if prepared.generation != self._generations.get(client_id, 0):
+            self.discard_prepared()
+            return None
+        self._prepared_upload = None
+        return prepared
+
+    def discard_prepared(self, attempt=None) -> None:
+        """Drop the prepared upload (only ``attempt``'s when one is
+        named): its compute was cancelled, its residual went stale, the
+        epoch ended, residuals were reloaded or the run stopped.  Its
+        deflate, if still queued, never runs."""
+        prepared = self._prepared_upload
+        if prepared is None or (attempt is not None and prepared.attempt != attempt):
+            return
+        self._prepared_upload = None
+        self.stats["prepared_stale"] += 1
+        prepared.job.cancel()
 
     def on_accepted(self, update: ClientUpdate, wu_id: str) -> None:
         """The server accepted a result: a lossy upload is decoded on
@@ -500,6 +694,7 @@ class ParamCodecPlane:
         }
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        self.discard_prepared()
         self._residuals = {
             key[len("residual__") :]: np.array(value, dtype=np.float64)
             for key, value in state.items()

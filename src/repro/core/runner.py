@@ -609,10 +609,12 @@ class DistributedRunner:
 
     def _drop_note(self, key: tuple[str, int]) -> None:
         """Cancel hook of a noted compute: the attempt never reaches its
-        compute end, so its note goes and the dispatcher forgets its step.
-        Bound to the key, not the step, so a finished step is never kept
-        alive by its task."""
+        compute end, so its note goes, the dispatcher forgets its step
+        and the codec plane its prepared upload.  Bound to the key, not
+        the step, so a finished step is never kept alive by its task."""
         self._dispatcher.discard(self._prepared.pop(key)[0])
+        if self._codec_plane is not None:
+            self._codec_plane.discard_prepared(key)
 
     def _execute_subtask(self, wu: Workunit, payloads: dict) -> tuple[object, int]:
         """Compute end: the upload of the step noted at compute start.
@@ -621,27 +623,74 @@ class DistributedRunner:
         the base publish version it trained from and — only when the job's
         rule consumes gradients — the accumulated local gradient.  In a
         codec run with a noted attempt free to train ahead, the upload is
-        deflated on the pricing thread while that attempt's step trains,
-        and its size resolves before this returns.
+        deflated on the pricing thread while that attempt's step trains
+        and its own upload is encoded, its deflate queued behind this one
+        (:meth:`_price_ahead`); this upload's size resolves before this
+        returns.
         """
-        step = self._prepared.pop(_attempt_key(wu))[0]
+        key = _attempt_key(wu)
+        step = self._prepared.pop(key)[0]
         ahead = self._next_finisher() if self._codec_plane is not None else None
-        payload, wire = self._compute_subtask(wu, payloads, step, ahead is not None)
+        payload, wire = self._compute_subtask(
+            wu, payloads, step, ahead is not None, key
+        )
         if isinstance(wire, PendingPrice):
             # Train while the pricing thread deflates the upload.  Every
             # vector of this subtask but its payload is dead by now: it
             # died with _compute_subtask's frame, or with ``step`` here.
             del step
-            self._dispatcher.resolve(ahead)
+            if ahead is not None:
+                self._price_ahead(ahead)
             wire = wire.resolve()
         return payload, wire
 
+    def _price_ahead(self, key: tuple[str, int]) -> None:
+        """Train the noted attempt ``key`` now and, when its upload's
+        encode draws no RNG and reads no quorum payload, offer it to the
+        codec plane to encode and queue its deflate; the plane commits it
+        at the attempt's compute end if the client's residual has not
+        moved meanwhile (which codecs and streams price ahead is the
+        plane's call).
+
+        Corrupt-designated and adversary-compromised clients draw at
+        compute end, and replicated jobs must encode sibling payloads
+        identically, so those uploads encode there as before.  So does
+        the last attempt still computing: nothing trains ahead at its
+        compute end, and the codec prices its upload inline through
+        ``Codec.encode``, keeping one priced encode per drained pipeline
+        on the path the benchmark's ``nn.codecs.encode`` and
+        ``nn.serialization.zlib`` tiles time.
+        """
+        step, _, client_id = self._prepared[key]
+        new_vec, gradient = self._dispatcher.resolve(step)
+        if (
+            len(self._prepared) < 2
+            or self._adversary is not None
+            or self.config.replicas > 1
+            or self._corrupt_designated(client_id)
+        ):
+            return
+        update = ClientUpdate(
+            client_id=client_id,
+            params=new_vec,
+            gradient=gradient,
+            base_version=step.published.version,
+        )
+        self._codec_plane.encode_upload(
+            update, step.published, step.wu_id, attempt=key, ahead=True
+        )
+
     def _compute_subtask(
-        self, wu: Workunit, payloads: dict, step: StepTask, defer_price: bool
+        self,
+        wu: Workunit,
+        payloads: dict,
+        step: StepTask,
+        defer_price: bool,
+        key: tuple[str, int],
     ) -> tuple[object, "int | PendingPrice"]:
         """One compute end's upload: the attempt's ``step`` resolved,
-        perturbed and encoded; ``defer_price`` goes to the codec plane's
-        upload encode."""
+        perturbed and encoded; ``defer_price`` and the attempt ``key`` go
+        to the codec plane's upload encode."""
         client_id = wu.current_attempt.client_id
         published = payloads[wu.input_files[1]]  # the parameter file
         new_vec, gradient = self._dispatcher.resolve(step)
@@ -671,14 +720,14 @@ class DistributedRunner:
         )
         if self._codec_plane is not None:
             return self._codec_plane.encode_upload(
-                update, param_vec, wu.wu_id, defer_price
+                update, param_vec, wu.wu_id, defer_price, key
             )
         return update, self._param_wire_bytes
 
-    def _next_finisher(self) -> StepTask | None:
-        """The noted step whose compute ends next, to train ahead while
-        the pricing thread deflates an upload; None when none is noted or
-        one already holds a result (at most one is held).
+    def _next_finisher(self) -> tuple[str, int] | None:
+        """The key of the noted attempt whose compute ends next, to train
+        ahead while the pricing thread deflates an upload; None when none
+        is noted or one already holds a result (at most one is held).
 
         A cancelled compute drops its own note, so every noted attempt is
         still computing.  The next finisher is read off each client's
@@ -686,15 +735,15 @@ class DistributedRunner:
         fixed at compute start, so its result is the one the attempt's
         compute end would compute (DESIGN.md §8.6, invariant 4).
         """
-        noted = self._prepared.values()
-        if not noted or any(step.result is not None for step, _, _ in noted):
+        noted = self._prepared
+        if not noted or any(step.result is not None for step, _, _ in noted.values()):
             return None
 
-        def seconds_left(note) -> float:
-            _, task, client_id = note
+        def seconds_left(key) -> float:
+            _, task, client_id = noted[key]
             return self.server.clients[client_id].resource.seconds_to_finish(task)
 
-        return min(noted, key=seconds_left)[0]
+        return min(noted, key=seconds_left)
 
     def _maybe_corrupt(self, client_id: str, vec: np.ndarray) -> np.ndarray:
         """Fault injection: designated clients upload perturbed parameters.
@@ -1004,6 +1053,7 @@ class DistributedRunner:
             if self._barrier_blocked():
                 continue
             if self._codec_plane is not None:
+                self._codec_plane.discard_prepared()
                 self._codec_plane.settle()
             record = self._record_epoch()
             self.result.append(record)
@@ -1129,13 +1179,13 @@ class DistributedRunner:
             self.obs.registry.counter("serialization.compressed_size.misses").incr(
                 misses - misses0
             )
-            if self._codec_plane is not None:
-                self.obs.registry.gauge("codec.encode_cpu_s").set(
-                    self._codec_plane.encode_cpu_s
-                )
-                self.obs.registry.gauge("codec.decode_cpu_s").set(
-                    self._codec_plane.decode_cpu_s
-                )
+            plane = self._codec_plane
+            if plane is not None:
+                # Host-side, like the CPU seconds: where pricing time went.
+                self.obs.registry.gauge("codec.encode_cpu_s").set(plane.encode_cpu_s)
+                self.obs.registry.gauge("codec.decode_cpu_s").set(plane.decode_cpu_s)
+                for name, value in plane.stats.items():
+                    self.obs.registry.gauge(f"codec.{name}").set(value)
 
 
     def checkpoint(self) -> Checkpoint:

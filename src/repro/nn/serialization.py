@@ -369,10 +369,11 @@ def state_checksum(state: dict[str, np.ndarray]) -> str:
 # The one zlib level every wire size in the system is priced at.
 _ZLIB_LEVEL = 6
 
-# ``compressed_size`` memoisation: zlib over the full ~21 MB parameter blob
-# costs ~100 ms; the simulation asks for the same payload's size repeatedly
-# (work generator, catalog publishes, transfer planning).  Key by a cheap
-# BLAKE2b content digest so identical payloads compress exactly once.
+# ``compressed_size`` memoisation, keyed by a BLAKE2b content digest so
+# identical payloads compress once.  Written for repeated queries of one
+# payload's size; measured at 0 hits on every benchmark workload, where
+# each priced payload is fresh.  The codec plane's pricing path deflates
+# without it (``repro.core.codec_plane._deflate``).
 _COMPRESSED_SIZE_CACHE: "OrderedDict[bytes, int]" = OrderedDict()
 _COMPRESSED_SIZE_CACHE_MAX = 256
 # Process-global hit/miss tallies for the memo above.  Surfaced through
@@ -380,18 +381,24 @@ _COMPRESSED_SIZE_CACHE_MAX = 256
 # across runs in one process, so putting these in RunResult.counters
 # would break repeat-run determinism.
 _COMPRESSED_SIZE_CACHE_STATS = {"hits": 0, "misses": 0}
-# Guards the memo and its tallies: the codec plane's pricing thread
-# deflates published files while the simulation thread prices uploads.
-# Never held across the zlib pass, so the two deflates overlap.
+# Guards the memo and its tallies, so any thread may price through it.
+# Never held across the zlib pass, so two threads' deflates overlap.
 _COMPRESSED_SIZE_LOCK = threading.Lock()
 
 
-def _deflated_size(payload: bytes | np.ndarray) -> int:
-    """Memoised zlib size of ``payload``; safe to call from any thread.
+def compressed_size(payload: bytes | np.ndarray) -> int:
+    """Size in bytes of ``payload`` after zlib compression.
 
-    The body of :func:`compressed_size`.  Code running off the simulation
-    thread calls this name, never the public one, so wrappers installed
-    around ``compressed_size`` only ever see the simulation thread.
+    Models BOINC's server-side gzip feature (§III-B): the network transfer
+    model charges for compressed bytes when compression is enabled.
+    Results are memoised by content checksum (bounded LRU, so
+    million-publish fleet runs cannot grow it without limit), so a repeated
+    query for the same payload would skip the compression pass.  None
+    repeats on the benchmark workloads (0 hits: every wire body is fresh),
+    so each call pays a hash on top of the deflate; the codec plane's
+    pricing thread and helping resolves deflate without the memo.
+    An array is hashed and compressed through its own buffer, so it shares
+    its memo entry with its ``tobytes()``.  Safe to call from any thread.
     """
     if isinstance(payload, np.ndarray):
         payload = np.ascontiguousarray(payload)
@@ -409,20 +416,6 @@ def _deflated_size(payload: bytes | np.ndarray) -> int:
         while len(_COMPRESSED_SIZE_CACHE) > _COMPRESSED_SIZE_CACHE_MAX:
             _COMPRESSED_SIZE_CACHE.popitem(last=False)
     return size
-
-
-def compressed_size(payload: bytes | np.ndarray) -> int:
-    """Size in bytes of ``payload`` after zlib compression.
-
-    Models BOINC's server-side gzip feature (§III-B): the network transfer
-    model charges for compressed bytes when compression is enabled.
-    Results are memoised by content checksum (bounded LRU, so
-    million-publish fleet runs cannot grow it without limit), so repeated
-    queries for the same payload skip the (expensive) compression pass.
-    An array is hashed and compressed through its own buffer, so it shares
-    its memo entry with its ``tobytes()``.
-    """
-    return _deflated_size(payload)
 
 
 def compressed_size_cache_stats() -> tuple[int, int]:

@@ -66,13 +66,13 @@ class TestDeterminism:
         # counter, epoch or record (time and place included).
         config = tiny_config(**TINY_CODECS[codec])
         expected = observe(config)
-        deflate = codec_plane._deflated_size
+        deflate = codec_plane._deflate
 
         def slow(body):
             time.sleep(0.002)
             return deflate(body)
 
-        monkeypatch.setattr(codec_plane, "_deflated_size", slow)
+        monkeypatch.setattr(codec_plane, "_deflate", slow)
         assert observe(config) == expected
 
     def test_every_publish_is_priced_once(self, codec):
@@ -109,7 +109,7 @@ class TestThreadLifetime:
         def broken(body):
             raise RuntimeError("deflate failed")
 
-        monkeypatch.setattr(codec_plane, "_deflated_size", broken)
+        monkeypatch.setattr(codec_plane, "_deflate", broken)
         runner = DistributedRunner(tiny_config(codec="int8"))
         with pytest.raises(RuntimeError, match="deflate failed"):
             runner.run()

@@ -5,11 +5,12 @@ ahead, a result upload's zlib pass runs on the codec plane's pricing
 thread while the dispatcher trains the step of the in-flight attempt
 whose compute ends next; the size resolves before the executor returns,
 inside the same compute-end event, and that attempt's compute end takes
-a finished result.  Otherwise the upload is priced inline, as outside
-``run()``.  Neither may show in the bits: the pins (``tests/goldens.py``)
-were captured on the tree that priced every upload inline and trained
-every subtask at its compute end.  If one moves, find the leak — do not
-re-pin.
+a finished result and, for a lossy upload, the upload prepared from it
+(``tests/core/test_price_ahead.py``).  Otherwise the upload is priced
+inline, as outside ``run()``.  None of it may show in the bits: the pins
+(``tests/goldens.py``) were captured on the tree that priced every upload
+inline and trained every subtask at its compute end.  If one moves, find
+the leak — do not re-pin.
 """
 
 from __future__ import annotations
@@ -55,13 +56,13 @@ class TestTraceOrder:
         assert golden.recompute() == golden.hex
 
     def test_a_slow_pricing_thread_moves_nothing(self, name, monkeypatch):
-        deflate = codec_plane._deflated_size
+        deflate = codec_plane._deflate
 
         def slow(body):
             time.sleep(0.002)
             return deflate(body)
 
-        monkeypatch.setattr(codec_plane, "_deflated_size", slow)
+        monkeypatch.setattr(codec_plane, "_deflate", slow)
         golden = TRACE_ORDER[name]
         assert golden.recompute() == golden.hex
 
@@ -71,14 +72,55 @@ def held(runner) -> list:
     return [key for key, (step, _, _) in notes if step.result is not None]
 
 
+def spy_on_uploads(plane) -> list[str]:
+    """Classify every ``encode_upload`` call on ``plane`` as it returns,
+    asserting the prepared-upload invariants on the way: a call ahead
+    prepares only while no upload is prepared, and only the compute end
+    of the prepared attempt takes it, committing it or, stale, encoding
+    the upload again."""
+    kinds: list[str] = []
+    encode_upload = plane.encode_upload
+
+    def spying(update, base_vec, wu_id, defer_price=False, attempt=None, ahead=False):
+        before = plane._prepared_upload
+        stale = plane.stats["prepared_stale"]
+        out = encode_upload(update, base_vec, wu_id, defer_price, attempt, ahead)
+        after = plane._prepared_upload
+        if ahead:
+            assert out is None
+            if after is not before:
+                assert before is None and after.attempt == attempt
+                kinds.append("prepare")
+            return out
+        if before is not None and before.attempt == attempt:
+            assert after is None
+            if plane.stats["prepared_stale"] > stale:
+                kinds.append("stale")
+            else:
+                assert out[1]._job is before.job
+                kinds.append("commit")
+        else:
+            assert after is before
+            pending = isinstance(out[1], codec_plane.PendingPrice)
+            kinds.append("deferred" if pending else "inline")
+        return out
+
+    plane.encode_upload = spying
+    return kinds
+
+
 class TestThreads:
     def test_an_upload_deflates_off_thread_only_while_one_trains_ahead(
         self, monkeypatch
     ):
         runner = DistributedRunner(tiny_config(codec="int8"))
-        # Inside run() the simulation thread deflates an upload only
-        # through the codec's own encode, and only when no attempt can
-        # train meanwhile.
+        plane = runner._codec_plane
+        # Inside run() the simulation thread deflates an upload through
+        # the codec's own encode only when no attempt can train meanwhile.
+        # Otherwise the next finisher trains ahead and, unless it is the
+        # last attempt still computing, its upload is prepared: encoded
+        # once, its deflate queued, and committed by its own compute end
+        # without encoding again.
         inline = []
         compressed_size = serialization.compressed_size
         monkeypatch.setattr(
@@ -86,31 +128,44 @@ class TestThreads:
             "compressed_size",
             lambda body: inline.append(1) or compressed_size(body),
         )
-        deferred = []
-        encode_upload = runner._codec_plane.encode_upload
-
-        def spying(*args):
-            payload, wire = encode_upload(*args)
-            deferred.append(isinstance(wire, codec_plane.PendingPrice))
-            return payload, wire
-
-        runner._codec_plane.encode_upload = spying
+        encodes = []
+        encode_unpriced = plane.up_codec.encode_unpriced
+        plane.up_codec.encode_unpriced = (
+            lambda *args, **kwargs: encodes.append(1) or encode_unpriced(*args, **kwargs)
+        )
+        kinds = spy_on_uploads(plane)
         execute = runner._execute_subtask
 
         def executing(wu, payloads):
             payload, wire = execute(wu, payloads)
-            # A deferred deflate trained one attempt ahead, and its size
-            # left the executor resolved.
+            # The size left the executor resolved, and the one prepared
+            # upload is the one held result's (the last attempt still
+            # computing holds a result unprepared).
             assert type(wire) is int
-            assert len(held(runner)) == (1 if deferred[-1] else 0)
+            prepared = plane._prepared_upload
+            if prepared is None:
+                assert held(runner) in ([], list(runner._prepared))
+            else:
+                assert held(runner) == [prepared.attempt]
             return payload, wire
 
         for client in runner.server.clients.values():
             client.executor = executing
         counters = runner.run().counters
-        assert len(deferred) == counters["codec_uploads"]
-        assert len(inline) == deferred.count(False)
-        assert 0 < deferred.count(True) < len(deferred)
+        uploads = [kind for kind in kinds if kind != "prepare"]
+        assert len(uploads) == counters["codec_uploads"]
+        assert len(inline) == uploads.count("inline") > 0
+        assert uploads.count("commit") > 0 and uploads.count("deferred") > 0
+        # A prepared upload commits or goes stale, or the epoch or the
+        # run ends first; this run has no timeout or preemption.
+        assert plane.stats["prepared_uploads"] == kinds.count("prepare")
+        assert kinds.count("prepare") == (
+            uploads.count("commit") + plane.stats["prepared_stale"]
+        )
+        assert "stale" not in uploads
+        # Every upload is encoded once, a committed one where it was
+        # prepared.
+        assert len(encodes) == len(kinds) - uploads.count("commit")
 
     def test_a_failed_upload_deflate_surfaces_from_run(self, monkeypatch):
         def broken(body):
@@ -118,7 +173,7 @@ class TestThreads:
 
         # The first deflate inside run() is the first upload's: the
         # constructor's publish was priced inline.
-        monkeypatch.setattr(codec_plane, "_deflated_size", broken)
+        monkeypatch.setattr(codec_plane, "_deflate", broken)
         runner = DistributedRunner(tiny_config(codec="zlib"))
         with pytest.raises(RuntimeError, match="deflate failed") as failure:
             runner.run()
@@ -175,7 +230,7 @@ class TestTrainingAhead:
         """What an upload's deferred deflate does in the executor."""
         ahead = runner._next_finisher()
         if ahead is not None:
-            runner._dispatcher.resolve(ahead)
+            runner._price_ahead(ahead)
 
     def test_a_reissued_attempt_never_takes_its_predecessors_result(self):
         runner, units, shard_files = self.setup_runner()

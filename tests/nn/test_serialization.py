@@ -152,10 +152,10 @@ class TestCompressedSize:
         assert compressed_size_cache_stats() == (hits + 2, misses + 1)
 
     def test_memo_holds_under_two_threads(self, rng):
-        # The pricing thread and the simulation thread share the memo.
-        # More threads than cores hammer an overlapping set of payloads,
-        # with a short switch interval, on a set larger than the memo so
-        # it also evicts under load.
+        # Any thread may price through the memo.  More threads than
+        # cores hammer an overlapping set of payloads, with a short switch
+        # interval, on a set larger than the memo so it also evicts under
+        # load.
         sizes = rng.integers(20, 2000, size=serialization._COMPRESSED_SIZE_CACHE_MAX + 40)
         payloads = [
             rng.integers(0, 4, size=int(n)).astype(np.int8).tobytes() for n in sizes
@@ -172,7 +172,7 @@ class TestCompressedSize:
             for i in range(calls_per_thread):
                 j = (i * stride) % len(payloads)
                 try:
-                    if serialization._deflated_size(payloads[j]) != expected[j]:
+                    if serialization.compressed_size(payloads[j]) != expected[j]:
                         wrong.append(j)
                 except Exception as exc:  # a thread's error fails the test
                     wrong.append(repr(exc))
