@@ -7,7 +7,7 @@ Subpackages
     NumPy deep-learning substrate (autograd, layers, models, optimizers) —
     stands in for the paper's TensorFlow stack.
 ``repro.data``
-    Synthetic CIFAR-style dataset, shard splitting, batch loading.
+    Synthetic CIFAR-style dataset and shard splitting.
 ``repro.simulation``
     Discrete-event simulator: clock, processor-sharing compute, network
     links, preemption models, deterministic RNG streams, tracing.
@@ -23,7 +23,7 @@ Subpackages
 ``repro.cloud``
     Preemptible-instance pricing, interruption bands, fleet cost model.
 ``repro.analysis``
-    Curve metrics (crossovers, smoothness, time-to-accuracy) and tables.
+    Curve metrics (crossovers, smoothness, final gap) and tables.
 
 Quickstart
 ----------
@@ -36,8 +36,6 @@ Quickstart
 import importlib
 
 from .errors import ReproError
-
-__version__ = "1.0.0"
 
 _SUBPACKAGES = (
     "nn", "data", "simulation", "kvstore", "boinc", "core", "cloud", "analysis"
@@ -52,4 +50,4 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [*_SUBPACKAGES, "ReproError", "__version__"]
+__all__ = [*_SUBPACKAGES, "ReproError"]

@@ -7,21 +7,15 @@ from .curves import (
     final_gap,
     interpolate_to_grid,
     smoothness,
-    time_to_threshold,
 )
 from .dashboard import sweep_dashboard, telemetry_dashboard
-from .reporting import comparison_table, markdown_report, run_summary_table
 from .tables import format_hours, format_pct, render_table
 
 __all__ = [
     "ascii_chart",
     "telemetry_dashboard",
     "sweep_dashboard",
-    "run_summary_table",
-    "comparison_table",
-    "markdown_report",
     "interpolate_to_grid",
-    "time_to_threshold",
     "crossover_time",
     "smoothness",
     "final_gap",

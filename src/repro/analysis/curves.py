@@ -1,9 +1,9 @@
 """Accuracy-vs-time curve analysis (the quantities Figs. 2–6 discuss).
 
-The paper reads several properties off its plots: which configuration
-reaches an accuracy first, where two α curves cross (§IV-C), how wide the
-per-epoch error bars are, and how *smooth* the distributed curve is versus
-the single-instance one (§IV-C's third observation on Fig. 6).  These are
+The paper reads several properties off its plots: where two α curves
+cross (§IV-C), how wide the per-epoch error bars are, and how *smooth*
+the distributed curve is versus the single-instance one (§IV-C's third
+observation on Fig. 6).  These are
 implemented as plain functions over (time, accuracy) arrays so both the
 benchmark harness and the tests can assert on them.
 """
@@ -16,7 +16,6 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "interpolate_to_grid",
-    "time_to_threshold",
     "crossover_time",
     "smoothness",
     "final_gap",
@@ -48,26 +47,6 @@ def interpolate_to_grid(
     """
     times, values = _validate(times, values)
     return np.interp(np.asarray(grid, dtype=np.float64), times, values)
-
-
-def time_to_threshold(
-    times: np.ndarray, values: np.ndarray, threshold: float
-) -> float | None:
-    """First time the curve reaches ``threshold`` (linear interp between
-    epoch samples); None if it never does."""
-    times, values = _validate(times, values)
-    above = values >= threshold
-    if not above.any():
-        return None
-    idx = int(np.argmax(above))
-    if idx == 0:
-        return float(times[0])
-    t0, t1 = times[idx - 1], times[idx]
-    v0, v1 = values[idx - 1], values[idx]
-    if v1 == v0:
-        return float(t1)
-    frac = (threshold - v0) / (v1 - v0)
-    return float(t0 + frac * (t1 - t0))
 
 
 def crossover_time(

@@ -30,18 +30,16 @@ import numpy as np
 
 from ..simulation.tracing import Trace
 
-__all__ = ["ValidationResult", "ParameterValidator", "REASON_CODES"]
-
-#: Stable rejection reason codes (the trace/metrics aggregation keys).
-REASON_CODES = ("decode", "shape", "size", "non_finite", "bound", "norm_bound", "ok")
+__all__ = ["ValidationResult", "ParameterValidator"]
 
 
 @dataclass(frozen=True)
 class ValidationResult:
     """Outcome of validating one uploaded result.
 
-    ``code`` is a stable machine-readable reason class from
-    :data:`REASON_CODES`; ``reason`` the human-readable detail.
+    ``code`` is a stable machine-readable reason class (``decode``,
+    ``shape``, ``size``, ``non_finite``, ``bound``, ``norm_bound`` or
+    ``ok``); ``reason`` the human-readable detail.
     """
 
     ok: bool

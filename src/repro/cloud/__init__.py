@@ -16,7 +16,6 @@ from .interruption import (
     paper_p5c5t2_analysis,
 )
 from .pricing import (
-    PAPER_FLEET_PREEMPTIBLE_PER_H,
     PAPER_FLEET_STANDARD_PER_H,
     PriceBook,
     PricingClass,
@@ -41,5 +40,4 @@ __all__ = [
     "PricingClass",
     "default_price_book",
     "PAPER_FLEET_STANDARD_PER_H",
-    "PAPER_FLEET_PREEMPTIBLE_PER_H",
 ]

@@ -62,7 +62,7 @@ class Fleet:
 
     def job_cost(self, hours: float) -> float:
         """Total $ for a job of the given duration."""
-        if hours < 0:
+        if not hours >= 0:
             raise ConfigurationError(f"negative duration {hours}")
         return self.hourly_cost() * hours
 

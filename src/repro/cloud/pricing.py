@@ -21,12 +21,10 @@ __all__ = [
     "PriceBook",
     "default_price_book",
     "PAPER_FLEET_STANDARD_PER_H",
-    "PAPER_FLEET_PREEMPTIBLE_PER_H",
 ]
 
-# §IV-E anchors.
+# The §IV-E anchor.
 PAPER_FLEET_STANDARD_PER_H = 1.67
-PAPER_FLEET_PREEMPTIBLE_PER_H = 0.50
 
 
 class PricingClass(Enum):

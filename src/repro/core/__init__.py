@@ -26,7 +26,6 @@ from .vcasgd import (
     AlphaSchedule,
     CallableAlpha,
     ConstantAlpha,
-    LinearAlpha,
     VarAlpha,
     epoch_recursion,
     vcasgd_merge,
@@ -66,7 +65,6 @@ __all__ = [
     "AlphaSchedule",
     "ConstantAlpha",
     "VarAlpha",
-    "LinearAlpha",
     "CallableAlpha",
     "vcasgd_merge",
     "epoch_recursion",

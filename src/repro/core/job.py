@@ -13,6 +13,7 @@ from these, taking each flag's type and default from the field itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from ..data.synthetic import SyntheticImageConfig
@@ -63,7 +64,13 @@ class LocalTrainingConfig:
     def __post_init__(self) -> None:
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate <= 0 or self.local_epochs <= 0 or self.batch_size <= 0:
+        # Float bounds are negated (``not x > 0``, never ``x <= 0``): every
+        # comparison with NaN is False, so only the negated form rejects it.
+        if (
+            not 0.0 < self.learning_rate < math.inf
+            or self.local_epochs <= 0
+            or self.batch_size <= 0
+        ):
             raise ConfigurationError("invalid local training parameters")
 
 
@@ -115,11 +122,11 @@ class FaultConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.preemption_hourly_p < 1.0:
             raise ConfigurationError("preemption_hourly_p must be in [0, 1)")
-        if self.relaunch_delay_s is not None and self.relaunch_delay_s < 0:
+        if self.relaunch_delay_s is not None and not self.relaunch_delay_s >= 0:
             raise ConfigurationError("relaunch_delay_s must be non-negative")
-        if self.corrupt_clients < 0 or self.corruption_scale < 0:
+        if self.corrupt_clients < 0 or not self.corruption_scale >= 0:
             raise ConfigurationError("invalid corruption parameters")
-        if self.volunteer_arrivals_per_hour < 0 or self.max_volunteers < 0:
+        if not self.volunteer_arrivals_per_hour >= 0 or self.max_volunteers < 0:
             raise ConfigurationError("invalid volunteer churn parameters")
         if self.chaos is not None and not isinstance(self.chaos, ChaosPlan):
             raise ConfigurationError(
@@ -337,6 +344,9 @@ class TrainingJobConfig:
             raise ConfigurationError("cohort_size must be >= 1")
         if self.step_jobs < 0:
             raise ConfigurationError("step_jobs must be >= 0 (0 = auto)")
+        for name in ("work_units_per_subtask", "validation_work_units", "subtask_timeout_s"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
         for name, kind in (
             ("update_rule", UpdateRule),
             ("congestion", CongestionSchedule),
@@ -359,16 +369,16 @@ class TrainingJobConfig:
             )
         if self.quarantine_after < 0:
             raise ConfigurationError("quarantine_after must be non-negative")
-        if self.max_param_norm is not None and self.max_param_norm <= 0:
+        if self.max_param_norm is not None and not self.max_param_norm > 0:
             raise ConfigurationError("max_param_norm must be positive or None")
+        if not 0.0 < self.codec_topk <= 1.0:
+            raise ConfigurationError("codec_topk must be in (0, 1]")
         if self.codec is not None:
             if self.codec not in CODEC_NAMES:
                 raise ConfigurationError(
                     f"unknown codec {self.codec!r} "
                     f"(choices: {', '.join(CODEC_NAMES)})"
                 )
-            if not 0.0 < self.codec_topk <= 1.0:
-                raise ConfigurationError("codec_topk must be in (0, 1]")
             if self.codec_quant not in VALUE_QUANTS:
                 raise ConfigurationError(
                     f"unknown codec_quant {self.codec_quant!r} "

@@ -225,7 +225,8 @@ class DownpourRule(UpdateRule):
     uses_gradient: bool = True
 
     def __post_init__(self) -> None:
-        if self.server_lr <= 0:
+        # Negated, so that NaN (every comparison with it is False) fails.
+        if not self.server_lr > 0:
             raise ConfigurationError("server_lr must be positive")
 
     def apply_into(
@@ -352,7 +353,7 @@ class DCASGDRule(UpdateRule):
     keeps_snapshots = True
 
     def __post_init__(self) -> None:
-        if self.server_lr <= 0 or self.lam < 0:
+        if not self.server_lr > 0 or not self.lam >= 0:
             raise ConfigurationError("invalid DC-ASGD parameters")
         if self.max_backups < 1:
             raise ConfigurationError("max_backups must be >= 1")
@@ -425,7 +426,7 @@ class RescaledASGDRule(UpdateRule):
     _latest_version: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
-        if self.server_lr <= 0 or self.power < 0:
+        if not self.server_lr > 0 or not self.power >= 0:
             raise ConfigurationError("invalid Rescaled ASGD parameters")
 
     def snapshot_sent(self, version: int, server: np.ndarray) -> None:
@@ -584,7 +585,7 @@ class CenteredClipRule(_WindowedRule):
     _next: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ConfigurationError("tau must be positive")
         if self.iters < 1:
             raise ConfigurationError("iters must be >= 1")

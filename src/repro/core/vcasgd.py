@@ -29,7 +29,6 @@ __all__ = [
     "AlphaSchedule",
     "ConstantAlpha",
     "VarAlpha",
-    "LinearAlpha",
     "CallableAlpha",
     "vcasgd_merge",
     "epoch_recursion",
@@ -84,32 +83,6 @@ class VarAlpha(AlphaSchedule):
 
     def describe(self) -> str:
         return "alpha=e/(e+1)"
-
-
-@dataclass(frozen=True)
-class LinearAlpha(AlphaSchedule):
-    """Linear ramp from ``start`` to ``end`` over ``num_epochs`` epochs."""
-
-    start: float
-    end: float
-    num_epochs: int
-
-    def __post_init__(self) -> None:
-        for a in (self.start, self.end):
-            if not 0.0 < a <= 1.0:
-                raise ConfigurationError(f"alpha endpoints must be in (0, 1], got {a}")
-        if self.num_epochs < 1:
-            raise ConfigurationError("num_epochs must be >= 1")
-
-    def alpha_at(self, epoch: int) -> float:
-        self._validate_epoch(epoch)
-        if self.num_epochs == 1:
-            return self.end
-        frac = min(epoch - 1, self.num_epochs - 1) / (self.num_epochs - 1)
-        return self.start + (self.end - self.start) * frac
-
-    def describe(self) -> str:
-        return f"alpha={self.start}->{self.end}"
 
 
 class CallableAlpha(AlphaSchedule):

@@ -26,29 +26,14 @@ from .layers import (
     Sigmoid,
     Tanh,
 )
-from .losses import cross_entropy, l2_penalty, mae_loss, mse_loss
-from .metrics import accuracy, confusion_matrix, evaluate_classifier, top_k_accuracy
+from .losses import cross_entropy
+from .metrics import evaluate_classifier
 from .models import ModelSpec, build_model, make_convnet, make_mlp, make_resnetv2
-from .optim import (
-    SGD,
-    Adam,
-    ConstantLR,
-    CosineLR,
-    LRSchedule,
-    Optimizer,
-    StepDecayLR,
-    WarmupLR,
-    clip_grad_norm,
-)
-from .rnn import RNN, Embedding, GRUCell, LSTMCell, RNNCell
+from .optim import SGD, Adam, Optimizer
 from .serialization import (
     ParameterArena,
     StateLayout,
     compressed_size,
-    state_checksum,
-    state_from_bytes,
-    state_num_scalars,
-    state_to_bytes,
 )
 from .tensor import Tensor, no_grad
 from .workspace import Workspace
@@ -82,38 +67,17 @@ __all__ = [
     "Sequential",
     "Residual",
     "cross_entropy",
-    "mse_loss",
-    "mae_loss",
-    "l2_penalty",
-    "accuracy",
-    "top_k_accuracy",
-    "confusion_matrix",
     "evaluate_classifier",
     "ModelSpec",
     "build_model",
     "make_mlp",
     "make_convnet",
     "make_resnetv2",
-    "RNN",
-    "RNNCell",
-    "GRUCell",
-    "LSTMCell",
-    "Embedding",
     "Optimizer",
     "SGD",
     "Adam",
-    "LRSchedule",
-    "ConstantLR",
-    "StepDecayLR",
-    "CosineLR",
-    "WarmupLR",
-    "clip_grad_norm",
     "StateLayout",
     "ParameterArena",
-    "state_to_bytes",
-    "state_from_bytes",
-    "state_num_scalars",
-    "state_checksum",
     "compressed_size",
     "Workspace",
 ]

@@ -21,7 +21,7 @@ loop (:class:`TapeProgram`) under Hypothesis across dtypes, cohort sizes
 and optimizers; the runner-level golden digests hold it end to end.
 
 One kernel pair per layer kind.  Anything else (Residual, LayerNorm,
-Dropout, recurrent cells, user subclasses) raises
+Dropout, user subclasses) raises
 :class:`CohortUnsupported` at compile time and trains on the tape through
 :class:`TapeProgram` — never on silently different numerics.
 """

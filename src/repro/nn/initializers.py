@@ -21,7 +21,6 @@ __all__ = [
     "glorot_uniform",
     "zeros",
     "ones",
-    "normal",
     "get_initializer",
 ]
 
@@ -76,15 +75,6 @@ def zeros(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
 def ones(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """All-ones (batch-norm gain default)."""
     return np.ones(shape)
-
-
-def normal(std: float = 0.01) -> Initializer:
-    """Factory for a plain N(0, std) initializer."""
-
-    def init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(0.0, std, size=shape)
-
-    return init
 
 
 _REGISTRY: dict[str, Initializer] = {

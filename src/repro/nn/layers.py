@@ -315,8 +315,7 @@ class LayerNorm(Module):
     """Layer normalization over the last axis (Ba et al.).
 
     Unlike :class:`BatchNorm` it has no running statistics and no
-    train/eval behaviour split, which makes it the natural choice for the
-    NLP/recurrent workloads (§V) where batch statistics are unstable.
+    train/eval behaviour split.
     """
 
     def __init__(self, num_features: int, eps: float = 1e-5) -> None:

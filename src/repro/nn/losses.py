@@ -1,8 +1,7 @@
 """Loss functions.
 
-The reproduction trains classifiers with softmax cross-entropy (as the
-paper's CIFAR10 setup does); MSE/MAE are provided for the regression-style
-workloads (time-series forecasting) discussed in §V.
+The reproduction trains classifiers with softmax cross-entropy, as the
+paper's CIFAR10 setup does.
 """
 
 from __future__ import annotations
@@ -10,10 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from . import functional as F
 from .tensor import Tensor
 
-__all__ = ["cross_entropy", "mse_loss", "mae_loss", "l2_penalty"]
+__all__ = ["cross_entropy"]
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -45,34 +43,3 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
             logits._accumulate(grad * (float(g) / n))
 
     return Tensor._make(np.asarray(loss), (logits,), backward)
-
-
-def mse_loss(pred: Tensor, target: np.ndarray | Tensor) -> Tensor:
-    """Mean squared error."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    if pred.shape != target_t.shape:
-        raise ShapeError(f"pred {pred.shape} vs target {target_t.shape}")
-    diff = pred - target_t
-    return (diff * diff).mean()
-
-
-def mae_loss(pred: Tensor, target: np.ndarray | Tensor) -> Tensor:
-    """Mean absolute error."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    if pred.shape != target_t.shape:
-        raise ShapeError(f"pred {pred.shape} vs target {target_t.shape}")
-    return F.abs(pred - target_t).mean()
-
-
-def l2_penalty(parameters: list[Tensor], coefficient: float) -> Tensor:
-    """Sum of squared parameters times ``coefficient`` (weight decay).
-
-    The paper disables regularization; available for ablations.
-    """
-    total: Tensor | None = None
-    for p in parameters:
-        term = (p * p).sum()
-        total = term if total is None else total + term
-    if total is None:
-        return Tensor(0.0)
-    return total * coefficient

@@ -4,41 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
 from .layers import Module
 from .losses import cross_entropy
 from .tensor import Tensor, no_grad
 
-__all__ = ["accuracy", "top_k_accuracy", "confusion_matrix", "evaluate_classifier"]
-
-
-def accuracy(logits: np.ndarray | Tensor, labels: np.ndarray) -> float:
-    """Fraction of rows whose argmax matches the integer label."""
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    labels = np.asarray(labels)
-    if data.ndim != 2 or labels.shape != (data.shape[0],):
-        raise ShapeError(f"accuracy expects (N, C) vs (N,), got {data.shape} vs {labels.shape}")
-    return float((data.argmax(axis=1) == labels).mean())
-
-
-def top_k_accuracy(logits: np.ndarray | Tensor, labels: np.ndarray, k: int = 5) -> float:
-    """Fraction of rows whose label is within the top-k scores."""
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    labels = np.asarray(labels)
-    k = min(k, data.shape[1])
-    topk = np.argpartition(-data, k - 1, axis=1)[:, :k]
-    return float((topk == labels[:, None]).any(axis=1).mean())
-
-
-def confusion_matrix(
-    logits: np.ndarray | Tensor, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """(num_classes, num_classes) matrix: rows = true class, cols = predicted."""
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    preds = data.argmax(axis=1)
-    mat = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(mat, (np.asarray(labels), preds), 1)
-    return mat
+__all__ = ["evaluate_classifier"]
 
 
 def evaluate_classifier(

@@ -35,7 +35,6 @@ step's gradients) widens an arena back, exactly.
 from __future__ import annotations
 
 import hashlib
-import io
 import threading
 import zlib
 from collections import OrderedDict
@@ -55,10 +54,6 @@ __all__ = [
     "BLOCK_SIZE",
     "StateLayout",
     "ParameterArena",
-    "state_to_bytes",
-    "state_from_bytes",
-    "state_num_scalars",
-    "state_checksum",
     "compressed_size",
     "compressed_size_cache_stats",
     # codec plane re-exports (defined in repro.nn.codecs; the ROADMAP
@@ -90,14 +85,6 @@ BUFFER_PREFIX = "buffer:"
 # scratch holds one block, not one model.  2**16 scalars are 256 KiB in
 # the step dtype and 512 KiB in a float64 vector.
 BLOCK_SIZE = 1 << 16
-
-
-def _as_f64_contiguous(value: np.ndarray) -> np.ndarray:
-    """Float64 C-contiguous view of ``value`` — a copy only when needed."""
-    arr = value if isinstance(value, np.ndarray) else np.asarray(value)
-    if arr.dtype == np.float64 and arr.flags["C_CONTIGUOUS"]:
-        return arr
-    return np.ascontiguousarray(arr, dtype=np.float64)
 
 
 class StateLayout:
@@ -329,41 +316,6 @@ class ParameterArena:
                 layout.keys, layout.offsets, layout.sizes, layout.shapes
             )
         }
-
-
-def state_to_bytes(state: dict[str, np.ndarray], compress: bool = True) -> bytes:
-    """Serialize a state dict to a (compressed) ``.npz`` byte blob."""
-    buf = io.BytesIO()
-    save = np.savez_compressed if compress else np.savez
-    # Keys may contain characters that are fine for npz archive member names.
-    # Entries that are already ndarrays go straight through — no copies.
-    save(buf, **{k: v if isinstance(v, np.ndarray) else np.asarray(v) for k, v in state.items()})
-    return buf.getvalue()
-
-
-def state_from_bytes(blob: bytes) -> dict[str, np.ndarray]:
-    """Inverse of :func:`state_to_bytes`."""
-    try:
-        with np.load(io.BytesIO(blob)) as archive:
-            return {k: archive[k].copy() for k in archive.files}
-    except Exception as exc:  # zipfile/np.load raise various types
-        raise SerializationError(f"cannot decode parameter blob: {exc}") from exc
-
-
-def state_num_scalars(state: dict[str, np.ndarray]) -> int:
-    """Total scalar count across all entries."""
-    return int(sum(np.asarray(v).size for v in state.values()))
-
-
-def state_checksum(state: dict[str, np.ndarray]) -> str:
-    """Stable content hash of a state dict (used by the BOINC validator)."""
-    digest = hashlib.sha256()
-    for key in sorted(state):
-        digest.update(key.encode())
-        arr = _as_f64_contiguous(state[key])
-        digest.update(str(arr.shape).encode())
-        digest.update(arr.tobytes())
-    return digest.hexdigest()
 
 
 # The one zlib level every wire size in the system is priced at.

@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import GradientError
 from .serialization import STEP_DTYPE
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "unbroadcast"]
+__all__ = ["Tensor", "no_grad", "unbroadcast"]
 
 
 class _GradMode(threading.local):
@@ -50,12 +50,6 @@ class no_grad:
 
     def __exit__(self, *exc: object) -> None:
         _grad_mode.enabled = self._prev
-
-
-def is_grad_enabled() -> bool:
-    """Return whether new ops on this thread record themselves on the
-    autograd tape."""
-    return _grad_mode.enabled
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -16,7 +16,7 @@ from .chaos import (
     StoreFaultWindow,
     TransferFaultPlan,
 )
-from .congestion import CongestedLink, CongestionSchedule, diurnal_schedule
+from .congestion import CongestedLink, CongestionSchedule
 from .engine import Simulator
 from .events import EventHandle, EventQueue
 from .network import NetworkLink, lan_link, wan_link
@@ -50,7 +50,6 @@ __all__ = [
     "ServerCrash",
     "CongestedLink",
     "CongestionSchedule",
-    "diurnal_schedule",
     "Simulator",
     "EventHandle",
     "EventQueue",

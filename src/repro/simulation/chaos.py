@@ -80,7 +80,7 @@ class TransferFaultPlan:
             raise ConfigurationError("transfer fault probabilities must be in [0, 1]")
         if self.failure_p + self.stall_p > 1.0:
             raise ConfigurationError("failure_p + stall_p cannot exceed 1")
-        if self.stall_timeout_s <= 0:
+        if not self.stall_timeout_s > 0:
             raise ConfigurationError("stall_timeout_s must be positive")
 
     @property

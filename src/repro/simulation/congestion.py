@@ -20,7 +20,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from .network import NetworkLink
 
-__all__ = ["CongestionSchedule", "diurnal_schedule", "CongestedLink"]
+__all__ = ["CongestionSchedule", "CongestedLink"]
 
 
 @dataclass(frozen=True)
@@ -63,26 +63,6 @@ class CongestionSchedule:
             else:
                 break
         return current
-
-
-def diurnal_schedule(
-    off_peak_factor: float = 1.0,
-    peak_factor: float = 0.35,
-    peak_start_h: float = 18.0,
-    peak_end_h: float = 23.0,
-) -> CongestionSchedule:
-    """Residential evening-congestion pattern: full speed except during the
-    evening peak window, when bandwidth drops to ``peak_factor``."""
-    if not 0.0 <= peak_start_h < peak_end_h <= 24.0:
-        raise ConfigurationError("need 0 <= peak_start < peak_end <= 24")
-    steps: list[tuple[float, float]] = [(0.0, off_peak_factor)]
-    if peak_start_h > 0:
-        steps.append((peak_start_h * 3600.0, peak_factor))
-    else:
-        steps[0] = (0.0, peak_factor)
-    if peak_end_h < 24.0:
-        steps.append((peak_end_h * 3600.0, off_peak_factor))
-    return CongestionSchedule(steps=tuple(steps))
 
 
 class CongestedLink:

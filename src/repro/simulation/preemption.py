@@ -86,7 +86,7 @@ class BernoulliSubtaskModel:
     def __post_init__(self) -> None:
         if min(self.n_s, self.n_c, self.n_tc) <= 0:
             raise ConfigurationError("n_s, n_c, n_tc must be positive")
-        if self.t_e <= 0 or self.t_o <= 0:
+        if not self.t_e > 0 or not self.t_o > 0:
             raise ConfigurationError("t_e and t_o must be positive")
 
     @property

@@ -14,7 +14,6 @@ from repro.analysis import (
     interpolate_to_grid,
     render_table,
     smoothness,
-    time_to_threshold,
 )
 from repro.errors import ConfigurationError
 
@@ -43,24 +42,6 @@ class TestInterpolation:
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             interpolate_to_grid(np.array([]), np.array([]), np.zeros(1))
-
-
-class TestTimeToThreshold:
-    def test_interpolates_crossing(self):
-        t = np.array([0.0, 10.0])
-        v = np.array([0.0, 1.0])
-        assert time_to_threshold(t, v, 0.25) == pytest.approx(2.5)
-
-    def test_none_when_never_reached(self):
-        assert time_to_threshold(np.array([0.0, 1.0]), np.array([0.1, 0.2]), 0.9) is None
-
-    def test_first_sample_already_above(self):
-        assert time_to_threshold(np.array([3.0, 4.0]), np.array([0.9, 0.95]), 0.5) == 3.0
-
-    def test_flat_segment(self):
-        t = np.array([0.0, 1.0, 2.0])
-        v = np.array([0.2, 0.5, 0.5])
-        assert time_to_threshold(t, v, 0.5) == pytest.approx(1.0)
 
 
 class TestCrossover:

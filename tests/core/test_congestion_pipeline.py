@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import run_experiment
 from repro.errors import ConfigurationError
-from repro.simulation import CongestionSchedule, diurnal_schedule
+from repro.simulation import CongestionSchedule
 
 from .test_runner import tiny_config
 
@@ -29,8 +29,9 @@ class TestCongestedPipeline:
     def test_offpeak_window_equals_clear_conditions(self):
         """A run that finishes before the evening peak sees no slowdown."""
         clear = run_experiment(tiny_config(max_epochs=2))
+        evening = ((0.0, 1.0), (18 * 3600.0, 0.01), (23 * 3600.0, 1.0))
         scheduled = run_experiment(
-            tiny_config(max_epochs=2, congestion=diurnal_schedule(peak_factor=0.01))
+            tiny_config(max_epochs=2, congestion=CongestionSchedule(steps=evening))
         )
         # tiny_config runs finish in well under 18 simulated hours.
         assert scheduled.total_time_s == pytest.approx(clear.total_time_s)

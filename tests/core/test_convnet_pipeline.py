@@ -88,8 +88,6 @@ class TestPaperScaleModel:
         """The paper's compressed parameter file is 21.2 MB for ~5M params;
         our float64 raw vector is ~40 MB (they stored float32) — the ratio
         is exactly the dtype width, confirming the byte model."""
-        from repro.nn.serialization import state_num_scalars
-
         model = build_model(paper_scale_resnet_spec(), np.random.default_rng(0))
-        float32_bytes = state_num_scalars(model.state_dict()) * 4
+        float32_bytes = sum(v.size for v in model.state_dict().values()) * 4
         assert abs(float32_bytes - 21.2 * 1024 * 1024) / (21.2 * 1024 * 1024) < 0.12

@@ -51,6 +51,15 @@ class TestJobConfig:
             {"store_kind": "dynamo"},
             {"target_accuracy": 1.5},
             {"client_specs": ()},
+            # A bound written ``x <= 0`` lets NaN through.
+            {"max_param_norm": float("nan")},
+            {"codec_topk": float("nan")},
+            {"subtask_timeout_s": float("nan")},
+            {"subtask_timeout_s": -1.0},
+            {"work_units_per_subtask": float("nan")},
+            {"work_units_per_subtask": -1.0},
+            {"validation_work_units": float("nan")},
+            {"validation_work_units": -1.0},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -62,12 +71,16 @@ class TestJobConfig:
             LocalTrainingConfig(optimizer="rmsprop")
         with pytest.raises(ConfigurationError):
             LocalTrainingConfig(learning_rate=0.0)
+        with pytest.raises(ConfigurationError):
+            LocalTrainingConfig(learning_rate=float("nan"))
 
     def test_fault_config_validation(self):
         with pytest.raises(ConfigurationError):
             FaultConfig(preemption_hourly_p=1.0)
         with pytest.raises(ConfigurationError):
             FaultConfig(relaunch_delay_s=-1.0)
+        with pytest.raises(ConfigurationError):
+            FaultConfig(relaunch_delay_s=float("nan"))
         FaultConfig(preemption_hourly_p=0.05, relaunch_delay_s=None)
 
 

@@ -150,13 +150,10 @@ def test_default_jobs_positive():
 
 def test_determinism_across_executors(base_config):
     """The same grid swept twice in different modes is byte-equal."""
-    from repro.nn.serialization import state_checksum
-
-    def digest(points) -> str:
-        accs = np.concatenate(
+    def digest(points) -> bytes:
+        return np.concatenate(
             [np.asarray(p.result.val_accuracy(), dtype=np.float64) for p in points]
-        )
-        return state_checksum({"accs": accs})
+        ).tobytes()
 
     a = Sweep(base_config).axis("num_clients", [2, 3])
     a.run(jobs=2)

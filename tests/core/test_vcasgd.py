@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.vcasgd import (
     CallableAlpha,
     ConstantAlpha,
-    LinearAlpha,
     VarAlpha,
     epoch_recursion,
     vcasgd_merge,
@@ -120,22 +119,6 @@ class TestSchedules:
             VarAlpha().alpha_at(0)
         with pytest.raises(ConfigurationError):
             ConstantAlpha(0.9).alpha_at(-1)
-
-    def test_linear_ramp(self):
-        s = LinearAlpha(0.5, 0.9, num_epochs=5)
-        assert s.alpha_at(1) == pytest.approx(0.5)
-        assert s.alpha_at(5) == pytest.approx(0.9)
-        assert s.alpha_at(3) == pytest.approx(0.7)
-        assert s.alpha_at(100) == pytest.approx(0.9)  # clamps
-
-    def test_linear_single_epoch(self):
-        assert LinearAlpha(0.5, 0.9, num_epochs=1).alpha_at(1) == 0.9
-
-    def test_linear_validation(self):
-        with pytest.raises(ConfigurationError):
-            LinearAlpha(0.0, 0.9, 5)
-        with pytest.raises(ConfigurationError):
-            LinearAlpha(0.5, 0.9, 0)
 
     def test_callable_schedule(self):
         s = CallableAlpha(lambda e: 1.0 - 1.0 / (e + 1), label="inv")

@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.nn.functional as F
-from repro.errors import ShapeError
 from repro.nn.tensor import Tensor
 
 from ..conftest import numerical_gradient
@@ -51,58 +48,6 @@ class TestActivations:
     def test_tanh_grad(self, rng):
         check_grad(lambda t: F.tanh(t).sum(), rng.normal(size=(6,)))
 
-    def test_exp_log_roundtrip_grad(self, rng):
-        x = np.abs(rng.normal(size=(5,))) + 0.5
-        check_grad(lambda t: F.log(F.exp(t)).sum(), x)
-
-    def test_sqrt_grad(self, rng):
-        x = np.abs(rng.normal(size=(5,))) + 0.5
-        check_grad(lambda t: F.sqrt(t).sum(), x)
-
-    def test_abs_grad(self, rng):
-        x = rng.normal(size=(5,))
-        x[np.abs(x) < 0.05] += 0.2
-        check_grad(lambda t: F.abs(t).sum(), x)
-
-    def test_clip_grad_zero_outside(self):
-        x = Tensor([-2.0, 0.5, 3.0], requires_grad=True)
-        F.clip(x, 0.0, 1.0).sum().backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
-
-    def test_maximum_tie_goes_to_first(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([1.0, 3.0], requires_grad=True)
-        F.maximum(a, b).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0])
-
-
-class TestSoftmax:
-    def test_softmax_rows_sum_to_one(self, rng):
-        out = F.softmax(Tensor(rng.normal(size=(4, 7))))
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(4), rtol=1e-12)
-
-    def test_softmax_shift_invariance(self, rng):
-        x = rng.normal(size=(3, 5))
-        a = F.softmax(Tensor(x)).data
-        b = F.softmax(Tensor(x + 100.0)).data
-        np.testing.assert_allclose(a, b, rtol=1e-9)
-
-    def test_softmax_grad(self, rng):
-        w = rng.normal(size=(3, 4))
-        check_grad(lambda t: (F.softmax(t) * w).sum(), rng.normal(size=(3, 4)))
-
-    def test_log_softmax_grad(self, rng):
-        w = rng.normal(size=(2, 5))
-        check_grad(lambda t: (F.log_softmax(t) * w).sum(), rng.normal(size=(2, 5)))
-
-    def test_log_softmax_equals_log_of_softmax(self, rng):
-        x = Tensor(rng.normal(size=(3, 6)))
-        np.testing.assert_allclose(
-            F.log_softmax(x).data, np.log(F.softmax(x).data), rtol=1e-9
-        )
-
-
 class TestDropout:
     def test_dropout_eval_is_identity(self, rng):
         x = Tensor(rng.normal(size=(5, 5)))
@@ -130,74 +75,3 @@ class TestDropout:
         out.sum().backward()
         # Gradient is zero exactly where the output was dropped.
         np.testing.assert_allclose((x.grad == 0), (out.data == 0))
-
-
-class TestConcatStack:
-    def test_concatenate_forward_backward(self, rng):
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        out = F.concatenate([a, b], axis=0)
-        assert out.shape == (6, 3)
-        (out * 2.0).sum().backward()
-        np.testing.assert_allclose(a.grad, 2 * np.ones((2, 3)))
-        np.testing.assert_allclose(b.grad, 2 * np.ones((4, 3)))
-
-    def test_concatenate_axis1(self, rng):
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 1)), requires_grad=True)
-        F.concatenate([a, b], axis=1).sum().backward()
-        assert a.grad.shape == (2, 3) and b.grad.shape == (2, 1)
-
-    def test_concatenate_empty_raises(self):
-        with pytest.raises(ShapeError):
-            F.concatenate([])
-
-    def test_stack_forward_backward(self, rng):
-        parts = [Tensor(rng.normal(size=(3,)), requires_grad=True) for _ in range(4)]
-        out = F.stack(parts, axis=0)
-        assert out.shape == (4, 3)
-        out.sum().backward()
-        for p in parts:
-            np.testing.assert_allclose(p.grad, np.ones(3))
-
-    def test_stack_empty_raises(self):
-        with pytest.raises(ShapeError):
-            F.stack([])
-
-
-class TestPadAndEmbedding:
-    def test_pad2d_shape_and_grad(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
-        out = F.pad2d(x, 2)
-        assert out.shape == (2, 3, 8, 8)
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((2, 3, 4, 4)))
-
-    def test_pad2d_zero_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(1, 1, 2, 2)))
-        assert F.pad2d(x, 0) is x
-
-    def test_pad2d_rejects_non4d(self):
-        with pytest.raises(ShapeError):
-            F.pad2d(Tensor(np.ones((3, 3))), 1)
-
-    def test_embedding_lookup_grad_scatter(self):
-        table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-        idx = np.array([0, 2, 0])
-        out = F.embedding_lookup(table, idx)
-        np.testing.assert_allclose(out.data, table.data[idx])
-        out.sum().backward()
-        expected = np.zeros((4, 3))
-        expected[0] = 2.0
-        expected[2] = 1.0
-        np.testing.assert_allclose(table.grad, expected)
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), cols=st.integers(2, 8))
-def test_property_softmax_is_probability_distribution(seed, cols):
-    rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=(3, cols)) * 5)
-    out = F.softmax(x).data
-    assert np.all(out >= 0)
-    np.testing.assert_allclose(out.sum(axis=1), np.ones(3), rtol=1e-9)

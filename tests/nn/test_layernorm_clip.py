@@ -1,4 +1,4 @@
-"""LayerNorm, gradient clipping, and warmup-schedule tests."""
+"""LayerNorm tests."""
 
 from __future__ import annotations
 
@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn import (
-    ConstantLR,
-    LayerNorm,
-    Parameter,
-    StepDecayLR,
-    Tensor,
-    WarmupLR,
-    clip_grad_norm,
-)
+from repro.nn import LayerNorm, Tensor
 
 from ..conftest import numerical_gradient
 
@@ -67,64 +59,3 @@ class TestLayerNorm:
     def test_parameters_registered(self):
         ln = LayerNorm(3)
         assert {n for n, _ in ln.named_parameters()} == {"gamma", "beta"}
-
-
-class TestClipGradNorm:
-    def make_params(self, grads: list[np.ndarray]) -> list[Parameter]:
-        params = []
-        for g in grads:
-            p = Parameter(np.zeros_like(g))
-            p.grad = g.copy()
-            params.append(p)
-        return params
-
-    def test_no_clip_below_threshold(self):
-        params = self.make_params([np.array([0.3, 0.4])])  # norm 0.5
-        norm = clip_grad_norm(params, max_norm=1.0)
-        assert norm == pytest.approx(0.5)
-        np.testing.assert_allclose(params[0].grad, [0.3, 0.4])
-
-    def test_clips_to_max_norm(self):
-        params = self.make_params([np.array([3.0, 4.0])])  # norm 5
-        norm = clip_grad_norm(params, max_norm=1.0)
-        assert norm == pytest.approx(5.0)
-        assert np.linalg.norm(params[0].grad) == pytest.approx(1.0)
-
-    def test_global_norm_across_params(self):
-        params = self.make_params([np.array([3.0]), np.array([4.0])])
-        clip_grad_norm(params, max_norm=2.5)  # global norm 5 -> halved
-        np.testing.assert_allclose(params[0].grad, [1.5])
-        np.testing.assert_allclose(params[1].grad, [2.0])
-
-    def test_in_place(self):
-        params = self.make_params([np.array([30.0])])
-        buf = params[0].grad
-        clip_grad_norm(params, max_norm=1.0)
-        assert params[0].grad is buf
-
-    def test_skips_gradless(self):
-        p = Parameter(np.zeros(2))
-        assert clip_grad_norm([p], max_norm=1.0) == 0.0
-
-    def test_invalid_max_norm(self):
-        with pytest.raises(ConfigurationError):
-            clip_grad_norm([], max_norm=0.0)
-
-
-class TestWarmupLR:
-    def test_ramps_linearly(self):
-        sched = WarmupLR(ConstantLR(1.0), warmup_steps=4)
-        assert sched.lr_at(0) == pytest.approx(0.25)
-        assert sched.lr_at(1) == pytest.approx(0.5)
-        assert sched.lr_at(3) == pytest.approx(1.0)
-        assert sched.lr_at(100) == pytest.approx(1.0)
-
-    def test_wraps_decaying_base(self):
-        base = StepDecayLR(1.0, step_size=10, gamma=0.1)
-        sched = WarmupLR(base, warmup_steps=2)
-        assert sched.lr_at(0) == pytest.approx(0.5)
-        assert sched.lr_at(15) == pytest.approx(0.1)  # past warmup: base rules
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            WarmupLR(ConstantLR(1.0), warmup_steps=0)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.nn.layers import Parameter
-from repro.nn.losses import cross_entropy, l2_penalty, mae_loss, mse_loss
+from repro.nn.losses import cross_entropy
 from repro.nn.tensor import Tensor
 
 from ..conftest import numerical_gradient
@@ -63,39 +62,3 @@ class TestCrossEntropy:
     def test_label_range_validation(self, rng):
         with pytest.raises(ShapeError):
             cross_entropy(Tensor(rng.normal(size=(2, 3))), np.array([0, 3]))
-
-
-class TestRegressionLosses:
-    def test_mse_value(self):
-        pred = Tensor(np.array([1.0, 2.0, 3.0]))
-        assert mse_loss(pred, np.array([1.0, 2.0, 5.0])).item() == pytest.approx(4.0 / 3)
-
-    def test_mse_grad(self, rng):
-        target = rng.normal(size=(4,))
-        x = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        mse_loss(x, target).backward()
-        np.testing.assert_allclose(x.grad, 2 * (x.data - target) / 4, rtol=1e-9)
-
-    def test_mae_value(self):
-        pred = Tensor(np.array([1.0, -1.0]))
-        assert mae_loss(pred, np.array([0.0, 0.0])).item() == pytest.approx(1.0)
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeError):
-            mse_loss(Tensor(np.ones(3)), np.ones(4))
-        with pytest.raises(ShapeError):
-            mae_loss(Tensor(np.ones(3)), np.ones(4))
-
-
-class TestL2Penalty:
-    def test_value(self):
-        params = [Parameter(np.array([1.0, 2.0])), Parameter(np.array([3.0]))]
-        assert l2_penalty(params, 0.5).item() == pytest.approx(0.5 * 14.0)
-
-    def test_empty_list(self):
-        assert l2_penalty([], 0.5).item() == 0.0
-
-    def test_gradient_is_scaled_params(self):
-        p = Parameter(np.array([2.0, -3.0]))
-        l2_penalty([p], 0.1).backward()
-        np.testing.assert_allclose(p.grad, 0.1 * 2 * p.data)

@@ -1,4 +1,4 @@
-"""Optimizer and LR-schedule tests."""
+"""Optimizer tests."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.errors import ConfigurationError
 from repro.nn.layers import BatchNorm, Dense, Module, Parameter
 from repro.nn.losses import cross_entropy
 from repro.nn.models import make_mlp
-from repro.nn.optim import SGD, Adam, ConstantLR, CosineLR, StepDecayLR
+from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor
 
 
@@ -22,6 +22,14 @@ def quadratic_param(start: float = 5.0) -> Parameter:
 def quadratic_step(p: Parameter) -> None:
     """Set grad of f(x) = x^2 manually: grad = 2x."""
     p.grad = 2.0 * p.data.copy()
+
+
+@pytest.mark.parametrize("optimizer", [SGD, Adam])
+@pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf")])
+def test_rejects_a_learning_rate_that_is_not_positive_and_finite(optimizer, lr):
+    # NaN passes a ``lr <= 0`` check: every comparison with NaN is False.
+    with pytest.raises(ConfigurationError, match="learning rate"):
+        optimizer([quadratic_param()], lr=lr)
 
 
 class TestSGD:
@@ -40,32 +48,10 @@ class TestSGD:
             opt.step()
         assert abs(p.data[0]) < 1e-6
 
-    def test_momentum_accelerates(self):
-        plain, heavy = quadratic_param(), quadratic_param()
-        opt_p = SGD([plain], lr=0.01)
-        opt_m = SGD([heavy], lr=0.01, momentum=0.9)
-        for _ in range(20):
-            quadratic_step(plain)
-            opt_p.step()
-            quadratic_step(heavy)
-            opt_m.step()
-        assert abs(heavy.data[0]) < abs(plain.data[0])
-
-    def test_weight_decay_shrinks(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.zeros(1)
-        opt.step()
-        assert p.data[0] < 1.0
-
     def test_skips_params_without_grad(self):
         p = Parameter(np.array([3.0]))
         SGD([p], lr=0.1).step()  # no grad set
         np.testing.assert_allclose(p.data, [3.0])
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ConfigurationError):
-            SGD([quadratic_param()], lr=0.1, momentum=1.0)
 
     def test_empty_params_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -104,10 +90,6 @@ class TestAdam:
         opt.step()
         assert opt._state[0] is not None and opt._state[1] is None
 
-    def test_invalid_betas(self):
-        with pytest.raises(ConfigurationError):
-            Adam([quadratic_param()], beta1=1.0)
-
     def test_trains_real_model(self, rng):
         model = Dense(8, 3, rng)
         opt = Adam(model.parameters(), lr=0.05)
@@ -132,36 +114,6 @@ class TestAdam:
         assert p.data is buf
 
 
-class TestSchedules:
-    def test_constant(self):
-        s = ConstantLR(0.01)
-        assert s.lr_at(0) == s.lr_at(1000) == 0.01
-
-    def test_constant_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            ConstantLR(0.0)
-
-    def test_step_decay(self):
-        s = StepDecayLR(1.0, step_size=10, gamma=0.1)
-        assert s.lr_at(0) == 1.0
-        assert s.lr_at(10) == pytest.approx(0.1)
-        assert s.lr_at(25) == pytest.approx(0.01)
-
-    def test_cosine_endpoints(self):
-        s = CosineLR(1.0, total_steps=100, min_lr=0.1)
-        assert s.lr_at(0) == pytest.approx(1.0)
-        assert s.lr_at(100) == pytest.approx(0.1)
-        assert s.lr_at(200) == pytest.approx(0.1)  # clamps past the end
-
-    def test_optimizer_uses_schedule(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=StepDecayLR(1.0, step_size=1, gamma=0.5))
-        assert opt.lr == 1.0
-        quadratic_step(p)
-        opt.step()
-        assert opt.lr == 0.5
-
-
 class _Interleaved(Module):
     """Keys sort as ``bn.*`` < ``buffer:bn.*`` < ``head.*``: the buffers sit
     *between* parameters, so the arena exposes two trainable runs."""
@@ -177,11 +129,7 @@ class _Interleaved(Module):
 
 OPTIMIZERS = {
     "adam": lambda params: Adam(params, lr=0.01),
-    "adam+decay": lambda params: Adam(params, lr=0.01, weight_decay=0.1),
     "sgd": lambda params: SGD(params, lr=0.05),
-    "sgd+momentum+decay": lambda params: SGD(
-        params, lr=0.05, momentum=0.9, weight_decay=0.1
-    ),
 }
 
 

@@ -1,4 +1,4 @@
-"""Parameter serialization tests (bytes blobs and flat vectors)."""
+"""Parameter serialization tests (flat vectors and wire sizes)."""
 
 from __future__ import annotations
 
@@ -18,10 +18,6 @@ from repro.nn.serialization import (
     StateLayout,
     compressed_size,
     compressed_size_cache_stats,
-    state_checksum,
-    state_from_bytes,
-    state_num_scalars,
-    state_to_bytes,
 )
 
 
@@ -42,32 +38,12 @@ def state(rng) -> dict[str, np.ndarray]:
     }
 
 
-class TestBytesRoundtrip:
-    def test_roundtrip_exact(self, state):
-        restored = state_from_bytes(state_to_bytes(state))
-        assert set(restored) == set(state)
-        for key in state:
-            np.testing.assert_array_equal(restored[key], state[key])
-
-    def test_uncompressed_roundtrip(self, state):
-        restored = state_from_bytes(state_to_bytes(state, compress=False))
-        np.testing.assert_array_equal(restored["w1"], state["w1"])
-
-    def test_garbage_raises(self):
-        with pytest.raises(SerializationError):
-            state_from_bytes(b"not an npz file")
-
-    def test_compression_shrinks_redundant_data(self):
-        state = {"w": np.zeros((100, 100))}
-        assert len(state_to_bytes(state)) < len(state_to_bytes(state, compress=False))
-
-
 class TestVectorRoundtrip:
     """The flat codec through :class:`StateLayout`: ``pack`` and ``views``."""
 
     def test_roundtrip_exact(self, state):
         vec = to_vector(state)
-        assert vec.size == state_num_scalars(state)
+        assert vec.size == sum(v.size for v in state.values())
         restored = from_vector(vec, state)
         for key in state:
             np.testing.assert_array_equal(restored[key], state[key])
@@ -97,24 +73,6 @@ class TestVectorRoundtrip:
         model2 = build_model(spec, np.random.default_rng(99))
         model2.load_state_dict(from_vector(vec, model2.state_dict()))
         np.testing.assert_array_equal(to_vector(model2.state_dict()), vec)
-
-
-class TestChecksum:
-    def test_stable(self, state):
-        assert state_checksum(state) == state_checksum(state)
-
-    def test_sensitive_to_values(self, state):
-        changed = dict(state)
-        changed["w1"] = state["w1"] + 1e-12
-        assert state_checksum(changed) != state_checksum(state)
-
-    def test_sensitive_to_keys(self, state):
-        renamed = {("x" + k): v for k, v in state.items()}
-        assert state_checksum(renamed) != state_checksum(state)
-
-    def test_insensitive_to_dict_order(self, state):
-        reordered = dict(reversed(list(state.items())))
-        assert state_checksum(reordered) == state_checksum(state)
 
 
 class TestCompressedSize:

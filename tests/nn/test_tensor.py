@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GradientError
-from repro.nn.tensor import Tensor, is_grad_enabled, no_grad, unbroadcast
+from repro.nn.tensor import Tensor, no_grad, unbroadcast
 
 from ..conftest import numerical_gradient
 
@@ -22,6 +22,11 @@ def check_grad(build_loss, x_data: np.ndarray, tol: float = 1e-5) -> None:
     loss.backward()
     numeric = numerical_gradient(lambda: build_loss(Tensor(x.data)).item(), x.data)
     np.testing.assert_allclose(x.grad, numeric, rtol=tol, atol=tol)
+
+
+def records_on_tape() -> bool:
+    """Whether a new op on this thread records itself on the autograd tape."""
+    return (Tensor(np.ones(1), requires_grad=True) * 2.0).requires_grad
 
 
 class TestBasicOps:
@@ -174,7 +179,7 @@ class TestGraphMechanics:
 
         def validate() -> None:
             with no_grad():
-                inside.append(is_grad_enabled())
+                inside.append(records_on_tape())
                 entered.set()
                 release.wait(timeout=30)
 
@@ -182,7 +187,7 @@ class TestGraphMechanics:
         validator.start()
         try:
             assert entered.wait(timeout=30)
-            assert is_grad_enabled()
+            assert records_on_tape()
             x = Tensor(np.ones(3), requires_grad=True)
             (x * 2.0).sum().backward()
             np.testing.assert_allclose(x.grad, [2.0, 2.0, 2.0])
@@ -191,12 +196,12 @@ class TestGraphMechanics:
             validator.join(timeout=30)
         assert not validator.is_alive()
         assert inside == [False]
-        assert is_grad_enabled()
+        assert records_on_tape()
 
     def test_new_thread_starts_with_grad_enabled(self):
         seen: list[bool] = []
         with no_grad():
-            worker = threading.Thread(target=lambda: seen.append(is_grad_enabled()))
+            worker = threading.Thread(target=lambda: seen.append(records_on_tape()))
             worker.start()
             worker.join(timeout=30)
         assert not worker.is_alive()

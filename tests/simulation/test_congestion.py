@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.simulation import (
-    CongestedLink,
-    CongestionSchedule,
-    NetworkLink,
-    diurnal_schedule,
-)
+from repro.simulation import CongestedLink, CongestionSchedule, NetworkLink
+
+
+def evening_peak(factor: float = 0.35) -> CongestionSchedule:
+    """Full speed, except ``factor`` from 18:00 to 23:00 every day."""
+    return CongestionSchedule(steps=((0.0, 1.0), (18 * 3600.0, factor), (23 * 3600.0, 1.0)))
 
 
 class TestSchedule:
@@ -42,23 +42,11 @@ class TestSchedule:
         with pytest.raises(ConfigurationError):
             CongestionSchedule(**kwargs)
 
-    def test_diurnal_helper(self):
-        sched = diurnal_schedule(peak_factor=0.3, peak_start_h=18, peak_end_h=23)
-        assert sched.factor_at(12 * 3600) == 1.0  # noon: fine
-        assert sched.factor_at(20 * 3600) == 0.3  # evening: congested
-        assert sched.factor_at(23.5 * 3600) == 1.0  # late night: fine
-        # Next day's evening is congested too.
-        assert sched.factor_at((24 + 20) * 3600) == 0.3
-
-    def test_diurnal_validation(self):
-        with pytest.raises(ConfigurationError):
-            diurnal_schedule(peak_start_h=23, peak_end_h=18)
-
 
 class TestCongestedLink:
     def test_peak_transfers_slower(self):
         base = NetworkLink(latency_s=0.0, bandwidth_bps=1000.0)
-        link = CongestedLink(base, diurnal_schedule(peak_factor=0.25))
+        link = CongestedLink(base, evening_peak(0.25))
         fast = link.transfer_time(1000, now=12 * 3600)
         slow = link.transfer_time(1000, now=20 * 3600)
         assert fast == pytest.approx(1.0)
@@ -66,7 +54,7 @@ class TestCongestedLink:
 
     def test_latency_unaffected(self):
         base = NetworkLink(latency_s=0.1, bandwidth_bps=1e9)
-        link = CongestedLink(base, diurnal_schedule(peak_factor=0.25))
+        link = CongestedLink(base, evening_peak(0.25))
         # Tiny transfer: dominated by latency, same on- and off-peak.
         assert link.transfer_time(1, now=20 * 3600) == pytest.approx(
             link.transfer_time(1, now=0.0), rel=1e-6
@@ -74,7 +62,7 @@ class TestCongestedLink:
 
     def test_properties_passthrough(self):
         base = NetworkLink(latency_s=0.05, bandwidth_bps=777.0)
-        link = CongestedLink(base, diurnal_schedule())
+        link = CongestedLink(base, evening_peak())
         assert link.latency_s == 0.05
         assert link.bandwidth_bps == 777.0
 
@@ -97,7 +85,7 @@ class TestEndToEndCongestion:
             catalog.publish(ServerFile("f", b"x", raw_size=10_000_000))
             web = WebServer(sim, catalog, compression_enabled=False)
             base = NetworkLink(latency_s=0.0, bandwidth_bps=1e6)
-            link = CongestedLink(base, diurnal_schedule(peak_factor=0.2))
+            link = CongestedLink(base, evening_peak(0.2))
             done: list[float] = []
             web.download(["f"], link, None, lambda p: done.append(sim.now))
             sim.run()

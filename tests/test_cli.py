@@ -2,9 +2,44 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _flag_fields, _value_type, build_parser, main
+from repro.core import FaultConfig, TrainingJobConfig, make_rule
+from repro.errors import ConfigurationError
+from repro.simulation.chaos import TransferFaultPlan
+
+
+def float_flags() -> list[tuple[str, str]]:
+    """``(command, flag)`` for every float-typed flag of every command."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (command, action.option_strings[0])
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if action.type is float
+    ]
+
+
+def float_fields() -> list[tuple[type, str, str]]:
+    """``(config class, field, flag)`` for every float field that declares a flag."""
+    return [
+        (cls, f.name, f.metadata["flags"][0])
+        for cls in (TrainingJobConfig, FaultConfig, TransferFaultPlan)
+        for f in _flag_fields(cls)
+        if _value_type(cls, f) is float
+    ]
+
+
+# A small job, so that a flag the config fails to reject runs in seconds.
+TINY_JOB = {
+    "run": ["-p", "1", "-c", "2", "-t", "2", "--epochs", "1", "--shards", "4"],
+    "sweep": ["-p", "1", "-c", "2", "-t", "2", "--epochs", "1", "--shards", "4"],
+    "single": ["--epochs", "1"],
+}
 
 
 class TestParser:
@@ -199,6 +234,37 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"repro: error: {direct.value}\n" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", float_flags())
+    def test_every_float_flag_rejects_nan(self, command, flag, capsys):
+        # --server-lr reaches only the gradient rules.
+        rule = ["--rule", "downpour"] if flag == "--server-lr" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *TINY_JOB.get(command, []), *rule, flag, "nan"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro: error: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "cls, name, flag", float_fields(), ids=lambda v: getattr(v, "__name__", v)
+    )
+    def test_a_nan_flag_exits_with_the_config_message(self, cls, name, flag, capsys):
+        with pytest.raises(ConfigurationError) as direct:
+            cls(**{name: float("nan")})
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *TINY_JOB["run"], flag, "nan"])
+        assert exc.value.code == 2
+        assert f"repro: error: {direct.value}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule", ["downpour", "dcasgd", "rescaled"])
+    def test_a_nan_server_lr_exits_with_the_rule_message(self, rule, capsys):
+        with pytest.raises(ConfigurationError) as direct:
+            make_rule(rule, server_lr=float("nan"))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *TINY_JOB["run"], "--rule", rule, "--server-lr", "nan"])
+        assert exc.value.code == 2
+        assert f"repro: error: {direct.value}\n" in capsys.readouterr().err
 
 
 class TestFaultFlags:

@@ -21,7 +21,6 @@ SRC = pathlib.Path(repro.__file__).resolve().parent
 STEP_PATH = (
     "nn/cohort.py",
     "nn/conv.py",
-    "nn/rnn.py",
     "nn/optim.py",
     "nn/layers.py",
     "nn/functional.py",
