@@ -11,6 +11,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..errors import ShapeError
 from .tensor import Tensor
 
 __all__ = [
@@ -18,7 +19,9 @@ __all__ = [
     "leaky_relu",
     "sigmoid",
     "tanh",
+    "softmax",
     "dropout",
+    "pad2d",
 ]
 
 
@@ -93,6 +96,20 @@ def tanh(x: Tensor) -> Tensor:
     return apply_kernel(x, tanh_kernel)
 
 
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along ``axis`` (stable, subtracts the max)."""
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            dot = (g * out).sum(axis=axis, keepdims=True)
+            x._accumulate(out * (g - dot))
+
+    return Tensor._make(out, (x,), backward)
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
     """Inverted dropout: zero with probability ``p``, scale by ``1/(1-p)``.
 
@@ -110,3 +127,18 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
             x._accumulate(g * keep)
 
     return Tensor._make(x.data * keep, (x,), backward)
+
+
+def pad2d(x: Tensor, pad: int) -> Tensor:
+    """Zero-pad the trailing two (spatial) axes of an NCHW tensor."""
+    if pad == 0:
+        return x
+    if x.ndim != 4:
+        raise ShapeError(f"pad2d expects NCHW input, got ndim={x.ndim}")
+    width = ((0, 0), (0, 0), (pad, pad), (pad, pad))
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(g[:, :, pad:-pad, pad:-pad])
+
+    return Tensor._make(np.pad(x.data, width), (x,), backward)

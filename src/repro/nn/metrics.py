@@ -4,11 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ShapeError
 from .layers import Module
 from .losses import cross_entropy
 from .tensor import Tensor, no_grad
 
-__all__ = ["evaluate_classifier"]
+__all__ = ["accuracy", "evaluate_classifier"]
+
+
+def accuracy(logits: np.ndarray | Tensor, labels: np.ndarray) -> float:
+    """Fraction of rows whose argmax matches the integer label."""
+    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
+    labels = np.asarray(labels)
+    if data.ndim != 2 or labels.shape != (data.shape[0],):
+        raise ShapeError(f"accuracy expects (N, C) vs (N,), got {data.shape} vs {labels.shape}")
+    return float((data.argmax(axis=1) == labels).mean())
 
 
 def evaluate_classifier(

@@ -150,10 +150,13 @@ def test_default_jobs_positive():
 
 def test_determinism_across_executors(base_config):
     """The same grid swept twice in different modes is byte-equal."""
-    def digest(points) -> bytes:
-        return np.concatenate(
+    from ..goldens import state_checksum
+
+    def digest(points) -> str:
+        accs = np.concatenate(
             [np.asarray(p.result.val_accuracy(), dtype=np.float64) for p in points]
-        ).tobytes()
+        )
+        return state_checksum({"accs": accs})
 
     a = Sweep(base_config).axis("num_clients", [2, 3])
     a.run(jobs=2)

@@ -9,7 +9,8 @@ epoch records and its trace, in one of three modes:
 * ``"ordered"`` — every record in order, with its time and fields.
 
 The trace-order goldens hash the ordered records alone
-(:func:`trace_digest`).
+(:func:`trace_digest`); tests that compare two models' states hash each
+with :func:`state_checksum`.
 
 **Re-capture rule.**  A golden moves only when a change means to change
 the runs it hashes, and that change says so up front, re-captures the
@@ -32,6 +33,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from repro.core import DistributedRunner, FaultConfig, TrainingJobConfig, make_rule
 from repro.nn.models import ModelSpec
 from repro.simulation.chaos import ChaosPlan, ServerCrash, TransferFaultPlan
@@ -39,6 +42,18 @@ from repro.simulation.chaos import ChaosPlan, ServerCrash, TransferFaultPlan
 from .core.test_runner import tiny_config
 
 TRACE_MODES = ("kinds", "none", "ordered")
+
+
+def state_checksum(state: dict[str, np.ndarray]) -> str:
+    """sha256 over a state dict's keys, shapes and float64 values in key
+    order, so equal states hash equal whatever their dict order."""
+    digest = hashlib.sha256()
+    for key in sorted(state):
+        arr = np.ascontiguousarray(state[key], dtype=np.float64)
+        digest.update(key.encode())
+        digest.update(str(arr.shape).encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
 
 
 def ordered_records(trace) -> bytes:

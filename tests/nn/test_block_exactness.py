@@ -157,17 +157,19 @@ def assert_same_step(name, real, real_moments, ref, ref_state):
 
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("group", [1, 3])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
 @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
-def test_optimizer_matches_straight_line(name, group, width):
+def test_optimizer_matches_straight_line(name, zero, group, width):
     rng = np.random.default_rng([width, group])
     data0 = rng.normal(size=(group, width))
     grads = [rng.normal(size=(group, width)) for _ in range(STEPS)]
     # A signed-zero segment straddling the first block edge, and one
-    # all-zero gradient step.
+    # all-zero gradient step of either sign: ``data - lr*0.0`` keeps a
+    # -0.0 weight where ``data - lr*(-0.0)`` makes it +0.0.
     lo, hi = max(0, B - 3), min(width, B + 3)
     signed_zeros(data0, lo, hi)
     signed_zeros(grads[0], lo, hi)
-    grads[1][...] = 0.0
+    grads[1][...] = zero
     for step in run_both(name, data0, grads):
         assert_same_step(name, *step)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.nn.functional as F
 from repro.errors import ShapeError
 from repro.nn.conv import (
     avg_pool2d,
@@ -114,6 +115,27 @@ class TestConv2D:
         loss(w).backward()
         numeric = numerical_gradient(lambda: loss(Tensor(w.data)).item(), w.data)
         np.testing.assert_allclose(w.grad, numeric, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_built_in_pad_equals_padding_the_input(self, rng, stride):
+        """``pad=p`` forward and both gradients match convolving the
+        input after :func:`~repro.nn.functional.pad2d` with ``pad=0``."""
+        x_data = rng.normal(size=(2, 2, 5, 5))
+        w_data = rng.normal(size=(3, 2, 3, 3))
+        side = (5 + 2 - 3) // stride + 1
+        g = rng.normal(size=(2, 3, side, side))
+        runs = []
+        for padded in (False, True):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            w = Tensor(w_data.copy(), requires_grad=True)
+            if padded:
+                out = conv2d(F.pad2d(x, 1), w, None, stride=stride, pad=0)
+            else:
+                out = conv2d(x, w, None, stride=stride, pad=1)
+            (out * g).sum().backward()
+            runs.append((out.data, x.grad, w.grad))
+        for built_in, reference in zip(*runs):
+            np.testing.assert_allclose(built_in, reference, rtol=1e-12, atol=1e-12)
 
     def test_bias_grad_is_output_count(self, rng):
         x = rng.normal(size=(2, 1, 4, 4))

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.nn.functional as F
+from repro.errors import ShapeError
 from repro.nn.tensor import Tensor
 
 from ..conftest import numerical_gradient
@@ -48,6 +51,22 @@ class TestActivations:
     def test_tanh_grad(self, rng):
         check_grad(lambda t: F.tanh(t).sum(), rng.normal(size=(6,)))
 
+class TestSoftmax:
+    def test_softmax_rows_sum_to_one(self, rng):
+        out = F.softmax(Tensor(rng.normal(size=(4, 7))))
+        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(4), rtol=1e-12)
+
+    def test_softmax_shift_invariance(self, rng):
+        x = rng.normal(size=(3, 5))
+        a = F.softmax(Tensor(x)).data
+        b = F.softmax(Tensor(x + 100.0)).data
+        np.testing.assert_allclose(a, b, rtol=1e-9)
+
+    def test_softmax_grad(self, rng):
+        w = rng.normal(size=(3, 4))
+        check_grad(lambda t: (F.softmax(t) * w).sum(), rng.normal(size=(3, 4)))
+
+
 class TestDropout:
     def test_dropout_eval_is_identity(self, rng):
         x = Tensor(rng.normal(size=(5, 5)))
@@ -75,3 +94,30 @@ class TestDropout:
         out.sum().backward()
         # Gradient is zero exactly where the output was dropped.
         np.testing.assert_allclose((x.grad == 0), (out.data == 0))
+
+
+class TestPadAndEmbedding:
+    def test_pad2d_shape_and_grad(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        out = F.pad2d(x, 2)
+        assert out.shape == (2, 3, 8, 8)
+        out.sum().backward()
+        np.testing.assert_allclose(x.grad, np.ones((2, 3, 4, 4)))
+
+    def test_pad2d_zero_is_identity(self, rng):
+        x = Tensor(rng.normal(size=(1, 1, 2, 2)))
+        assert F.pad2d(x, 0) is x
+
+    def test_pad2d_rejects_non4d(self):
+        with pytest.raises(ShapeError):
+            F.pad2d(Tensor(np.ones((3, 3))), 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), cols=st.integers(2, 8))
+def test_property_softmax_is_probability_distribution(seed, cols):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(3, cols)) * 5)
+    out = F.softmax(x).data
+    assert np.all(out >= 0)
+    np.testing.assert_allclose(out.sum(axis=1), np.ones(3), rtol=1e-9)

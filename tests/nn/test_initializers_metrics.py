@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ShapeError
 from repro.nn.initializers import (
     get_initializer,
     glorot_normal,
@@ -15,8 +15,9 @@ from repro.nn.initializers import (
     ones,
     zeros,
 )
-from repro.nn.metrics import evaluate_classifier
+from repro.nn.metrics import accuracy, evaluate_classifier
 from repro.nn.models import make_mlp
+from repro.nn.tensor import Tensor
 
 
 class TestInitializers:
@@ -64,6 +65,19 @@ class TestInitializers:
 
 
 class TestMetrics:
+    def test_accuracy_basic(self):
+        logits = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, 1.0], [0.0, 1.0]])
+        labels = np.array([0, 1, 1, 1])
+        assert accuracy(logits, labels) == pytest.approx(0.75)
+
+    def test_accuracy_accepts_tensor(self):
+        logits = Tensor(np.array([[1.0, 0.0]]))
+        assert accuracy(logits, np.array([0])) == 1.0
+
+    def test_accuracy_shape_check(self):
+        with pytest.raises(ShapeError):
+            accuracy(np.zeros((3, 2)), np.zeros(4, dtype=int))
+
     def test_evaluate_classifier_restores_training_mode(self, rng):
         model = make_mlp(rng, in_features=4, hidden=(4,), num_classes=2)
         model.train()
@@ -80,3 +94,4 @@ class TestMetrics:
         loss_b, acc_b = evaluate_classifier(model, x, y, batch_size=50)
         assert loss_a == pytest.approx(loss_b)
         assert acc_a == pytest.approx(acc_b)
+        assert acc_b == accuracy(model(Tensor(x)), y)

@@ -20,6 +20,8 @@ from repro.nn.serialization import (
     compressed_size_cache_stats,
 )
 
+from ..goldens import state_checksum
+
 
 def to_vector(state: dict[str, np.ndarray]) -> np.ndarray:
     return StateLayout.for_state(state).pack(state)
@@ -73,6 +75,26 @@ class TestVectorRoundtrip:
         model2 = build_model(spec, np.random.default_rng(99))
         model2.load_state_dict(from_vector(vec, model2.state_dict()))
         np.testing.assert_array_equal(to_vector(model2.state_dict()), vec)
+
+
+class TestChecksum:
+    """The state digest the bit-identity tests compare models by."""
+
+    def test_stable(self, state):
+        assert state_checksum(state) == state_checksum(state)
+
+    def test_sensitive_to_values(self, state):
+        changed = dict(state)
+        changed["w1"] = state["w1"] + 1e-12
+        assert state_checksum(changed) != state_checksum(state)
+
+    def test_sensitive_to_keys(self, state):
+        renamed = {("x" + k): v for k, v in state.items()}
+        assert state_checksum(renamed) != state_checksum(state)
+
+    def test_insensitive_to_dict_order(self, state):
+        reordered = dict(reversed(list(state.items())))
+        assert state_checksum(reordered) == state_checksum(state)
 
 
 class TestCompressedSize:

@@ -7,6 +7,8 @@ import numpy as np
 from repro.nn import SGD, Tensor, Workspace, cross_entropy, make_convnet
 from repro.nn.conv import avg_pool2d, col2im, conv2d, im2col, max_pool2d
 
+from ..goldens import state_checksum
+
 
 class TestWorkspace:
     def test_same_key_reuses_buffer(self):
@@ -120,7 +122,7 @@ class TestEndToEndTraining:
             loss.backward()
             opt.step()
         assert all(ws.nbytes for ws in workspaces)
-        return b"".join(v.tobytes() for _, v in sorted(model.state_dict().items()))
+        return state_checksum(model.state_dict())
 
     def test_training_bit_identical_with_arena_on_and_off(self):
         assert self._train(reuse=True) == self._train(reuse=False)

@@ -42,6 +42,18 @@ KEPT: dict[str, str] = {
         "the paper's 4.97M-parameter ResNetV2, the model the paper-scale "
         "training work targets"
     ),
+    "repro.nn.functional.softmax": (
+        "the reference the fused cross-entropy's closed-form gradient is "
+        "checked against"
+    ),
+    "repro.nn.functional.pad2d": (
+        "the reference conv2d's built-in padding is checked against, "
+        "forward and backward"
+    ),
+    "repro.nn.metrics.accuracy": (
+        "the reference evaluate_classifier's batched accuracy count is "
+        "checked against"
+    ),
     "repro.nn.layers.LayerNorm": (
         "a layer with no stacked kernel: the cohort's tape fallback, which "
         "ResNetV2 runs take, is tested on it"
