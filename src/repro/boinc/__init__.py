@@ -7,7 +7,6 @@ from .files import FileCatalog, ServerFile, StickyCache, WebServer
 from .ready_queue import IndexedReadyQueue
 from .scheduler import ClientRecord, Scheduler, SchedulerConfig
 from .server import BoincServer
-from .server_plane import ShardedValidatorPool, ShardedWorkGenerator, plane_of
 from .replication import QuorumAssimilator, QuorumConfig, logical_id, replica_id
 from .validator import ParameterValidator, ValidationResult
 from .work_generator import WorkGenerator
@@ -40,7 +39,4 @@ __all__ = [
     "WorkGenerator",
     "BoincServer",
     "IndexedReadyQueue",
-    "ShardedWorkGenerator",
-    "ShardedValidatorPool",
-    "plane_of",
 ]

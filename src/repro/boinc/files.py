@@ -258,7 +258,7 @@ class WebServer:
                 wire = self.codec_plane.download_wire_size(file, cache)
             if wire is None:
                 wire = file.wire_size(self.compression_enabled)
-            total_time += link.transfer_time(wire, rng, now=self.sim.now)
+            total_time += link.transfer_time(wire, rng)
             total_wire += wire
             transferred.append(file)
             if cache is not None:
@@ -319,7 +319,7 @@ class WebServer:
         wu_id: str = "",
     ) -> None:
         """Client → server transfer of a result file of ``nbytes``."""
-        seconds = link.transfer_time(nbytes, rng, now=self.sim.now)
+        seconds = link.transfer_time(nbytes, rng)
         reason = None
         if on_error is not None:
             reason, seconds = self._fault_delay(seconds, link, client_id, rng)

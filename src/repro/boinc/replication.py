@@ -79,7 +79,7 @@ class QuorumConfig:
             raise ConfigurationError(
                 f"min_quorum must be in [1, replicas], got {self.min_quorum}"
             )
-        if self.rtol < 0:
+        if not self.rtol >= 0:
             raise ConfigurationError("rtol must be non-negative")
         if not 0.0 < self.trust_threshold <= 1.0:
             raise ConfigurationError("trust_threshold must be in (0, 1]")

@@ -41,6 +41,8 @@ __all__ = ["SchedulerConfig", "ClientRecord", "Scheduler", "WORK_FETCH_MODES"]
 # Work-fetch protocols: "poke" is the legacy broadcast (server poll of
 # every client on publish), "ping" is the fleet-scale pull protocol.
 WORK_FETCH_MODES = ("poke", "ping")
+# Cap on a host's work-fetch backoff after consecutive failures.
+BACKOFF_MAX_S = 3600.0
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,8 @@ class SchedulerConfig:
     reliability_decay: float = 0.8  # EWMA weight on history
     probation_threshold: float = 0.3
     # Work-fetch backoff after a failure (BOINC clients back off after
-    # errors); doubles per consecutive failure up to the cap.
+    # errors); doubles per consecutive failure up to ``BACKOFF_MAX_S``.
     backoff_base_s: float = 60.0
-    backoff_max_s: float = 3600.0
     # BOINC's replication rule: a host may compute at most one replica of
     # any logical workunit (redundant results must come from distinct
     # hosts to be meaningful for verification).
@@ -93,9 +94,11 @@ class SchedulerConfig:
             raise SchedulerError(
                 f"unknown work_fetch {self.work_fetch!r}; use one of {WORK_FETCH_MODES}"
             )
-        if self.ping_busy_s <= 0 or self.ping_idle_base_s <= 0:
+        # Float bounds are negated (``not x > 0``): every comparison with
+        # NaN is False, so only the negated form rejects it.
+        if not self.ping_busy_s > 0 or not self.ping_idle_base_s > 0:
             raise SchedulerError("ping sleep hints must be positive")
-        if self.ping_idle_max_s < self.ping_idle_base_s:
+        if not self.ping_idle_max_s >= self.ping_idle_base_s:
             raise SchedulerError("ping_idle_max_s must be >= ping_idle_base_s")
 
 
@@ -558,7 +561,7 @@ class Scheduler:
         else:
             delay = min(
                 self.config.backoff_base_s * 2.0**record.consecutive_failures,
-                self.config.backoff_max_s,
+                BACKOFF_MAX_S,
             )
             record.consecutive_failures += 1
             record.backoff_until = self.sim.now + delay

@@ -75,7 +75,7 @@ class WorkGenerator:
     ) -> None:
         if num_shards <= 0:
             raise ConfigurationError("num_shards must be positive")
-        if work_units_per_subtask <= 0:
+        if not work_units_per_subtask > 0:
             raise ConfigurationError("work_units_per_subtask must be positive")
         self.job_id = job_id
         self.catalog = catalog
@@ -182,19 +182,11 @@ class WorkGenerator:
         shard_index: int,
         param_file_name: str,
         replicas: int,
-        rng: np.random.Generator | None = None,
     ) -> list[Workunit]:
         """One logical subtask: ``replicas`` physical workunits sharing a
-        jitter draw (replicas must be bit-identical, §II-C).
-
-        ``rng`` overrides the generator's own stream — sharded server
-        planes mint with per-plane streams so each plane's draw sequence
-        is independent of how subtasks interleave across planes.
-        """
-        if rng is None:
-            rng = self.rng
+        jitter draw (replicas must be bit-identical, §II-C)."""
         jitter = (
-            float(rng.lognormal(mean=0.0, sigma=self.work_jitter))
+            float(self.rng.lognormal(mean=0.0, sigma=self.work_jitter))
             if self.work_jitter > 0
             else 1.0
         )

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..kvstore.latency import StoreLatency, mysql_like_latency, redis_like_latency
+from ..kvstore.latency import StoreLatency, redis_like_latency
 from ..simulation.resources import InstanceSpec, TABLE1_CLIENTS, TABLE1_SERVER
 from .pricing import PriceBook, PricingClass, default_price_book
 

@@ -32,6 +32,11 @@ from ..steps import draw_batch_orders, run_local_step
 
 __all__ = ["RoundConfig", "RoundRecord", "RoundResult", "RoundHarness"]
 
+# Client SGD learning rate, and the simulated seconds one round takes
+# (≈ t_e: one wave of subtasks).
+LOCAL_LR = 0.05
+ROUND_SECONDS = 150.0
+
 
 @dataclass(frozen=True)
 class RoundConfig:
@@ -42,8 +47,6 @@ class RoundConfig:
     dropout_p: float = 0.0  # P(a given client fails to report in a round)
     local_steps: int = 8
     batch_size: int = 20
-    local_lr: float = 0.05
-    round_seconds: float = 150.0  # ≈ t_e: one wave of subtasks
     model: ModelSpec = field(
         default_factory=lambda: ModelSpec(
             "mlp", {"in_features": 192, "hidden": [32], "num_classes": 10}
@@ -116,7 +119,7 @@ class RoundHarness:
         self.trainer = CohortTrainer(
             compile_program(build_model(config.model, np.random.default_rng(0))),
             "sgd",
-            config.local_lr,
+            LOCAL_LR,
         )
 
     # -- client-side local training ------------------------------------------
@@ -170,7 +173,7 @@ class RoundHarness:
                 # Barrier semantics: wait (and redraw) until everyone reports.
                 while len(reporting) < cfg.num_clients:
                     retries += 1
-                    clock += cfg.round_seconds
+                    clock += ROUND_SECONDS
                     reporting = [
                         c
                         for c in range(cfg.num_clients)
@@ -195,7 +198,7 @@ class RoundHarness:
             for idx in order:
                 server = rule.apply(server, updates[idx], round_index)
             version += 1
-            clock += cfg.round_seconds
+            clock += ROUND_SECONDS
             result.records.append(
                 RoundRecord(
                     round_index=round_index,

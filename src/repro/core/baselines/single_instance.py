@@ -20,6 +20,7 @@ from ...errors import ConfigurationError
 from ...nn.cohort import CohortTrainer, compile_program, train_steps
 from ...nn.metrics import evaluate_classifier
 from ...nn.models import build_model
+from ...simulation.resources import TABLE1_SERVER
 from ...simulation.rng import RngRegistry
 from ..job import TrainingJobConfig
 from ..results import EpochRecord, RunResult
@@ -73,7 +74,7 @@ class SingleInstanceTrainer:
         # One epoch of serial work = the whole job's subtask work; all the
         # instance's cores contribute (data-parallel batches on one node).
         total_work = config.num_shards * config.work_units_per_subtask
-        rate = config.server_spec.total_rate
+        rate = TABLE1_SERVER.total_rate
         self.epoch_seconds = total_work / rate + config.validation_work_units / rate
 
     def run(self) -> RunResult:

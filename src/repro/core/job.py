@@ -22,8 +22,7 @@ from ..nn.codecs import CODEC_NAMES, VALUE_QUANTS
 from ..nn.models import ModelSpec
 from ..simulation.adversary import AdversaryPlan
 from ..simulation.chaos import ChaosPlan
-from ..simulation.congestion import CongestionSchedule
-from ..simulation.resources import TABLE1_CLIENTS, TABLE1_SERVER, InstanceSpec
+from ..simulation.resources import TABLE1_CLIENTS, InstanceSpec
 from .autoscale import AutoscalePolicy
 from .rules import UpdateRule, VCASGDRule
 from .vcasgd import AlphaSchedule, ConstantAlpha
@@ -174,8 +173,7 @@ class TrainingJobConfig:
     # time they take is charged to the simulated clock.
     warm_start_passes: int = _flag(0, "--warm-start", metavar="PASSES", help="warm-start passes")
 
-    # -- infrastructure ------------------------------------------------------
-    server_spec: InstanceSpec = TABLE1_SERVER
+    # -- infrastructure (the server is Table I's, ``TABLE1_SERVER``) ---------
     client_specs: tuple[InstanceSpec, ...] = TABLE1_CLIENTS
     store_kind: str = _flag(
         "eventual", "--store", choices=STORE_KINDS, help="Redis-like eventual or MySQL-like strong"
@@ -213,17 +211,12 @@ class TrainingJobConfig:
         help="value quantization for the topk codec's kept coordinates",
     )
     heartbeats_enabled: bool = False  # trickle progress reports
-    # Time-varying WAN conditions (§II-A "variable network latency"): a
-    # CongestionSchedule applied to every client link, or None for
-    # stationary links.  See repro.simulation.congestion.
-    congestion: CongestionSchedule | None = None
 
     # -- timing calibration (§IV anchors) ---------------------------------------
     work_units_per_subtask: float = 144.0  # t_e ≈ 2.4 min on a reference core
     validation_work_units: float = 8.0  # server-side accuracy pass per update
     subtask_timeout_s: float = 300.0  # t_o = 5 min
     max_attempts: int = 5
-    ps_effective_cores: int = 5  # §IV-B: server throughput flattens past P5
 
     # -- fleet-scale scheduling core --------------------------------------------
     # Work-fetch protocol: "poke" is the legacy server broadcast on every
@@ -237,12 +230,6 @@ class TrainingJobConfig:
         choices=WORK_FETCH_MODES,
         help="work-fetch protocol: legacy poke broadcast or fleet-scale "
         "ping + server-suggested-sleep",
-    )
-    # Sharded server planes (§III-B scale-out): N work-generator/validator
-    # shards partitioned by logical-workunit hash, with epoch cut-over
-    # coordinated through the KV store.
-    server_planes: int = _flag(
-        1, "--server-planes", help="sharded work-generator/validator planes (1 = single plane)"
     )
 
     # -- multi-core execution plane (DESIGN.md §8.5) ----------------------------
@@ -338,8 +325,6 @@ class TrainingJobConfig:
             raise ConfigurationError("warm_start_passes must be non-negative")
         if self.work_fetch not in WORK_FETCH_MODES:
             raise ConfigurationError(f"unknown work_fetch {self.work_fetch!r}")
-        if self.server_planes < 1:
-            raise ConfigurationError("server_planes must be >= 1")
         if self.cohort_size < 1:
             raise ConfigurationError("cohort_size must be >= 1")
         if self.step_jobs < 0:
@@ -349,7 +334,6 @@ class TrainingJobConfig:
                 raise ConfigurationError(f"{name} must be positive and finite")
         for name, kind in (
             ("update_rule", UpdateRule),
-            ("congestion", CongestionSchedule),
             ("autoscale_policy", AutoscalePolicy),
         ):
             value = getattr(self, name)

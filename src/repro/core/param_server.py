@@ -113,7 +113,7 @@ class ParameterServerPool:
     ) -> None:
         if num_servers <= 0:
             raise ConfigurationError(f"num_servers (Pn) must be positive, got {num_servers}")
-        if validation_work_units <= 0:
+        if not validation_work_units > 0:
             raise ConfigurationError("validation_work_units must be positive")
         self.sim = sim
         self.num_servers = num_servers

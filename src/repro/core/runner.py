@@ -31,7 +31,6 @@ from ..boinc.files import ServerFile
 from ..boinc.replication import QuorumAssimilator, QuorumConfig, logical_id
 from ..boinc.scheduler import SchedulerConfig
 from ..boinc.server import BoincServer
-from ..boinc.server_plane import ShardedValidatorPool, ShardedWorkGenerator
 from ..boinc.validator import ParameterValidator
 from ..boinc.work_generator import WorkGenerator
 from ..boinc.workunit import Workunit, WorkunitState
@@ -48,9 +47,9 @@ from ..nn.serialization import compressed_size_cache_stats
 from ..obs.runtime import ObservabilityConfig, RunObservability
 from ..simulation.adversary import AdversaryFabric
 from ..simulation.chaos import ChaosPlan, PartitionSchedule
-from ..simulation.congestion import CongestedLink
 from ..simulation.engine import Simulator
 from ..simulation.preemption import ExponentialLifetime
+from ..simulation.resources import TABLE1_SERVER, ComputeResource
 from ..simulation.rng import RngRegistry
 from ..simulation.tracing import Trace
 from .autoscale import AutoscalingPool
@@ -77,6 +76,9 @@ PARAM_COMPRESSION_RATIO = 0.9
 MAX_BARRIER_RETRIES = 3
 # Validation samples scored for the per-update accuracy.
 VAL_EVAL_SUBSAMPLE = 256
+# Cores the parameter-server workers share on the Table I server (§IV-B:
+# server throughput flattens past P5).
+PS_EFFECTIVE_CORES = 5
 
 
 def _attempt_key(wu: Workunit) -> tuple[str, int]:
@@ -220,13 +222,7 @@ class DistributedRunner:
             self.store.set_fault_windows(self._chaos.kv_windows)
 
         # ---- server-side compute (PS workers share these cores) ----------
-        from ..simulation.resources import ComputeResource
-
-        ps_spec = replace(
-            config.server_spec,
-            name="ps-cores",
-            vcpus=config.ps_effective_cores,
-        )
+        ps_spec = replace(TABLE1_SERVER, name="ps-cores", vcpus=PS_EFFECTIVE_CORES)
         self.server_cpu = ComputeResource(self.sim, ps_spec, contention=0.15)
 
         # ---- validation subsample used for per-update accuracy -----------
@@ -275,14 +271,11 @@ class DistributedRunner:
             assimilator = self.quorum
 
         # ---- BOINC server ----------------------------------------------------
-        # One validator per server plane, every one with the same checks.
-        make_validator = partial(
-            ParameterValidator,
+        validator = ParameterValidator(
             expected_size=self.param_size,
             max_norm=config.max_param_norm,
             trace=self.trace,
         )
-        validator = make_validator()
         transfer_faults = None
         partitions = None
         if self._chaos is not None:
@@ -341,24 +334,6 @@ class DistributedRunner:
             max_attempts=config.max_attempts,
             rng=self.rngs.stream("workgen"),
         )
-        if config.server_planes > 1:
-            # Sharded server planes: minting is partitioned by logical-id
-            # hash with per-plane RNG streams, and epoch cut-over is
-            # coordinated through the KV store (see boinc.server_plane).
-            self.work_generator = ShardedWorkGenerator(
-                inner=self.work_generator,
-                planes=config.server_planes,
-                store=self.store,
-                sim=self.sim,
-                trace=self.trace,
-                plane_rngs=[
-                    self.rngs.stream(f"workgen:plane{p}")
-                    for p in range(config.server_planes)
-                ],
-            )
-            self.server.validator = ShardedValidatorPool(
-                [make_validator() for _ in range(config.server_planes)]
-            )
         self._republish_params(initial_vec)
 
         # ---- multi-core execution plane (DESIGN.md §8.5) ------------------------
@@ -366,13 +341,10 @@ class DistributedRunner:
         # start, resolved where its result is first needed.  At step_jobs=1
         # (a codec run, a sweep worker, one CPU) it forks no worker.
         self.step_jobs = step_jobs_for(config)
-        wg = self.work_generator
-        if isinstance(wg, ShardedWorkGenerator):
-            wg = wg.inner
         self._dispatcher = StepDispatcher(
             self._steps,
             model_spec=config.model,
-            shards=wg.shards,
+            shards=self.work_generator.shards,
             cohort_size=config.cohort_size,
             jobs=self.step_jobs,
         )
@@ -466,7 +438,7 @@ class DistributedRunner:
         # one epoch's subtasks spread over the server's cores.
         per_pass = (
             cfg.num_shards * cfg.work_units_per_subtask / lt.local_epochs
-        ) / cfg.server_spec.total_rate
+        ) / TABLE1_SERVER.total_rate
         self.warm_start_seconds = cfg.warm_start_passes * per_pass
         self.sim.schedule(self.warm_start_seconds, lambda: None, label="warmstart")
         self.sim.run(until=self.warm_start_seconds)
@@ -484,9 +456,6 @@ class DistributedRunner:
         else:
             cid = client_id
         cache_cap = 8e9 if self.config.sticky_files_enabled else 1.0
-        link = spec.default_link()
-        if self.config.congestion is not None:
-            link = CongestedLink(link, self.config.congestion)
         client = ClientDaemon(
             client_id=cid,
             sim=self.sim,
@@ -495,7 +464,7 @@ class DistributedRunner:
             web=self.server.web,
             executor=self._execute_subtask,
             max_concurrent=self.config.max_concurrent_subtasks,
-            link=link,
+            link=spec.default_link(),
             rng=self.rngs.stream(f"net:{cid}"),
             cache_capacity_bytes=cache_cap,
             trace=self.trace,
@@ -902,20 +871,10 @@ class DistributedRunner:
         self._epoch_terminal_base = self.server.scheduler.terminal_count()
         self._epoch_assimilated = 0
         self.obs.timer("run.epoch").start()
-        if isinstance(self.work_generator, ShardedWorkGenerator):
-            # Sharded planes: the workunit list is known synchronously, but
-            # publication waits for every plane's KV cut-over marker.
-            self._epoch_workunits = self.work_generator.generate_epoch(
-                self._current_epoch,
-                param_file,
-                replicas=self.config.replicas,
-                publish=self.server.publish_workunits,
-            )
-        else:
-            self._epoch_workunits = self.work_generator.make_epoch(
-                self._current_epoch, param_file, replicas=self.config.replicas
-            )
-            self.server.publish_workunits(self._epoch_workunits)
+        self._epoch_workunits = self.work_generator.make_epoch(
+            self._current_epoch, param_file, replicas=self.config.replicas
+        )
+        self.server.publish_workunits(self._epoch_workunits)
         self.trace.emit(self.sim.now, "epoch.start", epoch=self._current_epoch)
 
     def _epoch_complete(self) -> bool:
@@ -1101,12 +1060,10 @@ class DistributedRunner:
             "cache_misses": sum(c.cache.misses for c in self.server.clients.values()),
             "volunteers_joined": self._volunteers_joined,
         }
-        # Fleet-scale extras, gated on their configs so default ("poke",
-        # single-plane) runs keep the pre-refactor counter set bit-for-bit.
+        # Fleet-scale extras, gated on their config so default ("poke") runs
+        # keep the pre-refactor counter set bit-for-bit.
         if self.config.work_fetch == "ping":
             self.result.counters["pings"] = sched.pings
-        if isinstance(self.work_generator, ShardedWorkGenerator):
-            self.result.counters["plane_cutovers"] = self.work_generator.cutovers
         if not self.rule.fault_tolerant:
             self.result.counters["barrier_stalls"] = self.barrier_stalls
         if self.staleness_samples:

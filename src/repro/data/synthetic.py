@@ -29,6 +29,11 @@ from .dataset import Dataset
 
 __all__ = ["SyntheticImageConfig", "make_synthetic_images", "make_classification_splits"]
 
+# Prototypes per class, and the low-frequency cosine patterns per axis that
+# each prototype mixes.
+PROTOTYPES_PER_CLASS = 3
+PATTERN_FREQUENCIES = 3
+
 
 @dataclass(frozen=True)
 class SyntheticImageConfig:
@@ -42,16 +47,14 @@ class SyntheticImageConfig:
     num_classes: int = 10
     image_size: int = 8
     channels: int = 3
-    prototypes_per_class: int = 3
     noise_std: float = 2.5
-    pattern_frequencies: int = 3
 
     def __post_init__(self) -> None:
         if self.num_classes < 2:
             raise ConfigurationError("need at least 2 classes")
         if self.image_size < 2 or self.channels < 1:
             raise ConfigurationError("invalid image geometry")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ConfigurationError("noise_std must be non-negative")
 
     @property
@@ -71,15 +74,15 @@ def _class_prototypes(
     size = cfg.image_size
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     bases = []
-    for fy in range(cfg.pattern_frequencies):
-        for fx in range(cfg.pattern_frequencies):
+    for fy in range(PATTERN_FREQUENCIES):
+        for fx in range(PATTERN_FREQUENCIES):
             phase_y = np.pi * fy * (yy + 0.5) / size
             phase_x = np.pi * fx * (xx + 0.5) / size
             bases.append(np.cos(phase_y) * np.cos(phase_x))
     basis = np.stack(bases)  # (B, H, W)
     n_basis = basis.shape[0]
     coeffs = rng.normal(
-        size=(cfg.num_classes, cfg.prototypes_per_class, cfg.channels, n_basis)
+        size=(cfg.num_classes, PROTOTYPES_PER_CLASS, cfg.channels, n_basis)
     )
     protos = np.einsum("kpcb,bhw->kpchw", coeffs, basis)
     # Normalize each prototype to unit RMS so classes are equally "loud".
@@ -103,10 +106,10 @@ def make_synthetic_images(
         raise ConfigurationError("num_samples must be positive")
     protos = _class_prototypes(cfg, rng)
     labels = rng.permutation(np.arange(num_samples) % cfg.num_classes)
-    proto_idx = rng.integers(cfg.prototypes_per_class, size=num_samples)
+    proto_idx = rng.integers(PROTOTYPES_PER_CLASS, size=num_samples)
     # Per-sample convex mixing of the chosen prototype with a second one of
     # the same class: within-class variation beyond additive noise.
-    second_idx = rng.integers(cfg.prototypes_per_class, size=num_samples)
+    second_idx = rng.integers(PROTOTYPES_PER_CLASS, size=num_samples)
     mix = rng.uniform(0.55, 1.0, size=num_samples)[:, None, None, None]
     # mix * first + (1 - mix) * second, in place: the same products and
     # sum as the expression, with two sample-sized arrays alive, not five.

@@ -26,7 +26,6 @@ from .layers import (
     BatchNorm,
     Conv2D,
     Dense,
-    Flatten,
     GlobalAvgPool2D,
     Module,
     ReLU,

@@ -1004,12 +1004,11 @@ class _Builder:
     _on_validator_checked = _skip
     _on_credit_grant = _skip
     _on_credit_deny = _skip
-    # Fleet-scale work-fetch chatter and plane coordination: high-volume /
-    # run-level records with no per-workunit span of their own.
+    # Fleet-scale work-fetch chatter: high-volume records with no
+    # per-workunit span of their own.
     _on_sched_ping = _skip
     _on_sched_sleep_hint = _skip
     _on_sched_stale_heartbeat = _skip
-    _on_plane_cutover = _skip
     # Byzantine fabric: per-upload tampering and the defense verdicts ride
     # on the attempt/quorum spans that already exist.
     _on_adv_tamper = _skip

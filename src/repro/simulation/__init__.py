@@ -16,7 +16,6 @@ from .chaos import (
     StoreFaultWindow,
     TransferFaultPlan,
 )
-from .congestion import CongestedLink, CongestionSchedule
 from .engine import Simulator
 from .events import EventHandle, EventQueue
 from .network import NetworkLink, lan_link, wan_link
@@ -48,8 +47,6 @@ __all__ = [
     "PartitionSchedule",
     "StoreFaultWindow",
     "ServerCrash",
-    "CongestedLink",
-    "CongestionSchedule",
     "Simulator",
     "EventHandle",
     "EventQueue",

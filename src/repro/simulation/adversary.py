@@ -25,7 +25,7 @@ named streams of the run's :class:`RngRegistry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np

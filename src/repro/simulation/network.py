@@ -45,18 +45,8 @@ class NetworkLink:
         if self.latency_s < 0 or self.bandwidth_bps <= 0 or self.jitter < 0:
             raise ConfigurationError(f"invalid link parameters: {self}")
 
-    def transfer_time(
-        self,
-        nbytes: int,
-        rng: np.random.Generator | None = None,
-        now: float = 0.0,
-    ) -> float:
-        """Seconds to move ``nbytes`` over this link (including handshake).
-
-        ``now`` is accepted for interface compatibility with time-varying
-        links (:class:`~repro.simulation.congestion.CongestedLink`); a plain
-        link is stationary and ignores it.
-        """
+    def transfer_time(self, nbytes: int, rng: np.random.Generator | None = None) -> float:
+        """Seconds to move ``nbytes`` over this link (including handshake)."""
         if nbytes < 0:
             raise ConfigurationError(f"negative transfer size {nbytes}")
         base = 2.0 * self.latency_s + nbytes / self.bandwidth_bps
@@ -72,10 +62,6 @@ class NetworkLink:
         transfer duration.
         """
         return 2.0 * self.latency_s
-
-    def scaled(self, factor: float) -> "NetworkLink":
-        """A link with bandwidth scaled by ``factor`` (e.g. congestion)."""
-        return NetworkLink(self.latency_s, self.bandwidth_bps * factor, self.jitter)
 
 
 def wan_link(

@@ -12,7 +12,6 @@ import pytest
 
 from repro.boinc import Scheduler, SchedulerConfig, Workunit
 from repro.errors import SchedulerError
-from repro.simulation import Simulator
 
 
 def make_wus(n: int, replica: str = "") -> list[Workunit]:
@@ -182,6 +181,11 @@ class TestConfigValidation:
             SchedulerConfig(ping_idle_base_s=60.0, ping_idle_max_s=30.0)
         with pytest.raises(SchedulerError):
             SchedulerConfig(ping_busy_s=0.0)
+
+    @pytest.mark.parametrize("name", ["ping_busy_s", "ping_idle_base_s", "ping_idle_max_s"])
+    def test_nan_hint_rejected(self, name):
+        with pytest.raises(SchedulerError):
+            SchedulerConfig(**{name: float("nan")})
 
 
 class TestEndToEnd:

@@ -48,6 +48,7 @@ class TestQuorumConfig:
             {"replicas": 2, "min_quorum": 3},
             {"replicas": 2, "min_quorum": 0},
             {"rtol": -1.0},
+            {"rtol": float("nan")},
         ],
     )
     def test_invalid(self, kwargs):

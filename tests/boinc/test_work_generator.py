@@ -84,6 +84,10 @@ class TestStaticPublication:
         with pytest.raises(ConfigurationError):
             make_generator(train_set, work_units_per_subtask=0.0)
 
+    def test_nan_work_units_rejected(self, train_set):
+        with pytest.raises(ConfigurationError):
+            make_generator(train_set, work_units_per_subtask=float("nan"))
+
 
 class TestEpochMinting:
     def test_one_workunit_per_shard(self, train_set):

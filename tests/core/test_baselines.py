@@ -23,6 +23,7 @@ from repro.core.rules import (
 from repro.data import SyntheticImageConfig
 from repro.errors import ConfigurationError
 from repro.nn.models import ModelSpec
+from repro.simulation import TABLE1_SERVER
 
 
 def tiny_job(**overrides) -> TrainingJobConfig:
@@ -59,7 +60,7 @@ class TestSingleInstance:
         expected = (
             cfg.num_shards * cfg.work_units_per_subtask
             + cfg.validation_work_units
-        ) / cfg.server_spec.total_rate
+        ) / TABLE1_SERVER.total_rate
         assert trainer.epoch_seconds == pytest.approx(expected)
 
     def test_target_accuracy_stops(self):

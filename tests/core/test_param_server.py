@@ -79,6 +79,10 @@ class TestAssimilation:
         with pytest.raises(ConfigurationError):
             build_pool(sim, num_servers=0)
 
+    def test_nan_validation_work_rejected(self, sim):
+        with pytest.raises(ConfigurationError):
+            build_pool(sim, validation_work=float("nan"))
+
     def test_sequential_merges_compose(self, sim):
         pool = build_pool(sim)
         pool.assimilate(make_wu(0), update(np.ones(4)), lambda: None)

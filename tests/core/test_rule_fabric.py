@@ -238,8 +238,7 @@ class TestBarrierSemantics:
 
 class TestEpochCompletion:
     """The scheduler's O(1) terminal count closes each epoch exactly when a
-    scan of the epoch's units would, through barrier retries, replicas and
-    sharded server planes."""
+    scan of the epoch's units would, through barrier retries and replicas."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -250,9 +249,8 @@ class TestEpochCompletion:
                 max_attempts=1,
             ),
             dict(num_clients=3, replicas=2, quorum=1),
-            dict(num_param_servers=2, server_planes=2),
         ],
-        ids=["barrier_retries", "replicas", "server_planes"],
+        ids=["barrier_retries", "replicas"],
     )
     def test_terminal_count_agrees_with_a_scan(self, overrides):
         runner = DistributedRunner(tiny_config(**overrides))

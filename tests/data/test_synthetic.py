@@ -29,6 +29,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SyntheticImageConfig(noise_std=-0.1)
 
+    def test_nan_noise(self):
+        with pytest.raises(ConfigurationError):
+            SyntheticImageConfig(noise_std=float("nan"))
+
 
 class TestGeneration:
     def test_shapes(self, rng):

@@ -14,7 +14,20 @@ An exported name must be used somewhere else, or be listed in
 census cannot judge a name that only ``src/`` reaches; whether a run
 ever calls it is a question for a dynamic census.
 
-List every exported name with the files that use it::
+The same census counts who *sets* each field of a ``repro`` dataclass
+named ``*Config``, ``*Plan`` or ``*Policy``.  A field is set by a
+keyword argument outside its own module, in a call to the class itself,
+to ``dataclasses.replace``, or to a callable the census cannot name or
+that forwards ``**`` keywords (a builtin ``dict``, a local helper, a
+method), unless the keyword only passes on an attribute of its own name
+(``replicas=config.replicas``); or by a string naming a sweep axis
+(``sweep.axis("codec", ...)``).  The flags the CLI generates from field
+metadata are not keywords and do not count.  A field must be set
+outside ``tests/``, or be listed in :data:`KEPT_FIELDS` with the reason
+it stays.
+
+List every exported name with the files that use it, then every config
+field with the files that set it::
 
     PYTHONPATH=src python -m tests.reach
 """
@@ -22,6 +35,7 @@ List every exported name with the files that use it::
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
@@ -63,6 +77,77 @@ KEPT: dict[str, str] = {
         "ResNetV2 runs take, is tested on it"
     ),
 }
+
+
+#: Config fields no code outside ``tests/`` sets, kept for a reason.
+#: A reason of :data:`TESTS_ONLY` claims that tests set the field to reach
+#: a branch no run takes; the listing names those tests.
+TESTS_ONLY = "tests set it to reach a branch"
+KEPT_FIELDS: dict[str, str] = {
+    **dict.fromkeys(
+        [
+            "repro.boinc.replication.QuorumConfig.rtol",
+            "repro.boinc.replication.QuorumConfig.trust_threshold",
+            "repro.boinc.scheduler.SchedulerConfig.affinity_enabled",
+            "repro.boinc.scheduler.SchedulerConfig.reliability_enabled",
+            "repro.boinc.scheduler.SchedulerConfig.reliability_decay",
+            "repro.boinc.scheduler.SchedulerConfig.probation_threshold",
+            "repro.boinc.scheduler.SchedulerConfig.backoff_base_s",
+            "repro.boinc.scheduler.SchedulerConfig.one_result_per_host",
+            "repro.boinc.scheduler.SchedulerConfig.heartbeat_interval_s",
+            "repro.boinc.scheduler.SchedulerConfig.ping_busy_s",
+            "repro.boinc.scheduler.SchedulerConfig.ping_idle_base_s",
+            "repro.boinc.scheduler.SchedulerConfig.ping_idle_max_s",
+            "repro.core.autoscale.AutoscalePolicy.down_idle_s",
+            "repro.core.baselines.rounds.RoundConfig.batch_size",
+            "repro.core.baselines.rounds.RoundConfig.data",
+            "repro.core.baselines.rounds.RoundConfig.num_train",
+            "repro.core.baselines.rounds.RoundConfig.num_val",
+            "repro.core.job.LocalTrainingConfig.batch_size",
+            "repro.core.job.TrainingJobConfig.codec_topk",
+            "repro.core.job.TrainingJobConfig.max_param_norm",
+            "repro.core.job.TrainingJobConfig.work_units_per_subtask",
+            "repro.core.job.TrainingJobConfig.validation_work_units",
+            "repro.core.job.TrainingJobConfig.work_fetch",
+            "repro.data.synthetic.SyntheticImageConfig.channels",
+            "repro.obs.runtime.ObservabilityConfig.strict_audit",
+        ],
+        TESTS_ONLY,
+    ),
+    **dict.fromkeys(
+        [
+            "repro.core.autoscale.AutoscalePolicy.up_threshold",
+            "repro.core.autoscale.AutoscalePolicy.down_threshold",
+        ],
+        "the controller's scale trigger; a test sets it through a ** dict, "
+        "which the census does not read, to reach the bound check",
+    ),
+    **dict.fromkeys(
+        [
+            "repro.core.job.FaultConfig.corrupt_clients",
+            "repro.core.job.FaultConfig.corruption_scale",
+        ],
+        "the pinned golden byzantine/plain_corrupt runs with it",
+    ),
+    "repro.core.job.TrainingJobConfig.codec_quant": (
+        "the pinned golden codec_lossy/topk_int8_downpour runs with it"
+    ),
+    "repro.core.job.LocalTrainingConfig.optimizer": (
+        "the pinned single-instance goldens of test_comparator_golden.py "
+        "train with SGD"
+    ),
+    **dict.fromkeys(
+        [
+            "repro.obs.runtime.ObservabilityConfig.metrics",
+            "repro.obs.runtime.ObservabilityConfig.spans",
+        ],
+        "OBSERVABILITY_OFF, its module's preset, sets it, and "
+        "benchmarks/test_telemetry_fig2.py runs with that preset",
+    ),
+}
+
+#: A dataclass whose fields the census counts setters of.
+CONFIG_CLASS = re.compile(r"(Config|Plan|Policy)$")
 
 
 @dataclass(frozen=True)
@@ -119,11 +204,13 @@ def exports(module: Module) -> list[str]:
     return _literal_strings(constants["__all__"], constants)
 
 
-def _absolute(module: Module | None, node: ast.ImportFrom) -> str:
+def _absolute(module: Module | None, node: ast.ImportFrom) -> str | None:
+    """The module an import reads from; None for a relative import outside
+    the package, whose names the census cannot follow."""
     if not node.level:
         return node.module or ""
     if module is None:
-        raise ValueError("a relative import outside the package")
+        return None
     base = module.package.split(".")
     base = base[: len(base) - node.level + 1]
     return ".".join(base + ([node.module] if node.module else []))
@@ -143,6 +230,8 @@ def import_bindings(tree: ast.Module, module: Module | None = None) -> dict[str,
                     bound[head] = head
         elif isinstance(node, ast.ImportFrom):
             origin = _absolute(module, node)
+            if origin is None:
+                continue
             for alias in node.names:
                 if alias.name != "*":
                     bound[alias.asname or alias.name] = f"{origin}.{alias.name}"
@@ -189,6 +278,33 @@ def top_level_names(tree: ast.Module) -> set[str]:
             targets = getattr(node, "targets", None) or [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
     return names
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        chain = _chain(decorator.func if isinstance(decorator, ast.Call) else decorator)
+        if chain and chain[-1] == "dataclass":
+            return True
+    return False
+
+
+def config_fields(module: Module) -> dict[str, list[str]]:
+    """The fields of each ``*Config``/``*Plan``/``*Policy`` dataclass a
+    module defines, keyed by the class's dotted name."""
+    table = {}
+    for node in module.tree.body:
+        if (
+            isinstance(node, ast.ClassDef)
+            and CONFIG_CLASS.search(node.name)
+            and _is_dataclass(node)
+        ):
+            table[f"{module.name}.{node.name}"] = [
+                statement.target.id
+                for statement in node.body
+                if isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)
+            ]
+    return table
 
 
 class _Uses(ast.NodeVisitor):
@@ -299,7 +415,8 @@ def used_paths(
 
 
 class Census:
-    """The exported names of one package and the files that use each."""
+    """The exported names and config fields of one package, with the files
+    that use each name and set each field."""
 
     def __init__(self, package_dir: Path = PACKAGE, roots: Iterable[Path] = ()) -> None:
         self.modules = parse_package(package_dir)
@@ -308,6 +425,17 @@ class Census:
             for name, module in self.modules.items()
         }
         self.users: dict[str, set[str]] = defaultdict(set)
+        #: ``module.Class.field`` -> the files that set it.
+        self.setters: dict[str, set[str]] = defaultdict(set)
+        self.fields = {
+            name: fields
+            for module in self.modules.values()
+            for name, fields in config_fields(module).items()
+        }
+        self._classes_with: dict[str, list[str]] = defaultdict(list)
+        for name, fields in self.fields.items():
+            for field in fields:
+                self._classes_with[field].append(name)
         self._base = package_dir.parent.parent
         roots = list(roots) or [self._base / root for root in USERS]
         for root in roots:
@@ -328,6 +456,7 @@ class Census:
             tree = ast.parse(path.read_text(), str(path))
             bindings = import_bindings(tree)
         user = str(path.relative_to(self._base))
+        self._scan_setters(tree, bindings, module, user)
         for dotted in used_paths(tree, bindings, module and module.name):
             target = self.resolve(dotted)
             if target is None:
@@ -340,6 +469,79 @@ class Census:
                     if ".".join(parts[:cut]) in self.modules:
                         self.users[".".join(parts[:cut])].add(user)
             self.users[target].add(user)
+
+    def _scan_setters(
+        self, tree: ast.Module, bindings: dict[str, str], module: Module | None, user: str
+    ) -> None:
+        own = top_level_names(tree) - set(bindings) if module is not None else set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "axis"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                for cls in self._classes_with.get(node.args[0].value, ()):
+                    self._record(cls, node.args[0].value, user)
+            callee = self._callee(func, bindings, module, own)
+            for keyword in node.keywords:
+                for cls in self._classes_with.get(keyword.arg, ()):
+                    if self._sets(cls, callee, func, keyword):
+                        self._record(cls, keyword.arg, user)
+
+    def _record(self, cls: str, field: str, user: str) -> None:
+        """Note ``user`` as a setter of ``cls.field``, unless it is the
+        class's own module."""
+        module = self.modules[cls.rpartition(".")[0]]
+        if str(module.path.relative_to(self._base)) != user:
+            self.setters[f"{cls}.{field}"].add(user)
+
+    def _callee(
+        self, func: ast.expr, bindings: dict[str, str], module: Module | None, own: set[str]
+    ) -> str | None:
+        """The dotted path a callee names (its definition, if in the
+        package); None for a builtin, a local name or a method."""
+        chain = _chain(func)
+        if chain is None:
+            return None
+        if chain[0] in bindings:
+            head = bindings[chain[0]]
+        elif module is not None and chain[0] in own:
+            head = f"{module.name}.{chain[0]}"
+        else:
+            return None
+        dotted = ".".join([head, *chain[1:]])
+        return self.resolve(dotted) or dotted
+
+    def _sets(self, cls: str, callee: str | None, func: ast.expr, keyword: ast.keyword) -> bool:
+        """Whether ``keyword`` in a call to ``callee`` sets a field of ``cls``."""
+        last = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if callee == "dataclasses.replace" or (callee == cls and last == cls.rpartition(".")[2]):
+            return True
+        value = keyword.value
+        if isinstance(value, ast.Attribute) and value.attr == keyword.arg:
+            return False  # passes on a value set elsewhere
+        return callee is None or self._forwards(callee, last)
+
+    def _forwards(self, target: str, last: str) -> bool:
+        """Whether the package callable ``target``, called as ``last``,
+        takes ``**`` keywords (False for anything outside the package)."""
+        module, _, name = target.rpartition(".")
+        if module not in self.modules:
+            return False
+        node = next(
+            (n for n in self.modules[module].tree.body if getattr(n, "name", None) == name),
+            None,
+        )
+        if isinstance(node, ast.ClassDef):
+            method = "__init__" if last == name else last
+            node = next((n for n in node.body if getattr(n, "name", None) == method), None)
+        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            node.args.kwarg is not None
+        )
 
     def resolve(self, dotted: str) -> str | None:
         """The definition a package path names (a module, or a name in
@@ -375,9 +577,31 @@ class Census:
         )
 
 
+    def field_names(self) -> list[str]:
+        """Every census field, as ``module.Class.field``."""
+        return [f"{cls}.{field}" for cls, fields in self.fields.items() for field in fields]
+
+    def stranded_fields(self, kept: dict[str, str] = KEPT_FIELDS) -> list[str]:
+        """Config fields no code sets and :data:`KEPT_FIELDS` does not list."""
+        return sorted(
+            name for name in self.field_names() if not self.setters.get(name) and name not in kept
+        )
+
+    def stale_kept_fields(self, kept: dict[str, str] = KEPT_FIELDS) -> list[str]:
+        """Entries of ``kept`` that name no census field, or one code sets."""
+        fields = set(self.field_names())
+        return sorted(name for name in kept if name not in fields or self.setters.get(name))
+
+
+def setters_in_tests() -> dict[str, set[str]]:
+    """The files under ``tests/`` that set each config field."""
+    return Census(roots=[ROOT / "tests"]).setters
+
+
 def main(argv: list[str]) -> int:
-    """Print every exported name with the files that use it; return 1 if
-    any is stranded."""
+    """Print every exported name with the files that use it, then every
+    config field with the files that set it; return 1 if any name or
+    field is stranded."""
     census = Census()
     for name, target in sorted(census.exported().items()):
         users = sorted(census.users.get(target, ()))
@@ -390,7 +614,22 @@ def main(argv: list[str]) -> int:
         print(f"{name}  {note}")
     stranded = census.stranded()
     print(f"{len(census.exported())} exported, {len(stranded)} stranded")
-    return 1 if stranded else 0
+    in_tests = setters_in_tests()
+    names = sorted(census.field_names())
+    for name in names:
+        if census.setters.get(name):
+            note = ", ".join(sorted(census.setters[name]))
+        elif name in KEPT_FIELDS:
+            note = f"KEPT: {KEPT_FIELDS[name]}"
+            if KEPT_FIELDS[name] == TESTS_ONLY:
+                count = len(in_tests.get(name, ()))
+                note += f" ({count} test file{'' if count == 1 else 's'})"
+        else:
+            note = "STRANDED"
+        print(f"{name}  {note}")
+    stranded_fields = census.stranded_fields()
+    print(f"{len(names)} config fields, {len(stranded_fields)} stranded")
+    return 1 if stranded or stranded_fields else 0
 
 
 if __name__ == "__main__":

@@ -53,12 +53,6 @@ class TestNetworkLink:
         link = NetworkLink(0.01, 1e6, jitter=0.5)
         assert link.transfer_time(100) == link.transfer_time(100)
 
-    def test_scaled(self):
-        link = NetworkLink(0.01, 1e6)
-        half = link.scaled(0.5)
-        assert half.bandwidth_bps == 5e5
-        assert half.latency_s == link.latency_s
-
     def test_wan_slower_than_lan(self):
         assert wan_link().transfer_time(10**7) > lan_link().transfer_time(10**7)
 

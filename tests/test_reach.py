@@ -1,11 +1,12 @@
-"""The reach guard: every exported name is used by code, or kept for a reason."""
+"""The reach guard: every exported name is used by code, and every config
+field is set by code, or kept for a reason."""
 
 from __future__ import annotations
 
 import textwrap
 from pathlib import Path
 
-from .reach import KEPT, Census, main
+from .reach import KEPT, KEPT_FIELDS, TESTS_ONLY, Census, main, setters_in_tests
 
 
 def test_every_exported_name_is_used_outside_tests_or_kept():
@@ -22,11 +23,32 @@ def test_every_kept_name_is_exported_and_otherwise_stranded():
     assert stale == []
 
 
+def test_every_config_field_is_set_outside_tests_or_kept():
+    stranded = Census().stranded_fields()
+    assert not stranded, "no code outside tests/ sets:\n" + "\n".join(stranded)
+
+
+def test_every_kept_field_is_a_field_nothing_outside_tests_sets():
+    assert Census().stale_kept_fields() == []
+
+
+def test_a_field_kept_for_tests_is_set_by_a_test():
+    in_tests = setters_in_tests()
+    unset = [
+        name
+        for name, reason in KEPT_FIELDS.items()
+        if reason == TESTS_ONLY and not in_tests.get(name)
+    ]
+    assert unset == []
+
+
 def test_the_listing_names_each_user_and_ends_with_the_count(capsys):
     assert main([]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "repro.nn.optim.Adam  src/repro/nn/cohort.py" in lines
-    assert lines[-1].endswith(" exported, 0 stranded")
+    assert "repro.simulation.chaos.TransferFaultPlan.stall_p  bench/workloads.py" in lines
+    assert any(line.endswith(" exported, 0 stranded") for line in lines)
+    assert lines[-1].endswith(" config fields, 0 stranded")
 
 
 def write(root: Path, files: dict[str, str]) -> None:
@@ -100,3 +122,105 @@ def test_a_use_inside_its_own_definition_does_not_count(tmp_path):
     assert census.stranded(kept={"pkg.ops.unused": "", "pkg.ops.stack": ""}) == [
         "pkg.ops.recursive"
     ]
+
+
+def field_census(tmp_path: Path, files: dict[str, str]) -> Census:
+    """A census of a made-up package ``pkg`` and the code that sets its
+    config fields under ``bench/``, ``benchmarks/`` and ``app/``."""
+    write(tmp_path, files)
+    roots = [tmp_path / root for root in ("src", "bench", "benchmarks", "app")]
+    return Census(tmp_path / "src" / "pkg", roots)
+
+
+CONFIG = {
+    "src/pkg/__init__.py": "",
+    "src/pkg/config.py": """
+        from dataclasses import dataclass
+        __all__ = ["JobConfig"]
+
+        @dataclass(frozen=True)
+        class JobConfig:
+            workers: int = 1
+            rounds: int = 1
+            axis_field: int = 0
+            helper_field: int = 0
+            seed: int = 0
+            passed_on: int = 0
+            own_only: int = 0
+            tests_only: int = 0
+
+        QUICK = JobConfig(own_only=2)
+
+        def start(seed):
+            return seed
+    """,
+    "bench/run.py": """
+        from pkg.config import JobConfig
+        JobConfig(workers=4)
+    """,
+    "benchmarks/test_rounds.py": """
+        import dataclasses
+        from pkg import config
+        dataclasses.replace(config.JobConfig(), rounds=3)
+    """,
+    "app/main.py": """
+        from pkg.config import JobConfig, start
+
+        def job(**overrides):
+            return JobConfig(**overrides)
+
+        def run(config, sweep, pool):
+            sweep.axis("axis_field", [1, 2])
+            job(helper_field=1)
+            start(seed=3)
+            pool.launch(passed_on=config.passed_on)
+    """,
+    "tests/test_config.py": """
+        from pkg.config import JobConfig
+        JobConfig(tests_only=1)
+    """,
+}
+
+
+def test_a_keyword_in_a_bench_or_benchmarks_call_sets_a_field(tmp_path):
+    census = field_census(tmp_path, CONFIG)
+    assert census.setters["pkg.config.JobConfig.workers"] == {"bench/run.py"}
+    # ``dataclasses.replace`` on an instance sets the field too.
+    assert census.setters["pkg.config.JobConfig.rounds"] == {"benchmarks/test_rounds.py"}
+
+
+def test_a_sweep_axis_string_and_a_forwarding_helper_set_a_field(tmp_path):
+    census = field_census(tmp_path, CONFIG)
+    assert census.setters["pkg.config.JobConfig.axis_field"] == {"app/main.py"}
+    assert census.setters["pkg.config.JobConfig.helper_field"] == {"app/main.py"}
+
+
+def test_a_field_set_only_in_tests_or_its_own_module_is_stranded(tmp_path):
+    assert field_census(tmp_path, CONFIG).stranded_fields() == [
+        "pkg.config.JobConfig.own_only",
+        "pkg.config.JobConfig.passed_on",
+        "pkg.config.JobConfig.seed",
+        "pkg.config.JobConfig.tests_only",
+    ]
+
+
+def test_a_package_callable_or_a_passed_on_value_sets_no_field(tmp_path):
+    census = field_census(tmp_path, CONFIG)
+    # ``start(seed=3)`` is start's parameter; ``passed_on=config.passed_on``
+    # hands on a value something else set.
+    assert not census.setters.get("pkg.config.JobConfig.seed")
+    assert not census.setters.get("pkg.config.JobConfig.passed_on")
+
+
+def test_a_stale_kept_field_is_reported(tmp_path):
+    census = field_census(tmp_path, CONFIG)
+    kept = {
+        "pkg.config.JobConfig.own_only": "",
+        "pkg.config.JobConfig.workers": "",
+        "pkg.config.JobConfig.gone": "",
+    }
+    assert census.stale_kept_fields(kept) == [
+        "pkg.config.JobConfig.gone",
+        "pkg.config.JobConfig.workers",
+    ]
+    assert "pkg.config.JobConfig.own_only" not in census.stranded_fields(kept)
