@@ -11,8 +11,6 @@ Reproduces in planner form:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import render_table
 from repro.cloud import cifar10_workload, imagenet_workload, plan_capacity
 from repro.core import ConstantAlpha, TrainingJobConfig, run_experiment

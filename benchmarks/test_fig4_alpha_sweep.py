@@ -17,8 +17,6 @@ The paper's observations, each asserted below on our substrate:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis import ascii_chart, crossover_time, render_table
 
 from _helpers import emit, run_once

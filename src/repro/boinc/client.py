@@ -35,7 +35,7 @@ from ..simulation.network import NetworkLink
 from ..simulation.resources import ComputeResource, ComputeTask, InstanceSpec
 from ..simulation.tracing import Trace
 from .files import StickyCache, WebServer
-from .scheduler import Scheduler
+from .scheduler import HEARTBEAT_INTERVAL_S, Scheduler
 from .workunit import Workunit
 
 __all__ = ["TaskExecutor", "ClientDaemon"]
@@ -278,9 +278,8 @@ class ClientDaemon:
 
     # -- trickle heartbeats (§II-C-style progress reports) -------------------
     def _schedule_heartbeat(self, wu_id: str) -> None:
-        interval = self.scheduler.config.heartbeat_interval_s
         self._heartbeats[wu_id] = self.sim.schedule(
-            interval, lambda: self._send_heartbeat(wu_id), label=f"hb:{wu_id}"
+            HEARTBEAT_INTERVAL_S, lambda: self._send_heartbeat(wu_id), label=f"hb:{wu_id}"
         )
 
     def _send_heartbeat(self, wu_id: str) -> None:

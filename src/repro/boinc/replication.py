@@ -37,6 +37,13 @@ from .workunit import Workunit
 __all__ = ["logical_id", "replica_id", "QuorumConfig", "QuorumAssimilator"]
 
 _SEPARATOR = "#r"
+# Relative L2 tolerance within which two replica results agree.
+AGREEMENT_RTOL = 1e-9
+# Mean-reliability floor of the adaptive-replication escape hatch: when no
+# clique reaches ``min_quorum``, a clique of hosts this trusted that
+# outweighs every competitor is accepted anyway (BOINC's "adaptive
+# replication" trusts reliable hosts with less redundancy).
+TRUST_THRESHOLD = 0.9
 
 
 def replica_id(wu_id: str, replica: int) -> str:
@@ -58,19 +65,14 @@ class QuorumConfig:
     to a per-host reliability weighting (see
     :meth:`QuorumAssimilator._collusion_decision`): a cartel of hosts with
     a history of invalidated results cannot out-vote honest replicas by
-    submitting bit-identical wrong answers.  ``trust_threshold`` is the
-    mean-reliability floor for the adaptive-replication escape hatch —
-    when no clique reaches ``min_quorum``, a clique of sufficiently
-    trusted hosts that outweighs every competitor is accepted anyway
-    (BOINC's "adaptive replication" trusts reliable hosts with less
-    redundancy).
+    submitting bit-identical wrong answers.  Agreement is within
+    ``AGREEMENT_RTOL``, and ``TRUST_THRESHOLD`` is the adaptive-replication
+    floor.
     """
 
     replicas: int = 2
     min_quorum: int = 2
-    rtol: float = 1e-9  # relative L2 tolerance for "agreement"
     collusion_aware: bool = False
-    trust_threshold: float = 0.9
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -79,10 +81,6 @@ class QuorumConfig:
             raise ConfigurationError(
                 f"min_quorum must be in [1, replicas], got {self.min_quorum}"
             )
-        if not self.rtol >= 0:
-            raise ConfigurationError("rtol must be non-negative")
-        if not 0.0 < self.trust_threshold <= 1.0:
-            raise ConfigurationError("trust_threshold must be in (0, 1]")
 
 
 def _agreement_vector(payload: object) -> np.ndarray:
@@ -226,7 +224,7 @@ class QuorumAssimilator:
         if vec_a.shape != vec_b.shape:
             return False
         scale = max(float(np.linalg.norm(vec_a)), float(np.linalg.norm(vec_b)), 1e-30)
-        return float(np.linalg.norm(vec_a - vec_b)) <= self.config.rtol * scale
+        return float(np.linalg.norm(vec_a - vec_b)) <= AGREEMENT_RTOL * scale
 
     def _largest_agreeing_group(
         self, unit: _LogicalUnit
@@ -286,7 +284,7 @@ class QuorumAssimilator:
         reliability of 1.0 each) could beat it, otherwise once every
         expected replica has arrived.  When no clique reaches
         ``min_quorum`` at that point, a clique of trusted hosts (mean
-        reliability >= ``trust_threshold``) that outweighs every
+        reliability >= ``TRUST_THRESHOLD``) that outweighs every
         competitor is accepted — BOINC's adaptive replication — else the
         quorum fails.  Returns the winning clique or None (keep waiting /
         fail).
@@ -309,7 +307,7 @@ class QuorumAssimilator:
         if len(best[0]) >= self.config.min_quorum:
             return best[0]
         mean_reliability = best[1] / len(best[0])
-        if mean_reliability >= self.config.trust_threshold and best[1] > competitor:
+        if mean_reliability >= TRUST_THRESHOLD and best[1] > competitor:
             return best[0]
         return None
 

@@ -1,7 +1,8 @@
 """BOINC-like scheduler: workunit assignment, timeouts, reliability (§III-B).
 
 The scheduler is pull-based: clients request work when they have free
-execution slots.  Three policies from the paper are implemented:
+execution slots.  Three policies from the paper are implemented, always
+on, as BOINC runs them (their tuning is module constants):
 
 * **timeout + reissue** — every issued workunit carries a deadline; when
   the deadline passes without a result the workunit returns to the unsent
@@ -11,6 +12,9 @@ execution slots.  Three policies from the paper are implemented:
 * **reliability tracking** — per-client EWMA of attempt outcomes; clients
   below a reliability floor are put on probation (one workunit at a time)
   so chronically flaky nodes can't hoard work.
+
+BOINC's replication rule holds too: a host computes at most one replica
+of any logical workunit.
 
 Fleet-scale design: per-event cost must not depend on fleet size.  The
 ready queue is indexed (see :mod:`repro.boinc.ready_queue`), in-progress
@@ -41,45 +45,43 @@ __all__ = ["SchedulerConfig", "ClientRecord", "Scheduler", "WORK_FETCH_MODES"]
 # Work-fetch protocols: "poke" is the legacy broadcast (server poll of
 # every client on publish), "ping" is the fleet-scale pull protocol.
 WORK_FETCH_MODES = ("poke", "ping")
-# Cap on a host's work-fetch backoff after consecutive failures.
+# Reliability EWMA weight on history.  A host below PROBATION_THRESHOLD
+# is on probation: from a clean record, from its 6th failure in a row
+# (0.8**5 ≈ 0.33, 0.8**6 ≈ 0.26).
+RELIABILITY_DECAY = 0.8
+PROBATION_THRESHOLD = 0.3
+# Work-fetch backoff after a failure (BOINC clients back off after
+# errors): BACKOFF_BASE_S doubling per consecutive failure, capped.
+BACKOFF_BASE_S = 60.0
 BACKOFF_MAX_S = 3600.0
+# A computing client's trickle heartbeat interval, when heartbeats are on.
+HEARTBEAT_INTERVAL_S = 60.0
+# Ping-mode sleep hints: a host that found a non-empty queue but was
+# granted nothing (ineligible / probation) retries after PING_BUSY_S; a
+# host that found an empty queue sleeps PING_IDLE_BASE_S, doubling per
+# consecutive empty ping up to PING_IDLE_MAX_S.
+PING_BUSY_S = 5.0
+PING_IDLE_BASE_S = 30.0
+PING_IDLE_MAX_S = 1800.0
 
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Scheduler policy knobs (paper defaults: t_o = 5 min, 5 attempts)."""
+    """What a run chooses of the scheduler's policy (paper defaults:
+    t_o = 5 min, 5 attempts); the rest of BOINC's policy is the module's
+    constants."""
 
     timeout_s: float = 300.0
     max_attempts: int = 5
-    affinity_enabled: bool = True
-    reliability_enabled: bool = True
-    reliability_decay: float = 0.8  # EWMA weight on history
-    probation_threshold: float = 0.3
-    # Work-fetch backoff after a failure (BOINC clients back off after
-    # errors); doubles per consecutive failure up to ``BACKOFF_MAX_S``.
-    backoff_base_s: float = 60.0
-    # BOINC's replication rule: a host may compute at most one replica of
-    # any logical workunit (redundant results must come from distinct
-    # hosts to be meaningful for verification).
-    one_result_per_host: bool = True
     # Trickle-style progress heartbeats: a client computing a long subtask
     # periodically reports progress, and each report slides the deadline
     # forward (dead clients stop reporting and still time out).  Guards
     # slow-but-alive heterogeneous nodes against spurious reissues.
     heartbeats_enabled: bool = False
-    heartbeat_interval_s: float = 60.0
     # Work-fetch protocol (consumed by BoincServer/ClientDaemon): "poke"
     # keeps the legacy broadcast wake-up, "ping" switches the fleet to the
     # ping + server-suggested-sleep contract.
     work_fetch: str = "poke"
-    # Sleep-hint shaping for ping mode: a host that found a non-empty
-    # queue but was granted nothing (ineligible / probation) retries
-    # after ``ping_busy_s``; a host that found an empty queue sleeps
-    # ``ping_idle_base_s`` doubling per consecutive empty ping up to
-    # ``ping_idle_max_s``.
-    ping_busy_s: float = 5.0
-    ping_idle_base_s: float = 30.0
-    ping_idle_max_s: float = 1800.0
     # Quarantine loop (Byzantine defense): a host whose results are
     # invalidated (validator reject or quorum loss) this many times is
     # barred from further assignment.  0 disables the loop entirely — the
@@ -94,12 +96,6 @@ class SchedulerConfig:
             raise SchedulerError(
                 f"unknown work_fetch {self.work_fetch!r}; use one of {WORK_FETCH_MODES}"
             )
-        # Float bounds are negated (``not x > 0``): every comparison with
-        # NaN is False, so only the negated form rejects it.
-        if not self.ping_busy_s > 0 or not self.ping_idle_base_s > 0:
-            raise SchedulerError("ping sleep hints must be positive")
-        if not self.ping_idle_max_s >= self.ping_idle_base_s:
-            raise SchedulerError("ping_idle_max_s must be >= ping_idle_base_s")
 
 
 @dataclass
@@ -226,10 +222,7 @@ class Scheduler:
             return []
         if self.sim.now < record.backoff_until:
             return []
-        if (
-            self.config.reliability_enabled
-            and record.reliability < self.config.probation_threshold
-        ):
+        if record.reliability < PROBATION_THRESHOLD:
             # Probation: flaky client gets at most one unit at a time.
             max_units = min(max_units, 1) if not record.assigned else 0
         granted: list[Workunit] = []
@@ -264,22 +257,19 @@ class Scheduler:
     ) -> str | None:
         """Choose the next workunit the host is eligible for.
 
-        Honours sticky-file affinity first, then FIFO.  With
-        ``one_result_per_host``, a host is skipped for replicas of logical
-        units it has already been sent (a timed-out host retrying its own
-        unit is still allowed — it holds the only replica).  Eligibility is
-        evaluated lazily inside the ready queue's pick.
+        Honours sticky-file affinity first, then FIFO.  A host is skipped
+        for replicas of logical units it has already been sent (a timed-out
+        host retrying its own unit is still allowed — it holds the only
+        replica).  Eligibility is evaluated lazily inside the ready queue's
+        pick.
         """
-        sticky = sticky_names if (self.config.affinity_enabled and sticky_names) else ()
         return self._ready.pick(
-            sticky,
+            sticky_names,
             lambda wu_id: self._workunits[wu_id].shard_file(),
             lambda wu_id: self._eligible(wu_id, record),
         )
 
     def _eligible(self, wu_id: str, record: ClientRecord) -> bool:
-        if not self.config.one_result_per_host:
-            return True
         logical = logical_id(wu_id)
         if logical not in record.seen_logical:
             return True
@@ -330,29 +320,24 @@ class Scheduler:
 
     def _sleep_hint(self, record: ClientRecord) -> tuple[float, str]:
         """Backoff-, queue-depth- and probation-derived sleep suggestion."""
-        cfg = self.config
         if record.quarantined:
             # No amount of waiting makes a quarantined host eligible again;
             # park it for the maximum idle interval.
-            return cfg.ping_idle_max_s, "quarantined"
+            return PING_IDLE_MAX_S, "quarantined"
         if self.sim.now < record.backoff_until:
             # Failure backoff dominates: no grant can happen before expiry.
             return record.backoff_until - self.sim.now + 1e-6, "backoff"
         if len(self._ready) > 0:
             # Work exists but this host can't take it right now (probation
             # hold or one-result-per-host ineligibility): short retry.
-            if (
-                cfg.reliability_enabled
-                and record.reliability < cfg.probation_threshold
-                and record.assigned
-            ):
-                return cfg.ping_busy_s, "probation"
-            return cfg.ping_busy_s, "ineligible"
+            if record.reliability < PROBATION_THRESHOLD and record.assigned:
+                return PING_BUSY_S, "probation"
+            return PING_BUSY_S, "ineligible"
         # Empty queue: idle hint doubles per consecutive empty ping, plus
         # any assimilation backpressure the server reports.
         record.empty_pings += 1
         exponent = min(record.empty_pings - 1, 20)
-        hint = min(cfg.ping_idle_base_s * 2.0**exponent, cfg.ping_idle_max_s)
+        hint = min(PING_IDLE_BASE_S * 2.0**exponent, PING_IDLE_MAX_S)
         if self.backpressure_fn is not None:
             hint += max(0.0, float(self.backpressure_fn()))
         return hint, "idle"
@@ -550,19 +535,13 @@ class Scheduler:
             self.on_timeout(wu.wu_id, client_id)
 
     def _bump_reliability(self, record: ClientRecord, success: bool) -> None:
-        if self.config.reliability_enabled:
-            d = self.config.reliability_decay
-            record.reliability = (
-                d * record.reliability + (1.0 - d) * (1.0 if success else 0.0)
-            )
+        d = RELIABILITY_DECAY
+        record.reliability = d * record.reliability + (1.0 - d) * (1.0 if success else 0.0)
         if success:
             record.consecutive_failures = 0
             record.backoff_until = 0.0
         else:
-            delay = min(
-                self.config.backoff_base_s * 2.0**record.consecutive_failures,
-                BACKOFF_MAX_S,
-            )
+            delay = min(BACKOFF_BASE_S * 2.0**record.consecutive_failures, BACKOFF_MAX_S)
             record.consecutive_failures += 1
             record.backoff_until = self.sim.now + delay
 

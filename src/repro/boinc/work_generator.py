@@ -18,6 +18,7 @@ from ..data.dataset import Dataset
 from ..data.sharding import split_dataset
 from ..errors import ConfigurationError
 from ..nn.serialization import compressed_size
+from ..simulation.resources import SUBTASK_WORK_UNITS
 from .files import FileCatalog, ServerFile
 from .replication import replica_id
 from .workunit import Workunit
@@ -67,7 +68,6 @@ class WorkGenerator:
         num_shards: int,
         model_spec_json: str,
         timeout_s: float,
-        work_units_per_subtask: float = 144.0,
         work_jitter: float = 0.10,
         max_attempts: int = 5,
         rng: np.random.Generator | None = None,
@@ -75,13 +75,10 @@ class WorkGenerator:
     ) -> None:
         if num_shards <= 0:
             raise ConfigurationError("num_shards must be positive")
-        if not work_units_per_subtask > 0:
-            raise ConfigurationError("work_units_per_subtask must be positive")
         self.job_id = job_id
         self.catalog = catalog
         self.num_shards = num_shards
         self.timeout_s = timeout_s
-        self.work_units_per_subtask = work_units_per_subtask
         self.work_jitter = work_jitter
         self.max_attempts = max_attempts
         self.rng = rng if rng is not None else np.random.default_rng(0)
@@ -201,7 +198,7 @@ class WorkGenerator:
                     param_file_name,
                     self.shard_file_name(shard_index),
                 ),
-                work_units=self.work_units_per_subtask * jitter,
+                work_units=SUBTASK_WORK_UNITS * jitter,
                 timeout_s=self.timeout_s,
                 max_attempts=self.max_attempts,
             )

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..kvstore.latency import StoreLatency, redis_like_latency
-from ..simulation.resources import InstanceSpec, TABLE1_CLIENTS, TABLE1_SERVER
+from ..simulation.resources import (
+    SUBTASK_WORK_UNITS,
+    TABLE1_CLIENTS,
+    TABLE1_SERVER,
+    VALIDATION_WORK_UNITS,
+    InstanceSpec,
+)
 from .pricing import PriceBook, PricingClass, default_price_book
 
 __all__ = [
@@ -38,7 +44,7 @@ class WorkloadSpec:
     name: str
     num_shards: int
     epochs: int
-    work_units_per_subtask: float  # calibrated: 144 ≈ 2.4 min on a ref core
+    work_units_per_subtask: float  # the paper's subtask: SUBTASK_WORK_UNITS
     param_bytes: int  # wire size of one parameter file
     shard_bytes: int  # wire size of one data shard
 
@@ -63,7 +69,7 @@ def cifar10_workload() -> WorkloadSpec:
         name="cifar10",
         num_shards=50,
         epochs=40,
-        work_units_per_subtask=144.0,
+        work_units_per_subtask=SUBTASK_WORK_UNITS,
         param_bytes=int(21.2 * 1024 * 1024),
         shard_bytes=int(3.9 * 1024 * 1024),
     )
@@ -123,7 +129,6 @@ def plan_capacity(
     concurrency: int = 2,
     num_param_servers: int = 1,
     server_spec: InstanceSpec = TABLE1_SERVER,
-    validation_work_units: float = 8.0,
     store: StoreLatency | None = None,
     price_book: PriceBook | None = None,
     pricing: PricingClass = PricingClass.PREEMPTIBLE,
@@ -152,7 +157,7 @@ def plan_capacity(
 
     service = (
         store.update(workload.param_bytes)
-        + validation_work_units / server_spec.per_core_rate
+        + VALIDATION_WORK_UNITS / server_spec.per_core_rate
     )
     arrival_rate = slots / subtask_seconds  # results/second while running
     capacity = num_param_servers / service
@@ -177,7 +182,7 @@ def plan_capacity(
 
     baseline_service = (
         redis_like_latency().update(workload.param_bytes)
-        + validation_work_units / server_spec.per_core_rate
+        + VALIDATION_WORK_UNITS / server_spec.per_core_rate
     )
     overhead_hours = (
         workload.total_subtasks * max(0.0, service - baseline_service) / 3600.0

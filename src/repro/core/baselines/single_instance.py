@@ -7,7 +7,7 @@ instance.  Same model, same data, same optimizer; one machine, no
 parameter server, no staleness.
 
 Simulated time: one epoch costs the full job's work (``num_shards`` ×
-``work_units_per_subtask``) executed on the instance's aggregate rate
+``SUBTASK_WORK_UNITS``) executed on the instance's aggregate rate
 (batch-level parallelism uses all cores), plus a per-epoch validation pass.
 """
 
@@ -20,7 +20,7 @@ from ...errors import ConfigurationError
 from ...nn.cohort import CohortTrainer, compile_program, train_steps
 from ...nn.metrics import evaluate_classifier
 from ...nn.models import build_model
-from ...simulation.resources import TABLE1_SERVER
+from ...simulation.resources import SUBTASK_WORK_UNITS, TABLE1_SERVER, VALIDATION_WORK_UNITS
 from ...simulation.rng import RngRegistry
 from ..job import TrainingJobConfig
 from ..results import EpochRecord, RunResult
@@ -73,9 +73,9 @@ class SingleInstanceTrainer:
         np.copyto(self.trainer.program.arena.data, self._arena.data)
         # One epoch of serial work = the whole job's subtask work; all the
         # instance's cores contribute (data-parallel batches on one node).
-        total_work = config.num_shards * config.work_units_per_subtask
+        total_work = config.num_shards * SUBTASK_WORK_UNITS
         rate = TABLE1_SERVER.total_rate
-        self.epoch_seconds = total_work / rate + config.validation_work_units / rate
+        self.epoch_seconds = total_work / rate + VALIDATION_WORK_UNITS / rate
 
     def run(self) -> RunResult:
         """Train serially for up to ``max_epochs``; returns epoch records."""

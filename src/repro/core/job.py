@@ -212,9 +212,9 @@ class TrainingJobConfig:
     )
     heartbeats_enabled: bool = False  # trickle progress reports
 
-    # -- timing calibration (§IV anchors) ---------------------------------------
-    work_units_per_subtask: float = 144.0  # t_e ≈ 2.4 min on a reference core
-    validation_work_units: float = 8.0  # server-side accuracy pass per update
+    # -- timing calibration (§IV anchors; the work unit's own anchors are
+    # ``simulation.resources.SUBTASK_WORK_UNITS`` and
+    # ``VALIDATION_WORK_UNITS``) ------------------------------------------------
     subtask_timeout_s: float = 300.0  # t_o = 5 min
     max_attempts: int = 5
 
@@ -329,9 +329,8 @@ class TrainingJobConfig:
             raise ConfigurationError("cohort_size must be >= 1")
         if self.step_jobs < 0:
             raise ConfigurationError("step_jobs must be >= 0 (0 = auto)")
-        for name in ("work_units_per_subtask", "validation_work_units", "subtask_timeout_s"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(f"{name} must be positive and finite")
+        if not 0.0 < self.subtask_timeout_s < math.inf:
+            raise ConfigurationError("subtask_timeout_s must be positive and finite")
         for name, kind in (
             ("update_rule", UpdateRule),
             ("autoscale_policy", AutoscalePolicy),

@@ -31,7 +31,7 @@ from ..boinc.workunit import Workunit
 from ..errors import ConfigurationError, TrainingError
 from ..kvstore.base import TXN_ABORT, KVStore
 from ..simulation.engine import Simulator
-from ..simulation.resources import ComputeResource
+from ..simulation.resources import VALIDATION_WORK_UNITS, ComputeResource
 from ..simulation.tracing import Trace
 from .rules import ClientUpdate, UpdateRule
 
@@ -107,14 +107,11 @@ class ParameterServerPool:
         evaluate_fn: Callable[[np.ndarray], tuple[float, float]],
         rule: UpdateRule,
         republish_fn: Callable[[np.ndarray, str], None] | None = None,
-        validation_work_units: float = 8.0,
         param_nbytes: int | None = None,
         trace: Trace | None = None,
     ) -> None:
         if num_servers <= 0:
             raise ConfigurationError(f"num_servers (Pn) must be positive, got {num_servers}")
-        if not validation_work_units > 0:
-            raise ConfigurationError("validation_work_units must be positive")
         self.sim = sim
         self.num_servers = num_servers
         self.store = store
@@ -122,7 +119,6 @@ class ParameterServerPool:
         self.server_cpu = server_cpu
         self.evaluate_fn = evaluate_fn
         self.republish_fn = republish_fn
-        self.validation_work_units = validation_work_units
         self.param_nbytes = param_nbytes
         self.trace = trace
         self._queue: deque[_Inflight] = deque()
@@ -225,7 +221,7 @@ class ParameterServerPool:
         # Validation pass: the real accuracy is computed now; the time
         # it takes is charged to the shared server CPU.
         self.server_cpu.submit(
-            self.validation_work_units,
+            VALIDATION_WORK_UNITS,
             lambda: self._finish(item),
             label=f"validate:{item.wu.wu_id}",
         )

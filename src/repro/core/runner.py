@@ -49,7 +49,7 @@ from ..simulation.adversary import AdversaryFabric
 from ..simulation.chaos import ChaosPlan, PartitionSchedule
 from ..simulation.engine import Simulator
 from ..simulation.preemption import ExponentialLifetime
-from ..simulation.resources import TABLE1_SERVER, ComputeResource
+from ..simulation.resources import SUBTASK_WORK_UNITS, TABLE1_SERVER, ComputeResource
 from ..simulation.rng import RngRegistry
 from ..simulation.tracing import Trace
 from .autoscale import AutoscalingPool
@@ -239,7 +239,6 @@ class DistributedRunner:
             server_cpu=self.server_cpu,
             evaluate_fn=self._evaluate_vec,
             republish_fn=self._republish_params,
-            validation_work_units=config.validation_work_units,
             param_nbytes=self._param_wire_bytes,
             trace=self.trace,
         )
@@ -330,7 +329,6 @@ class DistributedRunner:
             num_shards=config.num_shards,
             model_spec_json=config.model.to_json(),
             timeout_s=config.subtask_timeout_s,
-            work_units_per_subtask=config.work_units_per_subtask,
             max_attempts=config.max_attempts,
             rng=self.rngs.stream("workgen"),
         )
@@ -437,7 +435,7 @@ class DistributedRunner:
         # Time model: one pass over the full data costs the same work as
         # one epoch's subtasks spread over the server's cores.
         per_pass = (
-            cfg.num_shards * cfg.work_units_per_subtask / lt.local_epochs
+            cfg.num_shards * SUBTASK_WORK_UNITS / lt.local_epochs
         ) / TABLE1_SERVER.total_rate
         self.warm_start_seconds = cfg.warm_start_passes * per_pass
         self.sim.schedule(self.warm_start_seconds, lambda: None, label="warmstart")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError

@@ -25,6 +25,12 @@ from .network import NetworkLink, lan_link, wan_link
 
 __all__ = ["InstanceSpec", "TABLE1_SERVER", "TABLE1_CLIENTS", "ComputeResource", "ComputeTask"]
 
+# The work unit's calibration anchors (§IV-E): one training subtask is 144
+# units, t_e ≈ 2.4 min on a reference core; the parameter server's
+# accuracy pass over each merged update is 8.
+SUBTASK_WORK_UNITS = 144.0
+VALIDATION_WORK_UNITS = 8.0
+
 
 @dataclass(frozen=True)
 class InstanceSpec:
@@ -32,8 +38,9 @@ class InstanceSpec:
 
     ``compute_rate`` is expressed in abstract *work units per second*; one
     work unit is calibrated so that the paper's reference subtask (one
-    local training pass over a 1 000-image CIFAR10 shard) is ~144 work
-    units, making t_e ≈ 2.4 min on a reference core (§IV-E).
+    local training pass over a 1 000-image CIFAR10 shard) is
+    ``SUBTASK_WORK_UNITS`` (144) work units, making t_e ≈ 2.4 min on a
+    reference core (§IV-E).
     """
 
     name: str

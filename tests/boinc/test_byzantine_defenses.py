@@ -27,7 +27,8 @@ from repro.boinc.replication import (
     QuorumConfig,
     replica_id,
 )
-from repro.errors import ConfigurationError, SchedulerError
+from repro.boinc.scheduler import PING_IDLE_MAX_S
+from repro.errors import SchedulerError
 from repro.simulation import Simulator, Trace
 
 
@@ -128,12 +129,6 @@ class TestCollusionAwareQuorum:
         assert failed == [("u", 3)]
         assert quorum.pending_units() == 0
 
-    def test_trust_threshold_validation(self):
-        with pytest.raises(ConfigurationError):
-            QuorumConfig(trust_threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            QuorumConfig(trust_threshold=1.5)
-
 
 class TestQuorumDeferredCredit:
     def build(self, config: QuorumConfig, reliability=None):
@@ -195,9 +190,7 @@ class TestQuorumDeferredCredit:
 
     def test_failed_quorum_denies_everyone(self):
         server, quorum = self.build(
-            QuorumConfig(
-                replicas=2, min_quorum=2, collusion_aware=True, trust_threshold=0.99
-            ),
+            QuorumConfig(replicas=2, min_quorum=2, collusion_aware=True),
             reliability={"a": 0.5, "b": 0.5},
         )
         server.invalid_feedback = True
@@ -241,7 +234,7 @@ class TestQuarantine:
         sched.record_invalid_result("h")
         granted, hint = sched.ping("h", set(), 2)
         assert granted == []
-        assert hint == sched.config.ping_idle_max_s
+        assert hint == PING_IDLE_MAX_S
 
     def test_disabled_by_default(self):
         sched = self.make(0)

@@ -25,17 +25,13 @@ def build(sim: Simulator, heartbeats: bool, clock_ghz: float = 0.24):
         sim,
         assimilator=assim,
         validator=ParameterValidator(expected_size=4),
-        scheduler_config=SchedulerConfig(
-            timeout_s=50.0,
-            heartbeats_enabled=heartbeats,
-            heartbeat_interval_s=20.0,
-            backoff_base_s=0.0,
-        ),
+        scheduler_config=SchedulerConfig(timeout_s=150.0, heartbeats_enabled=heartbeats),
     )
     server.catalog.publish(ServerFile("model", "spec", raw_size=10, sticky=True))
     server.catalog.publish(ServerFile("params", np.zeros(4), raw_size=10))
     server.catalog.publish(ServerFile("shard-00", "d", raw_size=10, sticky=True))
-    # 10 work units at 0.1 units/s -> 100 s of compute > 50 s timeout.
+    # 30 work units at 0.1 units/s -> 300 s of compute > 150 s timeout;
+    # heartbeats come every HEARTBEAT_INTERVAL_S (60 s).
     spec = InstanceSpec("slow", vcpus=1, clock_ghz=clock_ghz, ram_gb=4, network_gbps=1)
     client = ClientDaemon(
         client_id="c0",
@@ -53,8 +49,8 @@ def build(sim: Simulator, heartbeats: bool, clock_ghz: float = 0.24):
         epoch=0,
         shard_index=0,
         input_files=("model", "params", "shard-00"),
-        work_units=10.0,
-        timeout_s=50.0,
+        work_units=30.0,
+        timeout_s=150.0,
         max_attempts=2,
     )
     server.publish_workunits([wu])
@@ -73,7 +69,7 @@ class TestHeartbeats:
         sim.run()
         assert server.scheduler.timeouts == 0
         assert assim.count == 1
-        assert server.scheduler.heartbeats >= 4  # ~100 s / 20 s interval
+        assert server.scheduler.heartbeats == 5  # every 60 s of a 300.16 s compute
         assert wu.state.value == "done"
 
     def test_heartbeats_stop_after_completion(self, sim):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.boinc import CallbackAssimilator, Scheduler, SchedulerConfig, Workunit
 from repro.boinc.replication import (
+    AGREEMENT_RTOL,
     QuorumAssimilator,
     QuorumConfig,
     logical_id,
@@ -47,8 +48,6 @@ class TestQuorumConfig:
             {"replicas": 0},
             {"replicas": 2, "min_quorum": 3},
             {"replicas": 2, "min_quorum": 0},
-            {"rtol": -1.0},
-            {"rtol": float("nan")},
         ],
     )
     def test_invalid(self, kwargs):
@@ -57,12 +56,10 @@ class TestQuorumConfig:
 
 
 class TestQuorumAssimilator:
-    def make(self, replicas=2, quorum=2, rtol=1e-9):
+    def make(self, replicas=2, quorum=2):
         seen: list[np.ndarray] = []
         inner = CallbackAssimilator(lambda wu, payload: seen.append(payload))
-        qa = QuorumAssimilator(
-            inner, QuorumConfig(replicas=replicas, min_quorum=quorum, rtol=rtol)
-        )
+        qa = QuorumAssimilator(inner, QuorumConfig(replicas=replicas, min_quorum=quorum))
         return qa, inner, seen
 
     def test_waits_for_quorum(self):
@@ -102,9 +99,10 @@ class TestQuorumAssimilator:
         np.testing.assert_array_equal(seen[0], good)
 
     def test_fuzzy_tolerance(self):
-        qa, inner, seen = self.make(rtol=1e-3)
+        qa, inner, seen = self.make()
+        nearly = np.ones(4) * (1 + AGREEMENT_RTOL / 10)
         qa.assimilate(make_replica("u", 0), np.ones(4), lambda: None)
-        qa.assimilate(make_replica("u", 1), np.ones(4) * (1 + 1e-5), lambda: None)
+        qa.assimilate(make_replica("u", 1), nearly, lambda: None)
         assert inner.count == 1  # within tolerance
 
     def test_independent_logical_units(self):
@@ -131,21 +129,13 @@ class TestOneResultPerHost:
         assert len(second) == 1
 
     def test_retry_of_own_unit_allowed(self, sim):
-        sched = Scheduler(
-            sim, SchedulerConfig(timeout_s=10.0, backoff_base_s=0.0)
-        )
+        sched = Scheduler(sim, SchedulerConfig(timeout_s=10.0))
         sched.add_workunits([make_replica("u", 0)])
         sched.request_work("c1", set(), 1)
         sim.run()  # timeout -> requeue
+        sim.run(until=sched.client("c1").backoff_until)
         granted = sched.request_work("c1", set(), 1)
         assert len(granted) == 1  # same physical unit, same host: allowed
-
-    def test_rule_disabled(self, sim):
-        sched = Scheduler(
-            sim, SchedulerConfig(timeout_s=100.0, one_result_per_host=False)
-        )
-        sched.add_workunits([make_replica("u", r) for r in range(2)])
-        assert len(sched.request_work("c1", set(), 4)) == 2
 
 
 class TestEndToEndReplication:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.boinc import Scheduler, SchedulerConfig, Workunit, WorkunitState
+from repro.boinc.scheduler import BACKOFF_MAX_S, PROBATION_THRESHOLD
 from repro.errors import SchedulerError
-from repro.simulation import Simulator
 
 
 def make_wus(n: int, timeout_s: float = 100.0, max_attempts: int = 3) -> list[Workunit]:
@@ -71,12 +71,6 @@ class TestAffinity:
         granted = sched.request_work("c1", {"shard-99"}, 1)
         assert granted[0].wu_id == "wu00"
 
-    def test_affinity_disabled(self, sim):
-        sched = Scheduler(sim, SchedulerConfig(affinity_enabled=False))
-        sched.add_workunits(make_wus(5))
-        granted = sched.request_work("c1", {"shard-03"}, 1)
-        assert granted[0].wu_id == "wu00"
-
 
 class TestTimeouts:
     def test_timeout_requeues_and_counts(self, sim, sched):
@@ -115,16 +109,11 @@ class TestTimeouts:
         assert sched.timeouts == 1
 
     def test_exhausted_attempts_error_state(self, sim):
-        sched = Scheduler(
-            sim,
-            SchedulerConfig(
-                timeout_s=10.0, reliability_enabled=False, backoff_base_s=0.0
-            ),
-        )
+        sched = Scheduler(sim, SchedulerConfig(timeout_s=10.0))
         sched.add_workunits(make_wus(1, timeout_s=10.0, max_attempts=2))
         sched.request_work("c1", set(), 1)
-        sim.run()  # first timeout, requeued
-        sched.request_work("c1", set(), 1)
+        sim.run()  # first timeout, requeued; c1 backs off
+        sched.request_work("c2", set(), 1)
         sim.run()  # second timeout, budget gone
         assert sched.get_workunit("wu00").state is WorkunitState.ERROR
 
@@ -164,16 +153,14 @@ class TestReliability:
         sched.report_result("wu00", "c1")
         assert sched.client("c1").reliability > 0.9
 
-    def test_failures_decay_reliability(self, sim):
-        sched = Scheduler(
-            sim, SchedulerConfig(timeout_s=100.0, backoff_base_s=0.0)
-        )
+    def test_failures_decay_reliability(self, sim, sched):
         sched.add_workunits(make_wus(6))
+        record = sched.register_client("c1")
         for _ in range(6):
-            granted = sched.request_work("c1", set(), 1)
-            if granted:
-                sched.report_client_failure("c1")
-        assert sched.client("c1").reliability < 0.3
+            record.backoff_until = 0.0  # simulate the backoff passing
+            assert sched.request_work("c1", set(), 1)
+            sched.report_client_failure("c1")
+        assert record.reliability < PROBATION_THRESHOLD
 
     def test_backoff_blocks_after_failure(self, sim, sched):
         sched.add_workunits(make_wus(3))
@@ -213,14 +200,25 @@ class TestReliability:
         granted2 = sched.request_work("flaky", set(), 4)
         assert granted2 == []  # still holding one
 
-    def test_reliability_disabled_no_probation(self, sim):
-        sched = Scheduler(
-            sim, SchedulerConfig(timeout_s=100.0, reliability_enabled=False)
-        )
-        sched.add_workunits(make_wus(10))
-        record = sched.register_client("flaky")
-        record.reliability = 0.0
-        assert len(sched.request_work("flaky", set(), 4)) == 4
+    def test_kept_policy_arithmetic(self, sched):
+        """BOINC's policy is module constants: the reliability EWMA keeps
+        0.8 of its history, so probation starts at the 6th failure in a
+        row (0.8**5 ≈ 0.33 >= 0.3 > 0.8**6 ≈ 0.26), and the backoff is
+        60 s doubling per failure up to the cap (the idle sleep hint's
+        30 s doubling up to 1800 s is pinned in test_ping_protocol.py)."""
+        sched.add_workunits(make_wus(8))
+        record = sched.register_client("c1")
+        reliabilities, delays = [], []
+        for _ in range(8):
+            record.backoff_until = 0.0  # simulate the backoff passing
+            assert sched.request_work("c1", set(), 1)
+            sched.report_client_failure("c1")
+            reliabilities.append(record.reliability)
+            delays.append(record.backoff_until)  # the clock stays at 0
+        assert reliabilities == pytest.approx([0.8**k for k in range(1, 9)])
+        assert reliabilities[4] >= PROBATION_THRESHOLD == 0.3 > reliabilities[5]
+        assert delays == [60.0 * 2**k for k in range(6)] + [BACKOFF_MAX_S] * 2
+        assert BACKOFF_MAX_S == 3600.0
 
 
 class TestProgressTracking:

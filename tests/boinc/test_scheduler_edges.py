@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.boinc import Scheduler, SchedulerConfig, Workunit, WorkunitState
-from repro.simulation import Simulator
 
 
 def make_wus(n: int, timeout_s: float = 100.0, max_attempts: int = 3) -> list[Workunit]:
@@ -87,9 +86,7 @@ class TestInvalidRetryBudget:
         assert sched.reissues == 1
 
     def test_exhaustion_lands_in_error(self, sim):
-        sched = Scheduler(
-            sim, SchedulerConfig(reliability_enabled=False, backoff_base_s=0.0)
-        )
+        sched = Scheduler(sim, SchedulerConfig())
         (wu,) = make_wus(1, max_attempts=2)
         sched.add_workunits([wu])
         assert self._fail_once(sim, sched, wu) is True
@@ -99,9 +96,7 @@ class TestInvalidRetryBudget:
         assert sched.reissues == 1  # only the first rejection requeued
 
     def test_errored_unit_terminal_and_not_regranted(self, sim):
-        sched = Scheduler(
-            sim, SchedulerConfig(reliability_enabled=False, backoff_base_s=0.0)
-        )
+        sched = Scheduler(sim, SchedulerConfig())
         (wu,) = make_wus(1, max_attempts=1)
         sched.add_workunits([wu])
         assert self._fail_once(sim, sched, wu) is False
@@ -111,9 +106,7 @@ class TestInvalidRetryBudget:
 
 class TestStaleHeartbeatVsTimeout:
     def _config(self) -> SchedulerConfig:
-        return SchedulerConfig(
-            timeout_s=100.0, heartbeats_enabled=True, heartbeat_interval_s=40.0
-        )
+        return SchedulerConfig(timeout_s=100.0, heartbeats_enabled=True)
 
     def test_heartbeat_slides_deadline(self, sim):
         sched = Scheduler(sim, self._config())

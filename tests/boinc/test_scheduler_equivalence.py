@@ -30,7 +30,7 @@ def build(reference_queue: bool) -> Scheduler:
     sim = Simulator()
     sched = Scheduler(
         sim,
-        SchedulerConfig(timeout_s=TIMEOUT_S, max_attempts=3, backoff_base_s=10.0),
+        SchedulerConfig(timeout_s=TIMEOUT_S, max_attempts=3),
     )
     if reference_queue:
         sched._ready = LegacyListQueue()  # still empty: nothing enqueued yet

@@ -92,12 +92,7 @@ def test_property_scheduler_invariants_hold(actions):
     sim = Simulator()
     sched = Scheduler(
         sim,
-        SchedulerConfig(
-            timeout_s=50.0,
-            max_attempts=MAX_ATTEMPTS,
-            backoff_base_s=10.0,
-            one_result_per_host=False,  # plain units; replication covered elsewhere
-        ),
+        SchedulerConfig(timeout_s=50.0, max_attempts=MAX_ATTEMPTS),
     )
     wus = make_wus()
     sched.add_workunits(wus)

@@ -25,7 +25,7 @@ def build(sim: Simulator, executor=None, ledger=None):
         sim,
         assimilator=assim,
         validator=ParameterValidator(expected_size=4),
-        scheduler_config=SchedulerConfig(timeout_s=400.0, backoff_base_s=0.0),
+        scheduler_config=SchedulerConfig(timeout_s=400.0),
         credit_ledger=ledger,
     )
     server.catalog.publish(ServerFile("model", "spec", raw_size=10, sticky=True))

@@ -19,7 +19,7 @@ from repro.boinc.client import (
 )
 from repro.boinc.files import TransferError
 from repro.boinc.scheduler import Scheduler, SchedulerConfig
-from repro.simulation import NetworkLink, Simulator, Trace
+from repro.simulation import NetworkLink
 from repro.simulation.chaos import (
     PartitionSchedule,
     PartitionWindow,

@@ -81,12 +81,6 @@ class TestStaticPublication:
     def test_invalid_config(self, train_set):
         with pytest.raises(ConfigurationError):
             make_generator(train_set, num_shards=0)
-        with pytest.raises(ConfigurationError):
-            make_generator(train_set, work_units_per_subtask=0.0)
-
-    def test_nan_work_units_rejected(self, train_set):
-        with pytest.raises(ConfigurationError):
-            make_generator(train_set, work_units_per_subtask=float("nan"))
 
 
 class TestEpochMinting:

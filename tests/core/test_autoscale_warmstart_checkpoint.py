@@ -20,6 +20,7 @@ from repro.core.rules import VCASGDRule
 from repro.errors import ConfigurationError, SerializationError, TrainingError
 from repro.kvstore import EventualStore, StoreLatency
 from repro.simulation import ComputeResource, InstanceSpec
+from repro.simulation.resources import VALIDATION_WORK_UNITS
 
 from .test_param_server import update
 from .test_runner import tiny_config
@@ -37,17 +38,20 @@ def make_wu(i: int) -> Workunit:
     )
 
 
+# A server core this fast runs one validation pass in 1 s.
+FAST_CLOCK_GHZ = 2.4 * VALIDATION_WORK_UNITS
+
+
 def build_autoscaling_pool(sim, policy: AutoscalePolicy) -> AutoscalingPool:
     store = EventualStore(sim, StoreLatency(base_s=1.0, per_byte_s=0.0))
     store.put_now(PARAM_KEY, np.zeros(4))
-    spec = InstanceSpec("srv", vcpus=8, clock_ghz=2.4, ram_gb=8, network_gbps=1)
+    spec = InstanceSpec("srv", vcpus=8, clock_ghz=FAST_CLOCK_GHZ, ram_gb=8, network_gbps=1)
     return AutoscalingPool(
         sim=sim,
         store=store,
         rule=VCASGDRule(ConstantAlpha(0.5)),
         server_cpu=ComputeResource(sim, spec),
         evaluate_fn=lambda vec: (0.0, 0.5),
-        validation_work_units=1.0,
         policy=policy,
     )
 

@@ -24,6 +24,7 @@ from repro.data import SyntheticImageConfig
 from repro.errors import ConfigurationError
 from repro.nn.models import ModelSpec
 from repro.simulation import TABLE1_SERVER
+from repro.simulation.resources import SUBTASK_WORK_UNITS, VALIDATION_WORK_UNITS
 
 
 def tiny_job(**overrides) -> TrainingJobConfig:
@@ -58,8 +59,7 @@ class TestSingleInstance:
         cfg = tiny_job()
         trainer = SingleInstanceTrainer(cfg)
         expected = (
-            cfg.num_shards * cfg.work_units_per_subtask
-            + cfg.validation_work_units
+            cfg.num_shards * SUBTASK_WORK_UNITS + VALIDATION_WORK_UNITS
         ) / TABLE1_SERVER.total_rate
         assert trainer.epoch_seconds == pytest.approx(expected)
 

@@ -8,7 +8,6 @@ workloads with convolutional models end to end.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import ConstantAlpha, LocalTrainingConfig, TrainingJobConfig, run_experiment
 from repro.data import SyntheticImageConfig

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    ConstantAlpha,
     EpochRecord,
     FaultConfig,
     LocalTrainingConfig,
@@ -56,10 +55,6 @@ class TestJobConfig:
             {"codec_topk": float("nan")},
             {"subtask_timeout_s": float("nan")},
             {"subtask_timeout_s": -1.0},
-            {"work_units_per_subtask": float("nan")},
-            {"work_units_per_subtask": -1.0},
-            {"validation_work_units": float("nan")},
-            {"validation_work_units": -1.0},
         ],
     )
     def test_invalid_configs(self, kwargs):

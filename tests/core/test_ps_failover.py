@@ -26,7 +26,8 @@ from repro.core.rules import VCASGDRule
 from repro.core.runner import DistributedRunner
 from repro.core.vcasgd import ConstantAlpha
 from repro.kvstore import EventualStore, StoreLatency, StrongStore
-from repro.simulation import ComputeResource, InstanceSpec, Simulator
+from repro.simulation import ComputeResource, InstanceSpec
+from repro.simulation.resources import VALIDATION_WORK_UNITS
 from repro.simulation.chaos import ChaosPlan, ServerCrash
 
 from .test_param_server import update
@@ -45,10 +46,14 @@ def make_wu(i: int = 0, epoch: int = 0) -> Workunit:
     )
 
 
+# A server core this fast runs one validation pass in 1 s.
+FAST_CLOCK_GHZ = 2.4 * VALIDATION_WORK_UNITS
+
+
 def build_pool(sim, num_servers=1, store_cls=EventualStore, trace=None):
     store = store_cls(sim, StoreLatency(base_s=1.0, per_byte_s=0.0), trace=trace)
     store.put_now(PARAM_KEY, np.zeros(4))
-    spec = InstanceSpec("srv", vcpus=4, clock_ghz=2.4, ram_gb=8, network_gbps=1)
+    spec = InstanceSpec("srv", vcpus=4, clock_ghz=FAST_CLOCK_GHZ, ram_gb=8, network_gbps=1)
     return ParameterServerPool(
         sim=sim,
         num_servers=num_servers,
@@ -56,7 +61,6 @@ def build_pool(sim, num_servers=1, store_cls=EventualStore, trace=None):
         rule=VCASGDRule(ConstantAlpha(0.5)),
         server_cpu=ComputeResource(sim, spec),
         evaluate_fn=lambda vec: (0.0, float(vec.mean())),
-        validation_work_units=1.0,
         trace=trace,
     )
 

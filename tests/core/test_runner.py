@@ -9,7 +9,6 @@ validation → VC-ASGD assimilation → epoch accounting.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import (
     ConstantAlpha,
@@ -161,16 +160,16 @@ class TestScalingKnobs:
         assert t3 < t1
 
     def test_ps_queue_bottleneck_measurable(self):
-        """With one PS and a large validation cost, queue wait appears."""
-        runner = DistributedRunner(
-            tiny_config(
-                num_clients=3,
-                max_concurrent_subtasks=4,
-                validation_work_units=40.0,
-            )
-        )
-        runner.run()
-        assert runner.pool.stats.mean_wait() > 0
+        """One PS fed many concurrent subtasks queues them; fed one at a
+        time, it never does."""
+
+        def mean_wait(**overrides) -> float:
+            runner = DistributedRunner(tiny_config(**overrides))
+            runner.run()
+            return runner.pool.stats.mean_wait()
+
+        assert mean_wait(num_clients=1, max_concurrent_subtasks=1) == 0
+        assert mean_wait(num_clients=3, max_concurrent_subtasks=4, num_shards=12) > 0
 
     def test_compression_reduces_bytes(self):
         with_c = run_experiment(tiny_config(compression_enabled=True))

@@ -12,13 +12,17 @@ The trace-order goldens hash the ordered records alone
 (:func:`trace_digest`); tests that compare two models' states hash each
 with :func:`state_checksum`.
 
+:data:`BENCH_PINS` pins what the benchmark runs: each workload of
+``bench/workloads.py`` at ``--tiny`` and seed 1234, by the digest its
+outcome reports, its ``sim_time_s`` and its ``wire_mb``.
+
 **Re-capture rule.**  A golden moves only when a change means to change
 the runs it hashes, and that change says so up front, re-captures the
 value here and records the old and new hex in CHANGES.md.  A host-side
 change (where, when or on how many processes or threads a step trains or
 an upload is priced) moves none; if one moves, find the leak instead.
 
-List every golden, pinned against recomputed::
+List every golden and bench pin, pinned against recomputed::
 
     PYTHONPATH=src python -m tests.goldens [NAME ...]
 """
@@ -26,11 +30,13 @@ List every golden, pinned against recomputed::
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -275,6 +281,79 @@ GOLDENS: dict[str, Golden] = {
 }
 
 
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BENCH_SEED = 1234
+
+
+@cache
+def bench_workloads():
+    """``bench/workloads.py``, loaded as a module (``bench/`` is no package)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@dataclass(frozen=True)
+class BenchPin:
+    """One bench workload at ``--tiny`` and seed :data:`BENCH_SEED`: the
+    digest its outcome reports, and two of its simulated metrics."""
+
+    hex: str
+    sim_time_s: float
+    wire_mb: float
+
+    def __str__(self) -> str:
+        return f"{self.hex} sim_time_s={self.sim_time_s!r} wire_mb={self.wire_mb!r}"
+
+
+def bench_pin(workload: str) -> BenchPin:
+    """Run one tiny bench workload in this process and pin its outcome."""
+    run = bench_workloads().WORKLOADS[workload](BENCH_SEED, True)
+    run.run()
+    outcome = run.outcome()
+    return BenchPin(outcome.digest, outcome.sim_time_s, outcome.wire_mb)
+
+
+# Captured before the BOINC scheduler's and quorum's tests-only knobs
+# became module constants with their defaults; that change moved none.
+BENCH_PINS: dict[str, BenchPin] = {
+    "bench/fig2_p1c3t2": BenchPin(
+        "aaa4be33c994c8b0b8e48fcaa1c6299229f0236527ce530b131db11079838ba7",
+        2492.281988899053,
+        20.209649,
+    ),
+    "bench/wide_int8_p1c3t2": BenchPin(
+        "4ccb7850feb9c55b07acd3b111d3fa801edd12837f098222a4148170919afab8",
+        354.70671549615867,
+        1.760775,
+    ),
+    "bench/chaos_p3c3t4": BenchPin(
+        "77201216fd04d825622ef9bca49331b3bd74eb45c946d8d6e0f4e08a76637fd4",
+        928.7158628037984,
+        9.370364,
+    ),
+    "bench/fleet_10k_ping": BenchPin(
+        "07affd6980c880a8a3d63d916a25cfccab7813c16b359823ee1092872b8da35e",
+        296.9042396867388,
+        5.7344,
+    ),
+    "bench/cohort8_homog": BenchPin(
+        "2fb778b96bed3e9ce0a3c2d2aa525e3be6ab44fef83d578744e5bc76feac5685",
+        711.6169791508303,
+        10.640538,
+    ),
+}
+
+
+def recompute(name: str) -> str | BenchPin:
+    """What a golden (its hex) or a bench pin recomputes to."""
+    if name in BENCH_PINS:
+        return bench_pin(name.partition("/")[2])
+    return GOLDENS[name].recompute()
+
+
 def family(prefix: str) -> dict[str, Golden]:
     """The goldens named ``prefix/<name>``, keyed by ``<name>``."""
     head = prefix + "/"
@@ -286,13 +365,14 @@ def family(prefix: str) -> dict[str, Golden]:
 
 
 def main(names: list[str]) -> int:
-    """Print every golden (or those named) pinned beside recomputed;
-    return 1 if any moved."""
-    names = names or list(GOLDENS)
+    """Print every golden and bench pin (or those named) pinned beside
+    recomputed; return 1 if any moved."""
+    names = names or [*GOLDENS, *BENCH_PINS]
     width = max(map(len, names))
     moved = 0
     for name in names:
-        pinned, recomputed = GOLDENS[name].hex, GOLDENS[name].recompute()
+        pinned = BENCH_PINS[name] if name in BENCH_PINS else GOLDENS[name].hex
+        recomputed = recompute(name)
         status = "ok" if pinned == recomputed else "MOVED"
         moved += status == "MOVED"
         print(f"{name:<{width}}  {status:<5}  pinned {pinned}  recomputed {recomputed}")

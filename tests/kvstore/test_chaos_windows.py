@@ -6,7 +6,6 @@ import pytest
 
 from repro.kvstore import EventualStore, StoreLatency, StrongStore
 from repro.kvstore.base import TXN_ABORT
-from repro.simulation import Simulator, Trace
 from repro.simulation.chaos import StoreFaultWindow
 
 

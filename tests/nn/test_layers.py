@@ -14,7 +14,6 @@ from repro.nn.layers import (
     Flatten,
     GlobalAvgPool2D,
     MaxPool2D,
-    Module,
     Parameter,
     ReLU,
     Residual,

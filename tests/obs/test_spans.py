@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import FaultConfig
 from repro.core.runner import DistributedRunner
-from repro.simulation.tracing import Trace, TraceRecord
+from repro.simulation.tracing import TraceRecord
 from repro.obs.spans import CLIENT_HOPS, SpanStore, span_summary
 
 from ..core.test_runner import tiny_config

@@ -16,18 +16,27 @@ ever calls it is a question for a dynamic census.
 
 The same census counts who *sets* each field of a ``repro`` dataclass
 named ``*Config``, ``*Plan`` or ``*Policy``.  A field is set by a
-keyword argument outside its own module, in a call to the class itself,
-to ``dataclasses.replace``, or to a callable the census cannot name or
-that forwards ``**`` keywords (a builtin ``dict``, a local helper, a
-method), unless the keyword only passes on an attribute of its own name
-(``replicas=config.replicas``); or by a string naming a sweep axis
-(``sweep.axis("codec", ...)``).  The flags the CLI generates from field
+keyword argument outside its own module: in a call to the class itself;
+in a call to ``dataclasses.replace`` or to a bare name the census cannot
+follow (a builtin ``dict``, a parameter), which might build any class;
+or in a call to a function that forwards its ``**`` keywords into the
+class (its return annotation names the class, or it calls the class
+with ``**``, itself or through another such function, in the package or
+in a file the caller imports it from).  A keyword to a method of an
+object the census cannot type sets nothing, and neither does one that
+only passes on an attribute of its own name (``replicas=config.replicas``).
+A string naming a sweep axis (``sweep.axis("codec", ...)``) sets a field
+too.  The flags the CLI generates from field
 metadata are not keywords and do not count.  A field must be set
 outside ``tests/``, or be listed in :data:`KEPT_FIELDS` with the reason
 it stays.
 
+The census also lists every top-level import nothing in its file uses,
+over ``src/``, ``tests/`` and ``benchmarks/`` (what CI's ``ruff check``
+reports as F401).
+
 List every exported name with the files that use it, then every config
-field with the files that set it::
+field with the files that set it, then every unused import::
 
     PYTHONPATH=src python -m tests.reach
 """
@@ -45,6 +54,8 @@ from typing import Iterable
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 USERS = ("src", "bench", "benchmarks", "examples")
+#: The trees CI's lint job checks.
+LINTED = tuple(ROOT / root for root in ("src", "tests", "benchmarks"))
 
 #: Exported names no code outside ``tests/`` uses, kept for a reason.
 KEPT: dict[str, str] = {
@@ -86,28 +97,15 @@ TESTS_ONLY = "tests set it to reach a branch"
 KEPT_FIELDS: dict[str, str] = {
     **dict.fromkeys(
         [
-            "repro.boinc.replication.QuorumConfig.rtol",
-            "repro.boinc.replication.QuorumConfig.trust_threshold",
-            "repro.boinc.scheduler.SchedulerConfig.affinity_enabled",
-            "repro.boinc.scheduler.SchedulerConfig.reliability_enabled",
-            "repro.boinc.scheduler.SchedulerConfig.reliability_decay",
-            "repro.boinc.scheduler.SchedulerConfig.probation_threshold",
-            "repro.boinc.scheduler.SchedulerConfig.backoff_base_s",
-            "repro.boinc.scheduler.SchedulerConfig.one_result_per_host",
-            "repro.boinc.scheduler.SchedulerConfig.heartbeat_interval_s",
-            "repro.boinc.scheduler.SchedulerConfig.ping_busy_s",
-            "repro.boinc.scheduler.SchedulerConfig.ping_idle_base_s",
-            "repro.boinc.scheduler.SchedulerConfig.ping_idle_max_s",
             "repro.core.autoscale.AutoscalePolicy.down_idle_s",
             "repro.core.baselines.rounds.RoundConfig.batch_size",
             "repro.core.baselines.rounds.RoundConfig.data",
+            "repro.core.baselines.rounds.RoundConfig.model",
             "repro.core.baselines.rounds.RoundConfig.num_train",
             "repro.core.baselines.rounds.RoundConfig.num_val",
             "repro.core.job.LocalTrainingConfig.batch_size",
             "repro.core.job.TrainingJobConfig.codec_topk",
             "repro.core.job.TrainingJobConfig.max_param_norm",
-            "repro.core.job.TrainingJobConfig.work_units_per_subtask",
-            "repro.core.job.TrainingJobConfig.validation_work_units",
             "repro.core.job.TrainingJobConfig.work_fetch",
             "repro.data.synthetic.SyntheticImageConfig.channels",
             "repro.obs.runtime.ObservabilityConfig.strict_audit",
@@ -414,6 +412,18 @@ def used_paths(
     return uses.found
 
 
+@dataclass(frozen=True)
+class _Source:
+    """One parsed file the census scans, and what its names are bound to
+    (``own``: a package module's top-level definitions)."""
+
+    path: Path
+    tree: ast.Module
+    bindings: dict[str, str]
+    module: Module | None
+    own: set[str]
+
+
 class Census:
     """The exported names and config fields of one package, with the files
     that use each name and set each field."""
@@ -437,6 +447,8 @@ class Census:
             for field in fields:
                 self._classes_with[field].append(name)
         self._base = package_dir.parent.parent
+        self._sources: dict[Path, _Source] = {}
+        self._forwards: dict[tuple[Path, int], frozenset[str] | None] = {}
         roots = list(roots) or [self._base / root for root in USERS]
         for root in roots:
             for path in sorted(root.rglob("*.py")):
@@ -449,15 +461,11 @@ class Census:
         return None
 
     def _scan(self, path: Path) -> None:
-        module = self._module_of(path)
-        if module is not None:
-            tree, bindings = module.tree, self.bindings[module.name]
-        else:
-            tree = ast.parse(path.read_text(), str(path))
-            bindings = import_bindings(tree)
+        source = self._source(path)
         user = str(path.relative_to(self._base))
-        self._scan_setters(tree, bindings, module, user)
-        for dotted in used_paths(tree, bindings, module and module.name):
+        self._scan_setters(source, user)
+        module = source.module
+        for dotted in used_paths(source.tree, source.bindings, module and module.name):
             target = self.resolve(dotted)
             if target is None:
                 continue
@@ -470,11 +478,21 @@ class Census:
                         self.users[".".join(parts[:cut])].add(user)
             self.users[target].add(user)
 
-    def _scan_setters(
-        self, tree: ast.Module, bindings: dict[str, str], module: Module | None, user: str
-    ) -> None:
-        own = top_level_names(tree) - set(bindings) if module is not None else set()
-        for node in ast.walk(tree):
+    def _source(self, path: Path) -> _Source:
+        """The parsed file at ``path``, with what its names are bound to."""
+        if path not in self._sources:
+            module = self._module_of(path)
+            if module is not None:
+                tree, bindings = module.tree, self.bindings[module.name]
+                own = top_level_names(tree) - set(bindings)
+            else:
+                tree = ast.parse(path.read_text(), str(path))
+                bindings, own = import_bindings(tree), set()
+            self._sources[path] = _Source(path, tree, bindings, module, own)
+        return self._sources[path]
+
+    def _scan_setters(self, source: _Source, user: str) -> None:
+        for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -486,10 +504,12 @@ class Census:
             ):
                 for cls in self._classes_with.get(node.args[0].value, ()):
                     self._record(cls, node.args[0].value, user)
-            callee = self._callee(func, bindings, module, own)
+            targets = self._targets(func, source)
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
             for keyword in node.keywords:
                 for cls in self._classes_with.get(keyword.arg, ()):
-                    if self._sets(cls, callee, func, keyword):
+                    direct = targets == {cls} and called == cls.rpartition(".")[2]
+                    if direct or self._sets(cls, targets, keyword):
                         self._record(cls, keyword.arg, user)
 
     def _record(self, cls: str, field: str, user: str) -> None:
@@ -499,49 +519,117 @@ class Census:
         if str(module.path.relative_to(self._base)) != user:
             self.setters[f"{cls}.{field}"].add(user)
 
-    def _callee(
-        self, func: ast.expr, bindings: dict[str, str], module: Module | None, own: set[str]
-    ) -> str | None:
+    @staticmethod
+    def _sets(cls: str, targets: frozenset[str] | None, keyword: ast.keyword) -> bool:
+        """Whether ``keyword``, in a call whose keywords reach ``targets``
+        (None: any class), sets a field of ``cls``."""
+        value = keyword.value
+        if isinstance(value, ast.Attribute) and value.attr == keyword.arg:
+            return False  # passes on a value set elsewhere
+        return targets is None or cls in targets
+
+    def _callee(self, chain: list[str], source: _Source) -> str | None:
         """The dotted path a callee names (its definition, if in the
         package); None for a builtin, a local name or a method."""
-        chain = _chain(func)
-        if chain is None:
-            return None
-        if chain[0] in bindings:
-            head = bindings[chain[0]]
-        elif module is not None and chain[0] in own:
-            head = f"{module.name}.{chain[0]}"
+        if chain[0] in source.bindings:
+            head = source.bindings[chain[0]]
+        elif chain[0] in source.own:
+            head = f"{source.module.name}.{chain[0]}"
         else:
             return None
         dotted = ".".join([head, *chain[1:]])
         return self.resolve(dotted) or dotted
 
-    def _sets(self, cls: str, callee: str | None, func: ast.expr, keyword: ast.keyword) -> bool:
-        """Whether ``keyword`` in a call to ``callee`` sets a field of ``cls``."""
-        last = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-        if callee == "dataclasses.replace" or (callee == cls and last == cls.rpartition(".")[2]):
-            return True
-        value = keyword.value
-        if isinstance(value, ast.Attribute) and value.attr == keyword.arg:
-            return False  # passes on a value set elsewhere
-        return callee is None or self._forwards(callee, last)
+    def _targets(self, func: ast.expr, source: _Source) -> frozenset[str] | None:
+        """The config classes a call's keywords reach: the class called, or
+        the classes a helper forwards its ``**`` into; None for any class
+        (``dataclasses.replace``, or a callee the census cannot follow,
+        such as a builtin ``dict``)."""
+        chain = _chain(func)
+        if chain is None:
+            return frozenset()
+        callee = self._callee(chain, source)
+        if callee == "dataclasses.replace":
+            return None
+        if callee in self.fields:
+            if chain[-1] == callee.rpartition(".")[2]:
+                return frozenset([callee])
+            callee += "." + chain[-1]  # a method of the class
+        definition = self._definition(chain, callee, source)
+        if definition is not None:
+            return self._forwarded(*definition)
+        # A name the census cannot follow (a builtin, a parameter, a local)
+        # might build any class; a method or a library builds none of ours.
+        return None if callee is None and len(chain) == 1 else frozenset()
 
-    def _forwards(self, target: str, last: str) -> bool:
-        """Whether the package callable ``target``, called as ``last``,
-        takes ``**`` keywords (False for anything outside the package)."""
-        module, _, name = target.rpartition(".")
-        if module not in self.modules:
-            return False
-        node = next(
-            (n for n in self.modules[module].tree.body if getattr(n, "name", None) == name),
-            None,
-        )
+    def _definition(
+        self, chain: list[str], callee: str | None, source: _Source
+    ) -> tuple[ast.FunctionDef, _Source] | None:
+        """The ``def`` a call runs, with the file it is in: a package
+        callable, or a top-level function of the calling file or of the
+        file it imports it from."""
+        module, _, name = (callee or "").rpartition(".")
+        method = None
+        if module not in self.modules:  # a method, called on its class
+            module, _, cls = module.rpartition(".")
+            name, method = cls, name
+        if module in self.modules:
+            home = self._source(self.modules[module].path)
+        elif len(chain) == 1 and self._home_of(chain[0], source) is not None:
+            home, name, method = self._home_of(chain[0], source), chain[0], None
+        else:
+            return None
+        node = next((n for n in home.tree.body if getattr(n, "name", None) == name), None)
         if isinstance(node, ast.ClassDef):
-            method = "__init__" if last == name else last
+            method = method or "__init__"
             node = next((n for n in node.body if getattr(n, "name", None) == method), None)
-        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
-            node.args.kwarg is not None
-        )
+        if isinstance(node, ast.FunctionDef):
+            return node, home
+        return None
+
+    def _home_of(self, name: str, source: _Source) -> _Source | None:
+        """The file outside the package a name comes from: the calling file
+        if it defines the name, or a file it imports the name from."""
+        if name in top_level_names(source.tree):
+            return source
+        for node in source.tree.body:
+            if isinstance(node, ast.ImportFrom) and any(
+                (alias.asname or alias.name) == name for alias in node.names
+            ):
+                base = source.path.parent
+                for _ in range(node.level - 1):
+                    base = base.parent
+                parts = (node.module or "").split(".")
+                for root in ((base,) if node.level else (source.path.parent, self._base)):
+                    path = root.joinpath(*parts).with_suffix(".py")
+                    if path.is_file() and self._module_of(path) is None:
+                        return self._source(path)
+        return None
+
+    def _forwarded(self, node: ast.FunctionDef, home: _Source) -> frozenset[str] | None:
+        """The config classes a callable's ``**`` keywords reach: the class
+        its return annotation names, else every class it calls with
+        ``**``, directly or through another such callable (None: any)."""
+        key = (home.path, node.lineno)
+        if key not in self._forwards:
+            self._forwards[key] = frozenset()  # a recursive call adds nothing
+            if node.args.kwarg is not None:
+                self._forwards[key] = self._forward_targets(node, home)
+        return self._forwards[key]
+
+    def _forward_targets(self, node: ast.FunctionDef, home: _Source) -> frozenset[str] | None:
+        returns = _chain(node.returns) if node.returns is not None else None
+        named = returns and self._callee(returns, home)
+        if named in self.fields:
+            return frozenset([named])
+        classes: frozenset[str] = frozenset()
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and any(k.arg is None for k in call.keywords):
+                targets = self._targets(call.func, home)
+                if targets is None:
+                    return None
+                classes |= targets
+        return classes
 
     def resolve(self, dotted: str) -> str | None:
         """The definition a package path names (a module, or a name in
@@ -593,15 +681,58 @@ class Census:
         return sorted(name for name in kept if name not in fields or self.setters.get(name))
 
 
+def _names_in(tree: ast.AST) -> set[str]:
+    """The names code loads, the heads of attribute chains, the names in
+    a string that parses as an expression (a quoted annotation) and the
+    entries of ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                names |= _names_in(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+            names.add(node.value)  # an ``__all__`` entry
+    return names
+
+
+def unused_imports(roots: Iterable[Path] = LINTED) -> list[str]:
+    """Every top-level import nothing in its file uses, as ``path:line
+    name`` (what ``ruff check``'s F401 reports; a ``noqa`` line and
+    ``__future__`` are exempt)."""
+    hits = []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            text = path.read_text()
+            lines = text.splitlines()
+            tree = ast.parse(text, str(path))
+            used = _names_in(tree)
+            for node in tree.body:
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                if "# noqa" in lines[node.lineno - 1] and "F401" in lines[node.lineno - 1]:
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in used:
+                        where = path.relative_to(root.parent)
+                        hits.append(f"{where}:{node.lineno} {alias.asname or alias.name}")
+    return hits
+
+
 def setters_in_tests() -> dict[str, set[str]]:
     """The files under ``tests/`` that set each config field."""
     return Census(roots=[ROOT / "tests"]).setters
 
 
 def main(argv: list[str]) -> int:
-    """Print every exported name with the files that use it, then every
-    config field with the files that set it; return 1 if any name or
-    field is stranded."""
+    """Print every exported name with the files that use it, every config
+    field with the files that set it, and every unused import; return 1
+    if any name or field is stranded or any import unused."""
     census = Census()
     for name, target in sorted(census.exported().items()):
         users = sorted(census.users.get(target, ()))
@@ -629,7 +760,11 @@ def main(argv: list[str]) -> int:
         print(f"{name}  {note}")
     stranded_fields = census.stranded_fields()
     print(f"{len(names)} config fields, {len(stranded_fields)} stranded")
-    return 1 if stranded or stranded_fields else 0
+    unused = unused_imports()
+    for hit in unused:
+        print(f"{hit}  UNUSED IMPORT")
+    print(f"{len(unused)} unused imports")
+    return 1 if stranded or stranded_fields or unused else 0
 
 
 if __name__ == "__main__":

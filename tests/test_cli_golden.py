@@ -28,10 +28,9 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.boinc.scheduler import SchedulerConfig
 from repro.core import Sweep, TrainingJobConfig, parallel, runner
 from repro.data import synthetic
-from repro.simulation import TABLE1_SERVER
+from repro.simulation import TABLE1_SERVER, resources
 
 GOLDEN = Path(__file__).with_suffix(".json")
 
@@ -153,8 +152,8 @@ CORPUS = [
 # Fields that left TrainingJobConfig (dotted: a config it holds), and what
 # now stands in for each at run time.
 REMOVED_FIELDS = {
-    "affinity_enabled": lambda config: SchedulerConfig().affinity_enabled,
-    "reliability_enabled": lambda config: SchedulerConfig().reliability_enabled,
+    "affinity_enabled": lambda config: True,
+    "reliability_enabled": lambda config: True,
     "val_eval_subsample": lambda config: runner.VAL_EVAL_SUBSAMPLE,
     "flat_features": lambda config: config.flat_features,
     "server_planes": lambda config: 1,
@@ -163,6 +162,8 @@ REMOVED_FIELDS = {
     "ps_effective_cores": lambda config: runner.PS_EFFECTIVE_CORES,
     "data.prototypes_per_class": lambda config: synthetic.PROTOTYPES_PER_CLASS,
     "data.pattern_frequencies": lambda config: synthetic.PATTERN_FREQUENCIES,
+    "work_units_per_subtask": lambda config: resources.SUBTASK_WORK_UNITS,
+    "validation_work_units": lambda config: resources.VALIDATION_WORK_UNITS,
 }
 # Options deleted with their field, per command: option -> the field it
 # set.  Each takes one value.
@@ -341,7 +342,7 @@ def test_option_and_field_counts():
     counts = {name: len(table) - 1 for name, table in option_tables().items()}
     assert counts["run"] == 46 and counts["sweep"] == 27
     assert counts["single"] == 3 and counts["alpha-study"] == 5
-    assert len(dataclasses.fields(TrainingJobConfig)) == 39
+    assert len(dataclasses.fields(TrainingJobConfig)) == 37
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)), ids=lambda i: f"{i:02d}-{CORPUS[i][0]}")

@@ -5,7 +5,9 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .goldens import GOLDENS, main
+import pytest
+
+from .goldens import BENCH_PINS, GOLDENS, main, recompute
 
 
 def test_the_listing_sets_each_pinned_digest_beside_its_recomputed_one(capsys):
@@ -27,3 +29,15 @@ def test_no_test_module_pins_a_digest_of_its_own():
         and digest.search(path.read_text())
     ]
     assert strays == []
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_PINS))
+def test_each_tiny_bench_workload_matches_its_pin(name):
+    assert recompute(name) == BENCH_PINS[name]
+
+
+def test_the_listing_shows_a_bench_pin_with_its_simulated_metrics(capsys):
+    assert main(["bench/fleet_10k_ping"]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.split()[:3] == ["bench/fleet_10k_ping", "ok", "pinned"]
+    assert line.count(str(BENCH_PINS["bench/fleet_10k_ping"])) == 2

@@ -9,9 +9,6 @@ names it.
 
 from __future__ import annotations
 
-import dataclasses
-
-import numpy as np
 import pytest
 
 from repro.cloud import PricingClass, paper_p5c5t2_analysis, paper_p5c5t2_fleet

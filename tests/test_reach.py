@@ -6,7 +6,15 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from .reach import KEPT, KEPT_FIELDS, TESTS_ONLY, Census, main, setters_in_tests
+from .reach import (
+    KEPT,
+    KEPT_FIELDS,
+    TESTS_ONLY,
+    Census,
+    main,
+    setters_in_tests,
+    unused_imports,
+)
 
 
 def test_every_exported_name_is_used_outside_tests_or_kept():
@@ -48,7 +56,32 @@ def test_the_listing_names_each_user_and_ends_with_the_count(capsys):
     assert "repro.nn.optim.Adam  src/repro/nn/cohort.py" in lines
     assert "repro.simulation.chaos.TransferFaultPlan.stall_p  bench/workloads.py" in lines
     assert any(line.endswith(" exported, 0 stranded") for line in lines)
-    assert lines[-1].endswith(" config fields, 0 stranded")
+    assert any(line.endswith(" config fields, 0 stranded") for line in lines)
+    assert lines[-1] == "0 unused imports"
+
+
+def test_no_file_imports_a_name_it_does_not_use():
+    assert unused_imports() == []
+
+
+def test_an_import_used_only_in_a_quoted_annotation_or_noqa_is_no_hit(tmp_path):
+    write(
+        tmp_path,
+        {
+            "src/mod.py": """
+                from __future__ import annotations
+                import os
+                import numpy as np
+                from typing import Any, Callable
+                from pkg import kept  # noqa: F401
+                __all__ = ["Callable"]
+
+                def f(x: "Any") -> None:
+                    return np.sum(x)
+            """,
+        },
+    )
+    assert unused_imports([tmp_path / "src"]) == ["src/mod.py:3 os"]
 
 
 def write(root: Path, files: dict[str, str]) -> None:
@@ -148,6 +181,13 @@ CONFIG = {
             passed_on: int = 0
             own_only: int = 0
             tests_only: int = 0
+            dict_field: int = 0
+            method_only: int = 0
+            other_helper: int = 0
+
+        @dataclass(frozen=True)
+        class OtherConfig:
+            level: int = 0
 
         QUICK = JobConfig(own_only=2)
 
@@ -174,6 +214,19 @@ CONFIG = {
             job(helper_field=1)
             start(seed=3)
             pool.launch(passed_on=config.passed_on)
+            dict(dict_field=1)
+            trace.emit(method_only=1)
+    """,
+    "app/jobs/__init__.py": "",
+    "app/jobs/helpers.py": """
+        from pkg.config import OtherConfig
+
+        def other(**overrides) -> OtherConfig:
+            return OtherConfig(**overrides)
+    """,
+    "app/jobs/run.py": """
+        from .helpers import other
+        other(level=1, other_helper=2)
     """,
     "tests/test_config.py": """
         from pkg.config import JobConfig
@@ -197,6 +250,8 @@ def test_a_sweep_axis_string_and_a_forwarding_helper_set_a_field(tmp_path):
 
 def test_a_field_set_only_in_tests_or_its_own_module_is_stranded(tmp_path):
     assert field_census(tmp_path, CONFIG).stranded_fields() == [
+        "pkg.config.JobConfig.method_only",
+        "pkg.config.JobConfig.other_helper",
         "pkg.config.JobConfig.own_only",
         "pkg.config.JobConfig.passed_on",
         "pkg.config.JobConfig.seed",
@@ -210,6 +265,17 @@ def test_a_package_callable_or_a_passed_on_value_sets_no_field(tmp_path):
     # hands on a value something else set.
     assert not census.setters.get("pkg.config.JobConfig.seed")
     assert not census.setters.get("pkg.config.JobConfig.passed_on")
+
+
+def test_a_method_sets_no_field_and_a_helper_sets_only_its_own_class(tmp_path):
+    census = field_census(tmp_path, CONFIG)
+    # ``trace.emit(method_only=1)``: the census cannot type ``trace``.
+    assert not census.setters.get("pkg.config.JobConfig.method_only")
+    # ``other`` (imported from a sibling file) forwards into OtherConfig.
+    assert census.setters["pkg.config.OtherConfig.level"] == {"app/jobs/run.py"}
+    assert not census.setters.get("pkg.config.JobConfig.other_helper")
+    # A builtin ``dict`` might become any config, so it still counts.
+    assert census.setters["pkg.config.JobConfig.dict_field"] == {"app/main.py"}
 
 
 def test_a_stale_kept_field_is_reported(tmp_path):
